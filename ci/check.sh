@@ -3,6 +3,7 @@
 #
 #   ci/check.sh            # all stages
 #   ci/check.sh fast       # default build + ctest only
+#   ci/check.sh release    # Release build + ctest only
 #
 # Stages:
 #   1. default     — release-ish build with SRM_CHK=ON + SRM_MC=ON, full ctest
@@ -27,6 +28,8 @@
 #                    and the tune artifacts (when stage 1d left them behind)
 #                    cross-checked for dominance; also runnable alone via
 #                    `ci/check.sh sa`
+#   1f. release    — -DCMAKE_BUILD_TYPE=Release (-O3) build under -Werror,
+#                    full ctest; also runnable alone via `ci/check.sh release`
 #   2. sanitize    — ASan+UBSan build, full ctest
 #   3. chk-off     — SRM_CHK=OFF build (checker compiled out), full ctest
 #   4. tidy        — clang-tidy over src/ with warnings-as-errors (enforced
@@ -182,6 +185,12 @@ if [[ "$MODE" == "sa" ]]; then
   exit 0
 fi
 
+if [[ "$MODE" == "release" ]]; then
+  run_stage release -DCMAKE_BUILD_TYPE=Release -DSRM_CHK=ON -DSRM_MC=ON
+  echo "=== release stage passed ==="
+  exit 0
+fi
+
 run_stage default -DSRM_CHK=ON -DSRM_MC=ON
 run_perf_gate
 run_sv
@@ -189,6 +198,7 @@ run_tune
 run_sa
 
 if [[ "$MODE" != "fast" ]]; then
+  run_stage release -DCMAKE_BUILD_TYPE=Release -DSRM_CHK=ON -DSRM_MC=ON
   run_stage sanitize -DSRM_CHK=ON -DSRM_SANITIZE=address,undefined
   run_stage chk-off -DSRM_CHK=OFF
 

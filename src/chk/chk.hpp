@@ -126,6 +126,8 @@ class Checker : public sim::BlockedInfoSource {
   /// Register @p bytes at @p base as a tracked shared region. Accesses to
   /// unregistered memory (private user buffers) are ignored.
   void register_region(const void* base, std::size_t bytes, std::string name);
+  /// Stop tracking the region at @p base (its storage is about to be freed).
+  void unregister_region(const void* base) { regions_.erase(base); }
 
   // --- happens-before edges -------------------------------------------------
   /// Writer side of a sync object: join the actor's clock into it, then tick.

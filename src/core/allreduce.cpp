@@ -71,14 +71,15 @@ sim::CoTask Communicator::allreduce_rd(machine::TaskCtx& t, const void* send,
     if (v % 2 == 0) {
       // Fold out: push to the odd partner, receive the final result later.
       NodeState& part = node_state_of(v + 1);
-      co_await my_ep.put(master_ep(v + 1), part.ar_fold_in[parity].data(),
+      co_await my_ep.put(master_ep(v + 1), part.ar_fold_in()[parity].data(),
                          recv, bytes, part.ar_fold_in_arr.get());
       newv = -1;
     } else {
       co_await my_ep.wait_cntr(*ns.ar_fold_in_arr, 1);
+      const std::byte* fold = ns.ar_fold_in()[parity].data();
       co_await t.nd->mem.charge_combine(static_cast<double>(bytes));
-      chk::note_read(t.chk, ns.ar_fold_in[parity].data(), bytes);
-      coll::combine(op, d, recv, ns.ar_fold_in[parity].data(), count);
+      chk::note_read(t.chk, fold, bytes);
+      coll::combine(op, d, recv, fold, count);
       newv = v / 2;
     }
   } else {
@@ -111,15 +112,16 @@ sim::CoTask Communicator::allreduce_rd(machine::TaskCtx& t, const void* send,
   if (v < 2 * rem) {
     if (v % 2 == 0) {
       co_await my_ep.wait_cntr(*ns.ar_fold_out_arr, 1);
+      const std::byte* fold = ns.ar_fold_out()[parity].data();
       co_await t.nd->mem.charge_copy(static_cast<double>(bytes));
-      chk::note_read(t.chk, ns.ar_fold_out[parity].data(), bytes);
-      std::memcpy(recv, ns.ar_fold_out[parity].data(), bytes);
+      chk::note_read(t.chk, fold, bytes);
+      std::memcpy(recv, fold, bytes);
     } else {
       NodeState& part = node_state_of(v - 1);
       // The source is the user's recv buffer: drain the origin counter so
       // the buffer is reusable the moment the operation returns.
       lapi::Counter fold_org(*t.eng, "ar.fold_org@" + std::to_string(t.rank));
-      co_await my_ep.put(master_ep(v - 1), part.ar_fold_out[parity].data(),
+      co_await my_ep.put(master_ep(v - 1), part.ar_fold_out()[parity].data(),
                          recv, bytes, part.ar_fold_out_arr.get(), &fold_org);
       co_await my_ep.wait_cntr(fold_org, 1);
     }

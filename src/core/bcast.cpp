@@ -37,7 +37,6 @@ sim::CoTask Communicator::bcast_small(machine::TaskCtx& t, void* buf,
   int leader = emb.leader[static_cast<std::size_t>(my_node)];
   int leader_local = t.topo->local_of(leader);
   int parent = emb.internode.parent[static_cast<std::size_t>(my_node)];
-  auto pi = static_cast<std::size_t>(parent < 0 ? 0 : parent);
   bool is_root_node = parent == -1;
 
   // Chunk geometry (§2.4): pipeline band only.
@@ -48,9 +47,9 @@ sim::CoTask Communicator::bcast_small(machine::TaskCtx& t, void* buf,
   std::size_t nchunks = detail::chunk_count(bytes, chunk);
 
   auto finish_bookkeeping = [&] {
-    if (!is_root_node) rs.bc_recv[pi] += nchunks;
+    if (!is_root_node) rs.links[parent].bc_recv += nchunks;
     for (int child : emb.internode.children[static_cast<std::size_t>(my_node)]) {
-      rs.bc_sent[static_cast<std::size_t>(child)] += nchunks;
+      rs.links[child].bc_sent += nchunks;
     }
   };
 
@@ -79,8 +78,8 @@ sim::CoTask Communicator::bcast_small(machine::TaskCtx& t, void* buf,
       std::size_t len = std::min(chunk, bytes - off);
       const std::byte* shared_src = nullptr;
       if (!is_root_node) {
-        std::size_t lslot = link_slot(rs.bc_recv[pi] + c);
-        shared_src = ns.bc_land[pi][lslot].data();
+        std::size_t lslot = link_slot(rs.links[parent].bc_recv + c);
+        shared_src = ns.bc_land(parent)[lslot].data();
       }
       co_await smp_bcast_chunk(t, leader_local, nullptr,
                                static_cast<std::byte*>(buf) + off, len,
@@ -107,9 +106,9 @@ sim::CoTask Communicator::bcast_small(machine::TaskCtx& t, void* buf,
       data = static_cast<const std::byte*>(buf) + off;
     } else {
       // Wait for the parent's put to land in this link's buffer.
-      in_slot = link_slot(rs.bc_recv[pi] + c);
-      co_await my_ep.wait_cntr(*ns.bc_arrived[pi][in_slot], 1);
-      data = ns.bc_land[pi][in_slot].data();
+      in_slot = link_slot(rs.links[parent].bc_recv + c);
+      co_await my_ep.wait_cntr(*ns.link(parent).bc_arrived[in_slot], 1);
+      data = ns.bc_land(parent)[in_slot].data();
     }
 
     // Send down the tree first (nonblocking puts), then broadcast locally —
@@ -118,17 +117,15 @@ sim::CoTask Communicator::bcast_small(machine::TaskCtx& t, void* buf,
       auto ci = static_cast<std::size_t>(child);
       NodeState& cs = *nodes_[ci];
       int child_leader = emb.leader[ci];
-      std::size_t out_slot = link_slot(rs.bc_sent[ci] + c);
-      co_await my_ep.wait_cntr(*ns.bc_free[ci][out_slot], 1);
+      std::size_t out_slot = link_slot(rs.links[child].bc_sent + c);
+      co_await my_ep.wait_cntr(*ns.link(child).bc_free[out_slot], 1);
       // Forwards from a landing buffer need no origin tracking: the buffer
       // cannot be overwritten before this put leaves (the parent's next put
       // is gated on a credit that follows it through the same NIC FIFO).
-      co_await my_ep.put(
-          ep(child_leader),
-          cs.bc_land[static_cast<std::size_t>(my_node)][out_slot].data(),
-          data, len,
-          cs.bc_arrived[static_cast<std::size_t>(my_node)][out_slot].get(),
-          is_root_node ? &org : nullptr);
+      co_await my_ep.put(ep(child_leader),
+                         cs.bc_land(my_node)[out_slot].data(), data, len,
+                         cs.link(my_node).bc_arrived[out_slot].get(),
+                         is_root_node ? &org : nullptr);
       if (is_root_node) ++org_pending;
     }
 
@@ -148,11 +145,9 @@ sim::CoTask Communicator::bcast_small(machine::TaskCtx& t, void* buf,
         if (l == leader_local) continue;
         co_await (*ns.bc_ready[flag_slot])[l].await_value(0, &t.chk);
       }
-      int parent_leader = emb.leader[pi];
-      NodeState& ps = *nodes_[pi];
-      co_await my_ep.put_signal(
-          ep(parent_leader),
-          *ps.bc_free[static_cast<std::size_t>(my_node)][in_slot]);
+      auto pi = static_cast<std::size_t>(parent);
+      co_await my_ep.put_signal(ep(emb.leader[pi]),
+                                *nodes_[pi]->link(my_node).bc_free[in_slot]);
     }
   }
   if (is_root_node && mapped) {
@@ -225,11 +220,10 @@ sim::CoTask Communicator::bcast_large(machine::TaskCtx& t, void* buf,
   void* my_addr = buf;
   if (parent != -1) {
     int parent_leader = emb.leader[static_cast<std::size_t>(parent)];
-    NodeState& ps = *nodes_[static_cast<std::size_t>(parent)];
-    co_await my_ep.put(
-        ep(parent_leader), &ps.bc_addr[static_cast<std::size_t>(my_node)],
-        &my_addr, sizeof(void*),
-        ps.bc_addr_arrived[static_cast<std::size_t>(my_node)].get(), &org);
+    NodeState::Link& pl =
+        nodes_[static_cast<std::size_t>(parent)]->link(my_node);
+    co_await my_ep.put(ep(parent_leader), &pl.bc_addr, &my_addr,
+                       sizeof(void*), pl.bc_addr_arrived.get(), &org);
     ++org_pending;
   }
 
@@ -240,8 +234,7 @@ sim::CoTask Communicator::bcast_large(machine::TaskCtx& t, void* buf,
     std::size_t len = std::min(chunk, bytes - off);
     if (parent != -1) {
       // Stage 2: wait for this chunk to land in our user buffer.
-      co_await my_ep.wait_cntr(
-          *ns.bc_large_arrived[static_cast<std::size_t>(parent)], 1);
+      co_await my_ep.wait_cntr(*ns.link(parent).bc_large_arrived, 1);
     } else if (src_gate != nullptr) {
       // Pipelined allreduce: wait until the reduce phase finished this chunk.
       co_await my_ep.wait_cntr(*src_gate, 1);
@@ -251,15 +244,14 @@ sim::CoTask Communicator::bcast_large(machine::TaskCtx& t, void* buf,
       int child = kids[k];
       NodeState& cs = *nodes_[static_cast<std::size_t>(child)];
       if (c == 0) {
-        co_await my_ep.wait_cntr(
-            *ns.bc_addr_arrived[static_cast<std::size_t>(child)], 1);
-        child_addr[k] = static_cast<std::byte*>(
-            ns.bc_addr[static_cast<std::size_t>(child)]);
+        NodeState::Link& cl = ns.link(child);
+        co_await my_ep.wait_cntr(*cl.bc_addr_arrived, 1);
+        child_addr[k] = static_cast<std::byte*>(cl.bc_addr);
       }
       co_await my_ep.put(
           ep(emb.leader[static_cast<std::size_t>(child)]), child_addr[k] + off,
           static_cast<const std::byte*>(buf) + off, len,
-          cs.bc_large_arrived[static_cast<std::size_t>(my_node)].get(), &org);
+          cs.link(my_node).bc_large_arrived.get(), &org);
       ++org_pending;
     }
     // Stages 3/4: SMP broadcast of the arrived chunk, pipelined through the

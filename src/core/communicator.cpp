@@ -114,18 +114,23 @@ std::string json_str(const std::string& s) {
 Communicator::NodeState::NodeState(sim::Engine& eng,
                                    const machine::MemoryParams& mp,
                                    const machine::Topology& topo,
-                                   const SrmConfig& cfg, bool zoo,
-                                   shm::Segment& seg,
+                                   const SrmConfig& cfg, shm::Segment& seg,
                                    const std::string& prefix)
-    : nlocal(topo.tasks_per_node()), nnodes(topo.nodes()) {
+    : nlocal(topo.tasks_per_node()),
+      eng_(&eng),
+      seg_(&seg),
+      prefix_(prefix),
+      smp_buf_bytes_(cfg.smp_buf_bytes),
+      reduce_chunk_(cfg.reduce_chunk),
+      allreduce_rd_max_(cfg.allreduce_rd_max),
+      sc_acc_(static_cast<std::size_t>(nlocal)) {
   auto counter = [&eng, &prefix](const std::string& label) {
     return std::make_unique<lapi::Counter>(eng, prefix + "/" + label);
   };
 
   // --- SMP broadcast buffers + READY flags (Fig. 3) ---
+  alloc(bc_buf, "bc_buf", cfg.smp_buf_bytes);
   for (int b = 0; b < 2; ++b) {
-    bc_buf[static_cast<std::size_t>(b)] =
-        seg.buffer(prefix + "/bc_buf" + std::to_string(b), cfg.smp_buf_bytes);
     bc_ready[static_cast<std::size_t>(b)] = std::make_unique<shm::FlagArray>(
         eng, mp, nlocal, 0, prefix + "/bc_ready" + std::to_string(b));
   }
@@ -152,75 +157,22 @@ Communicator::NodeState::NodeState(sim::Engine& eng,
   bar_flag = std::make_unique<shm::FlagArray>(eng, mp, nlocal, 0,
                                               prefix + "/bar_flag");
 
-  // --- broadcast network state (per link, see header) ---
-  bc_land.resize(static_cast<std::size_t>(nnodes));
-  bc_arrived.resize(static_cast<std::size_t>(nnodes));
-  bc_free.resize(static_cast<std::size_t>(nnodes));
-  for (int p = 0; p < nnodes; ++p) {
-    for (int s = 0; s < 2; ++s) {
-      bc_land[static_cast<std::size_t>(p)][static_cast<std::size_t>(s)] =
-          seg.buffer(prefix + "/bc_land" + std::to_string(p) + "_" +
-                         std::to_string(s),
-                     cfg.smp_buf_bytes);
-      std::string link = std::to_string(p) + "_" + std::to_string(s);
-      bc_arrived[static_cast<std::size_t>(p)][static_cast<std::size_t>(s)] =
-          counter("bc_arrived" + link);
-      auto& cr =
-          bc_free[static_cast<std::size_t>(p)][static_cast<std::size_t>(s)];
-      cr = counter("bc_free" + link);
-      cr->set(1);  // both remote landing buffers start free
-    }
-  }
-  bc_addr.assign(static_cast<std::size_t>(nnodes), nullptr);
-  bc_addr_arrived.resize(static_cast<std::size_t>(nnodes));
-  bc_large_arrived.resize(static_cast<std::size_t>(nnodes));
-  for (int p = 0; p < nnodes; ++p) {
-    bc_addr_arrived[static_cast<std::size_t>(p)] =
-        counter("bc_addr_arrived" + std::to_string(p));
-    bc_large_arrived[static_cast<std::size_t>(p)] =
-        counter("bc_large_arrived" + std::to_string(p));
-  }
-
-  // --- reduce network state ---
-  red_land.resize(static_cast<std::size_t>(nnodes));
-  red_arrived.resize(static_cast<std::size_t>(nnodes));
-  for (int c = 0; c < nnodes; ++c) {
-    for (int s = 0; s < 2; ++s) {
-      red_land[static_cast<std::size_t>(c)][static_cast<std::size_t>(s)] =
-          seg.buffer(prefix + "/red_land" + std::to_string(c) + "_" +
-                         std::to_string(s),
-                     cfg.reduce_chunk);
-    }
-    red_arrived[static_cast<std::size_t>(c)] =
-        counter("red_arrived" + std::to_string(c));
-  }
+  // --- reduce network state (the per-child landing pairs are per link) ---
   red_free = counter("red_free");
   red_free->set(2);  // two landing slots at the parent start free
-  for (int s = 0; s < 2; ++s) {
-    red_out[static_cast<std::size_t>(s)] = seg.buffer(
-        prefix + "/red_out" + std::to_string(s), cfg.reduce_chunk);
-  }
+  alloc(red_out, "red_out", cfg.reduce_chunk);
   red_out_org = counter("red_out_org");
 
   // --- allreduce recursive-doubling state ---
+  int nnodes = topo.nodes();
   int rounds = nnodes > 1 ? util::log2_ceil(static_cast<unsigned>(nnodes)) : 0;
   ar_buf.resize(static_cast<std::size_t>(rounds));
   ar_arrived.resize(static_cast<std::size_t>(rounds));
   for (int r = 0; r < rounds; ++r) {
-    for (int p = 0; p < 2; ++p) {
-      ar_buf[static_cast<std::size_t>(r)][static_cast<std::size_t>(p)] =
-          seg.buffer(prefix + "/ar_buf" + std::to_string(r) + "_" +
-                         std::to_string(p),
-                     cfg.allreduce_rd_max);
-    }
+    alloc(ar_buf[static_cast<std::size_t>(r)],
+          "ar_buf" + std::to_string(r) + "_", cfg.allreduce_rd_max);
     ar_arrived[static_cast<std::size_t>(r)] =
         counter("ar_arrived" + std::to_string(r));
-  }
-  for (int p = 0; p < 2; ++p) {
-    ar_fold_in[static_cast<std::size_t>(p)] = seg.buffer(
-        prefix + "/ar_fold_in" + std::to_string(p), cfg.allreduce_rd_max);
-    ar_fold_out[static_cast<std::size_t>(p)] = seg.buffer(
-        prefix + "/ar_fold_out" + std::to_string(p), cfg.allreduce_rd_max);
   }
   ar_fold_in_arr = counter("ar_fold_in_arr");
   ar_fold_out_arr = counter("ar_fold_out_arr");
@@ -234,71 +186,102 @@ Communicator::NodeState::NodeState(sim::Engine& eng,
   bar_fold_in = counter("bar_fold_in");
   bar_fold_out = counter("bar_fold_out");
 
-  // --- gather staging + counters ---
+  // --- gather counters (the staging pair waits for the first gather) ---
   for (int s = 0; s < 2; ++s) {
-    ga_stage[static_cast<std::size_t>(s)] = seg.buffer(
-        prefix + "/ga_stage" + std::to_string(s), cfg.smp_buf_bytes);
     ga_filled[static_cast<std::size_t>(s)] = std::make_unique<shm::SharedFlag>(
         eng, mp, 0, prefix + "/ga_filled" + std::to_string(s));
     ga_freed[static_cast<std::size_t>(s)] = std::make_unique<shm::SharedFlag>(
         eng, mp, 0, prefix + "/ga_freed" + std::to_string(s));
   }
-  ga_addr.assign(static_cast<std::size_t>(nnodes), nullptr);
-  ga_addr_arr.resize(static_cast<std::size_t>(nnodes));
-  ga_done.resize(static_cast<std::size_t>(nnodes));
-  for (int p = 0; p < nnodes; ++p) {
-    ga_addr_arr[static_cast<std::size_t>(p)] =
-        counter("ga_addr_arr" + std::to_string(p));
-    ga_done[static_cast<std::size_t>(p)] =
-        counter("ga_done" + std::to_string(p));
-  }
 
-  // --- algorithm-zoo network state (per peer node) ---
-  //
-  // Only built when the communicator's decision table can actually dispatch
-  // a zoo algorithm: the block is another O(nodes) counters plus two
-  // reduce_chunk landing slots per peer on every node, and the paper-table
-  // profiles (ibm_sp) never route to it.
-  if (zoo) {
-    zoo_addr.assign(static_cast<std::size_t>(nnodes), nullptr);
-    zoo_addr_arr.resize(static_cast<std::size_t>(nnodes));
-    zoo_got.resize(static_cast<std::size_t>(nnodes));
-    zoo_land.resize(static_cast<std::size_t>(nnodes));
-    zoo_arr.resize(static_cast<std::size_t>(nnodes));
-    zoo_free.resize(static_cast<std::size_t>(nnodes));
-    for (int p = 0; p < nnodes; ++p) {
-      auto pi = static_cast<std::size_t>(p);
-      zoo_addr_arr[pi] = counter("zoo_addr_arr" + std::to_string(p));
-      zoo_got[pi] = counter("zoo_got" + std::to_string(p));
-      for (int s = 0; s < 2; ++s) {
-        zoo_land[pi][static_cast<std::size_t>(s)] =
-            seg.buffer(prefix + "/zoo_land" + std::to_string(p) + "_" +
-                           std::to_string(s),
-                       cfg.reduce_chunk);
-      }
-      zoo_arr[pi] = counter("zoo_arr" + std::to_string(p));
-      zoo_free[pi] = counter("zoo_free" + std::to_string(p));
-      zoo_free[pi]->set(2);  // both landing slots start free
-    }
-    zoo_org = counter("zoo_org");
-  }
+  zoo_org = counter("zoo_org");
 
-  // --- single-copy cross-mapping windows + mapped-reduce accumulators ---
+  // --- single-copy cross-mapping windows + mapped-reduce counters ---
   map = &seg.object<shm::Mapping>(prefix + "/map", eng, mp, nlocal,
                                   prefix + "/map");
   for (int s = 0; s < 2; ++s) {
-    auto& slots = sc_acc[static_cast<std::size_t>(s)];
-    slots.reserve(static_cast<std::size_t>(nlocal));
-    for (int l = 0; l < nlocal; ++l) {
-      slots.push_back(seg.buffer(
-          prefix + "/sc_acc" + std::to_string(s) + "_" + std::to_string(l),
-          cfg.reduce_chunk));
-    }
     sc_cons[static_cast<std::size_t>(s)] = std::make_unique<shm::FlagArray>(
         eng, mp, nlocal, 0, prefix + "/sc_cons" + std::to_string(s));
   }
   sc_pub =
       std::make_unique<shm::FlagArray>(eng, mp, nlocal, 0, prefix + "/sc_pub");
+}
+
+Communicator::NodeState::Link::Link(sim::Engine& eng,
+                                    const std::string& prefix, int peer) {
+  std::string p = std::to_string(peer);
+  auto counter = [&eng, &prefix](const std::string& label) {
+    return std::make_unique<lapi::Counter>(eng, prefix + "/" + label);
+  };
+  for (int s = 0; s < 2; ++s) {
+    std::string link = p + "_" + std::to_string(s);
+    bc_arrived[static_cast<std::size_t>(s)] = counter("bc_arrived" + link);
+    auto& cr = bc_free[static_cast<std::size_t>(s)];
+    cr = counter("bc_free" + link);
+    cr->set(1);  // both remote landing buffers start free
+  }
+  bc_addr_arrived = counter("bc_addr_arrived" + p);
+  bc_large_arrived = counter("bc_large_arrived" + p);
+  red_arrived = counter("red_arrived" + p);
+  ga_addr_arr = counter("ga_addr_arr" + p);
+  ga_done = counter("ga_done" + p);
+  zoo_addr_arr = counter("zoo_addr_arr" + p);
+  zoo_got = counter("zoo_got" + p);
+  zoo_arr = counter("zoo_arr" + p);
+  zoo_free = counter("zoo_free" + p);
+  zoo_free->set(2);  // both landing slots start free
+}
+
+Communicator::NodeState::Pair& Communicator::NodeState::alloc(
+    Pair& p, const std::string& stem, std::size_t bytes) {
+  if (p[0].data() == nullptr) {
+    for (int s = 0; s < 2; ++s) {
+      p[static_cast<std::size_t>(s)] =
+          seg_->buffer(prefix_ + "/" + stem + std::to_string(s), bytes);
+    }
+  }
+  return p;
+}
+
+Communicator::NodeState::Link& Communicator::NodeState::link(int peer) {
+  // try_emplace constructs a record only when the key is new.
+  return links_.try_emplace(peer, *eng_, prefix_, peer).first->second;
+}
+
+Communicator::NodeState::Pair& Communicator::NodeState::bc_land(int peer) {
+  return alloc(link(peer).bc_land, "bc_land" + std::to_string(peer) + "_",
+               smp_buf_bytes_);
+}
+
+Communicator::NodeState::Pair& Communicator::NodeState::red_land(int peer) {
+  return alloc(link(peer).red_land, "red_land" + std::to_string(peer) + "_",
+               reduce_chunk_);
+}
+
+Communicator::NodeState::Pair& Communicator::NodeState::zoo_land(int peer) {
+  return alloc(link(peer).zoo_land, "zoo_land" + std::to_string(peer) + "_",
+               reduce_chunk_);
+}
+
+Communicator::NodeState::Pair& Communicator::NodeState::ar_fold_in() {
+  return alloc(ar_fold_in_, "ar_fold_in", allreduce_rd_max_);
+}
+
+Communicator::NodeState::Pair& Communicator::NodeState::ar_fold_out() {
+  return alloc(ar_fold_out_, "ar_fold_out", allreduce_rd_max_);
+}
+
+Communicator::NodeState::Pair& Communicator::NodeState::ga_stage() {
+  return alloc(ga_stage_, "ga_stage", smp_buf_bytes_);
+}
+
+Communicator::NodeState::Pair& Communicator::NodeState::sc_acc(int l) {
+  return alloc(sc_acc_[static_cast<std::size_t>(l)],
+               "sc_acc" + std::to_string(l) + "_", reduce_chunk_);
+}
+
+std::byte* Communicator::NodeState::rh_scratch(std::size_t bytes) {
+  return seg_->scratch(prefix_ + "/rh_scratch", bytes).data();
 }
 
 Communicator::Communicator(machine::Cluster& cluster, lapi::Fabric& fabric,
@@ -325,41 +308,26 @@ Communicator::Communicator(machine::Cluster& cluster, lapi::Fabric& fabric,
   SRM_CHECK(cfg_.reduce_chunk % 8 == 0);
   SRM_CHECK(cfg_.bcast_pipe_chunk > 0 && cfg_.bcast_net_chunk > 0);
   // Only the per-rank scalar bookkeeping is eager; the per-node shared
-  // structures and per-link parity vectors wait for the first real op.
+  // structures wait for the first real op, per-link state for its link.
   ranks_.resize(static_cast<std::size_t>(cluster.topology().nranks()));
 }
 
 void Communicator::ensure_real_state() {
   if (real_ready_) return;
   real_ready_ = true;
-  // The zoo block of NodeState is only worth its O(nodes) counters and
-  // landing slots if some table row can actually route to a zoo algorithm.
-  bool zoo = false;
-  for (coll::CollKind op : kAllOps) {
-    for (const auto& row : table_.rows(op)) {
-      zoo = zoo || row.d.algo == coll::Algo::ring ||
-            row.d.algo == coll::Algo::rhalving ||
-            row.d.algo == coll::Algo::scatter_ag;
-    }
-  }
   const auto& topo = cluster_->topology();
   nodes_.reserve(static_cast<std::size_t>(topo.nodes()));
   for (int n = 0; n < topo.nodes(); ++n) {
     auto& node = cluster_->node(n);
     nodes_.push_back(&node.seg.object<NodeState>(
         "srm/" + name_, cluster_->engine(), cluster_->params().mem, topo,
-        cfg_, zoo, node.seg, "srm/" + name_));
+        cfg_, node.seg, "srm/" + name_));
   }
+  auto nlocal = static_cast<std::size_t>(topo.tasks_per_node());
   for (auto& r : ranks_) {
-    r.red_sent.assign(static_cast<std::size_t>(topo.nodes()), 0);
-    r.red_recvd.assign(static_cast<std::size_t>(topo.nodes()), 0);
-    r.bc_sent.assign(static_cast<std::size_t>(topo.nodes()), 0);
-    r.bc_recv.assign(static_cast<std::size_t>(topo.nodes()), 0);
-    r.smp_red_base.assign(static_cast<std::size_t>(topo.tasks_per_node()), 0);
-    r.map_gen.assign(static_cast<std::size_t>(topo.tasks_per_node()), 0);
-    r.sc_base.assign(static_cast<std::size_t>(topo.tasks_per_node()), 0);
-    r.zoo_sent.assign(static_cast<std::size_t>(topo.nodes()), 0);
-    r.zoo_recvd.assign(static_cast<std::size_t>(topo.nodes()), 0);
+    r.smp_red_base.assign(nlocal, 0);
+    r.map_gen.assign(nlocal, 0);
+    r.sc_base.assign(nlocal, 0);
   }
 }
 

@@ -18,14 +18,20 @@
 //    topologies routine.
 //
 // The first *real* operation allocates, per SMP node, the shared structures
-// of §2.2/§2.4:
+// of §2.2/§2.4 that every operation relies on:
 //  * the two broadcast buffers A/B with per-process READY flags (Fig. 3);
 //  * per-process reduce chunk slots with published/consumed counters (the
 //    pipelined form of Fig. 2);
 //  * per-process barrier flags (one cache line each);
-//  * and, for the node leader, the LAPI-side structures: data-arrival
-//    counters, per-child free-buffer credits, landing zones for the reduce
-//    pipeline, recursive-doubling exchange slots, and barrier round counters.
+//  * and, for the node leader, the node-level LAPI structures: reduce output
+//    slots and credits, recursive-doubling exchange slots, and barrier round
+//    counters.
+// Everything else waits for first use. A link record (arrival counters,
+// free-buffer credits, address cells) appears when either end first uses
+// the link, and its landing buffers when data first lands on it; the gather
+// staging, mapped-reduce accumulator, fold and scratch buffers appear when
+// an operation first needs them. So a node holds degree(master) landing
+// pairs (§2.3) rather than one per peer, whatever the mix of roots.
 //
 // Every operation embeds its communication tree with coll::embed (Fig. 1),
 // so at most one task per node (the "leader": the root on the root's node,
@@ -36,6 +42,7 @@
 #include <cstddef>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "coll/buf.hpp"
@@ -56,8 +63,9 @@ namespace srm {
 class Communicator final : public coll::Collectives {
  public:
   /// Cheap to construct at any scale: per-node shared state materializes on
-  /// the first *real* operation (ensure_real_state). @p name namespaces the
-  /// shared segments so multiple communicators coexist.
+  /// the first *real* operation (ensure_real_state), per-link state on the
+  /// link's first use. @p name namespaces the shared segments so multiple
+  /// communicators coexist.
   Communicator(machine::Cluster& cluster, lapi::Fabric& fabric,
                SrmConfig cfg = {}, std::string name = "srm0");
 
@@ -147,23 +155,22 @@ class Communicator final : public coll::Collectives {
                                   void* recv, std::size_t count_per_rank,
                                   coll::Dtype d, coll::RedOp op);
 
-  /// Build the per-node shared structures and per-rank link parities on the
-  /// first real operation. Symbolic-only runs never pay this — it is
-  /// O(nodes^2) counters/buffers (per-link state on every node).
+  /// Build the per-node shared structures and per-rank SMP bookkeeping on
+  /// the first real operation. Symbolic-only runs never pay this. Each node
+  /// state is O(tasks per node + log nodes); per-link state waits for the
+  /// links that are actually used (NodeState::link).
   void ensure_real_state();
   // ---- per-node shared state (lives in the node's shm segment) ----
   struct NodeState {
-    /// @p zoo: build the algorithm-zoo network state (skipped when the
-    /// decision table can never dispatch a zoo algorithm).
     NodeState(sim::Engine& eng, const machine::MemoryParams& mp,
-              const machine::Topology& topo, const SrmConfig& cfg, bool zoo,
+              const machine::Topology& topo, const SrmConfig& cfg,
               shm::Segment& seg, const std::string& prefix);
 
+    using Pair = std::array<std::span<std::byte>, 2>;  // [slot]
     int nlocal;
-    int nnodes;
 
     // SMP broadcast (Fig. 3): two buffers + one READY flag per process each.
-    std::array<std::span<std::byte>, 2> bc_buf;
+    Pair bc_buf;
     std::array<std::unique_ptr<shm::FlagArray>, 2> bc_ready;
 
     // SMP reduce pipeline: per local task, two chunk slots plus monotonic
@@ -181,43 +188,79 @@ class Communicator final : public coll::Collectives {
 
     // ---- leader-side network state ----
     //
-    // All inter-node state is per *link* (per potential parent or child
-    // node): with arbitrary roots, consecutive operations can have different
-    // trees, and two different parents' traffic must never alias one
-    // buffer or counter — operations at different tree positions are not
-    // mutually ordered. With a fixed tree only degree-of-master entries are
-    // ever touched, matching the paper's buffer-consumption argument; the
-    // full per-peer allocation is the price of arbitrary-root support
-    // (which the paper leaves as an open problem).
-    //
-    // Small-protocol broadcast: two landing buffers + arrival counters per
-    // parent node, and per-child free credits (start at 1: "buffer free").
-    std::vector<std::array<std::span<std::byte>, 2>> bc_land;  // [parent][slot]
-    std::vector<std::array<std::unique_ptr<lapi::Counter>, 2>> bc_arrived;
-    std::vector<std::array<std::unique_ptr<lapi::Counter>, 2>> bc_free;
+    // All inter-node state is per *link*: with arbitrary roots, consecutive
+    // operations can have different trees, and two different peers'
+    // traffic must never alias one buffer or counter — operations at
+    // different tree positions are not mutually ordered. A link record
+    // exists only once either end has used the link, and each landing pair
+    // only once an operation lands data on the link in that role. A node
+    // therefore holds degree(master) landing pairs for whatever mix of
+    // roots actually ran: the paper's §2.3 buffer-consumption argument,
+    // extended to arbitrary roots. A Pair whose spans are empty is not
+    // allocated yet.
+    struct Link {
+      Link(sim::Engine& eng, const std::string& prefix, int peer);
 
-    // Large-protocol broadcast: the address-exchange cell + counter (per
-    // child), and per-parent chunk-arrival counters (data goes straight to
-    // the user buffer).
-    std::vector<void*> bc_addr;  // child-node -> announced user buffer
-    std::vector<std::unique_ptr<lapi::Counter>> bc_addr_arrived;
-    std::vector<std::unique_ptr<lapi::Counter>> bc_large_arrived;
+      // Small-protocol broadcast and scatter. Peer as parent (or scatter
+      // root): two landing buffers + arrival counters. Peer as child: the
+      // free credits for our puts into its pair (start at 1: "buffer free").
+      Pair bc_land;
+      std::array<std::unique_ptr<lapi::Counter>, 2> bc_arrived;
+      std::array<std::unique_ptr<lapi::Counter>, 2> bc_free;
 
-    // Reduce pipeline: per child node, two landing slots + arrival counter;
-    // one credit counter for sending to our own parent (starts at 2); two
-    // node-result slots guarded by the put origin counter.
-    std::vector<std::array<std::span<std::byte>, 2>> red_land;
-    std::vector<std::unique_ptr<lapi::Counter>> red_arrived;
+      // Large-protocol broadcast: the child's announced user buffer +
+      // counter, and the parent's chunk-arrival counter (data goes
+      // straight to the user buffer).
+      void* bc_addr = nullptr;
+      std::unique_ptr<lapi::Counter> bc_addr_arrived;
+      std::unique_ptr<lapi::Counter> bc_large_arrived;
+
+      // Reduce pipeline, peer as child: two landing slots + arrival counter.
+      Pair red_land;
+      std::unique_ptr<lapi::Counter> red_arrived;
+
+      // Gather: the receive address announced by a root on the peer node
+      // (one cell per root node, so different roots never alias), and the
+      // root-side arrival counter for the peer's chunks.
+      void* ga_addr = nullptr;
+      std::unique_ptr<lapi::Counter> ga_addr_arr;
+      std::unique_ptr<lapi::Counter> ga_done;
+
+      // Algorithm zoo (core/zoo.cpp): the peer's announced user-buffer
+      // address (direct puts land straight in user memory, so receivers
+      // advertise where), a direct-put arrival counter, and two
+      // reduce_chunk-sized landing slots with arrival + credit counters for
+      // streamed combine traffic.
+      void* zoo_addr = nullptr;
+      std::unique_ptr<lapi::Counter> zoo_addr_arr;
+      std::unique_ptr<lapi::Counter> zoo_got;
+      Pair zoo_land;
+      std::unique_ptr<lapi::Counter> zoo_arr;
+      std::unique_ptr<lapi::Counter> zoo_free;  // starts at 2
+    };
+
+    /// The record for the link to @p peer, created on first use by either
+    /// end.
+    Link& link(int peer);
+    /// Landing pairs on the link from @p peer, allocated by the first
+    /// operation that lands data there: small bcast/scatter, reduce, zoo.
+    Pair& bc_land(int peer);
+    Pair& red_land(int peer);
+    Pair& zoo_land(int peer);
+
+    // Reduce pipeline: one credit counter for sending to our own parent
+    // (starts at 2); two node-result slots guarded by the put origin
+    // counter.
     std::unique_ptr<lapi::Counter> red_free;
-    std::array<std::span<std::byte>, 2> red_out;
+    Pair red_out;
     std::unique_ptr<lapi::Counter> red_out_org;
 
     // Allreduce recursive doubling: per round, two parity slots + arrival
-    // counter; plus the non-power-of-two fold slots.
-    std::vector<std::array<std::span<std::byte>, 2>> ar_buf;  // [round][parity]
+    // counter; plus the non-power-of-two fold slots (first use).
+    std::vector<Pair> ar_buf;  // [round][parity]
     std::vector<std::unique_ptr<lapi::Counter>> ar_arrived;
-    std::array<std::span<std::byte>, 2> ar_fold_in;
-    std::array<std::span<std::byte>, 2> ar_fold_out;
+    Pair& ar_fold_in();
+    Pair& ar_fold_out();
     std::unique_ptr<lapi::Counter> ar_fold_in_arr;
     std::unique_ptr<lapi::Counter> ar_fold_out_arr;
 
@@ -226,49 +269,51 @@ class Communicator final : public coll::Collectives {
     std::unique_ptr<lapi::Counter> bar_fold_in;
     std::unique_ptr<lapi::Counter> bar_fold_out;
 
-    // Gather: two shared staging buffers for node-block assembly, with
-    // per-slot monotonic filled/freed counters; the root's announced receive
-    // address (one cell per announcing node, so announcements from
-    // different roots never alias); and the root-side per-node chunk
-    // arrival counters.
-    std::array<std::span<std::byte>, 2> ga_stage;
+    // Gather: two shared staging buffers for node-block assembly (first
+    // use), with per-slot monotonic filled/freed counters.
+    Pair& ga_stage();
     std::array<std::unique_ptr<shm::SharedFlag>, 2> ga_filled;
     std::array<std::unique_ptr<shm::SharedFlag>, 2> ga_freed;
-    std::vector<void*> ga_addr;  // indexed by the root's node
-    std::vector<std::unique_ptr<lapi::Counter>> ga_addr_arr;
-    std::vector<std::unique_ptr<lapi::Counter>> ga_done;  // per sender node
 
-    // ---- algorithm-zoo network state (core/zoo.cpp) ----
-    //
-    // Ring, recursive-halving, and scatter+allgather paths. Per peer node:
-    // an announced user-buffer address cell (direct puts land straight in
-    // user memory, so receivers advertise where), a direct-put arrival
-    // counter, and two reduce_chunk-sized landing slots with arrival +
-    // credit counters for streamed combine traffic.
-    std::vector<void*> zoo_addr;  // peer -> announced user buffer
-    std::vector<std::unique_ptr<lapi::Counter>> zoo_addr_arr;
-    std::vector<std::unique_ptr<lapi::Counter>> zoo_got;
-    std::vector<std::array<std::span<std::byte>, 2>> zoo_land;  // [peer][slot]
-    std::vector<std::unique_ptr<lapi::Counter>> zoo_arr;
-    std::vector<std::unique_ptr<lapi::Counter>> zoo_free;  // start at 2
     // Origin counter for every zoo put this node's leader issues. Ops are
     // globally serialized and each drains it to zero before finishing, so
     // leader changes across operations cannot alias in-flight counts.
     std::unique_ptr<lapi::Counter> zoo_org;
+    /// Recursive-halving receive scratch of at least @p bytes, grown to the
+    /// largest size seen on this node: the master's private put target,
+    /// whose address peers learn only from its announcements.
+    std::byte* rh_scratch(std::size_t bytes);
 
     // ---- single-copy cross-mapping state (core/single_copy.cpp) ----
     //
     // One window slot per local task: the mapped protocols export user
     // buffers through it instead of staging through bc_buf/red_slot.
     shm::Mapping* map = nullptr;  // owned by the segment
-    // Mapped-reduce accumulators: interior vertices of the topology tree
-    // combine their subtree into these per-local slot pairs (leaves
-    // contribute straight from their exported send windows and need no
-    // slot). Guarded by monotonic published/consumed counters exactly like
-    // red_slot/red_published/red_consumed.
-    std::array<std::vector<std::span<std::byte>>, 2> sc_acc;  // [slot][local]
+    /// Mapped-reduce accumulator slot pair of local task @p l (first use):
+    /// interior vertices of the topology tree combine their subtree into it
+    /// (leaves contribute straight from their exported send windows and
+    /// need no slot). Guarded by monotonic published/consumed counters
+    /// exactly like red_slot/red_published/red_consumed.
+    Pair& sc_acc(int l);
     std::unique_ptr<shm::FlagArray> sc_pub;
     std::array<std::unique_ptr<shm::FlagArray>, 2> sc_cons;  // [slot]
+
+   private:
+    /// Allocate @p p as the segment buffers "<stem>0" and "<stem>1" of
+    /// @p bytes each, unless it already is.
+    Pair& alloc(Pair& p, const std::string& stem, std::size_t bytes);
+
+    sim::Engine* eng_;
+    shm::Segment* seg_;
+    std::string prefix_;
+    std::size_t smp_buf_bytes_;
+    std::size_t reduce_chunk_;
+    std::size_t allreduce_rd_max_;
+    std::unordered_map<int, Link> links_;  // keyed by peer node
+    Pair ar_fold_in_;
+    Pair ar_fold_out_;
+    Pair ga_stage_;
+    std::vector<Pair> sc_acc_;  // [local]
   };
 
   // ---- per-rank protocol sequence numbers ----
@@ -281,13 +326,19 @@ class Communicator final : public coll::Collectives {
   struct RankState {
     std::uint64_t smp_bc_seq = 0;   // SMP bcast chunks processed (A/B parity)
     std::uint64_t op_seq = 0;       // collective ops issued (RD slot parity)
-    // Cumulative reduce chunks my node sent to / received from each peer
-    // node (inter-node landing-slot parity).
-    std::vector<std::uint64_t> red_sent;
-    std::vector<std::uint64_t> red_recvd;
-    // Same for small-protocol broadcast chunks (per-link landing parity).
-    std::vector<std::uint64_t> bc_sent;
-    std::vector<std::uint64_t> bc_recv;
+    // Cumulative chunks my node sent to / received from one peer node
+    // (that link's landing-slot parity), one pair per protocol. Advanced
+    // identically on every rank of the node — leadership can change
+    // between operations.
+    struct LinkSeq {
+      std::uint64_t bc_sent = 0;  // small-protocol bcast + scatter
+      std::uint64_t bc_recv = 0;
+      std::uint64_t red_sent = 0;  // reduce pipeline
+      std::uint64_t red_recvd = 0;
+      std::uint64_t zoo_sent = 0;  // streamed zoo chunks (zoo_land)
+      std::uint64_t zoo_recvd = 0;
+    };
+    std::unordered_map<int, LinkSeq> links;  // keyed by peer node
     // Cumulative gather staging chunks on this rank's node (slot parity).
     std::uint64_t ga_seq = 0;
     // Cumulative SMP-reduce chunks each local task has published (slot
@@ -301,11 +352,6 @@ class Communicator final : public coll::Collectives {
     // sc_acc slots (parity + published/consumed baselines, the mapped twin
     // of smp_red_base).
     std::vector<std::uint64_t> sc_base;
-    // Cumulative streamed zoo chunks my node sent to / received from each
-    // peer node (zoo_land slot parity). Advanced identically on every rank
-    // of the node — leadership can change between operations.
-    std::vector<std::uint64_t> zoo_sent;
-    std::vector<std::uint64_t> zoo_recvd;
   };
 
   NodeState& node_state(const machine::TaskCtx& t) {

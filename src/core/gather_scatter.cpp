@@ -78,17 +78,13 @@ sim::CoTask Communicator::real_scatter(machine::TaskCtx& t, const void* send,
       std::size_t len = std::min(chunk, node_block - off);
       for (int nd = 0; nd < t.nnodes(); ++nd) {
         if (nd == root_node) continue;
-        auto ni = static_cast<std::size_t>(nd);
-        NodeState& cs = *nodes_[ni];
-        std::size_t slot = link_slot(rs.bc_sent[ni] + c);
-        co_await my_ep.wait_cntr(*ns.bc_free[ni][slot], 1);
+        NodeState& cs = *nodes_[static_cast<std::size_t>(nd)];
+        std::size_t slot = link_slot(rs.links[nd].bc_sent + c);
+        co_await my_ep.wait_cntr(*ns.link(nd).bc_free[slot], 1);
         co_await my_ep.put(
-            ep(t.topo->master_of(nd)), cs.bc_land[static_cast<std::size_t>(
-                                                      root_node)][slot]
-                                           .data(),
+            ep(t.topo->master_of(nd)), cs.bc_land(root_node)[slot].data(),
             sp + static_cast<std::size_t>(nd) * node_block + off, len,
-            cs.bc_arrived[static_cast<std::size_t>(root_node)][slot].get(),
-            &org);
+            cs.link(root_node).bc_arrived[slot].get(), &org);
         ++org_pending;
       }
       if (!mapped) {
@@ -120,32 +116,30 @@ sim::CoTask Communicator::real_scatter(machine::TaskCtx& t, const void* send,
     ns.map->detach(t, leader_local);
   } else if (is_leader) {
     lapi::Endpoint& my_ep = ep(t.rank);
-    auto ri = static_cast<std::size_t>(root_node);
+    NodeState& root_ns = *nodes_[static_cast<std::size_t>(root_node)];
     for (std::size_t c = 0; c < nchunks; ++c) {
       std::size_t off = c * chunk;
       std::size_t len = std::min(chunk, node_block - off);
-      std::size_t slot = link_slot(rs.bc_recv[ri] + c);
+      std::size_t slot = link_slot(rs.links[root_node].bc_recv + c);
       std::size_t flag_slot = cfg_.use_two_buffers ? rs.smp_bc_seq % 2 : 0;
-      co_await my_ep.wait_cntr(*ns.bc_arrived[ri][slot], 1);
+      co_await my_ep.wait_cntr(*ns.link(root_node).bc_arrived[slot], 1);
       co_await smp_slice_chunk(t, leader_local, nullptr,
-                               ns.bc_land[ri][slot].data(), off, len, my_lo,
-                               my_hi, static_cast<std::byte*>(recv));
+                               ns.bc_land(root_node)[slot].data(), off, len,
+                               my_lo, my_hi, static_cast<std::byte*>(recv));
       for (int l = 0; l < ns.nlocal; ++l) {
         if (l == leader_local) continue;
         co_await (*ns.bc_ready[flag_slot])[l].await_value(0, &t.chk);
       }
-      co_await my_ep.put_signal(
-          ep(root), *nodes_[ri]->bc_free[static_cast<std::size_t>(my_node)]
-                                        [slot]);
+      co_await my_ep.put_signal(ep(root), *root_ns.link(my_node).bc_free[slot]);
     }
   } else {
-    auto ri = static_cast<std::size_t>(root_node);
     for (std::size_t c = 0; c < nchunks; ++c) {
       std::size_t off = c * chunk;
       std::size_t len = std::min(chunk, node_block - off);
       const std::byte* shared_src = nullptr;
       if (my_node != root_node) {
-        shared_src = ns.bc_land[ri][link_slot(rs.bc_recv[ri] + c)].data();
+        std::size_t slot = link_slot(rs.links[root_node].bc_recv + c);
+        shared_src = ns.bc_land(root_node)[slot].data();
       }
       co_await smp_slice_chunk(t, leader_local, nullptr, shared_src, off,
                                len, my_lo, my_hi,
@@ -156,15 +150,14 @@ sim::CoTask Communicator::real_scatter(machine::TaskCtx& t, const void* send,
   // Per-link sequence bookkeeping (every rank, deterministically).
   if (my_node == root_node) {
     for (int nd = 0; nd < t.nnodes(); ++nd) {
-      if (nd == root_node) continue;
-      rs.bc_sent[static_cast<std::size_t>(nd)] += nchunks;
+      if (nd != root_node) rs.links[nd].bc_sent += nchunks;
     }
     // Mapped path: one window export by the root, mirrored by every rank of
     // the node. (The staged smp_bc_seq parity does not advance — nobody on
     // this node touched the shared A/B buffers.)
     if (mapped) rs.map_gen[static_cast<std::size_t>(leader_local)] += 1;
   } else {
-    rs.bc_recv[static_cast<std::size_t>(root_node)] += nchunks;
+    rs.links[root_node].bc_recv += nchunks;
   }
 }
 
@@ -206,12 +199,10 @@ sim::CoTask Communicator::real_gather(machine::TaskCtx& t, const void* send,
     std::uint64_t org_pending = 0;
     for (int nd = 0; nd < t.nnodes(); ++nd) {
       if (nd == root_node) continue;
-      NodeState& cs = *nodes_[static_cast<std::size_t>(nd)];
-      co_await my_ep.put(
-          ep(t.topo->master_of(nd)),
-          &cs.ga_addr[static_cast<std::size_t>(root_node)], &addr,
-          sizeof(void*),
-          cs.ga_addr_arr[static_cast<std::size_t>(root_node)].get(), &org);
+      NodeState::Link& cl =
+          nodes_[static_cast<std::size_t>(nd)]->link(root_node);
+      co_await my_ep.put(ep(t.topo->master_of(nd)), &cl.ga_addr, &addr,
+                         sizeof(void*), cl.ga_addr_arr.get(), &org);
       ++org_pending;
     }
     if (org_pending > 0) co_await my_ep.wait_cntr(org, org_pending);
@@ -256,8 +247,7 @@ sim::CoTask Communicator::real_gather(machine::TaskCtx& t, const void* send,
     if (t.rank == root) {
       for (int nd = 0; nd < t.nnodes(); ++nd) {
         if (nd == root_node) continue;
-        co_await my_ep.wait_cntr(
-            *ns.ga_done[static_cast<std::size_t>(nd)], nchunks);
+        co_await my_ep.wait_cntr(*ns.link(nd).ga_done, nchunks);
       }
     }
     co_return;
@@ -268,10 +258,9 @@ sim::CoTask Communicator::real_gather(machine::TaskCtx& t, const void* send,
   // contribution), so the expected count per chunk is exactly p.
   std::byte* root_dst = nullptr;  // leaders learn where chunks go
   if (is_leader && my_node != root_node) {
-    co_await my_ep.wait_cntr(
-        *ns.ga_addr_arr[static_cast<std::size_t>(root_node)], 1);
-    root_dst =
-        static_cast<std::byte*>(ns.ga_addr[static_cast<std::size_t>(root_node)]);
+    NodeState::Link& rl = ns.link(root_node);
+    co_await my_ep.wait_cntr(*rl.ga_addr_arr, 1);
+    root_dst = static_cast<std::byte*>(rl.ga_addr);
   }
 
   lapi::Counter out_org(*t.eng, "gather.out_org@" + std::to_string(t.rank));
@@ -287,10 +276,11 @@ sim::CoTask Communicator::real_gather(machine::TaskCtx& t, const void* send,
         cfg_.use_two_buffers ? a / 2 : a, &t.chk);
     std::size_t lo = std::max(my_lo, off);
     std::size_t hi = std::min(my_hi, off + len);
+    std::byte* stage = ns.ga_stage()[slot].data();
     if (lo < hi) {
       co_await t.nd->mem.charge_copy(static_cast<double>(hi - lo));
-      chk::note_write(t.chk, ns.ga_stage[slot].data() + (lo - off), hi - lo);
-      std::memcpy(ns.ga_stage[slot].data() + (lo - off),
+      chk::note_write(t.chk, stage + (lo - off), hi - lo);
+      std::memcpy(stage + (lo - off),
                   static_cast<const std::byte*>(send) + (lo - my_lo),
                   hi - lo);
     }
@@ -313,17 +303,14 @@ sim::CoTask Communicator::real_gather(machine::TaskCtx& t, const void* send,
       }
       co_await t.nd->mem.charge_copy_scaled(
           static_cast<double>(len), f / static_cast<double>(p));
-      chk::note_read(t.chk, ns.ga_stage[slot].data(), len);
-      std::memcpy(static_cast<std::byte*>(recv) + node_base + off,
-                  ns.ga_stage[slot].data(), len);
+      chk::note_read(t.chk, stage, len);
+      std::memcpy(static_cast<std::byte*>(recv) + node_base + off, stage,
+                  len);
       ns.ga_freed[slot]->add(1, &t.chk);
     } else {
-      co_await my_ep.put(ep(root), root_dst + node_base + off,
-                         ns.ga_stage[slot].data(), len,
-                         nodes_[static_cast<std::size_t>(root_node)]
-                             ->ga_done[static_cast<std::size_t>(my_node)]
-                             .get(),
-                         &out_org);
+      NodeState& root_ns = *nodes_[static_cast<std::size_t>(root_node)];
+      co_await my_ep.put(ep(root), root_dst + node_base + off, stage, len,
+                         root_ns.link(my_node).ga_done.get(), &out_org);
       inflight_slots.push_back(slot);
       // Keep at most two chunks in flight; origin-counter bumps arrive in
       // injection order, so the front of the queue is the slot that the
@@ -345,8 +332,7 @@ sim::CoTask Communicator::real_gather(machine::TaskCtx& t, const void* send,
   if (t.rank == root) {
     for (int nd = 0; nd < t.nnodes(); ++nd) {
       if (nd == root_node) continue;
-      co_await my_ep.wait_cntr(
-          *ns.ga_done[static_cast<std::size_t>(nd)], nchunks);
+      co_await my_ep.wait_cntr(*ns.link(nd).ga_done, nchunks);
     }
   }
 

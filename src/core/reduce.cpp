@@ -94,15 +94,15 @@ sim::CoTask Communicator::reduce_impl(machine::TaskCtx& t, const void* send,
     // Fold in the inter-node children's landing zones as they arrive.
     for (int child : kids) {
       auto ci = static_cast<std::size_t>(child);
-      co_await my_ep.wait_cntr(*ns.red_arrived[ci], 1);
-      std::size_t lslot = (rs.red_recvd[ci] + c) % 2;
+      co_await my_ep.wait_cntr(*ns.link(child).red_arrived, 1);
+      std::size_t lslot = (rs.links[child].red_recvd + c) % 2;
+      const std::byte* land = ns.red_land(child)[lslot].data();
       co_await t.nd->mem.charge_combine(bytes);
-      chk::note_read(t.chk, ns.red_land[ci][lslot].data(), elems * esize);
+      chk::note_read(t.chk, land, elems * esize);
       chk::note_write(t.chk, dst, elems * esize);
-      coll::combine(op, d, dst, ns.red_land[ci][lslot].data(), elems);
+      coll::combine(op, d, dst, land, elems);
       // Return the landing-slot credit to the child.
-      NodeState& cs = *nodes_[ci];
-      co_await my_ep.put_signal(ep(emb.leader[ci]), *cs.red_free);
+      co_await my_ep.put_signal(ep(emb.leader[ci]), *nodes_[ci]->red_free);
     }
 
     if (is_root_node) {
@@ -113,13 +113,11 @@ sim::CoTask Communicator::reduce_impl(machine::TaskCtx& t, const void* send,
       auto pi = static_cast<std::size_t>(parent);
       NodeState& ps = *nodes_[pi];
       co_await my_ep.wait_cntr(*ns.red_free, 1);
-      std::size_t lslot = (rs.red_sent[pi] + c) % 2;
-      co_await my_ep.put(
-          ep(emb.leader[pi]),
-          ps.red_land[static_cast<std::size_t>(my_node)][lslot].data(), dst,
-          elems * esize,
-          ps.red_arrived[static_cast<std::size_t>(my_node)].get(),
-          ns.red_out_org.get());
+      std::size_t lslot = (rs.links[parent].red_sent + c) % 2;
+      co_await my_ep.put(ep(emb.leader[pi]), ps.red_land(my_node)[lslot].data(),
+                         dst, elems * esize,
+                         ps.link(my_node).red_arrived.get(),
+                         ns.red_out_org.get());
       ++out_inflight;
     }
   }

@@ -140,7 +140,7 @@ sim::CoTask Communicator::smp_reduce_participant_mapped(
     if (abs >= 2) {
       co_await (*ns.sc_cons[abs % 2])[me].await_at_least(abs / 2, &t.chk);
     }
-    std::byte* acc = ns.sc_acc[abs % 2][static_cast<std::size_t>(me)].data();
+    std::byte* acc = ns.sc_acc(me)[abs % 2].data();
     const std::byte* mine =
         static_cast<const std::byte*>(send) + elem_off * esize;
     double bytes = static_cast<double>(elems * esize);
@@ -154,7 +154,7 @@ sim::CoTask Communicator::smp_reduce_participant_mapped(
       if (kid_interior) {
         kid_abs = rs.sc_base[ki] + c;
         co_await (*ns.sc_pub)[kid].await_at_least(kid_abs + 1, &t.chk);
-        ksrc = ns.sc_acc[kid_abs % 2][ki].data();
+        ksrc = ns.sc_acc(kid)[kid_abs % 2].data();
       } else {
         // Leaf child: its whole send buffer is the window — ready since the
         // publish we attached to, no per-chunk wait.
@@ -211,7 +211,7 @@ sim::CoTask Communicator::smp_reduce_chunk_leader_mapped(
     if (kid_interior) {
       kid_abs = rs.sc_base[ki] + c;
       co_await (*ns.sc_pub)[kid].await_at_least(kid_abs + 1, &t.chk);
-      ksrc = ns.sc_acc[kid_abs % 2][ki].data();
+      ksrc = ns.sc_acc(kid)[kid_abs % 2].data();
     } else {
       ksrc = wins[ki].data + elem_off * esize;
     }
@@ -249,12 +249,10 @@ void Communicator::finish_reduce_bookkeeping_mapped(machine::TaskCtx& t,
     }
   }
   int parent = emb.internode.parent[static_cast<std::size_t>(my_node)];
-  if (parent != -1) {
-    rs.red_sent[static_cast<std::size_t>(parent)] += nchunks;
-  }
+  if (parent != -1) rs.links[parent].red_sent += nchunks;
   for (int child :
        emb.internode.children[static_cast<std::size_t>(my_node)]) {
-    rs.red_recvd[static_cast<std::size_t>(child)] += nchunks;
+    rs.links[child].red_recvd += nchunks;
   }
 }
 

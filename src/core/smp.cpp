@@ -318,12 +318,10 @@ void Communicator::finish_reduce_bookkeeping(machine::TaskCtx& t,
     }
   }
   int parent = emb.internode.parent[static_cast<std::size_t>(my_node)];
-  if (parent != -1) {
-    rs.red_sent[static_cast<std::size_t>(parent)] += nchunks;
-  }
+  if (parent != -1) rs.links[parent].red_sent += nchunks;
   for (int child :
        emb.internode.children[static_cast<std::size_t>(my_node)]) {
-    rs.red_recvd[static_cast<std::size_t>(child)] += nchunks;
+    rs.links[child].red_recvd += nchunks;
   }
 }
 

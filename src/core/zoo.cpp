@@ -12,9 +12,9 @@
 //    blocks by direct puts into announced user buffers.
 //  * recursive-halving allreduce (Rabenseifner): halve-and-exchange
 //    reduce-scatter, recursive-doubling allgather, classic fold to the
-//    nearest power of two. Exchanges go through a per-operation scratch
-//    buffer whose address is re-announced every round — the announcement
-//    doubles as the consumed-signal, so no slot credits are needed.
+//    nearest power of two. Exchanges go through a per-node scratch buffer
+//    whose address is re-announced every round — the announcement doubles
+//    as the consumed-signal, so no slot credits are needed.
 //  * scatter+allgather broadcast: the root leader scatters one block per
 //    node, the ring circulates blocks with each node publishing arrivals
 //    locally as they land; the root re-injects from its own buffer instead
@@ -93,8 +93,10 @@ sim::CoTask Communicator::zoo_stream_to(machine::TaskCtx& t,
   NodeState& ns = node_state(t);
   lapi::Endpoint& my_ep = ep(t.rank);
   auto di = static_cast<std::size_t>(dst_node);
-  auto mi = static_cast<std::size_t>(t.node());
   NodeState& ds = *nodes_[di];
+  NodeState::Pair& land = ds.zoo_land(t.node());
+  NodeState::Link& dl = ds.link(t.node());
+  NodeState::Link& ml = ns.link(dst_node);
   int dst_leader = emb.leader[di];
   std::size_t nchunks = nz_chunks(bytes, cfg_.reduce_chunk);
   for (std::size_t c = 0; c < nchunks; ++c) {
@@ -102,10 +104,9 @@ sim::CoTask Communicator::zoo_stream_to(machine::TaskCtx& t,
     std::size_t len = std::min(cfg_.reduce_chunk, bytes - off);
     // Consume a landing-slot credit for this link, returned by the
     // receiver's combine (starts at 2: two chunks in flight per edge).
-    co_await my_ep.wait_cntr(*ns.zoo_free[di], 1);
-    co_await my_ep.put(ep(dst_leader), ds.zoo_land[mi][seq % 2].data(),
-                       src + off, len, ds.zoo_arr[mi].get(),
-                       ns.zoo_org.get());
+    co_await my_ep.wait_cntr(*ml.zoo_free, 1);
+    co_await my_ep.put(ep(dst_leader), land[seq % 2].data(), src + off, len,
+                       dl.zoo_arr.get(), ns.zoo_org.get());
     ++seq;
     ++org_inflight;
   }
@@ -121,23 +122,24 @@ sim::CoTask Communicator::zoo_recv_combine(machine::TaskCtx& t,
   NodeState& ns = node_state(t);
   lapi::Endpoint& my_ep = ep(t.rank);
   auto si = static_cast<std::size_t>(src_node);
-  auto mi = static_cast<std::size_t>(t.node());
-  NodeState& ss = *nodes_[si];
+  NodeState::Pair& lands = ns.zoo_land(src_node);
+  NodeState::Link& ml = ns.link(src_node);
+  NodeState::Link& sl = nodes_[si]->link(t.node());
   int src_leader = emb.leader[si];
   std::size_t esize = coll::dtype_size(d);
   std::size_t nchunks = nz_chunks(bytes, cfg_.reduce_chunk);
   for (std::size_t c = 0; c < nchunks; ++c) {
     std::size_t off = c * cfg_.reduce_chunk;
     std::size_t len = std::min(cfg_.reduce_chunk, bytes - off);
-    co_await my_ep.wait_cntr(*ns.zoo_arr[si], 1);
-    const std::byte* land = ns.zoo_land[si][seq % 2].data();
+    co_await my_ep.wait_cntr(*ml.zoo_arr, 1);
+    const std::byte* land = lands[seq % 2].data();
     co_await t.nd->mem.charge_combine(static_cast<double>(len));
     chk::note_read(t.chk, land, len);
     chk::note_write(t.chk, dst + off, len);
     coll::combine(op, d, dst + off, land, len / esize);
     ++seq;
     // Return the slot credit to the sender's stream.
-    co_await my_ep.put_signal(ep(src_leader), *ss.zoo_free[mi]);
+    co_await my_ep.put_signal(ep(src_leader), *sl.zoo_free);
   }
 }
 
@@ -173,7 +175,6 @@ sim::CoTask Communicator::ring_allreduce(machine::TaskCtx& t,
 
   if (t.is_master() && n > 1) {
     NodeState& ns = node_state(t);
-    SRM_CHECK(!ns.zoo_free.empty());  // zoo state gated on the table
     lapi::Endpoint& my_ep = ep(t.rank);
     // The ring attributes arrivals to blocks by their order on the link
     // (one counter per peer). Interrupt-mode reception breaks that order —
@@ -184,8 +185,8 @@ sim::CoTask Communicator::ring_allreduce(machine::TaskCtx& t,
     my_ep.set_interrupts(false);
     auto* base = static_cast<std::byte*>(recv);
     std::uint64_t org_inflight = 0;
-    std::uint64_t sent_seq = rs.zoo_sent[static_cast<std::size_t>(succ)];
-    std::uint64_t recv_seq = rs.zoo_recvd[static_cast<std::size_t>(pred)];
+    std::uint64_t sent_seq = rs.links[succ].zoo_sent;
+    std::uint64_t recv_seq = rs.links[pred].zoo_recvd;
 
     // Reduce-scatter: n-1 ring steps. The stream to the successor and the
     // combine of the predecessor's stream must run concurrently — a
@@ -221,11 +222,9 @@ sim::CoTask Communicator::ring_allreduce(machine::TaskCtx& t,
     }
     if (incoming) {
       auto pi = static_cast<std::size_t>(pred);
-      NodeState& ps = *nodes_[pi];
-      co_await my_ep.put(ep(emb.leader[pi]),
-                         &ps.zoo_addr[static_cast<std::size_t>(v)], &my_addr,
-                         sizeof(void*),
-                         ps.zoo_addr_arr[static_cast<std::size_t>(v)].get(),
+      NodeState::Link& pl = nodes_[pi]->link(v);
+      co_await my_ep.put(ep(emb.leader[pi]), &pl.zoo_addr, &my_addr,
+                         sizeof(void*), pl.zoo_addr_arr.get(),
                          ns.zoo_org.get());
       ++org_inflight;
     }
@@ -237,19 +236,18 @@ sim::CoTask Communicator::ring_allreduce(machine::TaskCtx& t,
       if (blen(sb) > 0) {
         auto si = static_cast<std::size_t>(succ);
         if (succ_addr == nullptr) {
-          co_await my_ep.wait_cntr(*ns.zoo_addr_arr[si], 1);
-          succ_addr = static_cast<std::byte*>(ns.zoo_addr[si]);
+          NodeState::Link& sl = ns.link(succ);
+          co_await my_ep.wait_cntr(*sl.zoo_addr_arr, 1);
+          succ_addr = static_cast<std::byte*>(sl.zoo_addr);
         }
-        NodeState& ss = *nodes_[si];
         co_await my_ep.put(ep(emb.leader[si]), succ_addr + blo(sb) * esize,
                            base + blo(sb) * esize, blen(sb),
-                           ss.zoo_got[static_cast<std::size_t>(v)].get(),
+                           nodes_[si]->link(v).zoo_got.get(),
                            ns.zoo_org.get());
         ++org_inflight;
       }
       if (blen(rb) > 0) {
-        co_await my_ep.wait_cntr(*ns.zoo_got[static_cast<std::size_t>(pred)],
-                                 1);
+        co_await my_ep.wait_cntr(*ns.link(pred).zoo_got, 1);
       }
     }
     if (org_inflight > 0) {
@@ -269,8 +267,8 @@ sim::CoTask Communicator::ring_allreduce(machine::TaskCtx& t,
       sent += nz_chunks(blen((v - s + n) % n), cfg_.reduce_chunk);
       recvd += nz_chunks(blen((pred - s + n) % n), cfg_.reduce_chunk);
     }
-    rs.zoo_sent[static_cast<std::size_t>(succ)] += sent;
-    rs.zoo_recvd[static_cast<std::size_t>(pred)] += recvd;
+    rs.links[succ].zoo_sent += sent;
+    rs.links[pred].zoo_recvd += recvd;
   }
 }
 
@@ -293,14 +291,15 @@ sim::CoTask Communicator::rhalving_allreduce(machine::TaskCtx& t,
 
   if (t.is_master() && n > 1) {
     NodeState& ns = node_state(t);
-    SRM_CHECK(!ns.zoo_free.empty());  // zoo state gated on the table
     lapi::Endpoint& my_ep = ep(t.rank);
     // Per-peer counters attribute arrivals by link order; keep reception
     // polled so that order is FIFO (see ring_allreduce).
     my_ep.set_interrupts(false);
     auto* base = static_cast<std::byte*>(recv);
     std::uint64_t org_inflight = 0;
-    std::vector<std::byte> scratch(bytes);
+    // Peers put the halves this node combines here; every put lands before
+    // its combine, so one buffer per node serves every call.
+    std::byte* scratch = ns.rh_scratch(bytes);
     // Announced addresses must stay readable until the origin counter says
     // the adapter consumed them: one stable cell per peer.
     std::vector<void*> ann(static_cast<std::size_t>(n), nullptr);
@@ -313,8 +312,9 @@ sim::CoTask Communicator::rhalving_allreduce(machine::TaskCtx& t,
     auto leader_ep = [&](int node) -> lapi::Endpoint& {
       return ep(emb.leader[static_cast<std::size_t>(node)]);
     };
-    auto peer_ns = [&](int node) -> NodeState& {
-      return *nodes_[static_cast<std::size_t>(node)];
+    // The link record @p peer keeps for this node.
+    auto peer_link = [&](int peer) -> NodeState::Link& {
+      return nodes_[static_cast<std::size_t>(peer)]->link(v);
     };
     // Advertise @p addr to @p peer. Announcements double as flow control: a
     // peer may not put until we re-advertised (i.e. finished reusing) the
@@ -322,29 +322,23 @@ sim::CoTask Communicator::rhalving_allreduce(machine::TaskCtx& t,
     auto announce = [&](int peer, void* addr) -> sim::CoTask {
       auto pi = static_cast<std::size_t>(peer);
       ann[pi] = addr;
-      NodeState& ps = peer_ns(peer);
-      co_await my_ep.put(leader_ep(peer),
-                         &ps.zoo_addr[static_cast<std::size_t>(v)], &ann[pi],
-                         sizeof(void*),
-                         ps.zoo_addr_arr[static_cast<std::size_t>(v)].get(),
+      NodeState::Link& pl = peer_link(peer);
+      co_await my_ep.put(leader_ep(peer), &pl.zoo_addr, &ann[pi],
+                         sizeof(void*), pl.zoo_addr_arr.get(),
                          ns.zoo_org.get());
       ++org_inflight;
     };
     auto direct_put = [&](int peer, std::byte* dst, const std::byte* src,
                           std::size_t len) -> sim::CoTask {
-      co_await my_ep.put(
-          leader_ep(peer), dst, src, len,
-          peer_ns(peer).zoo_got[static_cast<std::size_t>(v)].get(),
-          ns.zoo_org.get());
+      co_await my_ep.put(leader_ep(peer), dst, src, len,
+                         peer_link(peer).zoo_got.get(), ns.zoo_org.get());
       ++org_inflight;
     };
     auto wait_peer_addr = [&](int peer) -> sim::CoTask {
-      co_await my_ep.wait_cntr(*ns.zoo_addr_arr[static_cast<std::size_t>(peer)],
-                               1);
+      co_await my_ep.wait_cntr(*ns.link(peer).zoo_addr_arr, 1);
     };
     auto peer_addr = [&](int peer) {
-      return static_cast<std::byte*>(
-          ns.zoo_addr[static_cast<std::size_t>(peer)]);
+      return static_cast<std::byte*>(ns.link(peer).zoo_addr);
     };
 
     // Fold to the nearest power of two: the first 2*rem nodes pair up,
@@ -359,13 +353,12 @@ sim::CoTask Communicator::rhalving_allreduce(machine::TaskCtx& t,
         w = -1;
       } else {
         if (bytes > 0) {
-          co_await announce(v - 1, scratch.data());
-          co_await my_ep.wait_cntr(
-              *ns.zoo_got[static_cast<std::size_t>(v - 1)], 1);
+          co_await announce(v - 1, scratch);
+          co_await my_ep.wait_cntr(*ns.link(v - 1).zoo_got, 1);
           co_await t.nd->mem.charge_combine(static_cast<double>(bytes));
-          chk::note_read(t.chk, scratch.data(), bytes);
+          chk::note_read(t.chk, scratch, bytes);
           chk::note_write(t.chk, base, bytes);
-          coll::combine(op, d, base, scratch.data(), count);
+          coll::combine(op, d, base, scratch, count);
         }
         w = v / 2;
       }
@@ -404,19 +397,18 @@ sim::CoTask Communicator::rhalving_allreduce(machine::TaskCtx& t,
         }
         std::size_t keep_b = (hi - lo) * esize;
         std::size_t send_b = (shi - slo) * esize;
-        if (keep_b > 0) co_await announce(pnode, scratch.data());
+        if (keep_b > 0) co_await announce(pnode, scratch);
         if (send_b > 0) {
           co_await wait_peer_addr(pnode);
           co_await direct_put(pnode, peer_addr(pnode), base + slo * esize,
                               send_b);
         }
         if (keep_b > 0) {
-          co_await my_ep.wait_cntr(
-              *ns.zoo_got[static_cast<std::size_t>(pnode)], 1);
+          co_await my_ep.wait_cntr(*ns.link(pnode).zoo_got, 1);
           co_await t.nd->mem.charge_combine(static_cast<double>(keep_b));
-          chk::note_read(t.chk, scratch.data(), keep_b);
+          chk::note_read(t.chk, scratch, keep_b);
           chk::note_write(t.chk, base + lo * esize, keep_b);
-          coll::combine(op, d, base + lo * esize, scratch.data(), hi - lo);
+          coll::combine(op, d, base + lo * esize, scratch, hi - lo);
         }
       }
 
@@ -443,8 +435,7 @@ sim::CoTask Communicator::rhalving_allreduce(machine::TaskCtx& t,
                               base + lo * esize, mine_b);
         }
         if (peer_b > 0) {
-          co_await my_ep.wait_cntr(
-              *ns.zoo_got[static_cast<std::size_t>(pnode)], 1);
+          co_await my_ep.wait_cntr(*ns.link(pnode).zoo_got, 1);
         }
         lo = rlo[ri];
         hi = rhi[ri];
@@ -465,8 +456,7 @@ sim::CoTask Communicator::rhalving_allreduce(machine::TaskCtx& t,
       }
       if (bytes > 0) {
         co_await announce(v + 1, recv);
-        co_await my_ep.wait_cntr(*ns.zoo_got[static_cast<std::size_t>(v + 1)],
-                                 1);
+        co_await my_ep.wait_cntr(*ns.link(v + 1).zoo_got, 1);
       }
     }
 
@@ -523,7 +513,6 @@ sim::CoTask Communicator::bcast_scatter_ag(machine::TaskCtx& t, void* buf,
   }
 
   NodeState& ns = node_state(t);
-  SRM_CHECK(!ns.zoo_free.empty());  // zoo state gated on the table
   lapi::Endpoint& my_ep = ep(t.rank);
   // The scatter and ring arrivals are attributed to blocks purely by link
   // order; polled reception keeps processing FIFO (see ring_allreduce).
@@ -537,24 +526,21 @@ sim::CoTask Communicator::bcast_scatter_ag(machine::TaskCtx& t, void* buf,
   auto announce = [&](int peer) -> sim::CoTask {
     auto pi = static_cast<std::size_t>(peer);
     ann[pi] = buf;
-    NodeState& ps = *nodes_[pi];
-    co_await my_ep.put(ep(emb.leader[pi]),
-                       &ps.zoo_addr[static_cast<std::size_t>(v)], &ann[pi],
-                       sizeof(void*),
-                       ps.zoo_addr_arr[static_cast<std::size_t>(v)].get(),
-                       ns.zoo_org.get());
+    NodeState::Link& pl = nodes_[pi]->link(v);
+    co_await my_ep.put(ep(emb.leader[pi]), &pl.zoo_addr, &ann[pi],
+                       sizeof(void*), pl.zoo_addr_arr.get(), ns.zoo_org.get());
     ++org_inflight;
   };
   std::byte* succ_addr = nullptr;
   auto forward = [&](int b) -> sim::CoTask {
     auto si = static_cast<std::size_t>(succ);
     if (succ_addr == nullptr) {
-      co_await my_ep.wait_cntr(*ns.zoo_addr_arr[si], 1);
-      succ_addr = static_cast<std::byte*>(ns.zoo_addr[si]);
+      NodeState::Link& sl = ns.link(succ);
+      co_await my_ep.wait_cntr(*sl.zoo_addr_arr, 1);
+      succ_addr = static_cast<std::byte*>(sl.zoo_addr);
     }
     co_await my_ep.put(ep(emb.leader[si]), succ_addr + blo(b), base + blo(b),
-                       blen(b),
-                       nodes_[si]->zoo_got[static_cast<std::size_t>(v)].get(),
+                       blen(b), nodes_[si]->link(v).zoo_got.get(),
                        ns.zoo_org.get());
     ++org_inflight;
   };
@@ -566,12 +552,12 @@ sim::CoTask Communicator::bcast_scatter_ag(machine::TaskCtx& t, void* buf,
     for (int i = 0; i < n; ++i) {
       if (i == root_node || blen(i) == 0) continue;
       auto ii = static_cast<std::size_t>(i);
-      co_await my_ep.wait_cntr(*ns.zoo_addr_arr[ii], 1);
-      auto* dst = static_cast<std::byte*>(ns.zoo_addr[ii]);
-      co_await my_ep.put(
-          ep(emb.leader[ii]), dst + blo(i), base + blo(i), blen(i),
-          nodes_[ii]->zoo_arr[static_cast<std::size_t>(v)].get(),
-          ns.zoo_org.get());
+      NodeState::Link& il = ns.link(i);
+      co_await my_ep.wait_cntr(*il.zoo_addr_arr, 1);
+      auto* dst = static_cast<std::byte*>(il.zoo_addr);
+      co_await my_ep.put(ep(emb.leader[ii]), dst + blo(i), base + blo(i),
+                         blen(i), nodes_[ii]->link(v).zoo_arr.get(),
+                         ns.zoo_org.get());
       ++org_inflight;
     }
     // Ring re-injection: send block (root - s) to the successor at step s,
@@ -597,8 +583,7 @@ sim::CoTask Communicator::bcast_scatter_ag(machine::TaskCtx& t, void* buf,
 
     // Step 0: wait for the scatter block, forward it, publish it.
     if (blen(v) > 0) {
-      co_await my_ep.wait_cntr(*ns.zoo_arr[static_cast<std::size_t>(root_node)],
-                               1);
+      co_await my_ep.wait_cntr(*ns.link(root_node).zoo_arr, 1);
       if (send_ring) co_await forward(v);
       co_await zoo_publish(t, leader_local, base + blo(v), base + blo(v),
                            blen(v));
@@ -608,7 +593,7 @@ sim::CoTask Communicator::bcast_scatter_ag(machine::TaskCtx& t, void* buf,
     for (int s = 1; s < n; ++s) {
       int b = (v - s + n) % n;
       if (blen(b) == 0) continue;
-      co_await my_ep.wait_cntr(*ns.zoo_got[static_cast<std::size_t>(pred)], 1);
+      co_await my_ep.wait_cntr(*ns.link(pred).zoo_got, 1);
       if (send_ring && s <= n - 2) co_await forward(b);
       co_await zoo_publish(t, leader_local, base + blo(b), base + blo(b),
                            blen(b));

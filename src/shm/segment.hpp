@@ -42,19 +42,30 @@ class Segment {
   std::span<std::byte> buffer(const std::string& name, std::size_t bytes) {
     auto it = buffers_.find(name);
     if (it == buffers_.end()) {
-      std::size_t padded = util::align_up(std::max<std::size_t>(bytes, 1),
-                                          util::kCacheLine);
-      auto storage = std::make_unique<std::byte[]>(padded);
-      std::fill_n(storage.get(), padded, std::byte{0});
-      if (chk_ != nullptr) {
-        chk_->register_region(storage.get(), bytes, chk_prefix_ + name);
-      }
-      it = buffers_.emplace(name, Buf{std::move(storage), bytes}).first;
+      it = buffers_.emplace(name, make(name, bytes)).first;
     }
     SRM_CHECK_MSG(it->second.size == bytes,
                   "segment buffer '" << name << "' re-attached with size "
                                      << bytes << " != " << it->second.size);
     return {it->second.data.get(), bytes};
+  }
+
+  /// Create-or-grow zeroed scratch memory of at least @p bytes, tracked by
+  /// the checker like a buffer; the span covers the largest size requested
+  /// so far. Scratch is one task's private working memory (peers reach it
+  /// only through an address that task hands out), so it is not a shared
+  /// buffer and buffer_count() leaves it out. Growing replaces the storage
+  /// (the old contents are dropped): no span from an earlier call may still
+  /// be in use.
+  std::span<std::byte> scratch(const std::string& name, std::size_t bytes) {
+    auto it = scratch_.find(name);
+    if (it == scratch_.end()) {
+      it = scratch_.emplace(name, make(name, bytes)).first;
+    } else if (it->second.size < bytes) {
+      if (chk_ != nullptr) chk_->unregister_region(it->second.data.get());
+      it->second = make(name, bytes);
+    }
+    return {it->second.data.get(), it->second.size};
   }
 
   /// Create-or-attach a shared model object (flag array, counter, ...).
@@ -89,9 +100,21 @@ class Segment {
     std::shared_ptr<void> ptr;
     std::type_index type;
   };
+  /// Fresh cache-line-padded storage; make_unique value-initializes it, so
+  /// it arrives zeroed.
+  Buf make(const std::string& name, std::size_t bytes) {
+    std::size_t padded =
+        util::align_up(std::max<std::size_t>(bytes, 1), util::kCacheLine);
+    auto storage = std::make_unique<std::byte[]>(padded);
+    if (chk_ != nullptr) {
+      chk_->register_region(storage.get(), bytes, chk_prefix_ + name);
+    }
+    return Buf{std::move(storage), bytes};
+  }
   chk::Checker* chk_ = nullptr;
   std::string chk_prefix_;
   std::unordered_map<std::string, Buf> buffers_;
+  std::unordered_map<std::string, Buf> scratch_;
   std::unordered_map<std::string, Obj> objects_;
 };
 

@@ -123,6 +123,20 @@ TEST(Segment, BuffersAreZeroed) {
   for (auto b : a) EXPECT_EQ(b, std::byte{0});
 }
 
+TEST(Segment, ScratchGrowsToLargestRequest) {
+  shm::Segment seg;
+  auto a = seg.scratch("s", 128);
+  EXPECT_EQ(a.size(), 128u);
+  auto b = seg.scratch("s", 64);  // smaller: the same storage, full size
+  EXPECT_EQ(b.data(), a.data());
+  EXPECT_EQ(b.size(), 128u);
+  b[0] = std::byte{7};
+  auto c = seg.scratch("s", 4096);  // larger: fresh zeroed storage
+  EXPECT_EQ(c.size(), 4096u);
+  for (auto x : c) EXPECT_EQ(x, std::byte{0});
+  EXPECT_EQ(seg.buffer_count(), 0u);  // private memory, not a shared buffer
+}
+
 TEST(Segment, ObjectTypeMismatchThrows) {
   shm::Segment seg;
   sim::Engine eng;

@@ -1,8 +1,13 @@
 // Full-scale integration: the paper's largest configuration (256 CPUs,
 // 16 nodes x 16 tasks) running every operation with data verification,
-// plus a 15-per-node "daemon CPU" shape and a stress mix at scale.
+// plus a 15-per-node "daemon CPU" shape, a stress mix at scale, and the
+// §2.3 buffer bound: a node holds landing buffers for the links its
+// operations used (degree(master)), never one pair per peer node.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/communicator.hpp"
@@ -16,10 +21,10 @@ using machine::TaskCtx;
 using sim::CoTask;
 
 struct Fixture {
-  Fixture(int nodes, int per_node)
+  Fixture(int nodes, int per_node, SrmConfig cfg = {})
       : cluster(make_cfg(nodes, per_node)),
         fabric(cluster),
-        comm(cluster, fabric) {}
+        comm(cluster, fabric, cfg) {}
   static ClusterConfig make_cfg(int nodes, int per_node) {
     ClusterConfig c;
     c.nodes = nodes;
@@ -126,6 +131,205 @@ TEST(Scale, VirtualTimeIsDeterministicAt256) {
                      f.cluster.engine().events_processed()};
   };
   EXPECT_EQ(once(), once());
+}
+
+// ---- degree(master) buffer allocation (§2.3) ----
+
+/// Does node @p n's segment hold the buffer pair "<stem>0"/"<stem>1" of the
+/// default communicator? Pairs are allocated whole.
+bool holds_pair(Fixture& f, int n, const std::string& stem) {
+  const auto& seg = f.cluster.node(n).seg;
+  bool first = seg.contains("srm/srm0/" + stem + "0");
+  EXPECT_EQ(first, seg.contains("srm/srm0/" + stem + "1")) << stem;
+  return first;
+}
+
+/// Landing pair of kind @p kind ("bc_land", "red_land", "zoo_land") on node
+/// @p n for the link from @p peer.
+bool holds_landing(Fixture& f, int n, const char* kind, int peer) {
+  return holds_pair(f, n, kind + std::to_string(peer) + "_");
+}
+
+int count_landing(Fixture& f, int n, const char* kind) {
+  int k = 0;
+  for (int p = 0; p < f.cluster.topology().nodes(); ++p) {
+    k += holds_landing(f, n, kind, p) ? 1 : 0;
+  }
+  return k;
+}
+
+/// Mapped-reduce accumulator pair of local task @p local on node @p n.
+bool holds_sc_acc(Fixture& f, int n, int local) {
+  return holds_pair(f, n, "sc_acc" + std::to_string(local) + "_");
+}
+
+TEST(Scale, FixedRootLandsOnlyOnTreeLinks) {
+  Fixture f(16, 4);
+  const int root = 5;  // a non-master on node 1
+  f.cluster.run([&](TaskCtx& t) -> CoTask {
+    std::vector<int> b(64, t.rank == root ? 7 : 0);
+    co_await f.comm.bcast(t, coll::of(b.data(), b.size()), root);
+    EXPECT_EQ(b[63], 7) << "rank " << t.rank;
+    double mine = t.rank;
+    double sum = 0.0;
+    co_await f.comm.reduce(t, coll::of(&mine, 1), coll::of(&sum, 1),
+                           coll::RedOp::sum, root);
+    if (t.rank == root) {
+      EXPECT_DOUBLE_EQ(sum, 63.0 * 64 / 2);
+    }
+  });
+
+  const auto& topo = f.cluster.topology();
+  coll::Embedding bc = coll::embed(
+      topo, root, f.comm.decide(coll::CollKind::bcast, 256).internode,
+      f.comm.config().intranode_tree);
+  coll::Embedding red = coll::embed(
+      topo, root, f.comm.decide(coll::CollKind::reduce, 8).internode,
+      f.comm.config().intranode_tree);
+  for (int n = 0; n < topo.nodes(); ++n) {
+    const auto& kids = red.internode.children[static_cast<std::size_t>(n)];
+    for (int p = 0; p < topo.nodes(); ++p) {
+      bool parent = bc.internode.parent[static_cast<std::size_t>(n)] == p;
+      bool child = std::find(kids.begin(), kids.end(), p) != kids.end();
+      EXPECT_EQ(holds_landing(f, n, "bc_land", p), parent)
+          << "node " << n << " peer " << p;
+      EXPECT_EQ(holds_landing(f, n, "red_land", p), child)
+          << "node " << n << " peer " << p;
+      EXPECT_FALSE(holds_landing(f, n, "zoo_land", p));
+    }
+  }
+}
+
+TEST(Scale, EveryRootStaysWithinDegreeOfMaster) {
+  Fixture f(64, 2);
+  const int nodes = 64;
+  const int degree = 6;  // ceil(log2(64)): binomial parents and children
+  f.cluster.run([&](TaskCtx& t) -> CoTask {
+    for (int n = 0; n < nodes; ++n) {
+      int root = 2 * n + n % 2;  // alternate master and non-master roots
+      std::vector<int> b(16, t.rank == root ? root + 1 : -1);
+      co_await f.comm.bcast(t, coll::of(b.data(), b.size()), root);
+      EXPECT_EQ(b[0], root + 1) << "root " << root << " rank " << t.rank;
+      EXPECT_EQ(b[15], root + 1) << "root " << root << " rank " << t.rank;
+      std::vector<std::int64_t> in(4, t.rank + n);
+      std::vector<std::int64_t> out(4, 0);
+      co_await f.comm.reduce(t, coll::of(in.data(), in.size()),
+                             coll::of(out.data(), out.size()),
+                             coll::RedOp::sum, root);
+      if (t.rank == root) {
+        std::int64_t expect = 127LL * 128 / 2 + 128LL * n;
+        EXPECT_EQ(out[0], expect) << "root " << root;
+        EXPECT_EQ(out[3], expect) << "root " << root;
+      }
+    }
+    // A power-of-two allreduce needs no fold slots.
+    double v = t.rank;
+    double s = 0.0;
+    co_await f.comm.allreduce(t, coll::of(&v, 1), coll::of(&s, 1),
+                              coll::RedOp::sum);
+    EXPECT_DOUBLE_EQ(s, 127.0 * 128 / 2);
+  });
+
+  for (int n = 0; n < nodes; ++n) {
+    int parents = count_landing(f, n, "bc_land");
+    int children = count_landing(f, n, "red_land");
+    EXPECT_GE(parents, 1) << "node " << n;
+    EXPECT_LE(parents, degree) << "node " << n;
+    EXPECT_GE(children, 1) << "node " << n;
+    EXPECT_LE(children, degree) << "node " << n;
+    EXPECT_EQ(count_landing(f, n, "zoo_land"), 0) << "node " << n;
+    for (int l = 0; l < 2; ++l) EXPECT_FALSE(holds_sc_acc(f, n, l));
+    EXPECT_FALSE(holds_pair(f, n, "ga_stage")) << "node " << n;
+    EXPECT_FALSE(holds_pair(f, n, "ar_fold_in")) << "node " << n;
+    EXPECT_FALSE(holds_pair(f, n, "ar_fold_out")) << "node " << n;
+  }
+
+  // The first gather brings the staging pair, on every node.
+  f.cluster.run([&](TaskCtx& t) -> CoTask {
+    double me = 0.5 * t.rank;
+    std::vector<double> all(t.rank == 3 ? 128 : 0, -1.0);
+    co_await f.comm.gather(t, coll::of(&me, 1), coll::of(all.data(), 1), 3);
+    if (t.rank == 3) {
+      for (int r = 0; r < 128; ++r) {
+        EXPECT_EQ(all[static_cast<std::size_t>(r)], 0.5 * r) << "rank " << r;
+      }
+    }
+  });
+  for (int n = 0; n < nodes; ++n) {
+    EXPECT_TRUE(holds_pair(f, n, "ga_stage")) << "node " << n;
+  }
+}
+
+TEST(Scale, OptionalNodeBuffersWaitForTheirOps) {
+  // Six nodes: a recursive-doubling allreduce folds nodes 0-3 down to the
+  // nearest power of two. Single-copy kicks in at 4 KiB.
+  SrmConfig cfg;
+  cfg.single_copy = true;
+  cfg.single_copy_min = 4096;
+  Fixture f(6, 4, cfg);
+  const int nodes = 6;
+  const int nlocal = 4;
+
+  // Staged operations below the single-copy crossover need none of them.
+  f.cluster.run([&](TaskCtx& t) -> CoTask {
+    std::vector<double> in(8, 1.0), out(8, 0.0);
+    co_await f.comm.reduce(t, coll::of(in.data(), 8), coll::of(out.data(), 8),
+                           coll::RedOp::sum, 0);
+    if (t.rank == 0) {
+      EXPECT_DOUBLE_EQ(out[7], 24.0);
+    }
+    std::vector<int> b(32, t.rank == 9 ? 4 : 0);
+    co_await f.comm.bcast(t, coll::of(b.data(), b.size()), 9);
+    EXPECT_EQ(b[31], 4);
+    co_await f.comm.barrier(t);
+  });
+  for (int n = 0; n < nodes; ++n) {
+    for (int l = 0; l < nlocal; ++l) EXPECT_FALSE(holds_sc_acc(f, n, l)) << n;
+    EXPECT_FALSE(holds_pair(f, n, "ga_stage")) << "node " << n;
+    EXPECT_FALSE(holds_pair(f, n, "ar_fold_in")) << "node " << n;
+    EXPECT_FALSE(holds_pair(f, n, "ar_fold_out")) << "node " << n;
+  }
+
+  // A mapped reduce gives accumulators to the interior vertices of each
+  // node's topology tree, and to no one else.
+  f.cluster.run([&](TaskCtx& t) -> CoTask {
+    std::vector<double> in(1024, 1.0 + t.rank), out(1024, 0.0);
+    co_await f.comm.reduce(t, coll::of(in.data(), in.size()),
+                           coll::of(out.data(), out.size()), coll::RedOp::sum,
+                           0);
+    if (t.rank == 0) {
+      EXPECT_DOUBLE_EQ(out[1023], 24.0 + 23.0 * 24 / 2);
+    }
+  });
+  coll::Tree tree = coll::topo_tree(f.cluster.params().topo, nlocal, 0,
+                                    /*binomial=*/true);
+  int interior = 0;
+  for (int l = 1; l < nlocal; ++l) {
+    bool inner = !tree.children[static_cast<std::size_t>(l)].empty();
+    interior += inner ? 1 : 0;
+    for (int n = 0; n < nodes; ++n) {
+      EXPECT_EQ(holds_sc_acc(f, n, l), inner) << "node " << n << " local " << l;
+    }
+  }
+  EXPECT_GT(interior, 0);
+  for (int n = 0; n < nodes; ++n) EXPECT_FALSE(holds_sc_acc(f, n, 0));
+
+  // A non-power-of-two recursive-doubling allreduce brings the fold slots
+  // to the folding pairs only: odd partners receive, even ones get the
+  // result back.
+  f.cluster.run([&](TaskCtx& t) -> CoTask {
+    double v = t.rank;
+    double s = 0.0;
+    co_await f.comm.allreduce(t, coll::of(&v, 1), coll::of(&s, 1),
+                              coll::RedOp::sum);
+    EXPECT_DOUBLE_EQ(s, 23.0 * 24 / 2);
+  });
+  for (int n = 0; n < nodes; ++n) {
+    bool folds = n < 4;
+    EXPECT_EQ(holds_pair(f, n, "ar_fold_in"), folds && n % 2 == 1) << n;
+    EXPECT_EQ(holds_pair(f, n, "ar_fold_out"), folds && n % 2 == 0) << n;
+    EXPECT_FALSE(holds_pair(f, n, "ga_stage")) << "node " << n;
+  }
 }
 
 }  // namespace
