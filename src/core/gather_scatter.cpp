@@ -276,11 +276,11 @@ sim::CoTask Communicator::real_gather(machine::TaskCtx& t, const void* send,
         cfg_.use_two_buffers ? a / 2 : a, &t.chk);
     std::size_t lo = std::max(my_lo, off);
     std::size_t hi = std::min(my_hi, off + len);
-    std::byte* stage = ns.ga_stage()[slot].data();
+    std::byte* staging = ns.ga_stage()[slot].data();
     if (lo < hi) {
       co_await t.nd->mem.charge_copy(static_cast<double>(hi - lo));
-      chk::note_write(t.chk, stage + (lo - off), hi - lo);
-      std::memcpy(stage + (lo - off),
+      chk::note_write(t.chk, staging + (lo - off), hi - lo);
+      std::memcpy(staging + (lo - off),
                   static_cast<const std::byte*>(send) + (lo - my_lo),
                   hi - lo);
     }
@@ -303,13 +303,13 @@ sim::CoTask Communicator::real_gather(machine::TaskCtx& t, const void* send,
       }
       co_await t.nd->mem.charge_copy_scaled(
           static_cast<double>(len), f / static_cast<double>(p));
-      chk::note_read(t.chk, stage, len);
-      std::memcpy(static_cast<std::byte*>(recv) + node_base + off, stage,
+      chk::note_read(t.chk, staging, len);
+      std::memcpy(static_cast<std::byte*>(recv) + node_base + off, staging,
                   len);
       ns.ga_freed[slot]->add(1, &t.chk);
     } else {
       NodeState& root_ns = *nodes_[static_cast<std::size_t>(root_node)];
-      co_await my_ep.put(ep(root), root_dst + node_base + off, stage, len,
+      co_await my_ep.put(ep(root), root_dst + node_base + off, staging, len,
                          root_ns.link(my_node).ga_done.get(), &out_org);
       inflight_slots.push_back(slot);
       // Keep at most two chunks in flight; origin-counter bumps arrive in
