@@ -3,35 +3,39 @@
 // tight enough to rank configurations when tuning switch points.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "bench/harness.hpp"
 #include "model/model.hpp"
 
 namespace srm::model {
 namespace {
 
-double simulated(bench::Impl impl, int nodes, int ppn, const char* op,
+double simulated(bench::Impl impl, int nodes, int ppn, const std::string& op,
                  std::size_t bytes) {
   bench::Bench b(impl, nodes, ppn);
-  std::string o = op;
-  if (o == "bcast") return b.time_bcast(bytes, 1);
-  if (o == "reduce") return b.time_reduce(bytes / 8, 1);
-  if (o == "allreduce") return b.time_allreduce(bytes / 8, 1);
+  if (op == "bcast") return b.time_bcast(bytes, 1);
+  if (op == "reduce") return b.time_reduce(bytes / 8, 1);
+  if (op == "allreduce") return b.time_allreduce(bytes / 8, 1);
   return b.time_barrier(1);
 }
 
-double predicted(int nodes, int ppn, const char* op, std::size_t bytes) {
+double predicted(int nodes, int ppn, const std::string& op, std::size_t bytes) {
   Inputs in;
   in.nodes = nodes;
   in.tasks_per_node = ppn;
-  std::string o = op;
-  if (o == "bcast") return bcast_us(in, bytes);
-  if (o == "reduce") return reduce_us(in, bytes);
-  if (o == "allreduce") return allreduce_us(in, bytes);
+  if (op == "bcast") return bcast_us(in, bytes);
+  if (op == "reduce") return reduce_us(in, bytes);
+  if (op == "allreduce") return allreduce_us(in, bytes);
   return barrier_us(in);
 }
 
+// The op is a std::string, not a const char*: gtest prints a pointer
+// parameter as its address, which would put a per-run value into the
+// listed test names.
 class ModelAccuracy
-    : public ::testing::TestWithParam<std::tuple<const char*, std::size_t>> {
+    : public ::testing::TestWithParam<std::tuple<std::string, std::size_t>> {
 };
 
 TEST_P(ModelAccuracy, WithinEnvelope) {
@@ -50,16 +54,17 @@ TEST_P(ModelAccuracy, WithinEnvelope) {
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, ModelAccuracy,
-    ::testing::Values(std::tuple{"bcast", std::size_t{8}},
-                      std::tuple{"bcast", std::size_t{16384}},
-                      std::tuple{"bcast", std::size_t{1u << 20}},
-                      std::tuple{"reduce", std::size_t{8}},
-                      std::tuple{"reduce", std::size_t{1u << 20}},
-                      std::tuple{"allreduce", std::size_t{1024}},
-                      std::tuple{"allreduce", std::size_t{1u << 20}},
-                      std::tuple{"barrier", std::size_t{0}}),
+    ::testing::Values(std::tuple{std::string("bcast"), std::size_t{8}},
+                      std::tuple{std::string("bcast"), std::size_t{16384}},
+                      std::tuple{std::string("bcast"), std::size_t{1u << 20}},
+                      std::tuple{std::string("reduce"), std::size_t{8}},
+                      std::tuple{std::string("reduce"), std::size_t{1u << 20}},
+                      std::tuple{std::string("allreduce"), std::size_t{1024}},
+                      std::tuple{std::string("allreduce"),
+                                 std::size_t{1u << 20}},
+                      std::tuple{std::string("barrier"), std::size_t{0}}),
     [](const auto& info) {
-      return std::string(std::get<0>(info.param)) + "_" +
+      return std::get<0>(info.param) + "_" +
              std::to_string(std::get<1>(info.param));
     });
 
