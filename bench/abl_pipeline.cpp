@@ -44,9 +44,13 @@ int main() {
         sizes.size(), std::vector<double>(switches.size()));
     for (std::size_t ci = 0; ci < switches.size(); ++ci) {
       for (std::size_t si = 0; si < sizes.size(); ++si) {
+        // Staged up to the switch, direct beyond, and shared buffers large
+        // enough to stage the switch size.
         SrmConfig cfg;
-        cfg.bcast_small_max = switches[ci];
         cfg.smp_buf_bytes = std::max(cfg.smp_buf_bytes, switches[ci]);
+        cfg.decisions.set(coll::CollKind::bcast, 0, {});
+        cfg.decisions.set(coll::CollKind::bcast, switches[ci] + 1,
+                          {coll::Algo::direct, false, coll::TreeKind::binomial});
         Bench b(Impl::srm, 16, 16, cfg);
         cells[si][ci] = b.time_bcast(sizes[si], iters_for(sizes[si]));
       }

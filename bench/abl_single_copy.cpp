@@ -3,11 +3,12 @@
 // paper's uniform 16-way node (ibm_sp) and on the NUMA-ish modern_smp
 // profile where the topology tree and coherence-aware copy costs matter.
 //
-// The mapped runs force single_copy_min = 1 so the whole sweep takes the
-// mapped path: the small-message rows then show the publish/attach
-// handshake overhead losing to the staged protocol, and the crossover to
-// the single-copy win is visible inside one table. Run with --smoke for a
-// two-size CI sanity pass (one small, one large).
+// The mapped runs set the mapped column on every row of the profile's
+// table so the whole sweep takes the mapped path: the small-message rows
+// then show the publish/attach handshake overhead losing to the staged
+// protocol, and the crossover to the single-copy win is visible inside one
+// table. Run with --smoke for a two-size CI sanity pass (one small, one
+// large).
 #include <cstdio>
 #include <cstring>
 
@@ -25,10 +26,13 @@ struct Setup {
   machine::MachineParams params;
 };
 
-SrmConfig cfg_for(bool mapped) {
+SrmConfig cfg_for(const Setup& s) {
   SrmConfig cfg;
-  cfg.single_copy = mapped;
-  if (mapped) cfg.single_copy_min = 1;  // whole sweep through the mapped path
+  cfg.single_copy = s.mapped;
+  if (s.mapped) {  // whole sweep through the mapped path
+    cfg.decisions = *coll::DecisionTable::builtin(s.params.profile);
+    cfg.decisions.for_each_decision([](coll::Decision& d) { d.mapped = true; });
+  }
   return cfg;
 }
 
@@ -58,8 +62,7 @@ int main(int argc, char** argv) {
         sizes.size(), std::vector<double>(setups.size(), 0.0));
     for (std::size_t ci = 0; ci < setups.size(); ++ci) {
       for (std::size_t si = 0; si < sizes.size(); ++si) {
-        Bench b(Impl::srm, 1, 16, cfg_for(setups[ci].mapped),
-                setups[ci].params);
+        Bench b(Impl::srm, 1, 16, cfg_for(setups[ci]), setups[ci].params);
         std::size_t arg = doubles ? sizes[si] / 8 : sizes[si];
         cells[si][ci] = (b.*op)(arg, iters_for(sizes[si]));
       }

@@ -24,8 +24,11 @@ int main() {
                                            std::vector<double>(kinds.size()));
     for (std::size_t ki = 0; ki < kinds.size(); ++ki) {
       for (std::size_t si = 0; si < sizes.size(); ++si) {
+        // The paper's table with every row's inter-node tree replaced.
         SrmConfig cfg;
-        cfg.internode_tree = kinds[ki];
+        cfg.decisions = coll::DecisionTable::ibm_sp();
+        cfg.decisions.for_each_decision(
+            [kind = kinds[ki]](coll::Decision& d) { d.internode = kind; });
         Bench b(Impl::srm, 16, 16, cfg);
         cells[si][ki] = op[0] == 'b'
                             ? b.time_bcast(sizes[si], iters_for(sizes[si]))

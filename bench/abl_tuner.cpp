@@ -37,28 +37,30 @@ struct Candidate {
   coll::Decision d;
 };
 
+/// The candidate pool of @p op, minus those SrmConfig::sanitize would
+/// reroute at @p bytes.
 std::vector<Candidate> candidates(coll::CollKind op, std::size_t bytes) {
   using coll::Algo;
   using coll::TreeKind;
   const auto bin = TreeKind::binomial;
   std::vector<Candidate> out;
   if (op == coll::CollKind::bcast) {
-    if (bytes <= 64 * 1024) {
-      out.push_back({"staged", {Algo::staged, false, bin}});
-      out.push_back({"staged+bine", {Algo::staged, false, TreeKind::bine}});
-    }
+    out.push_back({"staged", {Algo::staged, false, bin}});
+    out.push_back({"staged+bine", {Algo::staged, false, TreeKind::bine}});
     out.push_back({"direct", {Algo::direct, false, bin}});
     out.push_back({"scatter_ag", {Algo::scatter_ag, false, bin}});
   } else {
     // No rd+bine variant: recursive doubling is a butterfly, the internode
     // tree never enters its dispatch.
-    if (bytes <= 16 * 1024) {
-      out.push_back({"rd", {Algo::rd, false, bin}});
-    }
+    out.push_back({"rd", {Algo::rd, false, bin}});
     out.push_back({"pipeline", {Algo::pipeline, false, bin}});
     out.push_back({"ring", {Algo::ring, false, bin}});
     out.push_back({"rhalving", {Algo::rhalving, false, bin}});
   }
+  const SrmConfig cfg;
+  std::erase_if(out, [&](const Candidate& c) {
+    return cfg.sanitize(op, c.d, bytes).algo != c.d.algo;
+  });
   return out;
 }
 

@@ -42,13 +42,10 @@ struct Candidate {
   bool needs_single_copy = false;  ///< mapped rows only bind when enabled
 };
 
-constexpr std::size_t kRdCap = 16 * 1024;     ///< allreduce_rd_max default
-constexpr std::size_t kSmpBuf = 64 * 1024;    ///< staged bcast buffer cap
-
 /// The candidate pool per operation. Candidates that a Communicator would
-/// sanitize into a different algorithm at this size (rd above the exchange
-/// slot cap, staged bcast above the shared buffer) are skipped rather than
-/// measured under a false label.
+/// sanitize into a different algorithm at this size (SrmConfig::sanitize:
+/// rd above the exchange slot, staged bcast above the shared buffer) are
+/// skipped rather than measured under a false label.
 std::vector<Candidate> candidates(coll::CollKind op, std::size_t bytes) {
   using coll::Algo;
   using coll::TreeKind;
@@ -57,11 +54,9 @@ std::vector<Candidate> candidates(coll::CollKind op, std::size_t bytes) {
   std::vector<Candidate> out;
   switch (op) {
     case coll::CollKind::bcast:
-      if (bytes <= kSmpBuf) {
-        out.push_back({"staged", {Algo::staged, false, bin}});
-        out.push_back({"staged+bine", {Algo::staged, false, bine}});
-        out.push_back({"staged+sc", {Algo::staged, true, bin}, true});
-      }
+      out.push_back({"staged", {Algo::staged, false, bin}});
+      out.push_back({"staged+bine", {Algo::staged, false, bine}});
+      out.push_back({"staged+sc", {Algo::staged, true, bin}, true});
       out.push_back({"direct", {Algo::direct, false, bin}});
       out.push_back({"direct+sc", {Algo::direct, true, bin}, true});
       out.push_back({"scatter_ag", {Algo::scatter_ag, false, bin}});
@@ -74,9 +69,7 @@ std::vector<Candidate> candidates(coll::CollKind op, std::size_t bytes) {
     case coll::CollKind::allreduce:
       // No rd+bine variant: recursive doubling is a butterfly, the
       // internode tree never enters its dispatch.
-      if (bytes <= kRdCap) {
-        out.push_back({"rd", {Algo::rd, false, bin}});
-      }
+      out.push_back({"rd", {Algo::rd, false, bin}});
       out.push_back({"pipeline", {Algo::pipeline, false, bin}});
       out.push_back({"ring", {Algo::ring, false, bin}});
       out.push_back({"rhalving", {Algo::rhalving, false, bin}});
@@ -92,6 +85,10 @@ std::vector<Candidate> candidates(coll::CollKind op, std::size_t bytes) {
     default:
       break;
   }
+  const SrmConfig cfg;
+  std::erase_if(out, [&](const Candidate& c) {
+    return cfg.sanitize(op, c.d, bytes).algo != c.d.algo;
+  });
   return out;
 }
 

@@ -4,6 +4,7 @@
 #   ci/check.sh            # all stages
 #   ci/check.sh fast       # default build + ctest only
 #   ci/check.sh release    # Release build + ctest only
+#   ci/check.sh logs       # every figure/ablation table vs bench_logs/ only
 #
 # Stages:
 #   1. default     — release-ish build with SRM_CHK=ON + SRM_MC=ON, full ctest
@@ -30,7 +31,11 @@
 #                    `ci/check.sh sa`
 #   1f. release    — -DCMAKE_BUILD_TYPE=Release (-O3) build under -Werror,
 #                    full ctest; also runnable alone via `ci/check.sh release`
-#   2. sanitize    — ASan+UBSan build, full ctest
+#   1g. logs       — every program with a bench_logs/ table re-run; the
+#                    first lines of its stdout must equal the log byte for
+#                    byte (the logs stop before the instrumented-run tail);
+#                    also runnable alone via `ci/check.sh logs`
+#   2. sanitize    — ASan+UBSan build (UB reports fatal), full ctest
 #   3. chk-off     — SRM_CHK=OFF build (checker compiled out), full ctest
 #   4. tidy        — clang-tidy over src/ with warnings-as-errors (enforced
 #                    when the binary exists; green skip on the gcc-only image)
@@ -161,6 +166,31 @@ run_sa() {
   done
 }
 
+run_logs() {
+  local dir="build-ci/default"
+  echo "=== [logs] figure and ablation tables vs bench_logs/ ==="
+  cmake -B "$dir" -S . -DSRM_CHK=ON -DSRM_MC=ON >/dev/null
+  local names=() log name failed=0
+  for log in bench_logs/*.txt; do names+=("$(basename "$log" .txt)"); done
+  cmake --build "$dir" -j "$JOBS" --target "${names[@]}" >/dev/null
+  for name in "${names[@]}"; do
+    log="bench_logs/$name.txt"
+    # Run from inside the build tree: the programs write their BENCH JSON
+    # and trace files into the working directory.
+    (cd "$dir/bench" && "./$name" > "$name.stdout")
+    if head -n "$(wc -l < "$log")" "$dir/bench/$name.stdout" |
+        cmp -s - "$log"; then
+      echo "  $name: identical"
+    else
+      echo "  $name: differs from $log"
+      head -n "$(wc -l < "$log")" "$dir/bench/$name.stdout" |
+        diff "$log" - | head -20 || true
+      failed=1
+    fi
+  done
+  return "$failed"
+}
+
 if [[ "$MODE" == "perf" ]]; then
   run_perf_gate
   echo "=== perf gate passed ==="
@@ -185,6 +215,12 @@ if [[ "$MODE" == "sa" ]]; then
   exit 0
 fi
 
+if [[ "$MODE" == "logs" ]]; then
+  run_logs
+  echo "=== logs stage passed ==="
+  exit 0
+fi
+
 if [[ "$MODE" == "release" ]]; then
   run_stage release -DCMAKE_BUILD_TYPE=Release -DSRM_CHK=ON -DSRM_MC=ON
   echo "=== release stage passed ==="
@@ -198,6 +234,7 @@ run_tune
 run_sa
 
 if [[ "$MODE" != "fast" ]]; then
+  run_logs
   run_stage release -DCMAKE_BUILD_TYPE=Release -DSRM_CHK=ON -DSRM_MC=ON
   run_stage sanitize -DSRM_CHK=ON -DSRM_SANITIZE=address,undefined
   run_stage chk-off -DSRM_CHK=OFF

@@ -10,12 +10,14 @@
 // mapped (single-copy) flag, and the inter-node tree shape. Backends look up
 // decide(op, bytes) once per call and route accordingly.
 //
-// Sources of a table, in precedence order (core/communicator.cpp):
-//   1. an explicit SrmConfig::decisions (tests / the tuner forcing a path);
+// Sources of a table, in precedence order (core/communicator.cpp); the
+// first one present is used verbatim:
+//   1. an explicit SrmConfig::decisions (tests, ablations and the tuner
+//      forcing a path);
 //   2. the SRM_DECISIONS env var naming a JSON file (a tuner artifact);
-//   3. the builtin table for the machine profile, adjusted by any legacy
-//      SrmConfig crossover knobs that deviate from their defaults (so code
-//      written against the old scattered fields keeps its exact semantics).
+//   3. the builtin table for the machine profile.
+// A row can name an algorithm its buffers cannot carry at some size;
+// SrmConfig::sanitize is the one feasibility rule that reroutes it.
 //
 // The builtin ibm_sp() table re-expresses the paper's constants verbatim:
 // with a default SrmConfig on the SP profile, dispatch is byte-identical to
@@ -79,6 +81,15 @@ class DecisionTable {
   Decision decide(CollKind op, std::size_t bytes) const;
   const std::vector<Row>& rows(CollKind op) const {
     return ops_[static_cast<std::size_t>(op)];
+  }
+  /// Apply @p f(Decision&) to every row's decision: how an ablation or a
+  /// test derives the variant it measures (another tree, every row mapped)
+  /// from a builtin table.
+  template <class F>
+  void for_each_decision(F&& f) {
+    for (auto& rows : ops_) {
+      for (Row& r : rows) f(r.d);
+    }
   }
   bool empty() const;
 

@@ -377,7 +377,7 @@ sim::CoTask Transport::barrier_run(machine::TaskCtx& t, std::uint64_t seq) {
           return st.contrib >= static_cast<std::uint64_t>(nlocal);
         },
         t.rank);
-    const Tree& tr = tree(p_.internode_tree, 0);
+    const Tree& tr = tree(TreeKind::binomial, 0);
     const auto& kids = tr.children[static_cast<std::size_t>(node)];
     for (std::size_t k = 1; k <= kids.size(); ++k) {
       co_await st.wq.wait_until([&st, k] { return st.net_srcs >= k; },
@@ -739,38 +739,37 @@ sim::CoTask Transport::sa_bcast_run(machine::TaskCtx& t, std::uint64_t seq,
 // ---- public ops ----
 
 sim::CoTask Transport::bcast(machine::TaskCtx& t, Buf buf, int root,
-                             std::optional<Decision> dec) {
+                             Decision dec) {
   if (buf.count == 0) co_return;
   const std::uint64_t seq = next_seq(t);
-  if (dec && dec->algo == Algo::scatter_ag) {
+  if (dec.algo == Algo::scatter_ag) {
     co_await sa_bcast_run(t, seq, root, buf.block_bytes(),
                           t.rank == root ? buf.pay : nullptr, buf.block0,
                           buf.pay, buf.block0);
   } else {
     co_await bcast_run(t, seq, root, 1, buf.block_bytes(),
                        t.rank == root ? buf.pay : nullptr, buf.block0, buf.pay,
-                       buf.block0, dec ? dec->internode : p_.internode_tree);
+                       buf.block0, dec.internode);
   }
 }
 
 sim::CoTask Transport::reduce(machine::TaskCtx& t, Buf send, Buf recv,
-                              RedOp op, int root, std::optional<Decision> dec) {
+                              RedOp op, int root, Decision dec) {
   if (send.count == 0) co_return;
   const std::uint64_t seq = next_seq(t);
   co_await reduce_run(t, seq, root, 1, send.block_bytes(), send.dtype, op,
                       *send.pay, send.block0,
                       t.rank == root ? recv.pay : nullptr, recv.block0,
-                      dec ? dec->internode : p_.internode_tree);
+                      dec.internode);
 }
 
 sim::CoTask Transport::allreduce(machine::TaskCtx& t, Buf send, Buf recv,
-                                 RedOp op, std::optional<Decision> dec) {
+                                 RedOp op, Decision dec) {
   if (send.count == 0) co_return;
   const std::size_t bb = send.block_bytes();
-  const Algo a = dec ? dec->algo : Algo::rd;
-  if (a == Algo::ring || a == Algo::rhalving) {
+  if (dec.algo == Algo::ring || dec.algo == Algo::rhalving) {
     const std::uint64_t seq = next_seq(t);
-    if (a == Algo::ring) {
+    if (dec.algo == Algo::ring) {
       co_await ring_allreduce_run(t, seq, bb, send.dtype, op, *send.pay,
                                   send.block0, recv.pay, recv.block0);
     } else {
@@ -779,16 +778,15 @@ sim::CoTask Transport::allreduce(machine::TaskCtx& t, Buf send, Buf recv,
     }
     co_return;
   }
-  const TreeKind tk = dec ? dec->internode : p_.internode_tree;
   const std::uint64_t seq1 = next_seq(t);
   const std::uint64_t seq2 = next_seq(t);
   const bool r0 = t.rank == 0;
   Payload tmp;
   if (r0) tmp = Payload(1, bb);
   co_await reduce_run(t, seq1, 0, 1, bb, send.dtype, op, *send.pay,
-                      send.block0, r0 ? &tmp : nullptr, 0, tk);
+                      send.block0, r0 ? &tmp : nullptr, 0, dec.internode);
   co_await bcast_run(t, seq2, 0, 1, bb, r0 ? &tmp : nullptr, 0, recv.pay,
-                     recv.block0, tk);
+                     recv.block0, dec.internode);
 }
 
 sim::CoTask Transport::barrier(machine::TaskCtx& t) {
@@ -826,7 +824,7 @@ sim::CoTask Transport::allgather(machine::TaskCtx& t, Buf send, Buf recv) {
   co_await gather_run(t, seq1, 0, bb, *send.pay, send.block0,
                       r0 ? &assembled : nullptr, 0);
   co_await bcast_run(t, seq2, 0, nranks, bb, r0 ? &assembled : nullptr, 0,
-                     recv.pay, recv.block0, p_.internode_tree);
+                     recv.pay, recv.block0, TreeKind::binomial);
 }
 
 sim::CoTask Transport::reduce_scatter(machine::TaskCtx& t, Buf send, Buf recv,
@@ -840,7 +838,7 @@ sim::CoTask Transport::reduce_scatter(machine::TaskCtx& t, Buf send, Buf recv,
   Payload tmp;
   if (r0) tmp = Payload(nranks, bb);
   co_await reduce_run(t, seq1, 0, nranks, bb, send.dtype, op, *send.pay,
-                      send.block0, r0 ? &tmp : nullptr, 0, p_.internode_tree);
+                      send.block0, r0 ? &tmp : nullptr, 0, TreeKind::binomial);
   co_await scatter_run(t, seq2, 0, bb, r0 ? &tmp : nullptr, 0, recv.pay,
                        recv.block0);
 }

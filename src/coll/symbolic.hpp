@@ -6,9 +6,10 @@
 // against the same machine models the real plane uses — chunked
 // MemorySystem copy/combine charges inside each node, per-message sender
 // overhead plus Network::inject (LogGP + NIC serialization) between nodes,
-// over the internode tree the profile selects. Digests ride the last chunk
-// of each hop, so a correct run produces exactly the block placement and
-// (for movement ops) checksums a real-copy run would.
+// over the internode tree the backend's Decision names (binomial where
+// there is none). Digests ride the last chunk of each hop, so a correct run
+// produces exactly the block placement and (for movement ops) checksums a
+// real-copy run would.
 //
 // Both backends drive the same runner with their own cost Profile: SRM uses
 // its config's chunking and LAPI-ish per-message overhead; mini-MPI uses its
@@ -22,7 +23,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -45,8 +45,6 @@ struct Profile {
   /// Pipeline granularity: chunk size for both network messages and
   /// intra-node staging copies.
   std::size_t chunk = 64 * 1024;
-  /// Tree over nodes for bcast/reduce/barrier phases.
-  TreeKind internode_tree = TreeKind::binomial;
 };
 
 class Transport {
@@ -58,15 +56,14 @@ class Transport {
 
   // All 8 ops over symbolic Bufs. Callers (backend v_* hooks) have already
   // validated the descriptors at the API boundary. bcast/reduce/allreduce
-  // optionally take the backend's coll::Decision so the symbolic plane
-  // replays the same algorithm (and internode tree) the real plane would
-  // pick; without one they fall back to the Profile's defaults.
-  sim::CoTask bcast(machine::TaskCtx& t, Buf buf, int root,
-                    std::optional<Decision> dec = std::nullopt);
+  // take the backend's coll::Decision so the symbolic plane replays the
+  // same algorithm (and internode tree) the real plane would pick; the
+  // default Decision is the paper path over a binomial tree.
+  sim::CoTask bcast(machine::TaskCtx& t, Buf buf, int root, Decision dec = {});
   sim::CoTask reduce(machine::TaskCtx& t, Buf send, Buf recv, RedOp op,
-                     int root, std::optional<Decision> dec = std::nullopt);
+                     int root, Decision dec = {});
   sim::CoTask allreduce(machine::TaskCtx& t, Buf send, Buf recv, RedOp op,
-                        std::optional<Decision> dec = std::nullopt);
+                        Decision dec = {});
   sim::CoTask barrier(machine::TaskCtx& t);
   sim::CoTask scatter(machine::TaskCtx& t, Buf send, Buf recv, int root);
   sim::CoTask gather(machine::TaskCtx& t, Buf send, Buf recv, int root);

@@ -28,10 +28,7 @@ sim::CoTask Communicator::allreduce_rd(machine::TaskCtx& t, const void* send,
   RankState& rs = rank_state(t);
   std::size_t esize = coll::dtype_size(d);
   std::size_t bytes = count * esize;
-  SRM_CHECK(bytes <= cfg_.allreduce_rd_max);
-  // Leaders are the masters (allreduce has no root); embed with root 0.
-  coll::Embedding emb =
-      coll::embed(*t.topo, 0, cfg_.internode_tree, cfg_.intranode_tree);
+  coll::Embedding emb = allreduce_embedding(t, bytes);
   coll::Tree itree =
       coll::build_tree(cfg_.intranode_tree, t.nlocal(), 0);
   std::size_t nchunks = 1;  // fits one reduce chunk by configuration
@@ -141,10 +138,7 @@ sim::CoTask Communicator::allreduce_pipelined(machine::TaskCtx& t,
   // task; at rank 0 the broadcast consumes chunks as the reduce completes
   // them (Fig. 5's four-stage pipeline).
   std::size_t bytes = count * coll::dtype_size(d);
-  coll::Embedding emb =
-      coll::embed(*t.topo, 0,
-                  decide(coll::CollKind::allreduce, bytes).internode,
-                  cfg_.intranode_tree);
+  coll::Embedding emb = allreduce_embedding(t, bytes);
 
   lapi::Counter chunk_done(*t.eng, "ar.chunk_done@" + std::to_string(t.rank));
   lapi::Counter* gate = t.rank == 0 ? &chunk_done : nullptr;

@@ -1,6 +1,5 @@
 #include "core/communicator.hpp"
 
-#include <algorithm>
 #include <cstdlib>
 
 #include "util/align.hpp"
@@ -8,35 +7,6 @@
 namespace srm {
 
 namespace {
-
-/// Rebuild @p op's rows over the union of the existing row boundaries and
-/// @p extra, recomputing each boundary's inherited decision with
-/// @p f(min_bytes, decision&). Boundaries are only added, never removed, so
-/// writing the recomputed set back through set() replaces every old row.
-template <class F>
-void rewrite_rows(coll::DecisionTable& tb, coll::CollKind op,
-                  std::initializer_list<std::size_t> extra, F&& f) {
-  std::vector<std::size_t> bs{0};
-  for (const auto& r : tb.rows(op)) bs.push_back(r.min_bytes);
-  bs.insert(bs.end(), extra);
-  std::sort(bs.begin(), bs.end());
-  bs.erase(std::unique(bs.begin(), bs.end()), bs.end());
-  std::vector<coll::DecisionTable::Row> rows;
-  rows.reserve(bs.size());
-  for (std::size_t b : bs) {
-    coll::DecisionTable::Row r{b, tb.decide(op, b)};
-    f(b, r.d);
-    rows.push_back(r);
-  }
-  for (const auto& r : rows) tb.set(op, r.min_bytes, r.d);
-}
-
-constexpr std::array<coll::CollKind, 8> kAllOps = {
-    coll::CollKind::bcast,     coll::CollKind::reduce,
-    coll::CollKind::allreduce, coll::CollKind::barrier,
-    coll::CollKind::scatter,   coll::CollKind::gather,
-    coll::CollKind::allgather, coll::CollKind::reduce_scatter,
-};
 
 /// Where a Communicator's table actually came from, for the construction
 /// span: which precedence branch won, plus the identifying detail (the
@@ -47,11 +17,9 @@ struct ResolvedTable {
   std::string detail;
 };
 
-/// The table-source precedence of config.hpp: an explicit config table is
-/// used verbatim; an SRM_DECISIONS artifact is used verbatim; otherwise the
-/// builtin profile table (ibm_sp for unknown profiles) with any legacy
-/// crossover knobs that deviate from their defaults re-imposed on top, so
-/// code written against the old scattered fields keeps its exact semantics.
+/// The table-source precedence of config.hpp: an explicit config table, an
+/// SRM_DECISIONS artifact, or the builtin profile table (ibm_sp for unknown
+/// profiles), whichever comes first, used verbatim.
 ResolvedTable resolve_table(const SrmConfig& cfg,
                             const machine::MachineParams& params) {
   if (!cfg.decisions.empty()) {
@@ -61,40 +29,11 @@ ResolvedTable resolve_table(const SrmConfig& cfg,
       env != nullptr && env[0] != '\0') {
     return {coll::DecisionTable::load(env), "env", env};
   }
-  const coll::DecisionTable* bt = coll::DecisionTable::builtin(params.profile);
-  coll::DecisionTable tb = bt != nullptr ? *bt : coll::DecisionTable::ibm_sp();
-  const SrmConfig def{};
-  if (cfg.internode_tree != def.internode_tree) {
-    for (coll::CollKind op : kAllOps) {
-      rewrite_rows(tb, op, {}, [&cfg](std::size_t, coll::Decision& d) {
-        d.internode = cfg.internode_tree;
-      });
-    }
+  if (const coll::DecisionTable* bt =
+          coll::DecisionTable::builtin(params.profile)) {
+    return {*bt, "builtin", params.profile};
   }
-  if (cfg.bcast_small_max != def.bcast_small_max) {
-    rewrite_rows(tb, coll::CollKind::bcast, {cfg.bcast_small_max + 1},
-                 [&cfg](std::size_t b, coll::Decision& d) {
-                   d.algo = b <= cfg.bcast_small_max ? coll::Algo::staged
-                                                     : coll::Algo::direct;
-                 });
-  }
-  if (cfg.allreduce_rd_max != def.allreduce_rd_max) {
-    rewrite_rows(tb, coll::CollKind::allreduce, {cfg.allreduce_rd_max + 1},
-                 [&cfg](std::size_t b, coll::Decision& d) {
-                   d.algo = b <= cfg.allreduce_rd_max ? coll::Algo::rd
-                                                      : coll::Algo::pipeline;
-                 });
-  }
-  if (cfg.single_copy_min != def.single_copy_min) {
-    for (coll::CollKind op : kAllOps) {
-      rewrite_rows(tb, op, {cfg.single_copy_min},
-                   [&cfg](std::size_t b, coll::Decision& d) {
-                     d.mapped = b >= cfg.single_copy_min;
-                   });
-    }
-  }
-  return {std::move(tb), "builtin",
-          bt != nullptr ? params.profile : "ibm_sp"};
+  return {coll::DecisionTable::ibm_sp(), "builtin", "ibm_sp"};
 }
 
 /// Minimal JSON string escaping for the span args (paths may carry
@@ -122,7 +61,6 @@ Communicator::NodeState::NodeState(sim::Engine& eng,
       prefix_(prefix),
       smp_buf_bytes_(cfg.smp_buf_bytes),
       reduce_chunk_(cfg.reduce_chunk),
-      allreduce_rd_max_(cfg.allreduce_rd_max),
       sc_acc_(static_cast<std::size_t>(nlocal)) {
   auto counter = [&eng, &prefix](const std::string& label) {
     return std::make_unique<lapi::Counter>(eng, prefix + "/" + label);
@@ -170,7 +108,7 @@ Communicator::NodeState::NodeState(sim::Engine& eng,
   ar_arrived.resize(static_cast<std::size_t>(rounds));
   for (int r = 0; r < rounds; ++r) {
     alloc(ar_buf[static_cast<std::size_t>(r)],
-          "ar_buf" + std::to_string(r) + "_", cfg.allreduce_rd_max);
+          "ar_buf" + std::to_string(r) + "_", cfg.reduce_chunk);
     ar_arrived[static_cast<std::size_t>(r)] =
         counter("ar_arrived" + std::to_string(r));
   }
@@ -264,11 +202,11 @@ Communicator::NodeState::Pair& Communicator::NodeState::zoo_land(int peer) {
 }
 
 Communicator::NodeState::Pair& Communicator::NodeState::ar_fold_in() {
-  return alloc(ar_fold_in_, "ar_fold_in", allreduce_rd_max_);
+  return alloc(ar_fold_in_, "ar_fold_in", reduce_chunk_);
 }
 
 Communicator::NodeState::Pair& Communicator::NodeState::ar_fold_out() {
-  return alloc(ar_fold_out_, "ar_fold_out", allreduce_rd_max_);
+  return alloc(ar_fold_out_, "ar_fold_out", reduce_chunk_);
 }
 
 Communicator::NodeState::Pair& Communicator::NodeState::ga_stage() {
@@ -291,8 +229,7 @@ Communicator::Communicator(machine::Cluster& cluster, lapi::Fabric& fabric,
       cfg_(cfg),
       name_(std::move(name)),
       sym_(cluster, coll::sym::Profile{cluster.params().net.o_send,
-                                       cfg.bcast_net_chunk,
-                                       cfg.internode_tree}) {
+                                       cfg.bcast_net_chunk}) {
   ResolvedTable rt = resolve_table(cfg, cluster.params());
   table_ = std::move(rt.table);
   // Record which precedence branch supplied the table. A mis-set
@@ -304,7 +241,6 @@ Communicator::Communicator(machine::Cluster& cluster, lapi::Fabric& fabric,
           ",\"detail\":" + json_str(rt.detail) +
           ",\"profile\":" + json_str(table_.profile) + "}");
   cluster.obs().span_end(sid);
-  SRM_CHECK(cfg_.smp_buf_bytes >= cfg_.bcast_small_max);
   SRM_CHECK(cfg_.reduce_chunk % 8 == 0);
   SRM_CHECK(cfg_.bcast_pipe_chunk > 0 && cfg_.bcast_net_chunk > 0);
   // Only the per-rank scalar bookkeeping is eager; the per-node shared
@@ -337,39 +273,7 @@ void Communicator::ensure_real_state() {
 
 coll::Decision Communicator::decide(coll::CollKind op,
                                     std::size_t op_bytes) const {
-  coll::Decision d = table_.decide(op, op_bytes);
-  switch (op) {
-    case coll::CollKind::bcast:
-      // The staged path cannot move more than one Fig. 3 buffer per step
-      // without the large protocol's pipelining, and the zoo allreduce
-      // algorithms do not broadcast.
-      if (d.algo == coll::Algo::staged && op_bytes > cfg_.smp_buf_bytes) {
-        d.algo = coll::Algo::direct;
-      }
-      if (d.algo != coll::Algo::staged && d.algo != coll::Algo::direct &&
-          d.algo != coll::Algo::scatter_ag) {
-        d.algo = coll::Algo::direct;
-      }
-      break;
-    case coll::CollKind::allreduce:
-      // Recursive doubling exchanges whole vectors through slots sized
-      // allreduce_rd_max and combines them one reduce chunk at a time.
-      if (d.algo == coll::Algo::rd &&
-          op_bytes > std::min(cfg_.allreduce_rd_max, cfg_.reduce_chunk)) {
-        d.algo = coll::Algo::pipeline;
-      }
-      if (d.algo == coll::Algo::staged || d.algo == coll::Algo::direct ||
-          d.algo == coll::Algo::scatter_ag) {
-        d.algo = coll::Algo::pipeline;
-      }
-      break;
-    default:
-      // Every other operation has one implementation; the row's mapped and
-      // internode columns still apply.
-      d.algo = coll::Algo::staged;
-      break;
-  }
-  return d;
+  return cfg_.sanitize(op, table_.decide(op, op_bytes), op_bytes);
 }
 
 std::string Communicator::v_algo(const machine::TaskCtx& t,
@@ -563,7 +467,7 @@ sim::CoTask Communicator::real_reduce(machine::TaskCtx& t, const void* send,
   if (count == 0) co_return;
   // Interrupt management (§2.3): off during small-message collectives on the
   // tasks that face the network.
-  bool small = count * coll::dtype_size(d) <= cfg_.allreduce_rd_max;
+  bool small = count * coll::dtype_size(d) <= cfg_.reduce_chunk;
   bool leader = t.node() == t.topo->node_of(root) ? t.rank == root
                                                   : t.is_master();
   bool manage = cfg_.manage_interrupts && small && leader && t.nnodes() > 1;

@@ -76,14 +76,11 @@ class Communicator final : public coll::Collectives {
 
   /// The algorithm-selection table this communicator resolved at
   /// construction (explicit config table > SRM_DECISIONS env artifact >
-  /// builtin profile table + legacy crossover-knob overrides).
+  /// builtin profile table), verbatim.
   const coll::DecisionTable& decisions() const noexcept { return table_; }
 
-  /// Resolved decision for (@p op, @p op_bytes) with the per-op sanitize
-  /// rules applied: a staged bcast that cannot fit the staging buffers
-  /// falls to direct; a recursive-doubling allreduce that cannot fit the
-  /// exchange slots falls to pipeline; algorithms that do not implement an
-  /// op fall to that op's paper path. Deterministic in operation-level
+  /// Resolved decision for (@p op, @p op_bytes) with the feasibility rule
+  /// (SrmConfig::sanitize) applied. Deterministic in operation-level
   /// arguments, so every rank takes the same branch.
   coll::Decision decide(coll::CollKind op, std::size_t op_bytes) const;
 
@@ -308,7 +305,6 @@ class Communicator final : public coll::Collectives {
     std::string prefix_;
     std::size_t smp_buf_bytes_;
     std::size_t reduce_chunk_;
-    std::size_t allreduce_rd_max_;
     std::unordered_map<int, Link> links_;  // keyed by peer node
     Pair ar_fold_in_;
     Pair ar_fold_out_;
@@ -494,6 +490,15 @@ class Communicator final : public coll::Collectives {
   sim::CoTask reduce_impl(machine::TaskCtx& t, const void* send, void* recv,
                           std::size_t count, coll::Dtype d, coll::RedOp op,
                           int root, lapi::Counter* chunk_done);
+  /// Embedding of every allreduce algorithm: allreduce has no root, so the
+  /// masters lead (root 0) over the inter-node tree of the allreduce row
+  /// for @p bytes.
+  coll::Embedding allreduce_embedding(const machine::TaskCtx& t,
+                                      std::size_t bytes) const {
+    return coll::embed(*t.topo, 0,
+                       decide(coll::CollKind::allreduce, bytes).internode,
+                       cfg_.intranode_tree);
+  }
   sim::CoTask allreduce_rd(machine::TaskCtx& t, const void* send, void* recv,
                            std::size_t count, coll::Dtype d, coll::RedOp op);
   sim::CoTask allreduce_pipelined(machine::TaskCtx& t, const void* send,

@@ -1,7 +1,13 @@
-// SrmConfig: every protocol switch point and tuning knob from the paper.
+// SrmConfig: the buffer and chunk sizes of the SRM protocols, their
+// ablation switches, and the one feasibility rule that says which
+// decision-table rows those buffers can carry. The protocol switch points
+// themselves (staged/direct, rd/pipeline, mapped, inter-node tree) live in
+// the decision table, not here.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <limits>
 
 #include "coll/decision.hpp"
 #include "coll/tree.hpp"
@@ -9,24 +15,16 @@
 namespace srm {
 
 struct SrmConfig {
-  /// Algorithm-selection table. Empty (the default) means the Communicator
-  /// resolves one at construction: the SRM_DECISIONS env var if set (a tuner
-  /// JSON artifact), else the builtin table for the machine profile, with any
-  /// legacy crossover knobs below that deviate from their defaults re-imposed
-  /// as overrides — so code that still sets `bcast_small_max` or
-  /// `allreduce_rd_max` or `single_copy_min` keeps its exact old semantics.
-  /// A non-empty table here wins over everything (tests / the tuner forcing
-  /// one candidate path).
+  /// Algorithm-selection table: the only place an algorithm, an inter-node
+  /// tree or the mapped path is chosen. Empty (the default) means the
+  /// Communicator resolves one at construction: the SRM_DECISIONS env var if
+  /// set (a tuner JSON artifact), else the builtin table for the machine
+  /// profile. Whichever source wins is used verbatim; a non-empty table here
+  /// wins over both (tests, ablations and the tuner forcing a path).
   coll::DecisionTable decisions;
-  /// Size of each of the two shared-memory broadcast buffers A/B (Fig. 3).
-  /// Must hold the largest single-shot small-protocol message.
+  /// Size of each of the two shared-memory broadcast buffers A/B (Fig. 3):
+  /// the largest message a staged broadcast moves in one step.
   std::size_t smp_buf_bytes = 64 * 1024;
-
-  /// Broadcast protocol switch (§2.4): messages up to this size flow through
-  /// the shared buffers; larger ones use the zero-intermediate-copy protocol.
-  /// Deprecated in favor of `decisions` — a non-default value is honored as
-  /// an override of the resolved table's bcast rows.
-  std::size_t bcast_small_max = 64 * 1024;
 
   /// Within the small protocol, messages in (pipe_min, pipe_max] are split
   /// into pipe_chunk pieces and pipelined over the two buffers (§2.4:
@@ -40,35 +38,21 @@ struct SrmConfig {
   std::size_t bcast_net_chunk = 64 * 1024;
 
   /// Reduce pipeline chunk (intra-node slots and inter-node landing zones).
+  /// Also the size of each recursive-doubling allreduce exchange slot, and
+  /// the band of reduces that run with interrupts off (§2.3).
   std::size_t reduce_chunk = 16 * 1024;
 
-  /// Allreduce: recursive doubling between node leaders up to this size;
-  /// pipelined reduce+broadcast beyond it (§2.4, Fig. 5). Deprecated in
-  /// favor of `decisions` — a non-default value overrides the allreduce
-  /// rows (it also still sizes the ar_buf exchange slots and the small-op
-  /// interrupt-management band).
-  std::size_t allreduce_rd_max = 16 * 1024;
-
-  /// Inter-node tree (paper: binomial performed best on the SP). Deprecated
-  /// in favor of `decisions` — a non-default value overrides every row's
-  /// internode column.
-  coll::TreeKind internode_tree = coll::TreeKind::binomial;
   /// Intra-node reduce tree.
   coll::TreeKind intranode_tree = coll::TreeKind::binomial;
 
-  /// Single-copy cross-mapped intra-node protocols (shm::Mapping): operations
-  /// moving at least single_copy_min bytes export user-buffer windows and
-  /// copy/combine directly across address spaces over the topology tree
-  /// (machine::TopologyParams), skipping the staged Fig. 2/3 buffers. Below
-  /// the crossover the staged path still wins (publish/attach costs dominate
-  /// tiny messages), so both switches matter. Off by default: the
-  /// paper-faithful 2-copy path is the baseline and stays ablatable.
-  /// `single_copy` is the master enable: the mapped column of the decision
-  /// table only takes effect when it is set. `single_copy_min` is deprecated
-  /// in favor of `decisions` — a non-default value overrides every row's
-  /// mapped column with (bytes >= single_copy_min).
+  /// Single-copy cross-mapped intra-node protocols (shm::Mapping): calls
+  /// whose decision-table row has the mapped column set export user-buffer
+  /// windows and copy/combine directly across address spaces over the
+  /// topology tree (machine::TopologyParams), skipping the staged Fig. 2/3
+  /// buffers. This is the master enable: the mapped column only takes effect
+  /// when it is set. Off by default: the paper-faithful 2-copy path is the
+  /// baseline and stays ablatable.
   bool single_copy = false;
-  std::size_t single_copy_min = 16 * 1024;
 
   /// Ablation: use a single shared buffer instead of the A/B pair
   /// (disables the two-stage pipeline of Fig. 3).
@@ -81,6 +65,43 @@ struct SrmConfig {
   /// Disable interrupts on entry to small-message collectives and re-enable
   /// on exit (§2.3). Turning this off leaves interrupts always enabled.
   bool manage_interrupts = true;
+
+  /// Largest message @p algo can carry for @p op with these buffers: a
+  /// staged bcast moves one Fig. 3 buffer per step; an rd allreduce moves
+  /// the whole vector through one exchange slot and publishes the result
+  /// through one Fig. 3 buffer. Every other pairing is unbounded.
+  std::size_t max_bytes(coll::CollKind op, coll::Algo algo) const {
+    if (op == coll::CollKind::bcast && algo == coll::Algo::staged) {
+      return smp_buf_bytes;
+    }
+    if (op == coll::CollKind::allreduce && algo == coll::Algo::rd) {
+      return std::min(reduce_chunk, smp_buf_bytes);
+    }
+    return std::numeric_limits<std::size_t>::max();
+  }
+
+  /// The feasibility rule of dispatch: the decision @p d a table row names
+  /// for @p op at @p bytes, rerouted to the op's paper path (direct bcast,
+  /// pipelined allreduce, staged everything else) when its algorithm does
+  /// not implement the op or cannot carry @p bytes (max_bytes). Dispatch,
+  /// the static analyzer and the tuners all ask this one function.
+  coll::Decision sanitize(coll::CollKind op, coll::Decision d,
+                          std::size_t bytes) const {
+    using coll::Algo;
+    Algo paper = Algo::staged;
+    bool implemented = d.algo == Algo::staged;
+    if (op == coll::CollKind::bcast) {
+      paper = Algo::direct;
+      implemented = d.algo == Algo::staged || d.algo == Algo::direct ||
+                    d.algo == Algo::scatter_ag;
+    } else if (op == coll::CollKind::allreduce) {
+      paper = Algo::pipeline;
+      implemented = d.algo == Algo::rd || d.algo == Algo::pipeline ||
+                    d.algo == Algo::ring || d.algo == Algo::rhalving;
+    }
+    if (!implemented || bytes > max_bytes(op, d.algo)) d.algo = paper;
+    return d;
+  }
 };
 
 }  // namespace srm

@@ -15,9 +15,9 @@
 // machine::TopologyParams is crossed by exactly one window pull, charged at
 // the coherence-aware cost (charge_copy_scaled / charge_combine_scaled:
 // the source line is dirty in the writer's cache, and crossing an L3 slice
-// or socket boundary stretches the stream). Below SrmConfig::single_copy_min
-// the publish/attach handshake costs dominate and the staged path wins —
-// that crossover is the abl_single_copy bench's subject.
+// or socket boundary stretches the stream). Below the decision table's
+// mapped crossover the publish/attach handshake costs dominate and the
+// staged path wins — that crossover is the abl_single_copy bench's subject.
 //
 // Window generations and accumulator-slot parities are mirrored privately
 // by every rank (RankState::map_gen / sc_base), the same trick the staged

@@ -151,9 +151,7 @@ sim::CoTask Communicator::ring_allreduce(machine::TaskCtx& t,
   chk::StageScope stage(t.chk, "allreduce.ring");
   std::size_t esize = coll::dtype_size(d);
   std::size_t bytes = count * esize;
-  // Leaders are the masters (allreduce has no root); embed with root 0.
-  coll::Embedding emb =
-      coll::embed(*t.topo, 0, cfg_.internode_tree, cfg_.intranode_tree);
+  coll::Embedding emb = allreduce_embedding(t, bytes);
   coll::Tree itree = coll::build_tree(cfg_.intranode_tree, t.nlocal(), 0);
 
   co_await zoo_node_reduce(t, itree, send, recv, count, d, op);
@@ -280,8 +278,7 @@ sim::CoTask Communicator::rhalving_allreduce(machine::TaskCtx& t,
   chk::StageScope stage(t.chk, "allreduce.rhalving");
   std::size_t esize = coll::dtype_size(d);
   std::size_t bytes = count * esize;
-  coll::Embedding emb =
-      coll::embed(*t.topo, 0, cfg_.internode_tree, cfg_.intranode_tree);
+  coll::Embedding emb = allreduce_embedding(t, bytes);
   coll::Tree itree = coll::build_tree(cfg_.intranode_tree, t.nlocal(), 0);
 
   co_await zoo_node_reduce(t, itree, send, recv, count, d, op);

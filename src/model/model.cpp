@@ -89,7 +89,7 @@ double bcast_us(const Inputs& in, std::size_t bytes) {
   int depth = ilog2_floor(n);
   double issue = us(in.params.lapi.call_overhead + net.o_send + net.gap);
 
-  if (bytes <= in.cfg.bcast_small_max) {
+  if (bytes <= in.cfg.max_bytes(coll::CollKind::bcast, coll::Algo::staged)) {
     std::size_t chunk, nchunks;
     small_chunks(in.cfg, bytes, chunk, nchunks);
     double ser = static_cast<double>(chunk) / net.bytes_per_sec * 1e6;
@@ -138,7 +138,7 @@ double reduce_us(const Inputs& in, std::size_t bytes) {
 
 double allreduce_us(const Inputs& in, std::size_t bytes) {
   int n = in.nodes;
-  if (bytes <= in.cfg.allreduce_rd_max) {
+  if (bytes <= in.cfg.max_bytes(coll::CollKind::allreduce, coll::Algo::rd)) {
     int rounds = ilog2_ceil(n);
     double exchange =
         static_cast<double>(rounds) *

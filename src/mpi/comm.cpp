@@ -213,7 +213,11 @@ sim::CoTask Comm::recv(int src, int tag, void* buf, std::size_t bytes) {
         pipe.wq.notify();
         co_await ctx_->delay(mp_->shm_per_chunk);
         co_await ctx_->nd->mem.charge_copy(static_cast<double>(chunk.size()));
-        std::memcpy(dstp + off, chunk.data(), chunk.size());
+        // A zero-byte message arrives as one empty chunk: it still pays the
+        // chunk delay and copy charge, but memcpy may not see its null data.
+        if (!chunk.empty()) {
+          std::memcpy(dstp + off, chunk.data(), chunk.size());
+        }
         off += chunk.size();
       } while (off < bytes);
       break;
@@ -585,7 +589,7 @@ World::World(machine::Cluster& cluster, const machine::MpiParams& profile,
       // pipelines at the same default granularity the SRM plane uses.
       sym_(cluster, coll::sym::Profile{
                         profile.call_overhead + profile.layer_overhead,
-                        64 * 1024, coll::TreeKind::binomial}) {
+                        64 * 1024}) {
   // Comms materialize lazily via comm() — a symbolic mega-scale World must
   // not pay per-rank point-to-point state for ranks that never message.
   comms_.resize(static_cast<std::size_t>(cluster.topology().nranks()));

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <sstream>
 
 #include "mc/protocols.hpp"
@@ -165,42 +164,13 @@ std::vector<Decision> algo_menu(CollKind op) {
   }
 }
 
-Decision sanitize(CollKind op, Decision d, std::size_t bytes,
-                  const SrmConfig& cfg) {
-  switch (op) {
-    case CollKind::bcast:
-      if (d.algo == Algo::staged && bytes > cfg.smp_buf_bytes) {
-        d.algo = Algo::direct;
-      }
-      if (d.algo != Algo::staged && d.algo != Algo::direct &&
-          d.algo != Algo::scatter_ag) {
-        d.algo = Algo::direct;
-      }
-      break;
-    case CollKind::allreduce:
-      if (d.algo == Algo::rd &&
-          bytes > std::min(cfg.allreduce_rd_max, cfg.reduce_chunk)) {
-        d.algo = Algo::pipeline;
-      }
-      if (d.algo == Algo::staged || d.algo == Algo::direct ||
-          d.algo == Algo::scatter_ag) {
-        d.algo = Algo::pipeline;
-      }
-      break;
-    default:
-      d.algo = Algo::staged;
-      break;
-  }
-  return d;
-}
-
 AlgoCost algo_cost(CollKind op, Decision d, std::size_t bytes,
                    const SrmConfig& cfg,
                    const machine::MachineParams& mp) {
   AlgoCost out;
   out.algo = d.algo;
   out.mapped = d.mapped;
-  Decision s = sanitize(op, d, bytes, cfg);
+  Decision s = cfg.sanitize(op, d, bytes);
   if (s.algo != d.algo) return out;  // decide() would reroute: infeasible
 
   const double B = static_cast<double>(bytes);
@@ -342,20 +312,6 @@ double scale_extra(CollKind op, Algo algo, const AlgoCost& c, int chunks,
   }
 }
 
-
-/// Feasibility cap of a candidate: the largest byte count the sanitize
-/// step still dispatches it at.
-std::size_t feas_cap(CollKind op, const Decision& d,
-                     const SrmConfig& cfg) {
-  if (op == CollKind::bcast && d.algo == Algo::staged) {
-    return cfg.smp_buf_bytes;
-  }
-  if (op == CollKind::allreduce && d.algo == Algo::rd) {
-    return std::min(cfg.allreduce_rd_max, cfg.reduce_chunk);
-  }
-  return std::numeric_limits<std::size_t>::max();
-}
-
 bool best_at(CollKind op, std::size_t bytes, const SrmConfig& cfg,
              const machine::MachineParams& mp, Decision& best,
              double& best_ns) {
@@ -391,7 +347,7 @@ std::vector<Crossover> crossovers(CollKind op, const SrmConfig& cfg,
       x.op = op;
       x.from = prev;
       x.to = cur;
-      std::size_t cap = feas_cap(op, prev, cfg);
+      std::size_t cap = cfg.max_bytes(op, prev.algo);
       if (cap >= prev_b && cap < b) {
         x.bytes = cap;
         x.feasibility = true;
@@ -427,7 +383,7 @@ DominanceReport check_table(const coll::DecisionTable& t,
     auto op = static_cast<CollKind>(k);
     for (const auto& row : t.rows(op)) {
       std::size_t bytes = std::max<std::size_t>(row.min_bytes, 64);
-      Decision chosen = sanitize(op, row.d, bytes, cfg);
+      Decision chosen = cfg.sanitize(op, row.d, bytes);
       AlgoCost cc = algo_cost(op, chosen, bytes, cfg, mp);
       if (!cc.feasible) continue;
       for (const Decision& alt : algo_menu(op)) {

@@ -98,12 +98,9 @@ struct DominanceReport {
 /// can actually dispatch for it.
 std::vector<coll::Decision> algo_menu(coll::CollKind op);
 
-/// Mirror of Communicator::decide()'s sanitize step (without a table).
-coll::Decision sanitize(coll::CollKind op, coll::Decision d,
-                        std::size_t bytes, const SrmConfig& cfg);
-
-/// Evaluate one candidate at @p bytes. Infeasible candidates (the sanitize
-/// step would reroute them) come back with feasible == false.
+/// Evaluate one candidate at @p bytes. Infeasible candidates
+/// (SrmConfig::sanitize would reroute them) come back with feasible ==
+/// false.
 AlgoCost algo_cost(coll::CollKind op, coll::Decision d, std::size_t bytes,
                    const SrmConfig& cfg,
                    const machine::MachineParams& mp);

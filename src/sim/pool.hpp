@@ -57,7 +57,7 @@ class FramePool {
 #endif
   }
 
-  static void deallocate(void* p, std::size_t n) noexcept {
+  static void deallocate(void* p, [[maybe_unused]] std::size_t n) noexcept {
 #ifdef SRM_FRAME_POOL_DISABLED
     ::operator delete(p);
 #else

@@ -171,10 +171,12 @@ TEST_F(CopyCounts, PerNodeAttribution) {
 
 // --- single-copy (cross-mapped) vs staged ----------------------------------
 
+/// Single-copy on, and the paper's table with every row mapped.
 SrmConfig mapped_cfg() {
   SrmConfig cfg;
   cfg.single_copy = true;
-  cfg.single_copy_min = 1;
+  cfg.decisions = coll::DecisionTable::ibm_sp();
+  cfg.decisions.for_each_decision([](coll::Decision& d) { d.mapped = true; });
   return cfg;
 }
 

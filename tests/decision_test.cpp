@@ -1,10 +1,11 @@
 // coll::DecisionTable: banded lookup semantics, JSON/file round-trips,
-// malformed-input rejection, builtin tables, and the Communicator's
-// table-resolution precedence (explicit config > SRM_DECISIONS artifact >
-// builtin profile + legacy crossover-knob overrides).
+// malformed-input rejection, builtin tables, the feasibility rule
+// (SrmConfig::sanitize), and the Communicator's table-resolution precedence
+// (explicit config > SRM_DECISIONS artifact > builtin profile).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
 #include <string>
 
 #include "core/communicator.hpp"
@@ -56,6 +57,18 @@ TEST(DecisionTable, SetReplacesOnCollidingMinBytes) {
   t.set(CollKind::bcast, 1024, {Algo::scatter_ag, true, TreeKind::flat});
   ASSERT_EQ(t.rows(CollKind::bcast).size(), 1u);
   EXPECT_EQ(t.decide(CollKind::bcast, 2048).algo, Algo::scatter_ag);
+}
+
+TEST(DecisionTable, ForEachDecisionRewritesEveryRowInPlace) {
+  DecisionTable t = DecisionTable::ibm_sp();
+  t.for_each_decision([](Decision& d) { d.internode = TreeKind::fibonacci; });
+  for (int k = 0; k < 8; ++k) {
+    for (const auto& r : t.rows(static_cast<CollKind>(k))) {
+      EXPECT_EQ(r.d.internode, TreeKind::fibonacci);
+    }
+  }
+  // Only the tree column moved: the paper's bcast switch is where it was.
+  EXPECT_EQ(t.decide(CollKind::bcast, 64 * 1024 + 1).algo, Algo::direct);
 }
 
 // ---------------------------------------------------------------------------
@@ -200,6 +213,32 @@ TEST(DecisionTable, BuiltinLookupByProfileName) {
 }
 
 // ---------------------------------------------------------------------------
+// Feasibility rule
+// ---------------------------------------------------------------------------
+
+TEST(Feasibility, BufferCapsRerouteOnlyTheAlgorithm) {
+  SrmConfig cfg;
+  EXPECT_EQ(cfg.max_bytes(CollKind::bcast, Algo::staged), cfg.smp_buf_bytes);
+  EXPECT_EQ(cfg.max_bytes(CollKind::allreduce, Algo::rd), cfg.reduce_chunk);
+  EXPECT_EQ(cfg.max_bytes(CollKind::bcast, Algo::direct),
+            std::numeric_limits<std::size_t>::max());
+  // The rd result is published through one shared buffer as well.
+  cfg.smp_buf_bytes = 4096;
+  EXPECT_EQ(cfg.max_bytes(CollKind::allreduce, Algo::rd), 4096u);
+
+  // Rerouting moves only the algorithm: mapped and tree columns stay.
+  const Decision staged{Algo::staged, true, TreeKind::bine};
+  EXPECT_EQ(cfg.sanitize(CollKind::bcast, staged, 4096), staged);
+  EXPECT_EQ(cfg.sanitize(CollKind::bcast, staged, 4097),
+            (Decision{Algo::direct, true, TreeKind::bine}));
+  const Decision rd{Algo::rd, false, TreeKind::binary};
+  EXPECT_EQ(cfg.sanitize(CollKind::allreduce, rd, 4097),
+            (Decision{Algo::pipeline, false, TreeKind::binary}));
+  // Single-implementation ops always run their staged path.
+  EXPECT_EQ(cfg.sanitize(CollKind::gather, rd, 8).algo, Algo::staged);
+}
+
+// ---------------------------------------------------------------------------
 // Communicator resolution precedence
 // ---------------------------------------------------------------------------
 
@@ -237,8 +276,6 @@ TEST(Resolution, DefaultConfigResolvesProfileBuiltin) {
 TEST(Resolution, ExplicitConfigTableWinsVerbatim) {
   SrmConfig cfg;
   cfg.decisions = sample_table();
-  // Legacy knobs would rewrite rows — an explicit table must be verbatim.
-  cfg.allreduce_rd_max = 1024;
   Fixture f(2, 2, cfg);
   EXPECT_EQ(f.comm.decisions(), sample_table());
 }
@@ -323,44 +360,6 @@ TEST(Resolution, ConstructionSpanRecordsTableSource) {
     Communicator comm(cluster, fabric, {});
     EXPECT_EQ(decisions_span_args(cluster), "");
   }
-}
-
-TEST(Resolution, LegacyKnobsOverrideBuiltinRows) {
-  // allreduce_rd_max moves the rd/pipeline crossover.
-  SrmConfig cfg;
-  cfg.allreduce_rd_max = 4096;
-  Fixture f(2, 2, cfg);
-  EXPECT_EQ(f.comm.decisions().decide(CollKind::allreduce, 4096).algo,
-            Algo::rd);
-  EXPECT_EQ(f.comm.decisions().decide(CollKind::allreduce, 4097).algo,
-            Algo::pipeline);
-
-  // bcast_small_max moves the staged/direct protocol switch. The shared
-  // buffer must hold the largest small-protocol message.
-  SrmConfig cfg2;
-  cfg2.bcast_small_max = 32 * 1024;
-  Fixture g(2, 2, cfg2);
-  EXPECT_EQ(g.comm.decisions().decide(CollKind::bcast, 32 * 1024).algo,
-            Algo::staged);
-  EXPECT_EQ(g.comm.decisions().decide(CollKind::bcast, 32 * 1024 + 1).algo,
-            Algo::direct);
-
-  // single_copy_min rewrites every op's mapped column.
-  SrmConfig cfg3;
-  cfg3.single_copy = true;
-  cfg3.single_copy_min = 1;
-  Fixture h(2, 2, cfg3);
-  EXPECT_TRUE(h.comm.decisions().decide(CollKind::bcast, 1).mapped);
-  EXPECT_TRUE(h.comm.decisions().decide(CollKind::reduce, 64).mapped);
-  EXPECT_FALSE(h.comm.decisions().decide(CollKind::bcast, 0).mapped);
-
-  // internode_tree rewrites every row's tree column.
-  SrmConfig cfg4;
-  cfg4.internode_tree = TreeKind::binary;
-  Fixture i(2, 2, cfg4);
-  EXPECT_EQ(
-      i.comm.decisions().decide(CollKind::allreduce, 1 << 20).internode,
-      TreeKind::binary);
 }
 
 TEST(Resolution, SanitizerKeepsImpossibleRowsOffTheDispatch) {

@@ -262,10 +262,12 @@ TEST(Scale, EveryRootStaysWithinDegreeOfMaster) {
 
 TEST(Scale, OptionalNodeBuffersWaitForTheirOps) {
   // Six nodes: a recursive-doubling allreduce folds nodes 0-3 down to the
-  // nearest power of two. Single-copy kicks in at 4 KiB.
+  // nearest power of two. Single-copy reduce kicks in at 4 KiB.
   SrmConfig cfg;
   cfg.single_copy = true;
-  cfg.single_copy_min = 4096;
+  cfg.decisions = coll::DecisionTable::ibm_sp();
+  cfg.decisions.set(coll::CollKind::reduce, 4096,
+                    {coll::Algo::staged, true, coll::TreeKind::binomial});
   Fixture f(6, 4, cfg);
   const int nodes = 6;
   const int nlocal = 4;

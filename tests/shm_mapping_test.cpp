@@ -205,7 +205,10 @@ TEST(ShmMapping, RetractHandshakeOrdersOwnerReuse) {
 SrmConfig mapped_cfg() {
   SrmConfig cfg;
   cfg.single_copy = true;
-  cfg.single_copy_min = 1;  // every size takes the window path
+  // The paper's table with every row mapped: every size takes the window
+  // path.
+  cfg.decisions = coll::DecisionTable::ibm_sp();
+  cfg.decisions.for_each_decision([](coll::Decision& d) { d.mapped = true; });
   return cfg;
 }
 

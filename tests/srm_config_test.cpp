@@ -1,7 +1,8 @@
-// Every SrmConfig variant the ablation benches sweep must stay *correct* —
-// tree kinds, single-buffer mode, tree-based SMP broadcast, unusual chunk
-// sizes and switch points, interrupt management off — plus API misuse
-// checks.
+// Every configuration the ablation benches sweep must stay *correct* —
+// decision tables with other inter-node trees or switch points, buffers
+// too small for the table's bands, single-buffer mode, tree-based SMP
+// broadcast, unusual chunk sizes, interrupt management off — plus API
+// misuse checks.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -44,7 +45,7 @@ void exercise(SrmConfig cfg, int nodes = 3, int ppn = 4) {
         EXPECT_EQ(buf[i], static_cast<char>(i % 97)) << "bytes " << bytes;
       }
     }
-    for (std::size_t count : {7ul, 5000ul}) {
+    for (std::size_t count : {7ul, 1000ul, 5000ul}) {
       std::vector<double> in(count, 1.0 + t.rank), out(count, 0.0);
       co_await comm.allreduce(t, coll::of(in.data(), count),
                               coll::of(out.data(), count), coll::RedOp::sum);
@@ -57,22 +58,25 @@ void exercise(SrmConfig cfg, int nodes = 3, int ppn = 4) {
   });
 }
 
-TEST(SrmConfig, BinaryInternodeTree) {
+/// The paper's table with every row's inter-node tree set to @p kind.
+SrmConfig every_row_tree(coll::TreeKind kind) {
   SrmConfig cfg;
-  cfg.internode_tree = coll::TreeKind::binary;
-  exercise(cfg);
+  cfg.decisions = coll::DecisionTable::ibm_sp();
+  cfg.decisions.for_each_decision(
+      [kind](coll::Decision& d) { d.internode = kind; });
+  return cfg;
+}
+
+TEST(SrmConfig, BinaryInternodeTree) {
+  exercise(every_row_tree(coll::TreeKind::binary));
 }
 
 TEST(SrmConfig, FibonacciInternodeTree) {
-  SrmConfig cfg;
-  cfg.internode_tree = coll::TreeKind::fibonacci;
-  exercise(cfg, 5, 3);
+  exercise(every_row_tree(coll::TreeKind::fibonacci), 5, 3);
 }
 
 TEST(SrmConfig, FlatInternodeTree) {
-  SrmConfig cfg;
-  cfg.internode_tree = coll::TreeKind::flat;
-  exercise(cfg, 4, 2);
+  exercise(every_row_tree(coll::TreeKind::flat), 4, 2);
 }
 
 TEST(SrmConfig, BinaryIntranodeTree) {
@@ -119,8 +123,11 @@ TEST(SrmConfig, PipeliningDisabled) {
 }
 
 TEST(SrmConfig, EarlyLargeProtocolSwitch) {
+  // The paper's table with the bcast switch moved from 64 KB to 16 KB.
   SrmConfig cfg;
-  cfg.bcast_small_max = 16 * 1024;
+  cfg.decisions = coll::DecisionTable::ibm_sp();
+  cfg.decisions.set(coll::CollKind::bcast, 16 * 1024 + 1,
+                    {coll::Algo::direct, true, coll::TreeKind::binomial});
   cfg.bcast_pipe_max = 8 * 1024;
   exercise(cfg);
 }
@@ -128,7 +135,6 @@ TEST(SrmConfig, EarlyLargeProtocolSwitch) {
 TEST(SrmConfig, SmallReduceChunks) {
   SrmConfig cfg;
   cfg.reduce_chunk = 4096;
-  cfg.allreduce_rd_max = 4096;
   exercise(cfg);
 }
 
@@ -138,12 +144,13 @@ TEST(SrmConfig, LargeNetChunk) {
   exercise(cfg);
 }
 
-TEST(SrmConfig, InvalidBufferSizingThrows) {
-  Cluster cluster(shape(2, 2));
-  lapi::Fabric fabric(cluster);
+TEST(SrmConfig, SmallSharedBuffersRerouteWhatTheyCannotCarry) {
+  // Shared buffers far below the table's 64 KB staged band and 16 KB rd
+  // band: the feasibility rule sends the staged bcasts and rd allreduces
+  // that do not fit to the direct and pipelined paths.
   SrmConfig cfg;
-  cfg.smp_buf_bytes = 4096;  // smaller than the 64 KB small-protocol max
-  EXPECT_THROW(Communicator(cluster, fabric, cfg), util::CheckError);
+  cfg.smp_buf_bytes = 4096;
+  exercise(cfg);
 }
 
 TEST(SrmConfig, MisalignedReduceChunkThrows) {
