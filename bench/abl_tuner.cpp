@@ -158,9 +158,10 @@ int main(int argc, char** argv) {
   }
 
   // Observability export for the perf gate: one instrumented modern_smp
-  // run through tuned dispatch — a 1 MB allreduce (ring band) plus a
-  // 512 KB broadcast (scatter_ag band). Deterministic virtual metrics;
-  // identical with and without --smoke.
+  // run through tuned dispatch — a 1 MB allreduce (pipeline band, its
+  // reduce half on the reduce row's binary tree) plus a 512 KB broadcast
+  // (direct band). Deterministic virtual metrics; identical with and
+  // without --smoke.
   {
     Bench b(Impl::srm, 8, 16, SrmConfig{},
             machine::MachineParams::modern_smp());

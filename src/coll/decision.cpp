@@ -103,7 +103,9 @@ std::string DecisionTable::to_json() const {
       os << (i == 0 ? "" : ",") << "\n      {\"min_bytes\": " << r.min_bytes
          << ", \"algo\": \"" << algo_name(r.d.algo)
          << "\", \"mapped\": " << (r.d.mapped ? "true" : "false")
-         << ", \"internode\": \"" << tree_kind_name(r.d.internode) << "\"}";
+         << ", \"internode\": \"" << tree_kind_name(r.d.internode)
+         << "\", \"intranode\": \"" << tree_kind_name(r.d.intranode)
+         << "\"}";
     }
     os << "\n    ]";
   }
@@ -221,9 +223,12 @@ DecisionTable DecisionTable::from_json(std::string_view text) {
               if (!algo_from_name(a, d.algo)) sc.die("unknown algo " + a);
             } else if (f == "mapped") {
               d.mapped = sc.boolean();
-            } else if (f == "internode") {
+            } else if (f == "internode" || f == "intranode") {
+              // A row without "intranode" keeps the binomial default: the
+              // column joined the format without a version bump.
               std::string k = sc.string();
-              if (!tree_kind_from_name(k, d.internode))
+              if (!tree_kind_from_name(
+                      k, f == "internode" ? d.internode : d.intranode))
                 sc.die("unknown tree kind " + k);
             } else {
               sc.die("unknown row field " + f);
@@ -275,7 +280,8 @@ DecisionTable DecisionTable::load(const std::string& path) {
 // ---- builtins --------------------------------------------------------------
 
 DecisionTable DecisionTable::ibm_sp() {
-  // The paper's constants, verbatim (§2.4 + the single-copy crossover):
+  // The paper's constants, verbatim (§2.4 + the single-copy crossover),
+  // over its binomial trees between and within nodes (Fig. 1, Fig. 2):
   //   bcast: staged shared-buffer protocol up to 64 KB, direct beyond;
   //   allreduce: recursive doubling up to 16 KB, pipelined reduce+bcast
   //     beyond; everything else staged;
@@ -319,13 +325,23 @@ DecisionTable DecisionTable::modern_smp() {
   //     at exactly 64 KB (one full shared buffer, no chunking), a
   //     scatter+allgather window covers 128-256 KB where splitting the
   //     root link wins, then direct's user-buffer pipeline takes over;
-  //   * mapped reduce crosses over at ~2 KB, far below the paper's 16 KB;
-  //   * recursive halving takes allreduce from ~512 KB; ring and bine only
-  //     win off power-of-two node counts (9 nodes: ring from 128 KB, bine
-  //     trees in the latency band — see abl_tuner), so the 8-node builtin
-  //     keeps rhalving and binomial;
-  //   * mapped scatter wins only the sub-2 KB band (one window export vs
-  //     per-chunk staging; above it the copies dominate either way).
+  //   * from 64 KB the staged reduce runs a binary intra-node tree: the
+  //     binomial root of a 16-way node combines 4 children per chunk and
+  //     bounds the pipeline (1 MB: 2475 us binomial, 1885 us mapped,
+  //     1509 us binary). Below 64 KB binary and mapped win back-to-back
+  //     averages only by overlapping consecutive calls, and lose the
+  //     isolated call to binomial (16 KB: binary 73.5 us, mapped 66.6 us,
+  //     binomial 53.3 us), so the reduce is never mapped;
+  //   * the pipelined allreduce takes over from rd at 32 KB and keeps every
+  //     larger size: its reduce half runs the reduce row above, which beats
+  //     recursive halving and ring even with their binary node trees
+  //     (512 KB: 881.6 us pipeline, 1127.9 us rhalving+binary). Ring and
+  //     bine only win off power-of-two node counts (see abl_tuner), so the
+  //     8-node builtin keeps binomial inter-node trees;
+  //   * mapped scatter wins only the 32-512 B band (one window export vs
+  //     per-chunk staging); at 1 KB it loses the isolated call.
+  // allgather and reduce_scatter compose gather+bcast and reduce+scatter
+  // and run those rows; barrier, gather and both keep one staged row.
   DecisionTable t;
   t.profile = "modern_smp";
   auto bin = TreeKind::binomial;
@@ -335,19 +351,17 @@ DecisionTable DecisionTable::modern_smp() {
   t.set(CollKind::bcast, 128 * 1024, {Algo::scatter_ag, false, bin});
   t.set(CollKind::bcast, 512 * 1024, {Algo::direct, false, bin});
   t.set(CollKind::reduce, 0, {Algo::staged, false, bin});
-  t.set(CollKind::reduce, 2 * 1024, {Algo::staged, true, bin});
+  t.set(CollKind::reduce, 64 * 1024,
+        {Algo::staged, false, bin, TreeKind::binary});
   t.set(CollKind::allreduce, 0, {Algo::rd, false, bin});
   t.set(CollKind::allreduce, 32 * 1024, {Algo::pipeline, false, bin});
-  t.set(CollKind::allreduce, 512 * 1024, {Algo::rhalving, false, bin});
   t.set(CollKind::barrier, 0, {Algo::staged, false, bin});
   t.set(CollKind::scatter, 0, {Algo::staged, false, bin});
   t.set(CollKind::scatter, 32, {Algo::staged, true, bin});
-  t.set(CollKind::scatter, 2 * 1024, {Algo::staged, false, bin});
+  t.set(CollKind::scatter, 1024, {Algo::staged, false, bin});
   t.set(CollKind::gather, 0, {Algo::staged, false, bin});
   t.set(CollKind::allgather, 0, {Algo::staged, false, bin});
-  t.set(CollKind::allgather, 16 * 1024, {Algo::staged, true, bin});
   t.set(CollKind::reduce_scatter, 0, {Algo::staged, false, bin});
-  t.set(CollKind::reduce_scatter, 16 * 1024, {Algo::staged, true, bin});
   return t;
 }
 

@@ -7,8 +7,8 @@
 // Communications") shows those points must be measured per machine. A
 // DecisionTable is that measurement, persisted: per operation, a sorted list
 // of {min_bytes -> Decision} rows, where a Decision names the algorithm, the
-// mapped (single-copy) flag, and the inter-node tree shape. Backends look up
-// decide(op, bytes) once per call and route accordingly.
+// mapped (single-copy) flag, and the inter-node and intra-node tree shapes.
+// Backends look up decide(op, bytes) once per call and route accordingly.
 //
 // Sources of a table, in precedence order (core/communicator.cpp); the
 // first one present is used verbatim:
@@ -54,11 +54,16 @@ const char* algo_name(Algo a);
 bool algo_from_name(std::string_view s, Algo& out);
 
 /// One dispatch outcome: which algorithm, whether the intra-node phases use
-/// the single-copy cross-mapped variants, and the inter-node tree shape.
+/// the single-copy cross-mapped variants, the inter-node tree shape, and the
+/// tree of the staged intra-node reduce. Only the staged node reduces read
+/// `intranode` (reduce and its composites through the reduce row; rd, ring
+/// and rhalving through the allreduce row); the mapped path always runs the
+/// topology tree.
 struct Decision {
   Algo algo = Algo::staged;
   bool mapped = false;
   TreeKind internode = TreeKind::binomial;
+  TreeKind intranode = TreeKind::binomial;
   bool operator==(const Decision&) const = default;
 };
 

@@ -288,34 +288,17 @@ Tree topo_tree(const machine::TopologyParams& tp, int n, int root,
   return t;
 }
 
-int Embedding::height(const machine::Topology& topo) const {
-  int h = 0;
-  for (int node = 0; node < topo.nodes(); ++node) {
-    // Depth of the node in the internode tree, plus its intranode height.
-    int d = 0;
-    for (int v = node; internode.parent[static_cast<std::size_t>(v)] != -1;
-         v = internode.parent[static_cast<std::size_t>(v)]) {
-      ++d;
-    }
-    h = std::max(h, d + intranode[static_cast<std::size_t>(node)].height());
-  }
-  return h;
-}
-
 Embedding embed(const machine::Topology& topo, int root,
-                TreeKind internode_kind, TreeKind intranode_kind) {
+                TreeKind internode_kind) {
   SRM_CHECK(root >= 0 && root < topo.nranks());
   Embedding e;
   e.root = root;
   int root_node = topo.node_of(root);
   e.internode = build_tree(internode_kind, topo.nodes(), root_node);
   e.leader.resize(static_cast<std::size_t>(topo.nodes()));
-  e.intranode.reserve(static_cast<std::size_t>(topo.nodes()));
   for (int node = 0; node < topo.nodes(); ++node) {
-    int leader = (node == root_node) ? root : topo.master_of(node);
-    e.leader[static_cast<std::size_t>(node)] = leader;
-    e.intranode.push_back(build_tree(intranode_kind, topo.tasks_per_node(),
-                                     topo.local_of(leader)));
+    e.leader[static_cast<std::size_t>(node)] =
+        node == root_node ? root : topo.master_of(node);
   }
   return e;
 }

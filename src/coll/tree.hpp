@@ -3,8 +3,9 @@
 // Binomial ("distance power-of-two"), binary, Fibonacci, and flat trees over
 // an arbitrary vertex count and root. The Embedding assembles the paper's
 // Figure-1 structure: a binomial tree over *nodes* connecting one leader task
-// per node, plus an intra-node tree over the local tasks of each node. If
-// every node carries p tasks, the embedding adds no height:
+// per node; each node then runs an intra-node tree over its local tasks,
+// rooted at its leader, which the protocol builds for its own node. If every
+// node carries p tasks, the embedding adds no height:
 // log(n*p) >= log(n) + log(p).
 #pragma once
 
@@ -74,23 +75,20 @@ Tree bine_tree(int n, int root);
 Tree topo_tree(const machine::TopologyParams& tp, int n, int root,
                bool binomial = false);
 
-/// The SMP-aware embedding of collective trees into a cluster (Fig. 1).
+/// The SMP-aware embedding of collective trees into a cluster (Fig. 1): the
+/// inter-node half. A node's intra-node tree is rooted at the local rank of
+/// its leader.
 struct Embedding {
-  int root = 0;                ///< global root rank
-  Tree internode;              ///< over node ids, rooted at node_of(root)
-  std::vector<int> leader;     ///< per node: the network-facing rank
-  std::vector<Tree> intranode; ///< per node: tree over local ranks, rooted
-                               ///< at the leader's local rank
-
-  /// Total steps from root to the deepest task.
-  int height(const machine::Topology& topo) const;
+  int root = 0;             ///< global root rank
+  Tree internode;           ///< over node ids, rooted at node_of(root)
+  std::vector<int> leader;  ///< per node: the network-facing rank
 };
 
-/// Build the embedding: an @p internode_kind tree over nodes and an
-/// @p intranode_kind tree over each node's local ranks. The leader of the
-/// root's node is the root itself (arbitrary-root support without extra
-/// copies, §2.2); every other node is led by its master (local rank 0).
+/// Build the embedding: an @p internode_kind tree over nodes and one leader
+/// per node. The leader of the root's node is the root itself (arbitrary-root
+/// support without extra copies, §2.2); every other node is led by its master
+/// (local rank 0).
 Embedding embed(const machine::Topology& topo, int root,
-                TreeKind internode_kind, TreeKind intranode_kind);
+                TreeKind internode_kind);
 
 }  // namespace srm::coll

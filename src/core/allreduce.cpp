@@ -29,8 +29,7 @@ sim::CoTask Communicator::allreduce_rd(machine::TaskCtx& t, const void* send,
   std::size_t esize = coll::dtype_size(d);
   std::size_t bytes = count * esize;
   coll::Embedding emb = allreduce_embedding(t, bytes);
-  coll::Tree itree =
-      coll::build_tree(cfg_.intranode_tree, t.nlocal(), 0);
+  coll::Tree itree = allreduce_node_tree(t, bytes);
   std::size_t nchunks = 1;  // fits one reduce chunk by configuration
   SRM_CHECK(bytes <= cfg_.reduce_chunk);
 

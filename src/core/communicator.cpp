@@ -435,8 +435,7 @@ sim::CoTask Communicator::real_bcast(machine::TaskCtx& t, void* buf,
   rank_state(t).op_seq++;
   if (bytes == 0) co_return;
   coll::Decision dec = decide(coll::CollKind::bcast, bytes);
-  coll::Embedding emb =
-      coll::embed(*t.topo, root, dec.internode, cfg_.intranode_tree);
+  coll::Embedding emb = coll::embed(*t.topo, root, dec.internode);
   bool small = dec.algo == coll::Algo::staged;
   bool leader = emb.leader[static_cast<std::size_t>(t.node())] == t.rank;
   bool manage = cfg_.manage_interrupts && small && leader && t.nnodes() > 1;

@@ -496,8 +496,15 @@ class Communicator final : public coll::Collectives {
   coll::Embedding allreduce_embedding(const machine::TaskCtx& t,
                                       std::size_t bytes) const {
     return coll::embed(*t.topo, 0,
-                       decide(coll::CollKind::allreduce, bytes).internode,
-                       cfg_.intranode_tree);
+                       decide(coll::CollKind::allreduce, bytes).internode);
+  }
+  /// Staged node-reduce tree of rd, ring and rhalving: the allreduce row's
+  /// intra-node tree, rooted at the master. (The pipelined allreduce reduces
+  /// through reduce_impl, which reads the reduce row instead.)
+  coll::Tree allreduce_node_tree(const machine::TaskCtx& t,
+                                 std::size_t bytes) const {
+    return coll::build_tree(decide(coll::CollKind::allreduce, bytes).intranode,
+                            t.nlocal(), 0);
   }
   sim::CoTask allreduce_rd(machine::TaskCtx& t, const void* send, void* recv,
                            std::size_t count, coll::Dtype d, coll::RedOp op);

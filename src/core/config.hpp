@@ -1,8 +1,8 @@
 // SrmConfig: the buffer and chunk sizes of the SRM protocols, their
 // ablation switches, and the one feasibility rule that says which
 // decision-table rows those buffers can carry. The protocol switch points
-// themselves (staged/direct, rd/pipeline, mapped, inter-node tree) live in
-// the decision table, not here.
+// themselves (staged/direct, rd/pipeline, mapped, inter-node and intra-node
+// trees) live in the decision table, not here.
 #pragma once
 
 #include <algorithm>
@@ -10,17 +10,16 @@
 #include <limits>
 
 #include "coll/decision.hpp"
-#include "coll/tree.hpp"
 
 namespace srm {
 
 struct SrmConfig {
-  /// Algorithm-selection table: the only place an algorithm, an inter-node
-  /// tree or the mapped path is chosen. Empty (the default) means the
-  /// Communicator resolves one at construction: the SRM_DECISIONS env var if
-  /// set (a tuner JSON artifact), else the builtin table for the machine
-  /// profile. Whichever source wins is used verbatim; a non-empty table here
-  /// wins over both (tests, ablations and the tuner forcing a path).
+  /// Algorithm-selection table: the only place an algorithm, a tree or the
+  /// mapped path is chosen. Empty (the default) means the Communicator
+  /// resolves one at construction: the SRM_DECISIONS env var if set (a tuner
+  /// JSON artifact), else the builtin table for the machine profile.
+  /// Whichever source wins is used verbatim; a non-empty table here wins
+  /// over both (tests, ablations and the tuner forcing a path).
   coll::DecisionTable decisions;
   /// Size of each of the two shared-memory broadcast buffers A/B (Fig. 3):
   /// the largest message a staged broadcast moves in one step.
@@ -41,9 +40,6 @@ struct SrmConfig {
   /// Also the size of each recursive-doubling allreduce exchange slot, and
   /// the band of reduces that run with interrupts off (§2.3).
   std::size_t reduce_chunk = 16 * 1024;
-
-  /// Intra-node reduce tree.
-  coll::TreeKind intranode_tree = coll::TreeKind::binomial;
 
   /// Single-copy cross-mapped intra-node protocols (shm::Mapping): calls
   /// whose decision-table row has the mapped column set export user-buffer

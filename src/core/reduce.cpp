@@ -2,12 +2,13 @@
 // shared-memory combine (Fig. 2), the inter-node puts between node leaders,
 // and the operator execution.
 //
-// Per chunk, on every node: local tasks feed the binomial shared-memory tree
-// (smp.cpp); the leader combines its own data, its local children's slots,
-// and the landing zones filled by its inter-node children's puts; non-root
-// leaders then put the node result to their parent's landing zone — two
-// landing slots per child with credit counters, two output slots guarded by
-// the put origin counter, so up to two chunks are in flight on every edge.
+// Per chunk, on every node: local tasks feed the shared-memory tree (smp.cpp;
+// binomial in the paper, the reduce row's intra-node tree here); the leader
+// combines its own data, its local children's slots, and the landing zones
+// filled by its inter-node children's puts; non-root leaders then put the
+// node result to their parent's landing zone — two landing slots per child
+// with credit counters, two output slots guarded by the put origin counter,
+// so up to two chunks are in flight on every edge.
 #include <cstring>
 
 #include "core/communicator.hpp"
@@ -23,20 +24,20 @@ sim::CoTask Communicator::reduce_impl(machine::TaskCtx& t, const void* send,
   chk::StageScope stage(t.chk, "reduce.pipeline");
   std::size_t esize = coll::dtype_size(d);
   coll::Decision dec = decide(coll::CollKind::reduce, count * esize);
-  coll::Embedding emb =
-      coll::embed(*t.topo, root, dec.internode, cfg_.intranode_tree);
+  coll::Embedding emb = coll::embed(*t.topo, root, dec.internode);
   NodeState& ns = node_state(t);
   RankState& rs = rank_state(t);
   int my_node = t.node();
   int leader = emb.leader[static_cast<std::size_t>(my_node)];
   // Single-copy path: leaves of the topology tree export their send buffers
   // as windows and the interior combines straight out of them — no staging
-  // copies at all, and every cache-domain boundary crossed exactly once.
+  // copies at all, and every cache-domain boundary crossed exactly once. The
+  // staged path runs the tree the reduce row names.
   bool mapped = mapped_on(coll::CollKind::reduce, count * esize);
   coll::Tree itree =
       mapped ? coll::topo_tree(t.P->topo, t.nlocal(), t.topo->local_of(leader),
                                /*binomial=*/true)
-             : coll::build_tree(cfg_.intranode_tree, t.nlocal(),
+             : coll::build_tree(dec.intranode, t.nlocal(),
                                 t.topo->local_of(leader));
 
   std::size_t chunk_elems = cfg_.reduce_chunk / esize;

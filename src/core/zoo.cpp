@@ -152,7 +152,7 @@ sim::CoTask Communicator::ring_allreduce(machine::TaskCtx& t,
   std::size_t esize = coll::dtype_size(d);
   std::size_t bytes = count * esize;
   coll::Embedding emb = allreduce_embedding(t, bytes);
-  coll::Tree itree = coll::build_tree(cfg_.intranode_tree, t.nlocal(), 0);
+  coll::Tree itree = allreduce_node_tree(t, bytes);
 
   co_await zoo_node_reduce(t, itree, send, recv, count, d, op);
 
@@ -279,7 +279,7 @@ sim::CoTask Communicator::rhalving_allreduce(machine::TaskCtx& t,
   std::size_t esize = coll::dtype_size(d);
   std::size_t bytes = count * esize;
   coll::Embedding emb = allreduce_embedding(t, bytes);
-  coll::Tree itree = coll::build_tree(cfg_.intranode_tree, t.nlocal(), 0);
+  coll::Tree itree = allreduce_node_tree(t, bytes);
 
   co_await zoo_node_reduce(t, itree, send, recv, count, d, op);
 

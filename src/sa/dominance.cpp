@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <sstream>
 
+#include "coll/tree.hpp"
 #include "mc/protocols.hpp"
 
 namespace srm::sa {
@@ -27,6 +28,11 @@ constexpr int kTasks = 4;  // canonical 2-node x 4-task model shape
 /// this is the term that separates tree algorithms from bandwidth-optimal
 /// exchanges, invisible in any 2-node comparison.
 constexpr int kTableNodes = 8;
+
+/// Tasks per node the builtin tables were tuned at (both profiles' sweeps
+/// run 16-way nodes). The IR models kTasks, so check_table() also charges
+/// the intra-node tree's fan-in at this width (tasks_extra).
+constexpr int kTableTasks = 16;
 
 std::size_t ceil_div(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
 
@@ -312,6 +318,31 @@ double scale_extra(CollKind op, Algo algo, const AlgoCost& c, int chunks,
   }
 }
 
+/// Children of the node root in the intra-node reduce tree of @p d at
+/// @p tasks local ranks: the mapped path runs the topology tree, the staged
+/// path the row's tree.
+int root_fan_in(const Decision& d, int tasks,
+                const machine::MachineParams& mp) {
+  coll::Tree t = d.mapped ? coll::topo_tree(mp.topo, tasks, 0,
+                                            /*binomial=*/true)
+                          : coll::build_tree(d.intranode, tasks, 0);
+  return static_cast<int>(t.children[0].size());
+}
+
+/// The tasks-per-node counterpart of scale_extra: the reduce leader combines
+/// every child's chunk in turn, so at kTableTasks it combines
+/// root_fan_in(kTableTasks) chunks where the kTasks model combines
+/// root_fan_in(kTasks). Each extra child is one more pass over the message
+/// at the combine rate on the pipeline's bottleneck. Binomial and binary
+/// roots have 2 children at 4 tasks; at 16, binomial has 4, binary 2, and
+/// the topology tree 4 on a single-domain node, 3 on modern_smp's.
+double tasks_extra(CollKind op, const Decision& d, std::size_t bytes,
+                   const machine::MachineParams& mp) {
+  if (op != CollKind::reduce) return 0.0;
+  int extra = root_fan_in(d, kTableTasks, mp) - root_fan_in(d, kTasks, mp);
+  return extra * static_cast<double>(bytes) * 1e9 / mp.mem.reduce_bw_per_cpu;
+}
+
 bool best_at(CollKind op, std::size_t bytes, const SrmConfig& cfg,
              const machine::MachineParams& mp, Decision& best,
              double& best_ns) {
@@ -392,13 +423,16 @@ DominanceReport check_table(const coll::DecisionTable& t,
         if (!ac.feasible) continue;
         bool slower = cc.ns > ac.ns * kSlackRel + kSlackAbs;
         bool buys_traffic = cc.bus_bytes < ac.bus_bytes * kBusSave;
-        double cx = cc.ns + scale_extra(op, chosen.algo, cc,
-                                        chunks_for(op, chosen.algo, bytes,
-                                                   cfg),
-                                        bytes, mp);
-        double ax = ac.ns + scale_extra(op, alt.algo, ac,
-                                        chunks_for(op, alt.algo, bytes, cfg),
-                                        bytes, mp);
+        double cx = cc.ns +
+                    scale_extra(op, chosen.algo, cc,
+                                chunks_for(op, chosen.algo, bytes, cfg),
+                                bytes, mp) +
+                    tasks_extra(op, chosen, bytes, mp);
+        double ax = ac.ns +
+                    scale_extra(op, alt.algo, ac,
+                                chunks_for(op, alt.algo, bytes, cfg), bytes,
+                                mp) +
+                    tasks_extra(op, alt, bytes, mp);
         bool slower_at_n = cx > ax * kSlackRel + kSlackAbs;
         if (slower && slower_at_n && !buys_traffic) {
           rep.issues.push_back(DominanceIssue{op, row.min_bytes, chosen, alt,

@@ -41,10 +41,12 @@ namespace srm::sa {
 /// count. The chosen algorithm of a row is dominated only when some
 /// alternative is decisively faster on the 2-node model
 ///   chosen_ns > alt_ns * kSlackRel + kSlackAbs,
-/// still decisively faster once both costs carry the closed-form LogGP
-/// extrapolation to the 8-node tuning scale (root-link bytes and serial
-/// rounds — see scale_extra in dominance.cpp), AND the chosen one does not
-/// buy a real traffic saving in exchange
+/// still decisively faster once both costs carry the closed-form
+/// extrapolations to the 8-node x 16-task tuning scale (LogGP root-link
+/// bytes and serial rounds — scale_extra in dominance.cpp — and, for a
+/// reduce, the combines its intra-node tree root adds at 16 tasks —
+/// tasks_extra), AND the chosen one does not buy a real traffic saving in
+/// exchange
 ///   chosen_bus >= alt_bus * kBusSave.
 /// The bus axis is what justifies the single-copy rows: on a full 16-way
 /// node the fair-share memory bus saturates (16 x 550 MB/s >> 4 GB/s on
@@ -52,7 +54,10 @@ namespace srm::sa {
 /// 4-task critical path loses. The node-count axis is what justifies the
 /// scatter+allgather and recursive-halving rows: a binomial tree pushes
 /// log2(N) full copies through the root's link where an exchange stays at
-/// ~2B(N-1)/N, invisible in any 2-node comparison.
+/// ~2B(N-1)/N, invisible in any 2-node comparison. The tasks-per-node axis
+/// is what justifies a binary intra-node reduce tree: its root combines 2
+/// children per chunk where a 16-way binomial root combines 4, invisible
+/// in the 4-task model, whose every tree root combines 2.
 inline constexpr double kSlackRel = 1.35;
 inline constexpr double kSlackAbs = 3000.0;  // ns
 inline constexpr double kBusSave = 0.90;     // >=10% traffic saving excuses

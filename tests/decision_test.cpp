@@ -106,6 +106,42 @@ TEST(DecisionTable, FileRoundTripIsExact) {
   std::remove(path.c_str());
 }
 
+TEST(DecisionTable, IntranodeColumnSurvivesJsonRoundTrip) {
+  DecisionTable t;
+  t.set(CollKind::reduce, 0, {Algo::staged, false, TreeKind::binomial});
+  t.set(CollKind::reduce, 65536,
+        {Algo::staged, false, TreeKind::bine, TreeKind::binary});
+  t.set(CollKind::allreduce, 0,
+        {Algo::rd, false, TreeKind::binomial, TreeKind::flat});
+  std::string json = t.to_json();
+  EXPECT_NE(json.find(R"("intranode": "binary")"), std::string::npos) << json;
+  DecisionTable back = DecisionTable::from_json(json);
+  EXPECT_EQ(back, t);
+  EXPECT_EQ(back.decide(CollKind::reduce, 1 << 20).intranode,
+            TreeKind::binary);
+  EXPECT_EQ(back.decide(CollKind::reduce, 1 << 20).internode, TreeKind::bine);
+  EXPECT_EQ(back.decide(CollKind::allreduce, 8).intranode, TreeKind::flat);
+}
+
+TEST(DecisionTable, RowWithoutIntranodeLoadsBinomial) {
+  // An artifact written before the column existed still loads, as the
+  // paper's binomial intra-node tree.
+  DecisionTable t = DecisionTable::from_json(
+      R"({"version": 1, "profile": "old", "ops": {"reduce": [)"
+      R"({"min_bytes": 0, "algo": "staged", "mapped": false,)"
+      R"( "internode": "binary"}]}})");
+  Decision d = t.decide(CollKind::reduce, 4096);
+  EXPECT_EQ(d.intranode, TreeKind::binomial);
+  EXPECT_EQ(d.internode, TreeKind::binary);
+}
+
+TEST(DecisionTable, FromJsonRejectsUnknownIntranodeTree) {
+  EXPECT_THROW(
+      DecisionTable::from_json(
+          R"({"ops": {"reduce": [{"min_bytes": 0, "intranode": "star"}]}})"),
+      util::CheckError);
+}
+
 TEST(DecisionTable, BuiltinTablesRoundTrip) {
   EXPECT_EQ(DecisionTable::from_json(DecisionTable::ibm_sp().to_json()),
             DecisionTable::ibm_sp());
@@ -202,6 +238,13 @@ TEST(DecisionTable, IbmSpIsThePapersConstants) {
   // Single-copy crossover at 16 KB (advisory until single_copy opts in).
   EXPECT_FALSE(t.decide(CollKind::bcast, 16 * 1024 - 1).mapped);
   EXPECT_TRUE(t.decide(CollKind::bcast, 16 * 1024).mapped);
+  // The paper's trees: binomial between nodes and within them, every row.
+  for (int k = 0; k < 8; ++k) {
+    for (const auto& r : t.rows(static_cast<CollKind>(k))) {
+      EXPECT_EQ(r.d.internode, TreeKind::binomial);
+      EXPECT_EQ(r.d.intranode, TreeKind::binomial);
+    }
+  }
 }
 
 TEST(DecisionTable, BuiltinLookupByProfileName) {

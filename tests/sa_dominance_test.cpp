@@ -104,6 +104,34 @@ TEST(SaDominance, CheckTableIsNotVacuous) {
   EXPECT_GE(i.chosen_bus, i.better_bus * sa::kBusSave);
 }
 
+TEST(SaDominance, TasksPerNodeTermJudgesTheIntranodeTree) {
+  // The 4-task model gives every reduce tree a root fan-in of 2, so on its
+  // own it prices a binary row like a binomial one and both lose to the
+  // mapped path at 512 KB. At the table's 16 tasks the binomial root
+  // combines 4 children per chunk and the binary root 2: the binary row
+  // stands, the binomial row is still dominated by the mapped one.
+  machine::MachineParams mp = machine::MachineParams::modern_smp();
+  SrmConfig cfg;
+  auto row_at_512k = [&](TreeKind intranode) {
+    DecisionTable t;
+    t.profile = "modern_smp";
+    t.set(CollKind::reduce, 0, {Algo::staged, false, TreeKind::binomial});
+    t.set(CollKind::reduce, 512 * 1024,
+          {Algo::staged, false, TreeKind::binomial, intranode});
+    return sa::check_table(t, cfg, mp).issues;
+  };
+  std::vector<sa::DominanceIssue> binary = row_at_512k(TreeKind::binary);
+  for (const sa::DominanceIssue& i : binary) {
+    ADD_FAILURE() << sa::to_string(i);
+  }
+  std::vector<sa::DominanceIssue> binomial = row_at_512k(TreeKind::binomial);
+  ASSERT_EQ(binomial.size(), 1u);
+  EXPECT_EQ(binomial[0].op, CollKind::reduce);
+  EXPECT_EQ(binomial[0].min_bytes, 512u * 1024);
+  EXPECT_FALSE(binomial[0].chosen.mapped);
+  EXPECT_TRUE(binomial[0].better.mapped);
+}
+
 TEST(SaDominance, MenuCoversEveryBuiltinRow) {
   // Every decision a builtin table dispatches must be on the op's menu —
   // otherwise check_table would "prove" rows it never evaluated.

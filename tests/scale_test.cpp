@@ -181,11 +181,9 @@ TEST(Scale, FixedRootLandsOnlyOnTreeLinks) {
 
   const auto& topo = f.cluster.topology();
   coll::Embedding bc = coll::embed(
-      topo, root, f.comm.decide(coll::CollKind::bcast, 256).internode,
-      f.comm.config().intranode_tree);
+      topo, root, f.comm.decide(coll::CollKind::bcast, 256).internode);
   coll::Embedding red = coll::embed(
-      topo, root, f.comm.decide(coll::CollKind::reduce, 8).internode,
-      f.comm.config().intranode_tree);
+      topo, root, f.comm.decide(coll::CollKind::reduce, 8).internode);
   for (int n = 0; n < topo.nodes(); ++n) {
     const auto& kids = red.internode.children[static_cast<std::size_t>(n)];
     for (int p = 0; p < topo.nodes(); ++p) {

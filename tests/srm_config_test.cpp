@@ -79,16 +79,21 @@ TEST(SrmConfig, FlatInternodeTree) {
   exercise(every_row_tree(coll::TreeKind::flat), 4, 2);
 }
 
-TEST(SrmConfig, BinaryIntranodeTree) {
+/// The paper's table with every row's intra-node tree set to @p kind.
+SrmConfig every_row_intranode(coll::TreeKind kind) {
   SrmConfig cfg;
-  cfg.intranode_tree = coll::TreeKind::binary;
-  exercise(cfg, 2, 13);
+  cfg.decisions = coll::DecisionTable::ibm_sp();
+  cfg.decisions.for_each_decision(
+      [kind](coll::Decision& d) { d.intranode = kind; });
+  return cfg;
+}
+
+TEST(SrmConfig, BinaryIntranodeTree) {
+  exercise(every_row_intranode(coll::TreeKind::binary), 2, 13);
 }
 
 TEST(SrmConfig, FlatIntranodeTree) {
-  SrmConfig cfg;
-  cfg.intranode_tree = coll::TreeKind::flat;
-  exercise(cfg, 2, 16);
+  exercise(every_row_intranode(coll::TreeKind::flat), 2, 16);
 }
 
 TEST(SrmConfig, SingleBufferMode) {
@@ -182,6 +187,50 @@ TEST(SrmApi, AliasedReduceBuffersThrow) {
                          0);
   }),
                util::CheckError);
+}
+
+TEST(SrmConfig, BinaryReduceRowIsExactAndFasterOnModernSmp) {
+  // A 16-way binomial root combines 4 children per chunk and bounds the
+  // pipelined reduce; a binary root combines 2. Same one-row table, one
+  // column apart.
+  constexpr std::size_t kCount = 256 * 1024 / sizeof(double);
+  constexpr int kNodes = 8, kPpn = 16, kRoot = 5;
+  auto timed = [&](coll::TreeKind tree) {
+    SrmConfig cfg;
+    cfg.decisions.profile = "forced";
+    cfg.decisions.set(coll::CollKind::reduce, 0,
+                      {coll::Algo::staged, false, coll::TreeKind::binomial,
+                       tree});
+    ClusterConfig cc = shape(kNodes, kPpn);
+    cc.params = machine::MachineParams::modern_smp();
+    Cluster cluster(cc);
+    lapi::Fabric fabric(cluster);
+    Communicator comm(cluster, fabric, cfg);
+    EXPECT_EQ(comm.decide(coll::CollKind::reduce, kCount * sizeof(double))
+                  .intranode,
+              tree);
+    cluster.run([&](TaskCtx& t) -> CoTask {
+      std::vector<double> in(kCount), out(kCount, -1.0);
+      for (std::size_t i = 0; i < kCount; ++i) {
+        in[i] = static_cast<double>((t.rank + 1) * (i % 13 + 1));
+      }
+      co_await comm.reduce(t, coll::of(in.data(), kCount),
+                           coll::of(out.data(), kCount), coll::RedOp::sum,
+                           kRoot);
+      if (t.rank != kRoot) co_return;
+      const int n = kNodes * kPpn;
+      for (std::size_t i = 0; i < kCount; ++i) {
+        double expect = n * (n + 1) / 2.0 * static_cast<double>(i % 13 + 1);
+        if (out[i] != expect) {
+          ADD_FAILURE() << "element " << i << ": " << out[i] << " != "
+                        << expect;
+          break;
+        }
+      }
+    });
+    return cluster.engine().now();
+  };
+  EXPECT_LT(timed(coll::TreeKind::binary), timed(coll::TreeKind::binomial));
 }
 
 TEST(SrmConfig, SingleBufferIsSlowerForPipelinedSizes) {
