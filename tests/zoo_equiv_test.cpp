@@ -3,14 +3,15 @@
 // single-candidate decision table, must be element-exact against the same
 // sequential reference the baseline paths are tested against — across node
 // shapes (incl. non-power-of-two for the rhalving fold and more nodes than
-// elements for zero-length blocks), datatypes, operators, roots, and
-// back-to-back mixed-algorithm sequences.
+// elements for zero-length blocks), intra-node reduce trees, datatypes,
+// operators, roots, and back-to-back mixed-algorithm sequences.
 //
 // Data is chosen so floating-point reduction is order-independent: sums of
 // small integers are exact in f32/f64, and prod inputs are powers of two.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -42,11 +43,13 @@ struct Fixture {
 };
 
 SrmConfig force(coll::Algo allreduce_algo,
-                coll::Algo bcast_algo = coll::Algo::staged) {
+                coll::Algo bcast_algo = coll::Algo::staged,
+                coll::TreeKind intranode = coll::TreeKind::binomial) {
   SrmConfig cfg;
   cfg.decisions.profile = "forced";
   cfg.decisions.set(coll::CollKind::allreduce, 0,
-                    {allreduce_algo, false, coll::TreeKind::binomial});
+                    {allreduce_algo, false, coll::TreeKind::binomial,
+                     intranode});
   cfg.decisions.set(coll::CollKind::bcast, 0,
                     {bcast_algo, false, coll::TreeKind::binomial});
   return cfg;
@@ -56,16 +59,23 @@ double contribution(int rank, std::size_t i) {
   return (rank % 17 + 1.0) * static_cast<double>(i % 29 + 1);
 }
 
+/// "" for the default binomial intra-node tree, "_<tree>" otherwise.
+std::string tree_suffix(coll::TreeKind intranode) {
+  if (intranode == coll::TreeKind::binomial) return "";
+  return std::string("_") + coll::tree_kind_name(intranode);
+}
+
 // ---------------------------------------------------------------------------
-// Allreduce zoo: shape x size sweep, f64 sum.
+// Allreduce zoo: shape x size x intra-node tree sweep, f64 sum.
 // ---------------------------------------------------------------------------
 
-class ZooAllreduce : public ::testing::TestWithParam<
-                         std::tuple<coll::Algo, int, int, std::size_t>> {};
+class ZooAllreduce
+    : public ::testing::TestWithParam<
+          std::tuple<coll::Algo, int, int, std::size_t, coll::TreeKind>> {};
 
 TEST_P(ZooAllreduce, MatchesSequentialReference) {
-  auto [algo, nodes, ppn, count] = GetParam();
-  Fixture f(nodes, ppn, force(algo));
+  auto [algo, nodes, ppn, count, intranode] = GetParam();
+  Fixture f(nodes, ppn, force(algo, coll::Algo::staged, intranode));
   int n = nodes * ppn;
   std::vector<std::vector<double>> send(static_cast<std::size_t>(n)),
       recv(static_cast<std::size_t>(n));
@@ -101,12 +111,16 @@ INSTANTIATE_TEST_SUITE_P(
         // count 3 with 4-5 nodes yields zero-length blocks.
         ::testing::Values(1, 2, 3, 4, 5), ::testing::Values(1, 4),
         ::testing::Values(std::size_t{1}, std::size_t{3}, std::size_t{2049},
-                          std::size_t{10000})),
+                          std::size_t{10000}),
+        // The node reduce of ring and rhalving runs the allreduce row's
+        // intra-node tree.
+        ::testing::Values(coll::TreeKind::binomial, coll::TreeKind::binary)),
     [](const auto& info) {
       return std::string(coll::algo_name(std::get<0>(info.param))) + "_n" +
              std::to_string(std::get<1>(info.param)) + "x" +
              std::to_string(std::get<2>(info.param)) + "_c" +
-             std::to_string(std::get<3>(info.param));
+             std::to_string(std::get<3>(info.param)) +
+             tree_suffix(std::get<4>(info.param));
     });
 
 // ---------------------------------------------------------------------------
@@ -114,7 +128,7 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------------
 
 template <typename T>
-void run_typed(coll::Algo algo, coll::RedOp op) {
+void run_typed(coll::Algo algo, coll::RedOp op, coll::TreeKind intranode) {
   const int nodes = 3, ppn = 4, n = nodes * ppn;
   const std::size_t count = 257;
   // prod inputs are 1 or 2 (exact in every dtype; product <= 2^12);
@@ -125,7 +139,7 @@ void run_typed(coll::Algo algo, coll::RedOp op) {
     }
     return static_cast<T>(contribution(rank, i));
   };
-  Fixture f(nodes, ppn, force(algo));
+  Fixture f(nodes, ppn, force(algo, coll::Algo::staged, intranode));
   std::vector<std::vector<T>> send(static_cast<std::size_t>(n)),
       recv(static_cast<std::size_t>(n));
   for (int r = 0; r < n; ++r) {
@@ -168,14 +182,15 @@ const char* red_op_name(coll::RedOp op) {
 }
 
 class ZooAllreduceOps
-    : public ::testing::TestWithParam<std::tuple<coll::Algo, coll::RedOp>> {};
+    : public ::testing::TestWithParam<
+          std::tuple<coll::Algo, coll::RedOp, coll::TreeKind>> {};
 
 TEST_P(ZooAllreduceOps, AllDtypes) {
-  auto [algo, op] = GetParam();
-  run_typed<double>(algo, op);
-  run_typed<float>(algo, op);
-  run_typed<std::int32_t>(algo, op);
-  run_typed<std::int64_t>(algo, op);
+  auto [algo, op, intranode] = GetParam();
+  run_typed<double>(algo, op, intranode);
+  run_typed<float>(algo, op, intranode);
+  run_typed<std::int32_t>(algo, op, intranode);
+  run_typed<std::int64_t>(algo, op, intranode);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -183,10 +198,12 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Values(coll::Algo::ring, coll::Algo::rhalving),
         ::testing::Values(coll::RedOp::sum, coll::RedOp::prod,
-                          coll::RedOp::min, coll::RedOp::max)),
+                          coll::RedOp::min, coll::RedOp::max),
+        ::testing::Values(coll::TreeKind::binomial, coll::TreeKind::binary)),
     [](const auto& info) {
       return std::string(coll::algo_name(std::get<0>(info.param))) + "_" +
-             red_op_name(std::get<1>(info.param));
+             red_op_name(std::get<1>(info.param)) +
+             tree_suffix(std::get<2>(info.param));
     });
 
 // ---------------------------------------------------------------------------
