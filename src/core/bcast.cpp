@@ -183,19 +183,12 @@ sim::CoTask Communicator::bcast_large(machine::TaskCtx& t, void* buf,
   auto smp_publish = [this, &t, leader_local, buf, mapped](
                          std::size_t off, std::size_t len,
                          bool is_leader) -> sim::CoTask {
+    std::byte* p = static_cast<std::byte*>(buf) + off;
     if (mapped) {
-      std::byte* p = static_cast<std::byte*>(buf) + off;
       co_await smp_bcast_mapped(t, leader_local, is_leader ? p : nullptr, p,
                                 len);
-      co_return;
-    }
-    std::size_t done = 0;
-    while (done < len) {
-      std::size_t sub = std::min(cfg_.smp_buf_bytes, len - done);
-      std::byte* p = static_cast<std::byte*>(buf) + off + done;
-      co_await smp_bcast_chunk(t, leader_local, is_leader ? p : nullptr, p,
-                               sub, nullptr);
-      done += sub;
+    } else {
+      co_await smp_publish_staged(t, leader_local, p, p, len);
     }
   };
 

@@ -371,6 +371,13 @@ class Communicator final : public coll::Collectives {
                               const void* src, void* dst, std::size_t len,
                               const std::byte* shared_src);
 
+  /// Publish @p bytes of the leader's @p src to every local task's @p dst
+  /// through the staged Fig. 3 buffers, in smp_buf_bytes sub-chunks. Only
+  /// the leader reads @p src.
+  sim::CoTask smp_publish_staged(machine::TaskCtx& t, int leader_local,
+                                 const void* src, void* dst,
+                                 std::size_t bytes);
+
   /// Tree-structured SMP broadcast chunk (ablation, §2.2: the paper found
   /// the flat variant faster despite read contention).
   sim::CoTask smp_bcast_chunk_tree(machine::TaskCtx& t, int leader_local,
@@ -544,10 +551,6 @@ class Communicator final : public coll::Collectives {
   sim::CoTask zoo_node_reduce(machine::TaskCtx& t, const coll::Tree& tree,
                               const void* send, void* recv, std::size_t count,
                               coll::Dtype d, coll::RedOp op);
-  /// Publish @p bytes of the leader's @p src to every local task's @p dst
-  /// through the staged Fig. 3 buffers, chunked to fit them.
-  sim::CoTask zoo_publish(machine::TaskCtx& t, int leader_local,
-                          const void* src, void* dst, std::size_t bytes);
   /// Stream [@p src, @p src+bytes) into @p dst_node's landing slots
   /// (reduce_chunk pieces, credit-gated), where the receiving leader is
   /// expected to combine each piece on arrival and return the credit.

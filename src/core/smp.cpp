@@ -81,6 +81,23 @@ sim::CoTask Communicator::smp_bcast_chunk(machine::TaskCtx& t,
   }
 }
 
+sim::CoTask Communicator::smp_publish_staged(machine::TaskCtx& t,
+                                             int leader_local,
+                                             const void* src, void* dst,
+                                             std::size_t bytes) {
+  bool leader = t.local() == leader_local;
+  std::size_t done = 0;
+  while (done < bytes) {
+    std::size_t sub = std::min(cfg_.smp_buf_bytes, bytes - done);
+    const void* s =
+        leader ? static_cast<const std::byte*>(src) + done : nullptr;
+    co_await smp_bcast_chunk(t, leader_local, s,
+                             static_cast<std::byte*>(dst) + done, sub,
+                             nullptr);
+    done += sub;
+  }
+}
+
 sim::CoTask Communicator::smp_bcast_chunk_tree(machine::TaskCtx& t,
                                                int leader_local,
                                                const void* src, void* dst,

@@ -38,22 +38,6 @@ std::size_t nz_chunks(std::size_t bytes, std::size_t chunk) {
 }
 }  // namespace
 
-sim::CoTask Communicator::zoo_publish(machine::TaskCtx& t, int leader_local,
-                                      const void* src, void* dst,
-                                      std::size_t bytes) {
-  bool leader = t.local() == leader_local;
-  std::size_t done = 0;
-  while (done < bytes) {
-    std::size_t sub = std::min(cfg_.smp_buf_bytes, bytes - done);
-    const void* s =
-        leader ? static_cast<const std::byte*>(src) + done : nullptr;
-    co_await smp_bcast_chunk(t, leader_local, s,
-                             static_cast<std::byte*>(dst) + done, sub,
-                             nullptr);
-    done += sub;
-  }
-}
-
 sim::CoTask Communicator::zoo_node_reduce(machine::TaskCtx& t,
                                           const coll::Tree& tree,
                                           const void* send, void* recv,
@@ -255,7 +239,7 @@ sim::CoTask Communicator::ring_allreduce(machine::TaskCtx& t,
   }
 
   // Publish the full vector to the local tasks.
-  co_await zoo_publish(t, 0, recv, recv, bytes);
+  co_await smp_publish_staged(t, 0, recv, recv, bytes);
 
   // Streamed-chunk parity bookkeeping, advanced identically on every rank.
   if (n > 1) {
@@ -463,7 +447,7 @@ sim::CoTask Communicator::rhalving_allreduce(machine::TaskCtx& t,
     my_ep.set_interrupts(true);
   }
 
-  co_await zoo_publish(t, 0, recv, recv, bytes);
+  co_await smp_publish_staged(t, 0, recv, recv, bytes);
 }
 
 sim::CoTask Communicator::bcast_scatter_ag(machine::TaskCtx& t, void* buf,
@@ -478,7 +462,7 @@ sim::CoTask Communicator::bcast_scatter_ag(machine::TaskCtx& t, void* buf,
   auto* base = static_cast<std::byte*>(buf);
 
   if (n == 1) {
-    co_await zoo_publish(t, leader_local, buf, buf, bytes);
+    co_await smp_publish_staged(t, leader_local, buf, buf, bytes);
     co_return;
   }
 
@@ -504,7 +488,8 @@ sim::CoTask Communicator::bcast_scatter_ag(machine::TaskCtx& t, void* buf,
     for (int s = 0; s < n; ++s) {
       int b = (v - s + n) % n;
       if (blen(b) == 0) continue;
-      co_await zoo_publish(t, leader_local, nullptr, base + blo(b), blen(b));
+      co_await smp_publish_staged(t, leader_local, nullptr, base + blo(b),
+                                  blen(b));
     }
     co_return;
   }
@@ -563,8 +548,8 @@ sim::CoTask Communicator::bcast_scatter_ag(machine::TaskCtx& t, void* buf,
       int b = (v - s + n) % n;
       if (blen(b) == 0) continue;
       if (send_ring && s <= n - 2) co_await forward(b);
-      co_await zoo_publish(t, leader_local, base + blo(b), base + blo(b),
-                           blen(b));
+      co_await smp_publish_staged(t, leader_local, base + blo(b),
+                                  base + blo(b), blen(b));
     }
   } else {
     // Announce the buffer to whoever puts into it: the predecessor (ring)
@@ -582,8 +567,8 @@ sim::CoTask Communicator::bcast_scatter_ag(machine::TaskCtx& t, void* buf,
     if (blen(v) > 0) {
       co_await my_ep.wait_cntr(*ns.link(root_node).zoo_arr, 1);
       if (send_ring) co_await forward(v);
-      co_await zoo_publish(t, leader_local, base + blo(v), base + blo(v),
-                           blen(v));
+      co_await smp_publish_staged(t, leader_local, base + blo(v),
+                                  base + blo(v), blen(v));
     }
     // Ring arrivals: block (v - s) lands at step s; forward it (unless we
     // feed the root) and publish it.
@@ -592,8 +577,8 @@ sim::CoTask Communicator::bcast_scatter_ag(machine::TaskCtx& t, void* buf,
       if (blen(b) == 0) continue;
       co_await my_ep.wait_cntr(*ns.link(pred).zoo_got, 1);
       if (send_ring && s <= n - 2) co_await forward(b);
-      co_await zoo_publish(t, leader_local, base + blo(b), base + blo(b),
-                           blen(b));
+      co_await smp_publish_staged(t, leader_local, base + blo(b),
+                                  base + blo(b), blen(b));
     }
   }
 

@@ -164,9 +164,9 @@ std::vector<Decision> algo_menu(CollKind op) {
     case CollKind::gather:
       return {d(Algo::staged, false), d(Algo::staged, true)};
     default:
-      // barrier / allgather / reduce_scatter have one implementation; the
-      // mapped column is advisory there (no single-copy variant).
-      return {d(Algo::staged, false), d(Algo::staged, true)};
+      // barrier / allgather / reduce_scatter have one implementation and no
+      // single-copy variant: their mapped column is never read.
+      return {d(Algo::staged, false)};
   }
 }
 

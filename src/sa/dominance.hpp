@@ -105,7 +105,9 @@ std::vector<coll::Decision> algo_menu(coll::CollKind op);
 
 /// Evaluate one candidate at @p bytes. Infeasible candidates
 /// (SrmConfig::sanitize would reroute them) come back with feasible ==
-/// false.
+/// false. @p bytes is the decision-table key of the call: the node block
+/// (tasks per node x per-rank block) for scatter and gather, the per-rank
+/// block for allgather and reduce_scatter, and the message for the rest.
 AlgoCost algo_cost(coll::CollKind op, coll::Decision d, std::size_t bytes,
                    const SrmConfig& cfg,
                    const machine::MachineParams& mp);

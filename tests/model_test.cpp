@@ -1,34 +1,63 @@
-// Analytical model vs simulation: the model must track the simulated
-// latencies within a documented envelope across sizes and machine shapes —
-// tight enough to rank configurations when tuning switch points.
+// The analytic cost model vs simulation: sa::algo_cost, which prices every
+// candidate algorithm from the mc protocol IR on the 2-node x 4-task shape,
+// must track one isolated simulated call of the same algorithm within a
+// documented envelope on both machine profiles, and must rank the
+// configurations a tuner chooses between the way the simulator does.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <tuple>
 
 #include "bench/harness.hpp"
-#include "model/model.hpp"
+#include "coll/decision.hpp"
+#include "mc/protocols.hpp"
+#include "sa/dominance.hpp"
 
-namespace srm::model {
+namespace srm {
 namespace {
 
-double simulated(bench::Impl impl, int nodes, int ppn, const std::string& op,
-                 std::size_t bytes) {
-  bench::Bench b(impl, nodes, ppn);
-  if (op == "bcast") return b.time_bcast(bytes, 1);
-  if (op == "reduce") return b.time_reduce(bytes / 8, 1);
-  if (op == "allreduce") return b.time_allreduce(bytes / 8, 1);
-  return b.time_barrier(1);
+using coll::CollKind;
+
+constexpr int kNodes = 2, kTasks = 4;  // the shape the IR models
+
+/// Envelope of sa_us / sim_us over the grid below. The misses it absorbs
+/// are documented in DESIGN.md §16: the scatter+allgather bcast and the
+/// ring / recursive-halving allreduces run the whole message as one IR
+/// chunk where the runtime pipelines it (ratios up to 2.13), and the
+/// mapped reduce is priced below the staged one although the simulator
+/// times them alike at 2x4 (0.69).
+constexpr double kLo = 0.6, kHi = 2.25;
+
+const machine::MachineParams kProfiles[] = {
+    machine::MachineParams::ibm_sp(), machine::MachineParams::modern_smp()};
+
+CollKind kind_of(const std::string& op) {
+  for (int k = 0; k < 8; ++k) {
+    auto c = static_cast<CollKind>(k);
+    if (op == coll::coll_name(c)) return c;
+  }
+  ADD_FAILURE() << "unknown op " << op;
+  return CollKind::barrier;
 }
 
-double predicted(int nodes, int ppn, const std::string& op, std::size_t bytes) {
-  Inputs in;
-  in.nodes = nodes;
-  in.tasks_per_node = ppn;
-  if (op == "bcast") return bcast_us(in, bytes);
-  if (op == "reduce") return reduce_us(in, bytes);
-  if (op == "allreduce") return allreduce_us(in, bytes);
-  return barrier_us(in);
+/// One isolated call of @p op with @p d forced as its only table row and
+/// single-copy on. @p bytes is the decision-table key (sa::algo_cost).
+double simulated(CollKind op, coll::Decision d, std::size_t bytes,
+                 const machine::MachineParams& mp, SrmConfig cfg = {}) {
+  cfg.decisions.set(op, 0, d);
+  cfg.single_copy = true;
+  bench::Bench b(bench::Impl::srm, kNodes, kTasks, cfg, mp);
+  switch (op) {
+    case CollKind::bcast: return b.time_bcast(bytes, 1);
+    case CollKind::reduce: return b.time_reduce(bytes / 8, 1);
+    case CollKind::allreduce: return b.time_allreduce(bytes / 8, 1);
+    case CollKind::barrier: return b.time_barrier(1);
+    case CollKind::scatter: return b.time_scatter(bytes / kTasks, 1);
+    case CollKind::gather: return b.time_gather(bytes / kTasks, 1);
+    case CollKind::allgather: return b.time_allgather(bytes, 1);
+    case CollKind::reduce_scatter: return b.time_reduce_scatter(bytes, 1);
+  }
+  return 0.0;
 }
 
 // The op is a std::string, not a const char*: gtest prints a pointer
@@ -39,69 +68,108 @@ class ModelAccuracy
 };
 
 TEST_P(ModelAccuracy, WithinEnvelope) {
-  auto [op, bytes] = GetParam();
-  for (auto [nodes, ppn] : {std::pair{4, 16}, std::pair{16, 16},
-                            std::pair{8, 4}}) {
-    double sim_us = simulated(bench::Impl::srm, nodes, ppn, op, bytes);
-    double mdl_us = predicted(nodes, ppn, op, bytes);
-    double ratio = mdl_us / sim_us;
-    EXPECT_GT(ratio, 0.4) << op << " " << bytes << " n" << nodes << "x"
-                          << ppn << " sim=" << sim_us << " mdl=" << mdl_us;
-    EXPECT_LT(ratio, 2.5) << op << " " << bytes << " n" << nodes << "x"
-                          << ppn << " sim=" << sim_us << " mdl=" << mdl_us;
+  auto [name, bytes] = GetParam();
+  CollKind op = kind_of(name);
+  const SrmConfig cfg;
+  for (const machine::MachineParams& mp : kProfiles) {
+    for (const coll::Decision& d : sa::algo_menu(op)) {
+      sa::AlgoCost c = sa::algo_cost(op, d, bytes, cfg, mp);
+      if (!c.feasible) continue;
+      double sa_us = c.ns / 1000.0;
+      double sim_us = simulated(op, d, bytes, mp);
+      double ratio = sa_us / sim_us;
+      std::string what = name + " " + std::to_string(bytes) + " " +
+                         mp.profile + " " + coll::algo_name(d.algo) +
+                         (d.mapped ? "+sc" : "") +
+                         " sa=" + std::to_string(sa_us) +
+                         " sim=" + std::to_string(sim_us);
+      EXPECT_GT(ratio, kLo) << what;
+      EXPECT_LT(ratio, kHi) << what;
+    }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, ModelAccuracy,
-    ::testing::Values(std::tuple{std::string("bcast"), std::size_t{8}},
-                      std::tuple{std::string("bcast"), std::size_t{16384}},
-                      std::tuple{std::string("bcast"), std::size_t{1u << 20}},
-                      std::tuple{std::string("reduce"), std::size_t{8}},
-                      std::tuple{std::string("reduce"), std::size_t{1u << 20}},
-                      std::tuple{std::string("allreduce"), std::size_t{1024}},
-                      std::tuple{std::string("allreduce"),
-                                 std::size_t{1u << 20}},
-                      std::tuple{std::string("barrier"), std::size_t{0}}),
+    ::testing::Values(
+        std::tuple{std::string("bcast"), std::size_t{8}},
+        std::tuple{std::string("bcast"), std::size_t{16384}},
+        std::tuple{std::string("bcast"), std::size_t{1u << 20}},
+        std::tuple{std::string("reduce"), std::size_t{8}},
+        std::tuple{std::string("reduce"), std::size_t{1u << 20}},
+        std::tuple{std::string("allreduce"), std::size_t{1024}},
+        std::tuple{std::string("allreduce"), std::size_t{1u << 20}},
+        std::tuple{std::string("barrier"), std::size_t{0}},
+        std::tuple{std::string("scatter"), std::size_t{1024}},
+        std::tuple{std::string("gather"), std::size_t{1024}},
+        std::tuple{std::string("allgather"), std::size_t{1024}},
+        std::tuple{std::string("reduce_scatter"), std::size_t{1024}}),
     [](const auto& info) {
       return std::get<0>(info.param) + "_" +
              std::to_string(std::get<1>(info.param));
     });
 
 TEST(Model, RanksPipelineChunkChoices) {
-  // The tuning use case: the model must *rank* the 4 KB pipeline chunk above
-  // clearly bad extremes for a 16 KB broadcast, as the paper found.
-  Inputs in;
-  in.nodes = 16;
-  in.tasks_per_node = 16;
-  auto with_chunk = [&](std::size_t c) {
-    Inputs i = in;
-    i.cfg.bcast_pipe_chunk = c;
-    return bcast_us(i, 16384);
-  };
-  double best = with_chunk(4096);
-  EXPECT_LT(best, with_chunk(256));    // too-fine chunks: per-chunk overhead
-  EXPECT_LT(best, with_chunk(16384));  // no pipelining at all
+  // The tuning use case the paper's §5 names: the model must pick the
+  // simulator's best pipeline chunk for a 16 KB staged broadcast.
+  const machine::MachineParams mp = machine::MachineParams::ibm_sp();
+  const coll::Decision staged;
+  std::size_t sa_best = 0, sim_best = 0;
+  double sa_min = 0.0, sim_min = 0.0;
+  for (std::size_t chunk : {256, 1024, 2048, 4096, 8192, 16384}) {
+    SrmConfig cfg;
+    cfg.bcast_pipe_chunk = chunk;
+    sa::AlgoCost c = sa::algo_cost(CollKind::bcast, staged, 16384, cfg, mp);
+    ASSERT_TRUE(c.feasible);
+    double sim_us = simulated(CollKind::bcast, staged, 16384, mp, cfg);
+    if (sa_best == 0 || c.ns < sa_min) {
+      sa_best = chunk;
+      sa_min = c.ns;
+    }
+    if (sim_best == 0 || sim_us < sim_min) {
+      sim_best = chunk;
+      sim_min = sim_us;
+    }
+  }
+  EXPECT_EQ(sa_best, sim_best)
+      << "sa " << sa_min / 1000.0 << " us, sim " << sim_min << " us";
 }
 
 TEST(Model, PredictsFatNodeAdvantage) {
-  Inputs fat, thin;
-  fat.nodes = 16;
-  fat.tasks_per_node = 16;
-  thin.nodes = 128;
-  thin.tasks_per_node = 2;
-  EXPECT_LT(bcast_us(fat, 1024), bcast_us(thin, 1024));
-  EXPECT_LT(barrier_us(fat), barrier_us(thin));
+  // Eight ranks as one fat node beat two thin ones: shared memory replaces
+  // the network hop. The IR prices both shapes directly.
+  const machine::MachineParams mp = machine::MachineParams::ibm_sp();
+  auto priced = [&](mc::Proto p, mc::Shape sh, double bytes) {
+    sa::Plan plan;
+    plan.default_unit = bytes / sh.tasks;
+    return sa::analyze(mc::build(p, sh), plan, sa::CostRates::from(mp)).ns;
+  };
+  auto sim = [&](int nodes, int tasks, bool barrier) {
+    bench::Bench b(bench::Impl::srm, nodes, tasks, {}, mp);
+    return barrier ? b.time_barrier(1) : b.time_bcast(1024, 1);
+  };
+  EXPECT_LT(priced(mc::Proto::barrier, {1, 8, 1}, 0),
+            priced(mc::Proto::barrier, {2, 4, 1}, 0));
+  EXPECT_LT(priced(mc::Proto::bcast, {1, 8, 1}, 1024),
+            priced(mc::Proto::bcast, {2, 4, 1}, 1024));
+  EXPECT_LT(sim(1, 8, true), sim(2, 4, true));
+  EXPECT_LT(sim(1, 8, false), sim(2, 4, false));
 }
 
 TEST(Model, MonotoneInSize) {
-  Inputs in;
-  in.nodes = 16;
-  in.tasks_per_node = 16;
-  EXPECT_LT(bcast_us(in, 64), bcast_us(in, 65536));
-  EXPECT_LT(bcast_us(in, 65536), bcast_us(in, 8u << 20));
-  EXPECT_LT(reduce_us(in, 64), reduce_us(in, 8u << 20));
+  const SrmConfig cfg;
+  const machine::MachineParams mp = machine::MachineParams::ibm_sp();
+  const coll::DecisionTable table = coll::DecisionTable::ibm_sp();
+  auto cost = [&](CollKind op, std::size_t bytes) {
+    sa::AlgoCost c =
+        sa::algo_cost(op, table.decide(op, bytes), bytes, cfg, mp);
+    EXPECT_TRUE(c.feasible) << coll::coll_name(op) << " " << bytes;
+    return c.ns;
+  };
+  EXPECT_LT(cost(CollKind::bcast, 64), cost(CollKind::bcast, 65536));
+  EXPECT_LT(cost(CollKind::bcast, 65536), cost(CollKind::bcast, 8u << 20));
+  EXPECT_LT(cost(CollKind::reduce, 64), cost(CollKind::reduce, 8u << 20));
 }
 
 }  // namespace
-}  // namespace srm::model
+}  // namespace srm
