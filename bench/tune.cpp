@@ -4,18 +4,17 @@
 // simulator, picks the fastest candidate per cell that passes the
 // isolated-call guard (see the sweep below), collapses equal-winner runs
 // into size bands, and persists the result as a versioned JSON decision
-// table (coll::DecisionTable::save). Each candidate is forced as its op's
-// only row of the table tuned so far, with single-copy on, so dispatch
-// cannot second-guess the sweep and a composite is timed with the
-// sub-operation rows it will run: the pipelined allreduce runs the reduce
-// row (algorithm, trees and mapped column) and reads the bcast row's mapped
-// column.
+// table (coll::DecisionTable::save). Each candidate is timed through a
+// one-row table, with single-copy on, so dispatch cannot second-guess the
+// sweep. Every call reads only its own op's row, so that is the path the
+// candidate takes when deployed, and the ops sweep independently.
 //
 // The builtin modern_smp() is a snapshot of this procedure. ibm_sp() is
 // not: it holds the paper's constants by hand. The SP sweep departs from
 // them: it maps bcast below 64 B and reduce from 512 B, takes scatter_ag
 // bcast from 32 KB and a binary intra-node reduce tree from 64 KB, and
-// hands allreduce above 16 KB to recursive halving, ring and the pipeline.
+// hands allreduce above 16 KB to recursive halving, ring and the pipeline,
+// each over a binary node tree from 64 KB and none mapped.
 //
 // Usage:
 //   tune [--profile ibm_sp|modern_smp] [--out FILE] [--smoke] [--check]
@@ -28,7 +27,9 @@
 //   --check    self-consistency gate: the tuned table must round-trip
 //              through JSON to identical dispatch, and its pick must never
 //              be slower than the profile's default (builtin) dispatch
-//              beyond tolerance. Exit 1 on violation.
+//              beyond tolerance. The full modern_smp sweep at 8x16 must
+//              also write exactly DecisionTable::modern_smp(). Exit 1 on
+//              violation.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -80,11 +81,12 @@ std::vector<Candidate> candidates(coll::CollKind op, std::size_t bytes) {
       break;
     case coll::CollKind::allreduce:
       // No rd+bine variant: recursive doubling is a butterfly, the
-      // internode tree never enters its dispatch. No pipeline+binary
-      // either: the pipeline's node reduce runs the reduce row's tree.
+      // internode tree never enters its dispatch.
       out.push_back({"rd", {Algo::rd, false, bin}});
       out.push_back({"rd+binary", {Algo::rd, false, bin, binary}});
       out.push_back({"pipeline", {Algo::pipeline, false, bin}});
+      out.push_back({"pipeline+binary", {Algo::pipeline, false, bin, binary}});
+      out.push_back({"pipeline+sc", {Algo::pipeline, true, bin}});
       out.push_back({"ring", {Algo::ring, false, bin}});
       out.push_back({"ring+binary", {Algo::ring, false, bin, binary}});
       out.push_back({"rhalving", {Algo::rhalving, false, bin}});
@@ -135,7 +137,7 @@ double run_op(Bench& b, coll::CollKind op, std::size_t bytes, int iters) {
 
 /// Time @p op at @p bytes through table @p t; an empty table resolves the
 /// default dispatch (the profile's builtin). Single-copy is on, so a mapped
-/// row binds; it changes nothing for the other rows (Communicator::mapped_on).
+/// row binds; it changes nothing for the other rows.
 double measure_table(const Setup& s, const coll::DecisionTable& t,
                      coll::CollKind op, std::size_t bytes, int iters) {
   SrmConfig cfg;
@@ -145,13 +147,10 @@ double measure_table(const Setup& s, const coll::DecisionTable& t,
   return run_op(b, op, bytes, iters);
 }
 
-/// Time one candidate as @p op's only row of @p tuned, the table tuned so
-/// far. An op's rows join it only after its own sweep, and bcast, reduce,
-/// scatter and gather read no other op's row.
+/// Time one candidate as the only row of a one-row table.
 double measure(const Setup& s, coll::CollKind op, const Candidate& c,
-               std::size_t bytes, const coll::DecisionTable& tuned,
-               int iters) {
-  coll::DecisionTable t = tuned;
+               std::size_t bytes, int iters) {
+  coll::DecisionTable t;
   t.set(op, 0, c.d);
   return measure_table(s, t, op, bytes, iters);
 }
@@ -235,13 +234,13 @@ int main(int argc, char** argv) {
       std::vector<double> line(cols.size(), 0.0);
       std::vector<double> avg;
       for (const Candidate& c : cands) {
-        avg.push_back(measure(s, op, c, size, tuned, iters_for(size)));
+        avg.push_back(measure(s, op, c, size, iters_for(size)));
         for (std::size_t k = 0; k < cols.size(); ++k) {
           if (cols[k] == c.label) line[k] = avg.back();
         }
       }
       auto isolated = [&](const Candidate& c) {
-        return measure(s, op, c, size, tuned, 1);
+        return measure(s, op, c, size, 1);
       };
       std::size_t win = 0;
       double first_iso = -1.0;
@@ -265,21 +264,12 @@ int main(int argc, char** argv) {
         op_rows.push_back({op_rows.empty() ? 0 : size, winner.d});
       }
     }
-    // The op's rows join the table after its sweep, so no row of its own
-    // overrides a candidate forced at row 0.
     for (const auto& r : op_rows) tuned.set(op, r.min_bytes, r.d);
     print_table(std::string("tune ") + coll::coll_name(op), "bytes", rows,
                 cols, cells, "us");
     for (const std::string& v : vetoed) {
       std::printf("  isolated-call guard kept out: %s\n", v.c_str());
     }
-  }
-  // Ops with one implementation keep their static rows so the table is a
-  // complete dispatch artifact, not a sparse overlay.
-  for (coll::CollKind op :
-       {coll::CollKind::barrier, coll::CollKind::allgather,
-        coll::CollKind::reduce_scatter}) {
-    tuned.set(op, 0, coll::Decision{});
   }
 
   tuned.save(out_path);
@@ -311,6 +301,13 @@ int main(int argc, char** argv) {
         ++failures;
       }
     }
+  }
+  // 3. modern_smp() is this sweep's output at its default shape; ibm_sp()
+  //    holds the paper's constants by hand.
+  if (!smoke && profile == "modern_smp" && s.nodes == 8 && s.tpn == 16 &&
+      !(tuned == coll::DecisionTable::modern_smp())) {
+    std::fprintf(stderr, "check: tuned table differs from modern_smp()\n");
+    ++failures;
   }
   if (failures > 0) {
     std::fprintf(stderr, "check: %d violation(s)\n", failures);

@@ -20,7 +20,9 @@
 #                    runnable alone via `ci/check.sh sv`
 #   1d. tune       — autotuner mini-sweep on both machine profiles with
 #                    --check (JSON round-trip + tuned-never-loses gates)
-#                    under SRM_SV_SELFCHECK=1; also runnable alone via
+#                    under SRM_SV_SELFCHECK=1, then the full modern_smp
+#                    sweep, whose artifact must equal the builtin
+#                    modern_smp() table; also runnable alone via
 #                    `ci/check.sh tune`
 #   1e. sa         — static analyzer: all fifteen protocol models lint
 #                    clean, both builtin decision tables proven
@@ -116,6 +118,11 @@ run_tune() {
     ./tune --smoke --check --profile ibm_sp --out tuned_ibm_sp.json >/dev/null)
   (cd "$dir/bench" && SRM_SV_SELFCHECK=1 \
     ./tune --smoke --check --profile modern_smp --out tuned_modern_smp.json \
+    >/dev/null)
+  # The builtin modern_smp() is this sweep's output: the full run at its
+  # default 8x16 shape must write exactly that table (--check).
+  (cd "$dir/bench" && \
+    ./tune --check --profile modern_smp --out tuned_modern_smp_full.json \
     >/dev/null)
 }
 

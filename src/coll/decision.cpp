@@ -284,7 +284,7 @@ DecisionTable DecisionTable::ibm_sp() {
   // over its binomial trees between and within nodes (Fig. 1, Fig. 2):
   //   bcast: staged shared-buffer protocol up to 64 KB, direct beyond;
   //   allreduce: recursive doubling up to 16 KB, pipelined reduce+bcast
-  //     beyond; everything else staged;
+  //     beyond; scatter and gather staged;
   //   mapped column: single-copy from 16 KB up (only effective when
   //     SrmConfig::single_copy opts in — the staged path is the default).
   // With a default SrmConfig this table reproduces pre-table dispatch
@@ -297,19 +297,14 @@ DecisionTable DecisionTable::ibm_sp() {
   t.set(CollKind::bcast, 64 * 1024 + 1, {Algo::direct, true, bin});
   t.set(CollKind::reduce, 0, {Algo::staged, false, bin});
   t.set(CollKind::reduce, 16 * 1024, {Algo::staged, true, bin});
-  // The allreduce mapped column is advisory only: rd never maps and the
-  // composite algorithms consult their sub-operations' rows instead.
+  // rd never maps; the pipeline maps both of its halves, like the reduce
+  // and bcast rows above.
   t.set(CollKind::allreduce, 0, {Algo::rd, false, bin});
-  t.set(CollKind::allreduce, 16 * 1024 + 1, {Algo::pipeline, false, bin});
-  t.set(CollKind::barrier, 0, {Algo::staged, false, bin});
+  t.set(CollKind::allreduce, 16 * 1024 + 1, {Algo::pipeline, true, bin});
   t.set(CollKind::scatter, 0, {Algo::staged, false, bin});
   t.set(CollKind::scatter, 16 * 1024, {Algo::staged, true, bin});
   t.set(CollKind::gather, 0, {Algo::staged, false, bin});
   t.set(CollKind::gather, 16 * 1024, {Algo::staged, true, bin});
-  t.set(CollKind::allgather, 0, {Algo::staged, false, bin});
-  t.set(CollKind::allgather, 16 * 1024, {Algo::staged, true, bin});
-  t.set(CollKind::reduce_scatter, 0, {Algo::staged, false, bin});
-  t.set(CollKind::reduce_scatter, 16 * 1024, {Algo::staged, true, bin});
   return t;
 }
 
@@ -333,15 +328,16 @@ DecisionTable DecisionTable::modern_smp() {
   //     isolated call to binomial (16 KB: binary 73.5 us, mapped 66.6 us,
   //     binomial 53.3 us), so the reduce is never mapped;
   //   * the pipelined allreduce takes over from rd at 32 KB and keeps every
-  //     larger size: its reduce half runs the reduce row above, which beats
-  //     recursive halving and ring even with their binary node trees
-  //     (512 KB: 881.6 us pipeline, 1127.9 us rhalving+binary). Ring and
-  //     bine only win off power-of-two node counts (see abl_tuner), so the
-  //     8-node builtin keeps binomial inter-node trees;
+  //     larger size; from 64 KB its staged node reduce runs a binary tree,
+  //     as the reduce row's does, and beats recursive halving and ring even
+  //     with their binary node trees (512 KB: 881.6 us pipeline,
+  //     1127.9 us rhalving+binary). Mapping both halves loses at every
+  //     size. Ring and bine only win off power-of-two node counts (see
+  //     abl_tuner), so the 8-node builtin keeps binomial inter-node trees;
   //   * mapped scatter wins only the 32-512 B band (one window export vs
   //     per-chunk staging); at 1 KB it loses the isolated call.
-  // allgather and reduce_scatter compose gather+bcast and reduce+scatter
-  // and run those rows; barrier, gather and both keep one staged row.
+  // gather keeps one staged row; barrier, allgather and reduce_scatter need
+  // none (the last two are two calls each, each call on its own row).
   DecisionTable t;
   t.profile = "modern_smp";
   auto bin = TreeKind::binomial;
@@ -355,13 +351,12 @@ DecisionTable DecisionTable::modern_smp() {
         {Algo::staged, false, bin, TreeKind::binary});
   t.set(CollKind::allreduce, 0, {Algo::rd, false, bin});
   t.set(CollKind::allreduce, 32 * 1024, {Algo::pipeline, false, bin});
-  t.set(CollKind::barrier, 0, {Algo::staged, false, bin});
+  t.set(CollKind::allreduce, 64 * 1024,
+        {Algo::pipeline, false, bin, TreeKind::binary});
   t.set(CollKind::scatter, 0, {Algo::staged, false, bin});
   t.set(CollKind::scatter, 32, {Algo::staged, true, bin});
   t.set(CollKind::scatter, 1024, {Algo::staged, false, bin});
   t.set(CollKind::gather, 0, {Algo::staged, false, bin});
-  t.set(CollKind::allgather, 0, {Algo::staged, false, bin});
-  t.set(CollKind::reduce_scatter, 0, {Algo::staged, false, bin});
   return t;
 }
 

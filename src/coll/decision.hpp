@@ -55,10 +55,11 @@ bool algo_from_name(std::string_view s, Algo& out);
 
 /// One dispatch outcome: which algorithm, whether the intra-node phases use
 /// the single-copy cross-mapped variants, the inter-node tree shape, and the
-/// tree of the staged intra-node reduce. Only the staged node reduces read
-/// `intranode` (reduce and its composites through the reduce row; rd, ring
-/// and rhalving through the allreduce row); the mapped path always runs the
-/// topology tree.
+/// tree of the staged intra-node reduce. Every call reads only its own op's
+/// row. `intranode` is read by the staged node reduces (reduce and every
+/// allreduce algorithm); the mapped path always runs the topology tree.
+/// `mapped` binds only under SrmConfig::single_copy, and only where the
+/// algorithm has a mapped variant (Communicator::decide).
 struct Decision {
   Algo algo = Algo::staged;
   bool mapped = false;

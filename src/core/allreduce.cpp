@@ -21,15 +21,16 @@ namespace srm {
 
 sim::CoTask Communicator::allreduce_rd(machine::TaskCtx& t, const void* send,
                                        void* recv, std::size_t count,
-                                       coll::Dtype d, coll::RedOp op) {
+                                       coll::Dtype d, coll::RedOp op,
+                                       const coll::Decision& dec) {
   obs::Span span(*t.obs, t.rank, "allreduce.rd");
   chk::StageScope stage(t.chk, "allreduce.rd");
   NodeState& ns = node_state(t);
   RankState& rs = rank_state(t);
   std::size_t esize = coll::dtype_size(d);
   std::size_t bytes = count * esize;
-  coll::Embedding emb = allreduce_embedding(t, bytes);
-  coll::Tree itree = allreduce_node_tree(t, bytes);
+  coll::Embedding emb = coll::embed(*t.topo, 0, dec.internode);
+  coll::Tree itree = coll::build_tree(dec.intranode, t.nlocal(), 0);
   std::size_t nchunks = 1;  // fits one reduce chunk by configuration
   SRM_CHECK(bytes <= cfg_.reduce_chunk);
 
@@ -130,23 +131,24 @@ sim::CoTask Communicator::allreduce_rd(machine::TaskCtx& t, const void* send,
 sim::CoTask Communicator::allreduce_pipelined(machine::TaskCtx& t,
                                               const void* send, void* recv,
                                               std::size_t count,
-                                              coll::Dtype d, coll::RedOp op) {
+                                              coll::Dtype d, coll::RedOp op,
+                                              const coll::Decision& dec) {
   obs::Span span(*t.obs, t.rank, "allreduce.pipeline");
   chk::StageScope stage(t.chk, "allreduce.pipeline");
   // Reduce to rank 0 and broadcast from rank 0 run concurrently on every
   // task; at rank 0 the broadcast consumes chunks as the reduce completes
-  // them (Fig. 5's four-stage pipeline).
+  // them (Fig. 5's four-stage pipeline). Both halves run the allreduce row.
   std::size_t bytes = count * coll::dtype_size(d);
-  coll::Embedding emb = allreduce_embedding(t, bytes);
+  coll::Embedding emb = coll::embed(*t.topo, 0, dec.internode);
 
   lapi::Counter chunk_done(*t.eng, "ar.chunk_done@" + std::to_string(t.rank));
   lapi::Counter* gate = t.rank == 0 ? &chunk_done : nullptr;
 
   auto reduce_done = detail::spawn_joined(
-      *t.eng, reduce_impl(t, send, recv, count, d, op, /*root=*/0, gate));
+      *t.eng, reduce_impl(t, send, recv, count, d, op, /*root=*/0, dec, gate));
   auto bcast_done = detail::spawn_joined(
       *t.eng,
-      bcast_large(t, recv, bytes, emb, cfg_.reduce_chunk, gate));
+      bcast_large(t, recv, bytes, emb, cfg_.reduce_chunk, gate, dec.mapped));
   co_await reduce_done->wait();
   co_await bcast_done->wait();
 }

@@ -28,7 +28,8 @@ std::vector<int> bcast_children(const coll::Tree& tree, int node) {
 
 sim::CoTask Communicator::bcast_small(machine::TaskCtx& t, void* buf,
                                       std::size_t bytes,
-                                      const coll::Embedding& emb) {
+                                      const coll::Embedding& emb,
+                                      bool mapped) {
   obs::Span span(*t.obs, t.rank, "bcast.small");
   chk::StageScope stage(t.chk, "bcast.small");
   NodeState& ns = node_state(t);
@@ -58,12 +59,11 @@ sim::CoTask Communicator::bcast_small(machine::TaskCtx& t, void* buf,
     return cfg_.use_two_buffers ? seq % 2 : std::size_t{0};
   };
 
-  // Single-copy path: only the *root* node stages through the shared buffer
-  // (elsewhere the data already lands in shared memory); a mapped fan-out
-  // from the root's user buffer removes that staging copy. One window over
-  // the whole message — the pipeline-band chunking is a staging-buffer
-  // artifact the mapped path doesn't need.
-  bool mapped = mapped_on(coll::CollKind::bcast, bytes);
+  // Single-copy path (@p mapped): only the *root* node stages through the
+  // shared buffer (elsewhere the data already lands in shared memory); a
+  // mapped fan-out from the root's user buffer removes that staging copy.
+  // One window over the whole message — the pipeline-band chunking is a
+  // staging-buffer artifact the mapped path doesn't need.
 
   if (t.rank != leader) {
     // Pure consumer: copy each chunk out of the landing buffer (non-root
@@ -165,7 +165,7 @@ sim::CoTask Communicator::bcast_large(machine::TaskCtx& t, void* buf,
                                       std::size_t bytes,
                                       const coll::Embedding& emb,
                                       std::size_t chunk,
-                                      lapi::Counter* src_gate) {
+                                      lapi::Counter* src_gate, bool mapped) {
   obs::Span span(*t.obs, t.rank, "bcast.large");
   chk::StageScope stage(t.chk, "bcast.large");
   NodeState& ns = node_state(t);
@@ -179,7 +179,6 @@ sim::CoTask Communicator::bcast_large(machine::TaskCtx& t, void* buf,
   // chunks larger than that are published in sub-chunks. The mapped path
   // exports the whole network chunk as one window instead — no staging
   // buffer, so no sub-chunking and one copy per consumer instead of two.
-  bool mapped = mapped_on(coll::CollKind::bcast, bytes);
   auto smp_publish = [this, &t, leader_local, buf, mapped](
                          std::size_t off, std::size_t len,
                          bool is_leader) -> sim::CoTask {

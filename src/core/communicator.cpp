@@ -276,26 +276,30 @@ coll::Decision Communicator::decide(coll::CollKind op,
   return cfg_.sanitize(op, table_.decide(op, op_bytes), op_bytes);
 }
 
+coll::Decision Communicator::decide(const machine::TaskCtx& t,
+                                    coll::CollKind op,
+                                    std::size_t bytes) const {
+  using coll::Algo;
+  using coll::CollKind;
+  bool per_rank = op == CollKind::scatter || op == CollKind::gather;
+  coll::Decision d = decide(
+      op, per_rank ? bytes * static_cast<std::size_t>(t.nlocal()) : bytes);
+  // The algorithms with a mapped variant: staged and direct bcast, staged
+  // reduce, both halves of the pipelined allreduce, and scatter and gather
+  // on nodes of more than one task.
+  bool variant = op == CollKind::reduce ||
+                 (op == CollKind::bcast && d.algo != Algo::scatter_ag) ||
+                 (op == CollKind::allreduce && d.algo == Algo::pipeline) ||
+                 (per_rank && t.nlocal() > 1);
+  d.mapped = d.mapped && variant && cfg_.single_copy;
+  return d;
+}
+
 std::string Communicator::v_algo(const machine::TaskCtx& t,
                                  const coll::CallSig& sig) const {
-  std::size_t bytes = sig.count * coll::dtype_size(sig.dtype);
-  // scatter/gather key their mapped switch on the node block they stage.
-  std::size_t key = bytes;
-  if (sig.op == coll::CollKind::scatter || sig.op == coll::CollKind::gather) {
-    key = bytes * static_cast<std::size_t>(t.nlocal());
-  }
-  coll::Decision d = decide(sig.op, key);
-  std::string algo = coll::algo_name(d.algo);
-  // The "+sc" suffix marks calls whose intra-node phases run the mapped
-  // single-copy variants; composite ops (allreduce/allgather/...) consult
-  // their sub-operations' rows instead, so only the direct consumers of the
-  // mapped column report it.
-  bool consults_mapped = sig.op == coll::CollKind::bcast ||
-                         sig.op == coll::CollKind::reduce ||
-                         sig.op == coll::CollKind::scatter ||
-                         sig.op == coll::CollKind::gather;
-  if (consults_mapped && cfg_.single_copy && d.mapped) algo += "+sc";
-  return algo;
+  coll::Decision d =
+      decide(t, sig.op, sig.count * coll::dtype_size(sig.dtype));
+  return std::string(coll::algo_name(d.algo)) + (d.mapped ? "+sc" : "");
 }
 
 // ---------------------------------------------------------------------------
@@ -434,7 +438,7 @@ sim::CoTask Communicator::real_bcast(machine::TaskCtx& t, void* buf,
   chk::StageScope stage(t.chk, "srm.bcast");
   rank_state(t).op_seq++;
   if (bytes == 0) co_return;
-  coll::Decision dec = decide(coll::CollKind::bcast, bytes);
+  coll::Decision dec = decide(t, coll::CollKind::bcast, bytes);
   coll::Embedding emb = coll::embed(*t.topo, root, dec.internode);
   bool small = dec.algo == coll::Algo::staged;
   bool leader = emb.leader[static_cast<std::size_t>(t.node())] == t.rank;
@@ -442,13 +446,14 @@ sim::CoTask Communicator::real_bcast(machine::TaskCtx& t, void* buf,
   if (manage) ep(t.rank).set_interrupts(false);
   switch (dec.algo) {
     case coll::Algo::staged:
-      co_await bcast_small(t, buf, bytes, emb);
+      co_await bcast_small(t, buf, bytes, emb, dec.mapped);
       break;
     case coll::Algo::scatter_ag:
       co_await bcast_scatter_ag(t, buf, bytes, emb);
       break;
     default:
-      co_await bcast_large(t, buf, bytes, emb, cfg_.bcast_net_chunk, nullptr);
+      co_await bcast_large(t, buf, bytes, emb, cfg_.bcast_net_chunk, nullptr,
+                           dec.mapped);
       break;
   }
   if (manage) ep(t.rank).set_interrupts(true);
@@ -464,14 +469,16 @@ sim::CoTask Communicator::real_reduce(machine::TaskCtx& t, const void* send,
   chk::StageScope stage(t.chk, "srm.reduce");
   rank_state(t).op_seq++;
   if (count == 0) co_return;
+  std::size_t bytes = count * coll::dtype_size(d);
+  coll::Decision dec = decide(t, coll::CollKind::reduce, bytes);
   // Interrupt management (§2.3): off during small-message collectives on the
   // tasks that face the network.
-  bool small = count * coll::dtype_size(d) <= cfg_.reduce_chunk;
+  bool small = bytes <= cfg_.reduce_chunk;
   bool leader = t.node() == t.topo->node_of(root) ? t.rank == root
                                                   : t.is_master();
   bool manage = cfg_.manage_interrupts && small && leader && t.nnodes() > 1;
   if (manage) ep(t.rank).set_interrupts(false);
-  co_await reduce_impl(t, send, recv, count, d, op, root, nullptr);
+  co_await reduce_impl(t, send, recv, count, d, op, root, dec, nullptr);
   if (manage) ep(t.rank).set_interrupts(true);
 }
 
@@ -485,24 +492,24 @@ sim::CoTask Communicator::real_allreduce(machine::TaskCtx& t,
   rank_state(t).op_seq++;
   if (count == 0) co_return;
   std::size_t bytes = count * coll::dtype_size(d);
-  coll::Decision dec = decide(coll::CollKind::allreduce, bytes);
+  coll::Decision dec = decide(t, coll::CollKind::allreduce, bytes);
   switch (dec.algo) {
     case coll::Algo::rd: {
       bool leader = t.is_master();
       bool manage = cfg_.manage_interrupts && leader && t.nnodes() > 1;
       if (manage) ep(t.rank).set_interrupts(false);
-      co_await allreduce_rd(t, send, recv, count, d, op);
+      co_await allreduce_rd(t, send, recv, count, d, op, dec);
       if (manage) ep(t.rank).set_interrupts(true);
       break;
     }
     case coll::Algo::ring:
-      co_await ring_allreduce(t, send, recv, count, d, op);
+      co_await ring_allreduce(t, send, recv, count, d, op, dec);
       break;
     case coll::Algo::rhalving:
-      co_await rhalving_allreduce(t, send, recv, count, d, op);
+      co_await rhalving_allreduce(t, send, recv, count, d, op, dec);
       break;
     default:
-      co_await allreduce_pipelined(t, send, recv, count, d, op);
+      co_await allreduce_pipelined(t, send, recv, count, d, op, dec);
       break;
   }
 }

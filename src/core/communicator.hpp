@@ -108,11 +108,19 @@ class Communicator final : public coll::Collectives {
                                coll::Buf recv, coll::RedOp op) override;
 
   /// Decision-table lookup for the obs span args: the sanitized algorithm
-  /// name, with "+sc" appended when the mapped single-copy variant runs.
+  /// name, with "+sc" appended when the call runs a mapped phase. Resolved
+  /// by the same decide(t, ...) as dispatch, so the label follows it.
   std::string v_algo(const machine::TaskCtx& t,
                      const coll::CallSig& sig) const override;
 
  private:
+  /// What one call of @p op runs: the op's own row, keyed on the node block
+  /// for scatter and gather (@p bytes is per rank there), with `mapped`
+  /// resolved to whether the call runs a mapped single-copy phase. Each op
+  /// entry asks once, from operation-level arguments, for all its stages.
+  coll::Decision decide(const machine::TaskCtx& t, coll::CollKind op,
+                        std::size_t bytes) const;
+
   // ---- real plane (the paper's protocols, raw memory) ----
   //
   // Beyond the paper's four operations, scatter, gather, allgather, and
@@ -423,14 +431,6 @@ class Communicator final : public coll::Collectives {
 
   // ---- single-copy cross-mapped SMP primitives (core/single_copy.cpp) ----
 
-  /// Uniform per-operation protocol switch: the mapped single-copy path runs
-  /// when the master enable is set and the decision table's mapped column
-  /// says so for this op and size. Every rank computes this from
-  /// operation-level arguments, so all ranks of a node take the same branch.
-  bool mapped_on(coll::CollKind op, std::size_t op_bytes) const {
-    return cfg_.single_copy && decide(op, op_bytes).mapped;
-  }
-
   /// Mapped SMP broadcast: the leader exports [src, src+len) and the
   /// topology tree (coll::topo_tree) cascades direct copies — each vertex
   /// attaches to its parent's window, pulls into its own @p dst at the
@@ -484,40 +484,32 @@ class Communicator final : public coll::Collectives {
   void smp_barrier_release(machine::TaskCtx& t);
 
   // ---- protocol stages ----
+  //
+  // No stage reads the table: each runs the Decision its op's entry
+  // resolved. Allreduce has no root, so its algorithms embed with the
+  // masters leading (root 0).
   sim::CoTask bcast_small(machine::TaskCtx& t, void* buf, std::size_t bytes,
-                          const coll::Embedding& emb);
+                          const coll::Embedding& emb, bool mapped);
   /// Large-message broadcast (Fig. 4 right): address exchange, then chunks
   /// put directly into user buffers, pipelined down the tree, each chunk
-  /// published locally through the Fig. 3 buffers. When @p src_gate is set
-  /// (pipelined allreduce), the root leader consumes one count per chunk
-  /// before sending it — the reduce->broadcast coupling of Fig. 5.
+  /// published locally through the Fig. 3 buffers (or, when @p mapped, one
+  /// window per chunk). When @p src_gate is set (pipelined allreduce), the
+  /// root leader consumes one count per chunk before sending it — the
+  /// reduce->broadcast coupling of Fig. 5.
   sim::CoTask bcast_large(machine::TaskCtx& t, void* buf, std::size_t bytes,
                           const coll::Embedding& emb, std::size_t chunk,
-                          lapi::Counter* src_gate);
+                          lapi::Counter* src_gate, bool mapped);
   sim::CoTask reduce_impl(machine::TaskCtx& t, const void* send, void* recv,
                           std::size_t count, coll::Dtype d, coll::RedOp op,
-                          int root, lapi::Counter* chunk_done);
-  /// Embedding of every allreduce algorithm: allreduce has no root, so the
-  /// masters lead (root 0) over the inter-node tree of the allreduce row
-  /// for @p bytes.
-  coll::Embedding allreduce_embedding(const machine::TaskCtx& t,
-                                      std::size_t bytes) const {
-    return coll::embed(*t.topo, 0,
-                       decide(coll::CollKind::allreduce, bytes).internode);
-  }
-  /// Staged node-reduce tree of rd, ring and rhalving: the allreduce row's
-  /// intra-node tree, rooted at the master. (The pipelined allreduce reduces
-  /// through reduce_impl, which reads the reduce row instead.)
-  coll::Tree allreduce_node_tree(const machine::TaskCtx& t,
-                                 std::size_t bytes) const {
-    return coll::build_tree(decide(coll::CollKind::allreduce, bytes).intranode,
-                            t.nlocal(), 0);
-  }
+                          int root, const coll::Decision& dec,
+                          lapi::Counter* chunk_done);
   sim::CoTask allreduce_rd(machine::TaskCtx& t, const void* send, void* recv,
-                           std::size_t count, coll::Dtype d, coll::RedOp op);
+                           std::size_t count, coll::Dtype d, coll::RedOp op,
+                           const coll::Decision& dec);
   sim::CoTask allreduce_pipelined(machine::TaskCtx& t, const void* send,
                                   void* recv, std::size_t count,
-                                  coll::Dtype d, coll::RedOp op);
+                                  coll::Dtype d, coll::RedOp op,
+                                  const coll::Decision& dec);
   sim::CoTask internode_barrier(machine::TaskCtx& t);
 
   // ---- algorithm zoo (core/zoo.cpp) ----
@@ -533,12 +525,12 @@ class Communicator final : public coll::Collectives {
   /// puts into announced user buffers.
   sim::CoTask ring_allreduce(machine::TaskCtx& t, const void* send,
                              void* recv, std::size_t count, coll::Dtype d,
-                             coll::RedOp op);
+                             coll::RedOp op, const coll::Decision& dec);
   /// Recursive-halving reduce-scatter + recursive-doubling allgather
   /// (Rabenseifner), with the classic fold to the nearest power of two.
   sim::CoTask rhalving_allreduce(machine::TaskCtx& t, const void* send,
                                  void* recv, std::size_t count, coll::Dtype d,
-                                 coll::RedOp op);
+                                 coll::RedOp op, const coll::Decision& dec);
   /// Scatter + ring-allgather broadcast: the root leader scatters one block
   /// per node, then the node ring circulates blocks with each node
   /// publishing arrivals locally as they land.

@@ -17,6 +17,7 @@
 //  * allgather  = gather to rank 0 + broadcast (the composition benefits
 //    from both optimized halves);
 //  * reduce_scatter = reduce to rank 0 + scatter.
+// Each call of a composition runs its own row at its own size.
 #include <cstring>
 #include <deque>
 
@@ -58,7 +59,7 @@ sim::CoTask Communicator::real_scatter(machine::TaskCtx& t, const void* send,
   // shared memory): the root exports one window over its own node's block
   // and every local pulls its slice straight out, flat — a hierarchy buys
   // nothing when each reader wants a disjoint slice.
-  bool mapped = mapped_on(coll::CollKind::scatter, node_block) && t.nlocal() > 1;
+  bool mapped = decide(t, coll::CollKind::scatter, block).mapped;
 
   if (t.rank == root) {
     lapi::Endpoint& my_ep = ep(t.rank);
@@ -212,8 +213,8 @@ sim::CoTask Communicator::real_gather(machine::TaskCtx& t, const void* send,
   // ga_stage, every local exports a window over its send block and the root
   // pulls each block straight into its final place in recv — N-1 copies
   // where the staged assembly makes 2 per byte.
-  bool mapped = mapped_on(coll::CollKind::gather, node_block) &&
-                t.nlocal() > 1 && my_node == root_node;
+  bool mapped =
+      decide(t, coll::CollKind::gather, block).mapped && my_node == root_node;
   if (mapped) {
     if (!is_leader) {
       co_await ns.map->publish(t, const_cast<void*>(send), block);

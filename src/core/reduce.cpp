@@ -3,7 +3,7 @@
 // and the operator execution.
 //
 // Per chunk, on every node: local tasks feed the shared-memory tree (smp.cpp;
-// binomial in the paper, the reduce row's intra-node tree here); the leader
+// binomial in the paper, the calling op's intra-node tree here); the leader
 // combines its own data, its local children's slots, and the landing zones
 // filled by its inter-node children's puts; non-root leaders then put the
 // node result to their parent's landing zone — two landing slots per child
@@ -19,11 +19,11 @@ namespace srm {
 sim::CoTask Communicator::reduce_impl(machine::TaskCtx& t, const void* send,
                                       void* recv, std::size_t count,
                                       coll::Dtype d, coll::RedOp op, int root,
+                                      const coll::Decision& dec,
                                       lapi::Counter* chunk_done) {
   obs::Span span(*t.obs, t.rank, "reduce.pipeline");
   chk::StageScope stage(t.chk, "reduce.pipeline");
   std::size_t esize = coll::dtype_size(d);
-  coll::Decision dec = decide(coll::CollKind::reduce, count * esize);
   coll::Embedding emb = coll::embed(*t.topo, root, dec.internode);
   NodeState& ns = node_state(t);
   RankState& rs = rank_state(t);
@@ -32,19 +32,19 @@ sim::CoTask Communicator::reduce_impl(machine::TaskCtx& t, const void* send,
   // Single-copy path: leaves of the topology tree export their send buffers
   // as windows and the interior combines straight out of them — no staging
   // copies at all, and every cache-domain boundary crossed exactly once. The
-  // staged path runs the tree the reduce row names.
-  bool mapped = mapped_on(coll::CollKind::reduce, count * esize);
+  // staged path runs the tree the row names.
+  int leader_local = t.topo->local_of(leader);
   coll::Tree itree =
-      mapped ? coll::topo_tree(t.P->topo, t.nlocal(), t.topo->local_of(leader),
-                               /*binomial=*/true)
-             : coll::build_tree(dec.intranode, t.nlocal(),
-                                t.topo->local_of(leader));
+      dec.mapped
+          ? coll::topo_tree(t.P->topo, t.nlocal(), leader_local,
+                            /*binomial=*/true)
+          : coll::build_tree(dec.intranode, t.nlocal(), leader_local);
 
   std::size_t chunk_elems = cfg_.reduce_chunk / esize;
   std::size_t nchunks = detail::chunk_count(count, chunk_elems);
 
   if (t.rank != leader) {
-    if (mapped) {
+    if (dec.mapped) {
       co_await smp_reduce_participant_mapped(t, itree, send, count, d, op);
       finish_reduce_bookkeeping_mapped(t, emb, itree, nchunks);
     } else {
@@ -63,7 +63,7 @@ sim::CoTask Communicator::reduce_impl(machine::TaskCtx& t, const void* send,
   // Mapped path: attach the leader's leaf-children windows once, up front —
   // the chunk loop then reads them with no per-chunk handshake.
   std::vector<shm::Mapping::Window> wins;
-  if (mapped) co_await attach_leaf_windows(t, itree, wins);
+  if (dec.mapped) co_await attach_leaf_windows(t, itree, wins);
 
   for (std::size_t c = 0; c < nchunks; ++c) {
     std::size_t elem_off = c * chunk_elems;
@@ -84,7 +84,7 @@ sim::CoTask Communicator::reduce_impl(machine::TaskCtx& t, const void* send,
     }
 
     // Intra-node combine straight into dst.
-    if (mapped) {
+    if (dec.mapped) {
       co_await smp_reduce_chunk_leader_mapped(t, itree, send, dst, c,
                                               elem_off, elems, d, op, wins);
     } else {
@@ -128,7 +128,7 @@ sim::CoTask Communicator::reduce_impl(machine::TaskCtx& t, const void* send,
   if (out_inflight > 0) {
     co_await my_ep.wait_cntr(*ns.red_out_org, out_inflight);
   }
-  if (mapped) {
+  if (dec.mapped) {
     detach_leaf_windows(t, itree);
     finish_reduce_bookkeeping_mapped(t, emb, itree, nchunks);
   } else {

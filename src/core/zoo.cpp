@@ -130,13 +130,14 @@ sim::CoTask Communicator::zoo_recv_combine(machine::TaskCtx& t,
 sim::CoTask Communicator::ring_allreduce(machine::TaskCtx& t,
                                          const void* send, void* recv,
                                          std::size_t count, coll::Dtype d,
-                                         coll::RedOp op) {
+                                         coll::RedOp op,
+                                         const coll::Decision& dec) {
   obs::Span span(*t.obs, t.rank, "allreduce.ring");
   chk::StageScope stage(t.chk, "allreduce.ring");
   std::size_t esize = coll::dtype_size(d);
   std::size_t bytes = count * esize;
-  coll::Embedding emb = allreduce_embedding(t, bytes);
-  coll::Tree itree = allreduce_node_tree(t, bytes);
+  coll::Embedding emb = coll::embed(*t.topo, 0, dec.internode);
+  coll::Tree itree = coll::build_tree(dec.intranode, t.nlocal(), 0);
 
   co_await zoo_node_reduce(t, itree, send, recv, count, d, op);
 
@@ -257,13 +258,14 @@ sim::CoTask Communicator::ring_allreduce(machine::TaskCtx& t,
 sim::CoTask Communicator::rhalving_allreduce(machine::TaskCtx& t,
                                              const void* send, void* recv,
                                              std::size_t count, coll::Dtype d,
-                                             coll::RedOp op) {
+                                             coll::RedOp op,
+                                             const coll::Decision& dec) {
   obs::Span span(*t.obs, t.rank, "allreduce.rhalving");
   chk::StageScope stage(t.chk, "allreduce.rhalving");
   std::size_t esize = coll::dtype_size(d);
   std::size_t bytes = count * esize;
-  coll::Embedding emb = allreduce_embedding(t, bytes);
-  coll::Tree itree = allreduce_node_tree(t, bytes);
+  coll::Embedding emb = coll::embed(*t.topo, 0, dec.internode);
+  coll::Tree itree = coll::build_tree(dec.intranode, t.nlocal(), 0);
 
   co_await zoo_node_reduce(t, itree, send, recv, count, d, op);
 

@@ -8,6 +8,8 @@
 // memory copies."
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
 #include <vector>
 
 #include "core/communicator.hpp"
@@ -262,6 +264,142 @@ TEST_F(CopyCounts, CollSpansRecordChosenAlgorithm) {
   }
   EXPECT_EQ(allreduce_spans, 4);  // one per rank
   EXPECT_EQ(bcast_spans, 4);
+
+  // The "+sc" suffix follows dispatch, not the mapped column alone.
+  auto algos = [](int nodes, int ppn, const SrmConfig& c, auto&& body) {
+    ClusterConfig shape;
+    shape.nodes = nodes;
+    shape.tasks_per_node = ppn;
+    Cluster cl(shape);
+    lapi::Fabric fab(cl);
+    Communicator cm(cl, fab, c);
+    cl.obs().set_trace_enabled(true);
+    cl.run([&](TaskCtx& t) -> CoTask { co_await body(cm, t); });
+    std::map<std::string, int> out;  // "<op>:<algo>" -> spans
+    for (const obs::SpanRec& s : cl.obs().spans()) {
+      if (s.name.rfind("coll.", 0) != 0) continue;
+      std::size_t at = s.args.find("\"algo\":\"") + 8;
+      ++out[s.name.substr(5) + ":" +
+            s.args.substr(at, s.args.find('"', at) - at)];
+    }
+    return out;
+  };
+  using Labels = std::map<std::string, int>;
+  SrmConfig sc;
+  sc.single_copy = true;
+  // A mapped scatter_ag row: bcast_scatter_ag has no mapped variant.
+  SrmConfig sag = sc;
+  sag.decisions.profile = "forced";
+  sag.decisions.set(coll::CollKind::bcast, 0,
+                    {coll::Algo::scatter_ag, true, coll::TreeKind::binomial});
+  EXPECT_EQ(algos(2, 2, sag,
+                  [](Communicator& cm, TaskCtx& t) -> CoTask {
+                    std::vector<char> b(256, static_cast<char>(t.rank == 0));
+                    co_await cm.bcast(t, coll::Buf::bytes(b.data(), 256), 0);
+                  }),
+            (Labels{{"bcast:scatter_ag", 4}}));
+  // ibm_sp above 16 KiB: the pipeline maps both of its halves.
+  EXPECT_EQ(algos(2, 2, sc,
+                  [](Communicator& cm, TaskCtx& t) -> CoTask {
+                    std::vector<double> in(4096, 1.0), res(4096);
+                    co_await cm.allreduce(t, coll::of(in.data(), 4096),
+                                          coll::of(res.data(), 4096),
+                                          coll::RedOp::sum);
+                  }),
+            (Labels{{"allreduce:pipeline+sc", 4}}));
+  // One task per node: scatter and gather run staged whatever the row says.
+  SrmConfig one = sc;
+  one.decisions.profile = "forced";
+  for (coll::CollKind op : {coll::CollKind::scatter, coll::CollKind::gather}) {
+    one.decisions.set(op, 0, {coll::Algo::staged, true,
+                              coll::TreeKind::binomial});
+  }
+  EXPECT_EQ(algos(2, 1, one,
+                  [](Communicator& cm, TaskCtx& t) -> CoTask {
+                    std::vector<char> all(128), mine(64);
+                    co_await cm.scatter(t, coll::Buf::bytes(all.data(), 64),
+                                        coll::Buf::bytes(mine.data(), 64), 0);
+                    co_await cm.gather(t, coll::Buf::bytes(mine.data(), 64),
+                                       coll::Buf::bytes(all.data(), 64), 0);
+                  }),
+            (Labels{{"scatter:staged", 2}, {"gather:staged", 2}}));
+}
+
+// --- one row, one path ------------------------------------------------------
+
+struct PipelineRun {
+  std::vector<double> result;
+  sim::Time virt;
+  std::uint64_t copies, combines, puts;
+  bool operator==(const PipelineRun&) const = default;
+  friend void PrintTo(const PipelineRun& r, std::ostream* os) {
+    *os << "virt " << r.virt << " ns, " << r.copies << " copies, "
+        << r.combines << " combines, " << r.puts << " puts";
+  }
+};
+
+/// A 256 KiB allreduce on 4 nodes x 8 tasks, single-copy on, under @p t.
+PipelineRun pipelined_allreduce(const coll::DecisionTable& t) {
+  constexpr std::size_t kCount = 256 * 1024 / sizeof(double);
+  ClusterConfig cc;
+  cc.nodes = 4;
+  cc.tasks_per_node = 8;
+  Cluster cluster(cc);
+  lapi::Fabric fabric(cluster);
+  SrmConfig cfg;
+  cfg.single_copy = true;
+  cfg.decisions = t;
+  Communicator comm(cluster, fabric, cfg);
+  std::vector<double> res(kCount);
+  cluster.run([&](TaskCtx& tc) -> CoTask {
+    std::vector<double> in(kCount), out(kCount);
+    for (std::size_t i = 0; i < kCount; ++i) {
+      in[i] = static_cast<double>((tc.rank + 1) * (i % 7 + 1));
+    }
+    co_await comm.allreduce(tc, coll::of(in.data(), kCount),
+                            coll::of(out.data(), kCount), coll::RedOp::sum);
+    if (tc.rank == 5) res = out;
+  });
+  auto& reg = cluster.obs();
+  return {res, cluster.engine().now(), reg.count("mem.copy"),
+          reg.count("mem.combine"), reg.count("lapi.put")};
+}
+
+TEST_F(CopyCounts, PipelinedAllreduceReadsOnlyItsOwnRow) {
+  using coll::Algo;
+  using coll::TreeKind;
+  coll::DecisionTable a;
+  a.profile = "forced";
+  a.set(coll::CollKind::allreduce, 0,
+        {Algo::pipeline, false, TreeKind::binomial, TreeKind::binomial});
+  a.set(coll::CollKind::reduce, 0,
+        {Algo::staged, false, TreeKind::binomial, TreeKind::binomial});
+  a.set(coll::CollKind::bcast, 0, {Algo::direct, false, TreeKind::binomial});
+  // Same allreduce row; every column of the reduce and bcast rows the
+  // pipeline's halves could read differs.
+  coll::DecisionTable b = a;
+  b.set(coll::CollKind::reduce, 0,
+        {Algo::staged, true, TreeKind::binary, TreeKind::binary});
+  b.set(coll::CollKind::bcast, 0, {Algo::direct, true, TreeKind::binary});
+  PipelineRun base = pipelined_allreduce(a);
+  EXPECT_EQ(pipelined_allreduce(b), base);
+  for (std::size_t i = 0; i < base.result.size(); ++i) {
+    ASSERT_EQ(base.result[i], 528.0 * static_cast<double>(i % 7 + 1)) << i;
+  }
+  // The allreduce row's own columns drive both halves.
+  coll::DecisionTable tree = a;
+  tree.set(coll::CollKind::allreduce, 0,
+           {Algo::pipeline, false, TreeKind::binomial, TreeKind::binary});
+  coll::DecisionTable mapped = a;
+  mapped.set(coll::CollKind::allreduce, 0,
+             {Algo::pipeline, true, TreeKind::binomial, TreeKind::binomial});
+  PipelineRun by_tree = pipelined_allreduce(tree);
+  PipelineRun by_mapped = pipelined_allreduce(mapped);
+  EXPECT_EQ(by_tree.result, base.result);
+  EXPECT_EQ(by_mapped.result, base.result);
+  EXPECT_NE(by_tree.virt, base.virt);
+  EXPECT_NE(by_mapped.virt, base.virt);
+  EXPECT_LT(by_mapped.copies, base.copies);
 }
 
 }  // namespace

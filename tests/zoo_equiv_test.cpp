@@ -1,10 +1,11 @@
 // Algorithm-zoo equivalence: every zoo algorithm (ring allreduce,
-// recursive-halving allreduce, scatter+allgather bcast), forced via a
-// single-candidate decision table, must be element-exact against the same
-// sequential reference the baseline paths are tested against — across node
-// shapes (incl. non-power-of-two for the rhalving fold and more nodes than
-// elements for zero-length blocks), intra-node reduce trees, datatypes,
-// operators, roots, and back-to-back mixed-algorithm sequences.
+// recursive-halving allreduce, scatter+allgather bcast) and the pipelined
+// allreduce, forced via a single-candidate decision table, must be
+// element-exact against the same sequential reference the baseline paths
+// are tested against — across node shapes (incl. non-power-of-two for the
+// rhalving fold and more nodes than elements for zero-length blocks),
+// intra-node reduce trees, datatypes, operators, roots, and back-to-back
+// mixed-algorithm sequences.
 //
 // Data is chosen so floating-point reduction is order-independent: sums of
 // small integers are exact in f32/f64, and prod inputs are powers of two.
@@ -106,14 +107,15 @@ TEST_P(ZooAllreduce, MatchesSequentialReference) {
 INSTANTIATE_TEST_SUITE_P(
     Shapes, ZooAllreduce,
     ::testing::Combine(
-        ::testing::Values(coll::Algo::ring, coll::Algo::rhalving),
+        ::testing::Values(coll::Algo::ring, coll::Algo::rhalving,
+                          coll::Algo::pipeline),
         // 3 and 5 nodes exercise the rhalving fold and odd ring geometry;
         // count 3 with 4-5 nodes yields zero-length blocks.
         ::testing::Values(1, 2, 3, 4, 5), ::testing::Values(1, 4),
         ::testing::Values(std::size_t{1}, std::size_t{3}, std::size_t{2049},
                           std::size_t{10000}),
-        // The node reduce of ring and rhalving runs the allreduce row's
-        // intra-node tree.
+        // The node reduce of every allreduce algorithm runs the allreduce
+        // row's intra-node tree.
         ::testing::Values(coll::TreeKind::binomial, coll::TreeKind::binary)),
     [](const auto& info) {
       return std::string(coll::algo_name(std::get<0>(info.param))) + "_n" +
@@ -196,7 +198,8 @@ TEST_P(ZooAllreduceOps, AllDtypes) {
 INSTANTIATE_TEST_SUITE_P(
     Ops, ZooAllreduceOps,
     ::testing::Combine(
-        ::testing::Values(coll::Algo::ring, coll::Algo::rhalving),
+        ::testing::Values(coll::Algo::ring, coll::Algo::rhalving,
+                          coll::Algo::pipeline),
         ::testing::Values(coll::RedOp::sum, coll::RedOp::prod,
                           coll::RedOp::min, coll::RedOp::max),
         ::testing::Values(coll::TreeKind::binomial, coll::TreeKind::binary)),
