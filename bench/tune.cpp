@@ -11,10 +11,12 @@
 //
 // The builtin modern_smp() is a snapshot of this procedure. ibm_sp() is
 // not: it holds the paper's constants by hand. The SP sweep departs from
-// them: it maps bcast below 64 B and reduce from 512 B, takes scatter_ag
-// bcast from 32 KB and a binary intra-node reduce tree from 64 KB, and
-// hands allreduce above 16 KB to recursive halving, ring and the pipeline,
-// each over a binary node tree from 64 KB and none mapped.
+// them: it maps bcast below 64 B, takes scatter_ag bcast from 32 KB, maps
+// reduce from 512 B and runs it over binary trees between and within
+// nodes from 64 KB, hands allreduce above 16 KB to recursive halving (over
+// a binary intra-node tree from 64 KB) and from 128 KB to the pipeline
+// mapped over binary trees between and within nodes, and maps scatter
+// only for node blocks below 2 KB.
 //
 // Usage:
 //   tune [--profile ibm_sp|modern_smp] [--out FILE] [--smoke] [--check]
@@ -25,11 +27,12 @@
 //   --tpn T    tasks per node (default: 16; smoke: 8)
 //   --smoke    mini-sweep (small cluster, three sizes) for CI
 //   --check    self-consistency gate: the tuned table must round-trip
-//              through JSON to identical dispatch, and its pick must never
-//              be slower than the profile's default (builtin) dispatch
-//              beyond tolerance. The full modern_smp sweep at 8x16 must
-//              also write exactly DecisionTable::modern_smp(). Exit 1 on
-//              violation.
+//              through JSON to identical dispatch, every swept cell must
+//              dispatch (through coll::row_key) to the candidate the sweep
+//              picked for it, and its pick must never be slower than the
+//              profile's default (builtin) dispatch beyond tolerance. The
+//              full modern_smp sweep at 8x16 must also write exactly
+//              DecisionTable::modern_smp(). Exit 1 on violation.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -45,67 +48,74 @@ using namespace srm::bench;
 
 namespace {
 
-struct Candidate {
-  std::string label;  ///< "ring", "staged+bine", "staged+sc", ...
-  coll::Decision d;
-};
+/// A candidate's column label: the algorithm, then "+net-<tree>" for a
+/// non-binomial inter-node tree, "+<tree>" for a non-binomial intra-node
+/// reduce tree, and "+sc" for the mapped column ("staged+net-bine",
+/// "pipeline+net-binary+binary+sc").
+std::string label(const coll::Decision& d) {
+  std::string s = coll::algo_name(d.algo);
+  if (d.internode != coll::TreeKind::binomial) {
+    s += std::string("+net-") + coll::tree_kind_name(d.internode);
+  }
+  if (d.intranode != coll::TreeKind::binomial) {
+    s += std::string("+") + coll::tree_kind_name(d.intranode);
+  }
+  if (d.mapped) s += "+sc";
+  return s;
+}
 
 /// The candidate pool per operation, first-listed first: the isolated-call
 /// guard of the sweep measures every challenger against the first feasible
-/// candidate. Label suffixes: "+bine" is the inter-node tree, "+binary" the
-/// intra-node reduce tree, "+sc" the mapped column. Candidates that a
-/// Communicator would sanitize into a different algorithm at this size
-/// (SrmConfig::sanitize: rd above the exchange slot, staged bcast above the
-/// shared buffer) are skipped rather than measured under a false label.
-std::vector<Candidate> candidates(coll::CollKind op, std::size_t bytes) {
+/// candidate. Candidates that a Communicator would sanitize into a
+/// different algorithm at this size (SrmConfig::sanitize: rd above the
+/// exchange slot, staged bcast above the shared buffer) are skipped rather
+/// than measured under a false label.
+std::vector<coll::Decision> candidates(coll::CollKind op, std::size_t bytes) {
   using coll::Algo;
-  using coll::TreeKind;
-  const auto bin = TreeKind::binomial;
-  const auto bine = TreeKind::bine;
-  const auto binary = TreeKind::binary;
-  std::vector<Candidate> out;
+  const auto bin = coll::TreeKind::binomial;
+  const auto bine = coll::TreeKind::bine;
+  const auto binary = coll::TreeKind::binary;
+  std::vector<coll::Decision> out;
   switch (op) {
     case coll::CollKind::bcast:
-      out.push_back({"staged", {Algo::staged, false, bin}});
-      out.push_back({"staged+bine", {Algo::staged, false, bine}});
-      out.push_back({"staged+sc", {Algo::staged, true, bin}});
-      out.push_back({"direct", {Algo::direct, false, bin}});
-      out.push_back({"direct+sc", {Algo::direct, true, bin}});
-      out.push_back({"scatter_ag", {Algo::scatter_ag, false, bin}});
+      out = {{Algo::staged, false, bin},     {Algo::staged, false, bine},
+             {Algo::staged, true, bin},      {Algo::direct, false, bin},
+             {Algo::direct, true, bin},      {Algo::scatter_ag, false, bin}};
       break;
     case coll::CollKind::reduce:
-      out.push_back({"staged", {Algo::staged, false, bin}});
-      out.push_back({"staged+bine", {Algo::staged, false, bine}});
-      out.push_back({"staged+binary", {Algo::staged, false, bin, binary}});
-      out.push_back({"staged+sc", {Algo::staged, true, bin}});
+      out = {{Algo::staged, false, bin},
+             {Algo::staged, false, bine},
+             {Algo::staged, false, bin, binary},
+             {Algo::staged, true, bin},
+             {Algo::staged, false, binary, binary},
+             {Algo::staged, true, binary, binary}};
       break;
     case coll::CollKind::allreduce:
-      // No rd+bine variant: recursive doubling is a butterfly, the
+      // No rd+net-bine variant: recursive doubling is a butterfly, the
       // internode tree never enters its dispatch.
-      out.push_back({"rd", {Algo::rd, false, bin}});
-      out.push_back({"rd+binary", {Algo::rd, false, bin, binary}});
-      out.push_back({"pipeline", {Algo::pipeline, false, bin}});
-      out.push_back({"pipeline+binary", {Algo::pipeline, false, bin, binary}});
-      out.push_back({"pipeline+sc", {Algo::pipeline, true, bin}});
-      out.push_back({"ring", {Algo::ring, false, bin}});
-      out.push_back({"ring+binary", {Algo::ring, false, bin, binary}});
-      out.push_back({"rhalving", {Algo::rhalving, false, bin}});
-      out.push_back({"rhalving+binary", {Algo::rhalving, false, bin, binary}});
+      out = {{Algo::rd, false, bin},
+             {Algo::rd, false, bin, binary},
+             {Algo::pipeline, false, bin},
+             {Algo::pipeline, false, bin, binary},
+             {Algo::pipeline, true, bin},
+             {Algo::pipeline, true, bin, binary},
+             {Algo::pipeline, false, binary, binary},
+             {Algo::pipeline, true, binary, binary},
+             {Algo::ring, false, bin},
+             {Algo::ring, false, bin, binary},
+             {Algo::rhalving, false, bin},
+             {Algo::rhalving, false, bin, binary}};
       break;
     case coll::CollKind::scatter:
-      out.push_back({"staged", {Algo::staged, false, bin}});
-      out.push_back({"staged+sc", {Algo::staged, true, bin}});
-      break;
     case coll::CollKind::gather:
-      out.push_back({"staged", {Algo::staged, false, bin}});
-      out.push_back({"staged+sc", {Algo::staged, true, bin}});
+      out = {{Algo::staged, false, bin}, {Algo::staged, true, bin}};
       break;
     default:
       break;
   }
   const SrmConfig cfg;
-  std::erase_if(out, [&](const Candidate& c) {
-    return cfg.sanitize(op, c.d, bytes).algo != c.d.algo;
+  std::erase_if(out, [&](const coll::Decision& d) {
+    return cfg.sanitize(op, d, bytes).algo != d.algo;
   });
   return out;
 }
@@ -148,10 +158,10 @@ double measure_table(const Setup& s, const coll::DecisionTable& t,
 }
 
 /// Time one candidate as the only row of a one-row table.
-double measure(const Setup& s, coll::CollKind op, const Candidate& c,
+double measure(const Setup& s, coll::CollKind op, const coll::Decision& d,
                std::size_t bytes, int iters) {
   coll::DecisionTable t;
-  t.set(op, 0, c.d);
+  t.set(op, 0, d);
   return measure_table(s, t, op, bytes, iters);
 }
 
@@ -220,27 +230,37 @@ int main(int argc, char** argv) {
   // allowed only if one isolated call is no slower than the first-listed
   // one's: back-to-back calls overlap, and an average that wins by
   // overlapping its neighbours loses the isolated calls a workload makes.
-  // Columns come from the smallest size's full candidate pool; sizes where
-  // a candidate is sanitized away print 0 in its column.
+  // Each winner's row is keyed where dispatch looks the cell up
+  // (coll::row_key: the node block for scatter and gather, which the
+  // harness times per rank). Columns come from the smallest size's full
+  // candidate pool; sizes where a candidate is sanitized away print 0 in
+  // its column.
+  struct Pick {
+    coll::CollKind op;
+    std::size_t size;
+    coll::Decision d;
+  };
+  std::vector<Pick> picks;
   for (coll::CollKind op : swept_ops()) {
     std::vector<std::string> cols;
-    for (const Candidate& c : candidates(op, 0)) cols.push_back(c.label);
+    for (const coll::Decision& d : candidates(op, 0)) cols.push_back(label(d));
     std::vector<std::string> rows;
     std::vector<std::vector<double>> cells;
     std::vector<std::string> vetoed;
     std::vector<coll::DecisionTable::Row> op_rows;
     for (std::size_t size : sizes) {
-      std::vector<Candidate> cands = candidates(op, size);
+      std::vector<coll::Decision> cands = candidates(op, size);
       std::vector<double> line(cols.size(), 0.0);
       std::vector<double> avg;
-      for (const Candidate& c : cands) {
-        avg.push_back(measure(s, op, c, size, iters_for(size)));
+      for (const coll::Decision& d : cands) {
+        avg.push_back(measure(s, op, d, size, iters_for(size)));
+        const std::string col = label(d);
         for (std::size_t k = 0; k < cols.size(); ++k) {
-          if (cols[k] == c.label) line[k] = avg.back();
+          if (cols[k] == col) line[k] = avg.back();
         }
       }
-      auto isolated = [&](const Candidate& c) {
-        return measure(s, op, c, size, 1);
+      auto isolated = [&](const coll::Decision& d) {
+        return measure(s, op, d, size, 1);
       };
       std::size_t win = 0;
       double first_iso = -1.0;
@@ -251,17 +271,19 @@ int main(int argc, char** argv) {
         if (iso <= first_iso) {
           win = k;
         } else {
-          vetoed.push_back(util::human_bytes(size) + " " + cands[k].label +
+          vetoed.push_back(util::human_bytes(size) + " " + label(cands[k]) +
                            " (isolated " + util::fmt_us(iso) + " > " +
-                           cands[0].label + " " + util::fmt_us(first_iso) +
+                           label(cands[0]) + " " + util::fmt_us(first_iso) +
                            ")");
         }
       }
-      const Candidate& winner = cands[win];
-      rows.push_back(util::human_bytes(size) + " -> " + winner.label);
+      const coll::Decision& winner = cands[win];
+      picks.push_back({op, size, winner});
+      rows.push_back(util::human_bytes(size) + " -> " + label(winner));
       cells.push_back(std::move(line));
-      if (op_rows.empty() || !(winner.d == op_rows.back().d)) {
-        op_rows.push_back({op_rows.empty() ? 0 : size, winner.d});
+      if (op_rows.empty() || !(winner == op_rows.back().d)) {
+        op_rows.push_back(
+            {op_rows.empty() ? 0 : coll::row_key(op, size, s.tpn), winner});
       }
     }
     for (const auto& r : op_rows) tuned.set(op, r.min_bytes, r.d);
@@ -285,7 +307,19 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "check: JSON round-trip changed the table\n");
     ++failures;
   }
-  // 2. Tuned dispatch must never be slower than the profile's default
+  // 2. Every swept cell must dispatch, through the key dispatch uses, to
+  //    the candidate the sweep picked for it.
+  for (const Pick& p : picks) {
+    coll::Decision got =
+        reloaded.decide(p.op, coll::row_key(p.op, p.size, s.tpn));
+    if (!(got == p.d)) {
+      std::fprintf(stderr, "check: %s @ %zu B dispatches %s, swept %s\n",
+                   coll::coll_name(p.op), p.size, label(got).c_str(),
+                   label(p.d).c_str());
+      ++failures;
+    }
+  }
+  // 3. Tuned dispatch must never be slower than the profile's default
   //    (builtin) dispatch beyond tolerance: the tuner may only ever help.
   //    Both sides run with single-copy on, as the sweep timed them.
   constexpr double kTol = 0.02;      // deterministic sim: tiny band
@@ -302,7 +336,7 @@ int main(int argc, char** argv) {
       }
     }
   }
-  // 3. modern_smp() is this sweep's output at its default shape; ibm_sp()
+  // 4. modern_smp() is this sweep's output at its default shape; ibm_sp()
   //    holds the paper's constants by hand.
   if (!smoke && profile == "modern_smp" && s.nodes == 8 && s.tpn == 16 &&
       !(tuned == coll::DecisionTable::modern_smp())) {

@@ -53,6 +53,11 @@ bool coll_from_name(std::string_view s, CollKind& out) {
 
 }  // namespace
 
+std::size_t row_key(CollKind op, std::size_t bytes, int tasks_per_node) {
+  bool per_rank = op == CollKind::scatter || op == CollKind::gather;
+  return per_rank ? bytes * static_cast<std::size_t>(tasks_per_node) : bytes;
+}
+
 void DecisionTable::set(CollKind op, std::size_t min_bytes, Decision d) {
   auto& rows = ops_[static_cast<std::size_t>(op)];
   auto it = std::lower_bound(
@@ -320,22 +325,29 @@ DecisionTable DecisionTable::modern_smp() {
   //     at exactly 64 KB (one full shared buffer, no chunking), a
   //     scatter+allgather window covers 128-256 KB where splitting the
   //     root link wins, then direct's user-buffer pipeline takes over;
-  //   * from 64 KB the staged reduce runs a binary intra-node tree: the
-  //     binomial root of a 16-way node combines 4 children per chunk and
-  //     bounds the pipeline (1 MB: 2475 us binomial, 1885 us mapped,
-  //     1509 us binary). Below 64 KB binary and mapped win back-to-back
-  //     averages only by overlapping consecutive calls, and lose the
-  //     isolated call to binomial (16 KB: binary 73.5 us, mapped 66.6 us,
-  //     binomial 53.3 us), so the reduce is never mapped;
+  //   * from 64 KB the reduce runs mapped, over binary trees between and
+  //     within nodes. The chunk pipeline runs at the rate of its busiest
+  //     combiner: a 16-way binomial node root combines 4 children per
+  //     chunk, and at 8 nodes the binomial root leader 3 inter-node
+  //     children, where binary trees give each 2 (1 MB: 2475.2 us
+  //     binomial, 1885.2 us mapped binomial, 1509.3 us staged binary,
+  //     1290.8 us staged over both binary trees, 1289.3 us mapped). Below
+  //     64 KB a candidate that wins back-to-back averages does so only by
+  //     overlapping consecutive calls, and loses the isolated call to
+  //     binomial (16 KB: binary 73.5 us, mapped 66.6 us, binomial
+  //     53.3 us);
   //   * the pipelined allreduce takes over from rd at 32 KB and keeps every
-  //     larger size; from 64 KB its staged node reduce runs a binary tree,
-  //     as the reduce row's does, and beats recursive halving and ring even
-  //     with their binary node trees (512 KB: 881.6 us pipeline,
-  //     1127.9 us rhalving+binary). Mapping both halves loses at every
-  //     size. Ring and bine only win off power-of-two node counts (see
-  //     abl_tuner), so the 8-node builtin keeps binomial inter-node trees;
-  //   * mapped scatter wins only the 32-512 B band (one window export vs
-  //     per-chunk staging); at 1 KB it loses the isolated call.
+  //     larger size; from 64 KB its staged node reduce runs a binary tree
+  //     and beats recursive halving and ring even with their binary node
+  //     trees (512 KB: 881.6 us pipeline+binary, 1127.9 us
+  //     rhalving+binary). From 128 KB it maps both halves over binary
+  //     trees between and within nodes (1 MB: 1694.4 us staged binary,
+  //     1525.8 us over both binary trees, 1355.4 us mapped). Ring and
+  //     bine only win off power-of-two node counts (see abl_tuner);
+  //   * mapped scatter wins only node blocks of 512 B-16 KB (per-rank
+  //     32-512 B at 16 tasks: one window export vs per-chunk staging); at
+  //     a 1 KB per-rank block it loses the isolated call. Scatter rows are
+  //     keyed on the node block, as dispatch looks them up (row_key).
   // gather keeps one staged row; barrier, allgather and reduce_scatter need
   // none (the last two are two calls each, each call on its own row).
   DecisionTable t;
@@ -346,16 +358,18 @@ DecisionTable DecisionTable::modern_smp() {
   t.set(CollKind::bcast, 64 * 1024, {Algo::staged, false, bin});
   t.set(CollKind::bcast, 128 * 1024, {Algo::scatter_ag, false, bin});
   t.set(CollKind::bcast, 512 * 1024, {Algo::direct, false, bin});
+  auto binary = TreeKind::binary;
   t.set(CollKind::reduce, 0, {Algo::staged, false, bin});
-  t.set(CollKind::reduce, 64 * 1024,
-        {Algo::staged, false, bin, TreeKind::binary});
+  t.set(CollKind::reduce, 64 * 1024, {Algo::staged, true, binary, binary});
   t.set(CollKind::allreduce, 0, {Algo::rd, false, bin});
   t.set(CollKind::allreduce, 32 * 1024, {Algo::pipeline, false, bin});
   t.set(CollKind::allreduce, 64 * 1024,
-        {Algo::pipeline, false, bin, TreeKind::binary});
+        {Algo::pipeline, false, bin, binary});
+  t.set(CollKind::allreduce, 128 * 1024,
+        {Algo::pipeline, true, binary, binary});
   t.set(CollKind::scatter, 0, {Algo::staged, false, bin});
-  t.set(CollKind::scatter, 32, {Algo::staged, true, bin});
-  t.set(CollKind::scatter, 1024, {Algo::staged, false, bin});
+  t.set(CollKind::scatter, 512, {Algo::staged, true, bin});
+  t.set(CollKind::scatter, 16 * 1024, {Algo::staged, false, bin});
   t.set(CollKind::gather, 0, {Algo::staged, false, bin});
   return t;
 }

@@ -55,11 +55,11 @@ bool algo_from_name(std::string_view s, Algo& out);
 
 /// One dispatch outcome: which algorithm, whether the intra-node phases use
 /// the single-copy cross-mapped variants, the inter-node tree shape, and the
-/// tree of the staged intra-node reduce. Every call reads only its own op's
-/// row. `intranode` is read by the staged node reduces (reduce and every
-/// allreduce algorithm); the mapped path always runs the topology tree.
-/// `mapped` binds only under SrmConfig::single_copy, and only where the
-/// algorithm has a mapped variant (Communicator::decide).
+/// tree of the intra-node reduce. Every call reads only its own op's row.
+/// `intranode` is read by every node reduce (reduce and every allreduce
+/// algorithm); a mapped node reduce lays it over the cache domains
+/// (coll::topo_tree). `mapped` binds only under SrmConfig::single_copy, and
+/// only where the algorithm has a mapped variant (Communicator::decide).
 struct Decision {
   Algo algo = Algo::staged;
   bool mapped = false;
@@ -67,6 +67,12 @@ struct Decision {
   TreeKind intranode = TreeKind::binomial;
   bool operator==(const Decision&) const = default;
 };
+
+/// The size a call of @p op with @p bytes per rank is looked up at, and so
+/// the size a tuned row is keyed by: the node block (@p tasks_per_node x
+/// @p bytes) for scatter and gather, whose node leader moves the whole
+/// block, and @p bytes for every other op.
+std::size_t row_key(CollKind op, std::size_t bytes, int tasks_per_node);
 
 /// Per-op size-banded decisions. Rows are kept sorted ascending by
 /// min_bytes; decide() returns the last row whose min_bytes <= bytes (or a

@@ -215,7 +215,7 @@ Tree build_tree(TreeKind kind, int n, int root) {
 }
 
 Tree topo_tree(const machine::TopologyParams& tp, int n, int root,
-               bool binomial) {
+               TreeKind kind) {
   Tree t = make_empty(n, root);
   // Leaders: the root leads every domain it belongs to; any other domain is
   // led by its lowest member. Maps are keyed by domain id (dense from 0).
@@ -239,11 +239,10 @@ Tree topo_tree(const machine::TopologyParams& tp, int n, int root,
     if (tp.l3_of(sl) == static_cast<int>(g)) l3_lead[g] = sl;
   }
 
-  // Group every non-root vertex under its leader (same descent rules either
-  // way); the flag only changes how members attach within one group. Each
-  // member carries its stratum — plain core, L3 leader, socket leader — so
-  // the binomial layout can order the group without mixing strata in a way
-  // that would cross a domain boundary twice.
+  // Group every non-root vertex under its leader. Each member carries its
+  // stratum — plain core, L3 leader, socket leader — so the group can be
+  // ordered without mixing strata in a way that would cross a domain
+  // boundary twice.
   std::map<int, std::vector<std::pair<int, int>>> group;  // lead -> (stratum, v)
   for (int v = 0; v < n; ++v) {
     if (v == root) continue;
@@ -258,18 +257,12 @@ Tree topo_tree(const machine::TopologyParams& tp, int n, int root,
     }
   }
   for (auto& [lead, members] : group) {
-    if (!binomial) {
-      for (auto [s, v] : members) link(t, lead, v);
-      continue;
-    }
-    // In-group order [lead, members...]; index i hangs off index i with its
-    // lowest set bit cleared — the classic binomial layout. Same-domain
-    // cores come first (rank order rotated around the leader, so a
-    // single-domain group reproduces binomial_tree(n, root) exactly), then
-    // L3 leaders, then socket leaders: a core's binomial parent is always
-    // an earlier core of its own slice (or the lead), and only a domain's
-    // leader ever has a parent outside that domain — every boundary is
-    // still crossed by exactly one edge.
+    // In-group order [lead, members...]: same-domain cores first (rank
+    // order rotated around the leader, so a single-domain group reproduces
+    // build_tree(kind, n, root) exactly), then L3 leaders, then socket
+    // leaders. When every in-group parent precedes its child, a core's
+    // parent is an earlier core of its own slice (or the lead), and only a
+    // domain's leader ever has a parent outside that domain.
     const int l = lead;  // structured binding can't be captured
     std::sort(members.begin(), members.end(),
               [&](const std::pair<int, int>& a, const std::pair<int, int>& b) {
@@ -280,8 +273,11 @@ Tree topo_tree(const machine::TopologyParams& tp, int n, int root,
     ord.reserve(members.size() + 1);
     ord.push_back(lead);
     for (auto [s, v] : members) ord.push_back(v);
-    for (std::size_t i = 1; i < ord.size(); ++i) {
-      link(t, ord[i & (i - 1)], ord[i]);
+    Tree g = build_tree(kind, static_cast<int>(ord.size()), 0);
+    for (std::size_t i = 0; i < ord.size(); ++i) {
+      for (int c : g.children[i]) {
+        link(t, ord[i], ord[static_cast<std::size_t>(c)]);
+      }
     }
   }
   t.validate();

@@ -60,20 +60,24 @@ Tree flat_tree(int n, int root);
 Tree bine_tree(int n, int root);
 
 /// Hierarchy-aware intra-node tree over @p n local tasks: root -> socket
-/// leaders -> L3 leaders -> cores, so every cache-domain boundary is crossed
-/// by exactly one tree edge (the single-copy protocols hang one cross-domain
-/// window transfer on each such edge). The root leads its own socket and L3
-/// slice; every other domain is led by its lowest local task. Degenerates to
-/// a flat tree on a single-domain topology.
+/// leaders -> L3 leaders -> cores. The root leads its own socket and L3
+/// slice; every other domain is led by its lowest local task. Each leader's
+/// group (itself, then its members ordered same-domain cores first, then L3
+/// leaders, then socket leaders) is laid out as build_tree(@p kind, group
+/// size, 0), so on a single-domain topology the result is exactly
+/// build_tree(kind, n, root).
 ///
-/// With @p binomial, members of each domain group hang off their leader in
-/// binomial order instead of flat: fan-in work (reduce combines, serialized
-/// at every parent) parallelizes across the tree's interior, while fan-out
-/// consumers (broadcast pulls, which overlap on the bus anyway) prefer the
-/// flat shape. On a single-domain topology the binomial variant is exactly
-/// binomial_tree(n, root).
+/// For a kind whose in-group parents precede their children (binomial,
+/// binary, fibonacci, flat), every cache-domain boundary is crossed by
+/// exactly one tree edge: the single-copy protocols hang one cross-domain
+/// window transfer on each such edge. bine's wrap-around edges break that
+/// order, so a bine layout may cross a boundary more than once.
+///
+/// Fan-out consumers (broadcast pulls, which overlap on the bus anyway)
+/// prefer the flat shape; fan-in work (reduce combines, serialized at every
+/// parent) runs the calling row's intra-node tree.
 Tree topo_tree(const machine::TopologyParams& tp, int n, int root,
-               bool binomial = false);
+               TreeKind kind = TreeKind::flat);
 
 /// The SMP-aware embedding of collective trees into a cluster (Fig. 1): the
 /// inter-node half. A node's intra-node tree is rooted at the local rank of

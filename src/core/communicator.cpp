@@ -281,12 +281,11 @@ coll::Decision Communicator::decide(const machine::TaskCtx& t,
                                     std::size_t bytes) const {
   using coll::Algo;
   using coll::CollKind;
-  bool per_rank = op == CollKind::scatter || op == CollKind::gather;
-  coll::Decision d = decide(
-      op, per_rank ? bytes * static_cast<std::size_t>(t.nlocal()) : bytes);
+  coll::Decision d = decide(op, coll::row_key(op, bytes, t.nlocal()));
   // The algorithms with a mapped variant: staged and direct bcast, staged
   // reduce, both halves of the pipelined allreduce, and scatter and gather
   // on nodes of more than one task.
+  bool per_rank = op == CollKind::scatter || op == CollKind::gather;
   bool variant = op == CollKind::reduce ||
                  (op == CollKind::bcast && d.algo != Algo::scatter_ag) ||
                  (op == CollKind::allreduce && d.algo == Algo::pipeline) ||

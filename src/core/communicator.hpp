@@ -114,10 +114,11 @@ class Communicator final : public coll::Collectives {
                      const coll::CallSig& sig) const override;
 
  private:
-  /// What one call of @p op runs: the op's own row, keyed on the node block
-  /// for scatter and gather (@p bytes is per rank there), with `mapped`
-  /// resolved to whether the call runs a mapped single-copy phase. Each op
-  /// entry asks once, from operation-level arguments, for all its stages.
+  /// What one call of @p op runs: the op's own row at coll::row_key (the
+  /// node block for scatter and gather, whose @p bytes is per rank), with
+  /// `mapped` resolved to whether the call runs a mapped single-copy phase.
+  /// Each op entry asks once, from operation-level arguments, for all its
+  /// stages.
   coll::Decision decide(const machine::TaskCtx& t, coll::CollKind op,
                         std::size_t bytes) const;
 

@@ -29,15 +29,15 @@ sim::CoTask Communicator::reduce_impl(machine::TaskCtx& t, const void* send,
   RankState& rs = rank_state(t);
   int my_node = t.node();
   int leader = emb.leader[static_cast<std::size_t>(my_node)];
-  // Single-copy path: leaves of the topology tree export their send buffers
-  // as windows and the interior combines straight out of them — no staging
-  // copies at all, and every cache-domain boundary crossed exactly once. The
-  // staged path runs the tree the row names.
+  // Both paths run the row's intra-node tree. The single-copy path lays it
+  // over the cache domains (coll::topo_tree): leaves export their send
+  // buffers as windows and the interior combines straight out of them — no
+  // staging copies at all, and (for every kind but bine) every cache-domain
+  // boundary crossed once.
   int leader_local = t.topo->local_of(leader);
   coll::Tree itree =
       dec.mapped
-          ? coll::topo_tree(t.P->topo, t.nlocal(), leader_local,
-                            /*binomial=*/true)
+          ? coll::topo_tree(t.P->topo, t.nlocal(), leader_local, dec.intranode)
           : coll::build_tree(dec.intranode, t.nlocal(), leader_local);
 
   std::size_t chunk_elems = cfg_.reduce_chunk / esize;

@@ -319,12 +319,11 @@ double scale_extra(CollKind op, Algo algo, const AlgoCost& c, int chunks,
 }
 
 /// Children of the node root in the intra-node reduce tree of @p d at
-/// @p tasks local ranks: the mapped path runs the topology tree, the staged
-/// path the row's tree.
+/// @p tasks local ranks. Both paths run the row's tree, as core/reduce.cpp
+/// does: the mapped path lays it over the cache domains (coll::topo_tree).
 int root_fan_in(const Decision& d, int tasks,
                 const machine::MachineParams& mp) {
-  coll::Tree t = d.mapped ? coll::topo_tree(mp.topo, tasks, 0,
-                                            /*binomial=*/true)
+  coll::Tree t = d.mapped ? coll::topo_tree(mp.topo, tasks, 0, d.intranode)
                           : coll::build_tree(d.intranode, tasks, 0);
   return static_cast<int>(t.children[0].size());
 }
@@ -334,8 +333,9 @@ int root_fan_in(const Decision& d, int tasks,
 /// root_fan_in(kTableTasks) chunks where the kTasks model combines
 /// root_fan_in(kTasks). Each extra child is one more pass over the message
 /// at the combine rate on the pipeline's bottleneck. Binomial and binary
-/// roots have 2 children at 4 tasks; at 16, binomial has 4, binary 2, and
-/// the topology tree 4 on a single-domain node, 3 on modern_smp's.
+/// roots have 2 children at 4 tasks; at 16, binomial has 4 and binary 2.
+/// Laid over modern_smp's cache domains, the binomial root has 3 and the
+/// binary root 2 (on a single-domain node the layout is the plain tree).
 double tasks_extra(CollKind op, const Decision& d, std::size_t bytes,
                    const machine::MachineParams& mp) {
   if (op != CollKind::reduce) return 0.0;

@@ -259,17 +259,29 @@ TEST(TopoTree, SingleDomainIsFlat) {
 TEST(TopoTree, SingleDomainBinomialMatchesBinomialTree) {
   machine::TopologyParams tp;
   for (int root : {0, 5}) {
-    Tree t = topo_tree(tp, 16, root, /*binomial=*/true);
+    Tree t = topo_tree(tp, 16, root, TreeKind::binomial);
     Tree b = binomial_tree(16, root);
     EXPECT_EQ(t.parent, b.parent) << "root=" << root;
+    EXPECT_EQ(t.children, b.children) << "root=" << root;
+    Tree tb = topo_tree(tp, 16, root, TreeKind::binary);
+    Tree bb = binary_tree(16, root);
+    EXPECT_EQ(tb.parent, bb.parent) << "root=" << root;
+    EXPECT_EQ(tb.children, bb.children) << "root=" << root;
   }
 }
 
+// The kinds whose in-group parents precede their children. bine's
+// wrap-around edges break that order (a vertex can hang off a later member
+// of its group), so a bine layout may cross a domain boundary twice and is
+// not held to the invariants below.
+constexpr TreeKind kOrderedKinds[] = {TreeKind::binomial, TreeKind::binary,
+                                      TreeKind::fibonacci, TreeKind::flat};
+
 TEST(TopoTree, EveryDomainBoundaryCrossedExactlyOnce) {
   machine::TopologyParams tp = two_socket();
-  for (bool binomial : {false, true}) {
+  for (TreeKind kind : kOrderedKinds) {
     for (int root : {0, 5}) {
-      Tree t = topo_tree(tp, 16, root, binomial);
+      Tree t = topo_tree(tp, 16, root, kind);
       t.validate();
       int cross_socket = 0;
       int cross_l3 = 0;
@@ -285,9 +297,9 @@ TEST(TopoTree, EveryDomainBoundaryCrossedExactlyOnce) {
       // One edge into each non-root socket; one edge into each L3 slice
       // that is not its socket leader's own.
       EXPECT_EQ(cross_socket, tp.sockets - 1)
-          << "root=" << root << " binomial=" << binomial;
+          << "root=" << root << " kind=" << tree_kind_name(kind);
       EXPECT_EQ(cross_l3, tp.sockets * (tp.l3_per_socket - 1))
-          << "root=" << root << " binomial=" << binomial;
+          << "root=" << root << " kind=" << tree_kind_name(kind);
     }
   }
 }
@@ -310,10 +322,10 @@ TEST(TopoTree, TruncatedNodeStaysSpanning) {
   // unpopulated and the tree still spans.
   machine::TopologyParams tp = two_socket();
   for (int n : {3, 6, 11}) {
-    for (bool binomial : {false, true}) {
-      Tree t = topo_tree(tp, n, 0, binomial);
+    for (TreeKind kind : kOrderedKinds) {
+      Tree t = topo_tree(tp, n, 0, kind);
       t.validate();
-      EXPECT_EQ(t.subtree_size(0), n);
+      EXPECT_EQ(t.subtree_size(0), n) << tree_kind_name(kind);
     }
   }
 }

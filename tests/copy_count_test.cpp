@@ -393,12 +393,20 @@ TEST_F(CopyCounts, PipelinedAllreduceReadsOnlyItsOwnRow) {
   coll::DecisionTable mapped = a;
   mapped.set(coll::CollKind::allreduce, 0,
              {Algo::pipeline, true, TreeKind::binomial, TreeKind::binomial});
+  // On a mapped row too: the mapped node reduce lays the row's intra-node
+  // tree over the cache domains.
+  coll::DecisionTable mapped_tree = a;
+  mapped_tree.set(coll::CollKind::allreduce, 0,
+                  {Algo::pipeline, true, TreeKind::binomial, TreeKind::binary});
   PipelineRun by_tree = pipelined_allreduce(tree);
   PipelineRun by_mapped = pipelined_allreduce(mapped);
+  PipelineRun by_mapped_tree = pipelined_allreduce(mapped_tree);
   EXPECT_EQ(by_tree.result, base.result);
   EXPECT_EQ(by_mapped.result, base.result);
+  EXPECT_EQ(by_mapped_tree.result, base.result);
   EXPECT_NE(by_tree.virt, base.virt);
   EXPECT_NE(by_mapped.virt, base.virt);
+  EXPECT_NE(by_mapped_tree.virt, by_mapped.virt);
   EXPECT_LT(by_mapped.copies, base.copies);
 }
 

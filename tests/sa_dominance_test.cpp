@@ -109,22 +109,26 @@ TEST(SaDominance, TasksPerNodeTermJudgesTheIntranodeTree) {
   // own it prices a binary row like a binomial one and both lose to the
   // mapped path at 512 KB. At the table's 16 tasks the binomial root
   // combines 4 children per chunk and the binary root 2: the binary row
-  // stands, the binomial row is still dominated by the mapped one.
+  // stands, the binomial row is still dominated by the mapped one. A mapped
+  // row lays its own tree over the cache domains, so a mapped binary row
+  // has root fan-in 2 as well and stands too.
   machine::MachineParams mp = machine::MachineParams::modern_smp();
   SrmConfig cfg;
-  auto row_at_512k = [&](TreeKind intranode) {
+  auto row_at_512k = [&](bool mapped, TreeKind intranode) {
     DecisionTable t;
     t.profile = "modern_smp";
     t.set(CollKind::reduce, 0, {Algo::staged, false, TreeKind::binomial});
     t.set(CollKind::reduce, 512 * 1024,
-          {Algo::staged, false, TreeKind::binomial, intranode});
+          {Algo::staged, mapped, TreeKind::binomial, intranode});
     return sa::check_table(t, cfg, mp).issues;
   };
-  std::vector<sa::DominanceIssue> binary = row_at_512k(TreeKind::binary);
-  for (const sa::DominanceIssue& i : binary) {
-    ADD_FAILURE() << sa::to_string(i);
+  for (bool mapped : {false, true}) {
+    for (const sa::DominanceIssue& i : row_at_512k(mapped, TreeKind::binary)) {
+      ADD_FAILURE() << "mapped=" << mapped << ": " << sa::to_string(i);
+    }
   }
-  std::vector<sa::DominanceIssue> binomial = row_at_512k(TreeKind::binomial);
+  std::vector<sa::DominanceIssue> binomial =
+      row_at_512k(false, TreeKind::binomial);
   ASSERT_EQ(binomial.size(), 1u);
   EXPECT_EQ(binomial[0].op, CollKind::reduce);
   EXPECT_EQ(binomial[0].min_bytes, 512u * 1024);

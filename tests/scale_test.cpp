@@ -291,28 +291,41 @@ TEST(Scale, OptionalNodeBuffersWaitForTheirOps) {
   }
 
   // A mapped reduce gives accumulators to the interior vertices of each
-  // node's topology tree, and to no one else.
-  f.cluster.run([&](TaskCtx& t) -> CoTask {
-    std::vector<double> in(1024, 1.0 + t.rank), out(1024, 0.0);
-    co_await f.comm.reduce(t, coll::of(in.data(), in.size()),
-                           coll::of(out.data(), out.size()), coll::RedOp::sum,
-                           0);
-    if (t.rank == 0) {
-      EXPECT_DOUBLE_EQ(out[1023], 24.0 + 23.0 * 24 / 2);
+  // node's topology tree laid out as the row's intra-node tree, and to no
+  // one else. The binomial and binary layouts of 4 tasks have different
+  // interiors (local 2 and local 1), so a fresh communicator runs the
+  // binary row.
+  auto mapped_reduce_accumulators = [&](Fixture& fx, coll::TreeKind kind) {
+    fx.cluster.run([&](TaskCtx& t) -> CoTask {
+      std::vector<double> in(1024, 1.0 + t.rank), out(1024, 0.0);
+      co_await fx.comm.reduce(t, coll::of(in.data(), in.size()),
+                              coll::of(out.data(), out.size()),
+                              coll::RedOp::sum, 0);
+      if (t.rank == 0) {
+        EXPECT_DOUBLE_EQ(out[1023], 24.0 + 23.0 * 24 / 2);
+      }
+    });
+    coll::Tree tree =
+        coll::topo_tree(fx.cluster.params().topo, nlocal, 0, kind);
+    int interior = 0;
+    for (int l = 1; l < nlocal; ++l) {
+      bool inner = !tree.children[static_cast<std::size_t>(l)].empty();
+      interior += inner ? 1 : 0;
+      for (int n = 0; n < nodes; ++n) {
+        EXPECT_EQ(holds_sc_acc(fx, n, l), inner)
+            << coll::tree_kind_name(kind) << " node " << n << " local " << l;
+      }
     }
-  });
-  coll::Tree tree = coll::topo_tree(f.cluster.params().topo, nlocal, 0,
-                                    /*binomial=*/true);
-  int interior = 0;
-  for (int l = 1; l < nlocal; ++l) {
-    bool inner = !tree.children[static_cast<std::size_t>(l)].empty();
-    interior += inner ? 1 : 0;
-    for (int n = 0; n < nodes; ++n) {
-      EXPECT_EQ(holds_sc_acc(f, n, l), inner) << "node " << n << " local " << l;
-    }
-  }
-  EXPECT_GT(interior, 0);
-  for (int n = 0; n < nodes; ++n) EXPECT_FALSE(holds_sc_acc(f, n, 0));
+    EXPECT_GT(interior, 0);
+    for (int n = 0; n < nodes; ++n) EXPECT_FALSE(holds_sc_acc(fx, n, 0));
+  };
+  mapped_reduce_accumulators(f, coll::TreeKind::binomial);
+  SrmConfig binary_cfg = cfg;
+  binary_cfg.decisions.set(coll::CollKind::reduce, 4096,
+                           {coll::Algo::staged, true, coll::TreeKind::binomial,
+                            coll::TreeKind::binary});
+  Fixture fb(nodes, nlocal, binary_cfg);
+  mapped_reduce_accumulators(fb, coll::TreeKind::binary);
 
   // A non-power-of-two recursive-doubling allreduce brings the fold slots
   // to the folding pairs only: odd partners receive, even ones get the

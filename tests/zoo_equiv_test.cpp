@@ -28,14 +28,17 @@ using machine::TaskCtx;
 using sim::CoTask;
 
 struct Fixture {
-  Fixture(int nodes, int per_node, SrmConfig cfg = {})
-      : cluster(make_cfg(nodes, per_node)),
+  Fixture(int nodes, int per_node, SrmConfig cfg = {},
+          const machine::MachineParams& mp = machine::MachineParams::ibm_sp())
+      : cluster(make_cfg(nodes, per_node, mp)),
         fabric(cluster),
         comm(cluster, fabric, cfg) {}
-  static ClusterConfig make_cfg(int nodes, int per_node) {
+  static ClusterConfig make_cfg(int nodes, int per_node,
+                                const machine::MachineParams& mp) {
     ClusterConfig c;
     c.nodes = nodes;
     c.tasks_per_node = per_node;
+    c.params = mp;
     return c;
   }
   Cluster cluster;
@@ -67,16 +70,38 @@ std::string tree_suffix(coll::TreeKind intranode) {
 }
 
 // ---------------------------------------------------------------------------
-// Allreduce zoo: shape x size x intra-node tree sweep, f64 sum.
+// Allreduce zoo: shape x size x intra-node tree sweep, f64 sum. The
+// single-copy cases run modern_smp (16-way nodes over 2 sockets x 2 L3
+// slices, so a node tree spans several cache domains) with the pipeline's
+// row and the reduce row mapped over binary inter-node trees, and also
+// reduce to roots on and off the node masters.
 // ---------------------------------------------------------------------------
 
-class ZooAllreduce
-    : public ::testing::TestWithParam<
-          std::tuple<coll::Algo, int, int, std::size_t, coll::TreeKind>> {};
+using ZooAllreduceParam =
+    std::tuple<coll::Algo, int, int, std::size_t, coll::TreeKind, bool>;
+
+class ZooAllreduce : public ::testing::TestWithParam<ZooAllreduceParam> {};
+
+SrmConfig force_mapped_smp(coll::TreeKind intranode) {
+  SrmConfig cfg;
+  cfg.single_copy = true;
+  cfg.decisions.profile = "forced";
+  cfg.decisions.set(coll::CollKind::allreduce, 0,
+                    {coll::Algo::pipeline, true, coll::TreeKind::binary,
+                     intranode});
+  cfg.decisions.set(coll::CollKind::reduce, 0,
+                    {coll::Algo::staged, true, coll::TreeKind::binary,
+                     intranode});
+  return cfg;
+}
 
 TEST_P(ZooAllreduce, MatchesSequentialReference) {
-  auto [algo, nodes, ppn, count, intranode] = GetParam();
-  Fixture f(nodes, ppn, force(algo, coll::Algo::staged, intranode));
+  auto [algo, nodes, ppn, count, intranode, mapped_smp] = GetParam();
+  Fixture f(nodes, ppn,
+            mapped_smp ? force_mapped_smp(intranode)
+                       : force(algo, coll::Algo::staged, intranode),
+            mapped_smp ? machine::MachineParams::modern_smp()
+                       : machine::MachineParams::ibm_sp());
   int n = nodes * ppn;
   std::vector<std::vector<double>> send(static_cast<std::size_t>(n)),
       recv(static_cast<std::size_t>(n));
@@ -92,37 +117,72 @@ TEST_P(ZooAllreduce, MatchesSequentialReference) {
                               coll::of(recv[r].data(), count),
                               coll::RedOp::sum);
   });
+  std::vector<double> want(count, 0.0);
   for (std::size_t i = 0; i < count; ++i) {
-    double want = 0;
-    for (int r = 0; r < n; ++r) want += contribution(r, i);
+    for (int r = 0; r < n; ++r) want[i] += contribution(r, i);
     for (int r = 0; r < n; ++r) {
       auto ri = static_cast<std::size_t>(r);
-      ASSERT_EQ(recv[ri][i], want) << "rank " << r << " elem " << i;
+      ASSERT_EQ(recv[ri][i], want[i]) << "rank " << r << " elem " << i;
       // The send buffer is an input: it must come back untouched.
       ASSERT_EQ(send[ri][i], contribution(r, i)) << "rank " << r;
     }
   }
+  if (!mapped_smp) return;
+  // The mapped reduce, rooted at the first master, a non-master on the
+  // second node, and the last rank: the root leads its node's tree.
+  for (int root : {0, ppn + ppn / 2 + 1, n - 1}) {
+    std::vector<double> got(count, -1.0);
+    f.cluster.run([&, count = count, root](TaskCtx& t) -> CoTask {
+      auto r = static_cast<std::size_t>(t.rank);
+      co_await f.comm.reduce(t, coll::of(send[r].data(), count),
+                             coll::of(got.data(), count), coll::RedOp::sum,
+                             root);
+    });
+    ASSERT_EQ(got, want) << "root " << root;
+  }
+}
+
+/// The staged cross product, then the single-copy modern_smp cases.
+std::vector<ZooAllreduceParam> zoo_allreduce_params() {
+  std::vector<ZooAllreduceParam> out;
+  const std::size_t counts[] = {1, 3, 2049, 10000};
+  for (coll::Algo algo :
+       {coll::Algo::ring, coll::Algo::rhalving, coll::Algo::pipeline}) {
+    // 3 and 5 nodes exercise the rhalving fold and odd ring geometry;
+    // count 3 with 4-5 nodes yields zero-length blocks.
+    for (int nodes : {1, 2, 3, 4, 5}) {
+      for (int ppn : {1, 4}) {
+        for (std::size_t count : counts) {
+          // The node reduce of every allreduce algorithm runs the allreduce
+          // row's intra-node tree.
+          for (coll::TreeKind tree :
+               {coll::TreeKind::binomial, coll::TreeKind::binary}) {
+            out.emplace_back(algo, nodes, ppn, count, tree, false);
+          }
+        }
+      }
+    }
+  }
+  for (auto [nodes, ppn] : {std::pair{3, 16}, std::pair{4, 8}}) {
+    for (std::size_t count : counts) {
+      for (coll::TreeKind tree :
+           {coll::TreeKind::binomial, coll::TreeKind::binary}) {
+        out.emplace_back(coll::Algo::pipeline, nodes, ppn, count, tree, true);
+      }
+    }
+  }
+  return out;
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Shapes, ZooAllreduce,
-    ::testing::Combine(
-        ::testing::Values(coll::Algo::ring, coll::Algo::rhalving,
-                          coll::Algo::pipeline),
-        // 3 and 5 nodes exercise the rhalving fold and odd ring geometry;
-        // count 3 with 4-5 nodes yields zero-length blocks.
-        ::testing::Values(1, 2, 3, 4, 5), ::testing::Values(1, 4),
-        ::testing::Values(std::size_t{1}, std::size_t{3}, std::size_t{2049},
-                          std::size_t{10000}),
-        // The node reduce of every allreduce algorithm runs the allreduce
-        // row's intra-node tree.
-        ::testing::Values(coll::TreeKind::binomial, coll::TreeKind::binary)),
+    Shapes, ZooAllreduce, ::testing::ValuesIn(zoo_allreduce_params()),
     [](const auto& info) {
       return std::string(coll::algo_name(std::get<0>(info.param))) + "_n" +
              std::to_string(std::get<1>(info.param)) + "x" +
              std::to_string(std::get<2>(info.param)) + "_c" +
              std::to_string(std::get<3>(info.param)) +
-             tree_suffix(std::get<4>(info.param));
+             tree_suffix(std::get<4>(info.param)) +
+             (std::get<5>(info.param) ? "_smp_sc" : "");
     });
 
 // ---------------------------------------------------------------------------
