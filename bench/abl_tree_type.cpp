@@ -1,6 +1,7 @@
 // Ablation (§2.1): inter-node tree type. The paper implemented binomial,
 // binary, and Fibonacci trees and found binomial best for inter-node
-// communication on the SP. Reproduced for broadcast and reduce on 256 CPUs.
+// communication on the SP. Reproduced for broadcast and reduce on 256 CPUs,
+// with a chain (segmented-pipeline) tree beside them.
 #include <cstdio>
 
 #include "bench/harness.hpp"
@@ -12,9 +13,9 @@ using namespace srm::bench;
 int main() {
   std::printf("Ablation: inter-node tree type (256 CPUs, 16 nodes x 16)\n");
   std::vector<std::size_t> sizes = {8, 1024, 16384, 65536, 1u << 20};
-  std::vector<coll::TreeKind> kinds = {coll::TreeKind::binomial,
-                                       coll::TreeKind::binary,
-                                       coll::TreeKind::fibonacci};
+  std::vector<coll::TreeKind> kinds = {
+      coll::TreeKind::binomial, coll::TreeKind::binary,
+      coll::TreeKind::fibonacci, coll::TreeKind::chain};
   std::vector<std::string> rows, cols;
   for (auto s : sizes) rows.push_back(util::human_bytes(s));
   for (auto k : kinds) cols.push_back(coll::tree_kind_name(k));

@@ -325,25 +325,35 @@ DecisionTable DecisionTable::modern_smp() {
   //     at exactly 64 KB (one full shared buffer, no chunking), a
   //     scatter+allgather window covers 128-256 KB where splitting the
   //     root link wins, then direct's user-buffer pipeline takes over;
-  //   * from 64 KB the reduce runs mapped, over binary trees between and
-  //     within nodes. The chunk pipeline runs at the rate of its busiest
-  //     combiner: a 16-way binomial node root combines 4 children per
-  //     chunk, and at 8 nodes the binomial root leader 3 inter-node
-  //     children, where binary trees give each 2 (1 MB: 2475.2 us
-  //     binomial, 1885.2 us mapped binomial, 1509.3 us staged binary,
-  //     1290.8 us staged over both binary trees, 1289.3 us mapped). Below
-  //     64 KB a candidate that wins back-to-back averages does so only by
-  //     overlapping consecutive calls, and loses the isolated call to
-  //     binomial (16 KB: binary 73.5 us, mapped 66.6 us, binomial
-  //     53.3 us);
+  //   * from 64 KB the reduce runs mapped over binary trees between and
+  //     within nodes, at 128 KB mapped over a binary inter-node tree and a
+  //     chain within nodes, and from 256 KB staged over chain trees between
+  //     and within nodes. The chunk pipeline runs at the rate of its
+  //     busiest combiner: a 16-way binomial node root combines 4 children
+  //     per chunk, and at 8 nodes the binomial root leader 3 inter-node
+  //     children; binary trees give each 2, and a chain gives every vertex
+  //     1 (1 MB: 2475.2 us binomial, 1509.3 us staged binary, 1289.3 us
+  //     mapped over both binary trees, 738.9 us staged over both chains).
+  //     Laid over the cache domains, a chain gives one L3 leader two
+  //     children, one of them across the socket, where the staged chain
+  //     crosses the socket on a single edge. At 64-128 KB the chain rows
+  //     that win back-to-back averages lose the isolated call (64 KB:
+  //     mapped binary 138.5 us, mapped binary+chain 152.8 us, staged
+  //     chains 183.6 us; 128 KB: mapped binary+chain 212.2 us, staged
+  //     chains 236.5 us). Below 64 KB a candidate that wins back-to-back
+  //     averages does so only by overlapping consecutive calls, and loses
+  //     the isolated call to binomial (16 KB: binary 73.5 us, mapped
+  //     66.6 us, binomial 53.3 us);
   //   * the pipelined allreduce takes over from rd at 32 KB and keeps every
   //     larger size; from 64 KB its staged node reduce runs a binary tree
   //     and beats recursive halving and ring even with their binary node
   //     trees (512 KB: 881.6 us pipeline+binary, 1127.9 us
-  //     rhalving+binary). From 128 KB it maps both halves over binary
-  //     trees between and within nodes (1 MB: 1694.4 us staged binary,
-  //     1525.8 us over both binary trees, 1355.4 us mapped). Ring and
-  //     bine only win off power-of-two node counts (see abl_tuner);
+  //     rhalving+binary). At 128 KB it maps both halves over a binary
+  //     inter-node tree and a chain within nodes (247.2 us, 254.0 us over
+  //     both binary trees), and from 256 KB it runs staged over chain trees
+  //     between and within nodes (1 MB: 1694.4 us staged binary, 1355.4 us
+  //     mapped over both binary trees, 998.6 us over both chains). Ring
+  //     and bine only win off power-of-two node counts (see abl_tuner);
   //   * mapped scatter wins only node blocks of 512 B-16 KB (per-rank
   //     32-512 B at 16 tasks: one window export vs per-chunk staging); at
   //     a 1 KB per-rank block it loses the isolated call. Scatter rows are
@@ -359,14 +369,19 @@ DecisionTable DecisionTable::modern_smp() {
   t.set(CollKind::bcast, 128 * 1024, {Algo::scatter_ag, false, bin});
   t.set(CollKind::bcast, 512 * 1024, {Algo::direct, false, bin});
   auto binary = TreeKind::binary;
+  auto chain = TreeKind::chain;
   t.set(CollKind::reduce, 0, {Algo::staged, false, bin});
   t.set(CollKind::reduce, 64 * 1024, {Algo::staged, true, binary, binary});
+  t.set(CollKind::reduce, 128 * 1024, {Algo::staged, true, binary, chain});
+  t.set(CollKind::reduce, 256 * 1024, {Algo::staged, false, chain, chain});
   t.set(CollKind::allreduce, 0, {Algo::rd, false, bin});
   t.set(CollKind::allreduce, 32 * 1024, {Algo::pipeline, false, bin});
   t.set(CollKind::allreduce, 64 * 1024,
         {Algo::pipeline, false, bin, binary});
   t.set(CollKind::allreduce, 128 * 1024,
-        {Algo::pipeline, true, binary, binary});
+        {Algo::pipeline, true, binary, chain});
+  t.set(CollKind::allreduce, 256 * 1024,
+        {Algo::pipeline, false, chain, chain});
   t.set(CollKind::scatter, 0, {Algo::staged, false, bin});
   t.set(CollKind::scatter, 512, {Algo::staged, true, bin});
   t.set(CollKind::scatter, 16 * 1024, {Algo::staged, false, bin});

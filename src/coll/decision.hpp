@@ -58,8 +58,12 @@ bool algo_from_name(std::string_view s, Algo& out);
 /// tree of the intra-node reduce. Every call reads only its own op's row.
 /// `intranode` is read by every node reduce (reduce and every allreduce
 /// algorithm); a mapped node reduce lays it over the cache domains
-/// (coll::topo_tree). `mapped` binds only under SrmConfig::single_copy, and
-/// only where the algorithm has a mapped variant (Communicator::decide).
+/// (coll::topo_tree). Either tree column takes any TreeKind: the chunk
+/// pipelines of reduce and the pipelined allreduce run at the rate of their
+/// busiest vertex, so a large row may name a chain, whose every vertex
+/// handles one child per chunk. `mapped` binds only under
+/// SrmConfig::single_copy, and only where the algorithm has a mapped
+/// variant (Communicator::decide).
 struct Decision {
   Algo algo = Algo::staged;
   bool mapped = false;

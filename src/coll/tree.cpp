@@ -15,13 +15,14 @@ const char* tree_kind_name(TreeKind k) {
     case TreeKind::fibonacci: return "fibonacci";
     case TreeKind::flat: return "flat";
     case TreeKind::bine: return "bine";
+    case TreeKind::chain: return "chain";
   }
   return "?";
 }
 
 bool tree_kind_from_name(std::string_view s, TreeKind& out) {
   for (TreeKind k : {TreeKind::binomial, TreeKind::binary, TreeKind::fibonacci,
-                     TreeKind::flat, TreeKind::bine}) {
+                     TreeKind::flat, TreeKind::bine, TreeKind::chain}) {
     if (s == tree_kind_name(k)) {
       out = k;
       return true;
@@ -152,6 +153,14 @@ Tree flat_tree(int n, int root) {
   return t;
 }
 
+Tree chain_tree(int n, int root) {
+  Tree t = make_empty(n, root);
+  for (int v = 1; v < n; ++v) {
+    link(t, to_rank(v - 1, root, n), to_rank(v, root, n));
+  }
+  return t;
+}
+
 Tree bine_tree(int n, int root) {
   Tree t = make_empty(n, root);
   if (n == 1) return t;
@@ -209,6 +218,7 @@ Tree build_tree(TreeKind kind, int n, int root) {
     case TreeKind::fibonacci: return fibonacci_tree(n, root);
     case TreeKind::flat: return flat_tree(n, root);
     case TreeKind::bine: return bine_tree(n, root);
+    case TreeKind::chain: return chain_tree(n, root);
   }
   SRM_CHECK(false);
   return {};

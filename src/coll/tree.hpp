@@ -1,12 +1,12 @@
 // Communication-tree builders and the SMP cluster embedding (paper §2.1).
 //
-// Binomial ("distance power-of-two"), binary, Fibonacci, and flat trees over
-// an arbitrary vertex count and root. The Embedding assembles the paper's
-// Figure-1 structure: a binomial tree over *nodes* connecting one leader task
-// per node; each node then runs an intra-node tree over its local tasks,
-// rooted at its leader, which the protocol builds for its own node. If every
-// node carries p tasks, the embedding adds no height:
-// log(n*p) >= log(n) + log(p).
+// Binomial ("distance power-of-two"), binary, Fibonacci, flat, bine and chain
+// trees over an arbitrary vertex count and root. The Embedding assembles the
+// paper's Figure-1 structure: a tree over *nodes* (binomial in the paper)
+// connecting one leader task per node; each node then runs an intra-node
+// tree over its local tasks, rooted at its leader, which the protocol builds
+// for its own node. With binomial trees and p tasks on every node, the
+// embedding adds no height: log(n*p) >= log(n) + log(p).
 #pragma once
 
 #include <string_view>
@@ -18,7 +18,7 @@
 
 namespace srm::coll {
 
-enum class TreeKind { binomial, binary, fibonacci, flat, bine };
+enum class TreeKind { binomial, binary, fibonacci, flat, bine, chain };
 
 const char* tree_kind_name(TreeKind k);
 /// Parse @p s into @p out; false (out untouched) when unknown.
@@ -48,6 +48,11 @@ Tree binomial_tree(int n, int root);
 Tree binary_tree(int n, int root);
 Tree fibonacci_tree(int n, int root);
 Tree flat_tree(int n, int root);
+/// Chain (segmented-pipeline) tree: virtual rank v's parent is v - 1, so
+/// every vertex has at most one child and the height is n - 1. A chunk
+/// pipeline over it runs at the rate of one combine (or one forward) per
+/// vertex, where a k-ary root handles k per chunk.
+Tree chain_tree(int n, int root);
 
 /// Bine ("binomial negabinary", PAPERS.md 2508.17311) dissemination tree:
 /// step k connects virtual rank u to u ± rho_k (mod n) with
@@ -68,10 +73,13 @@ Tree bine_tree(int n, int root);
 /// build_tree(kind, n, root).
 ///
 /// For a kind whose in-group parents precede their children (binomial,
-/// binary, fibonacci, flat), every cache-domain boundary is crossed by
-/// exactly one tree edge: the single-copy protocols hang one cross-domain
-/// window transfer on each such edge. bine's wrap-around edges break that
-/// order, so a bine layout may cross a boundary more than once.
+/// binary, fibonacci, flat, chain), every cache-domain boundary is crossed
+/// by exactly one tree edge: the single-copy protocols hang one
+/// cross-domain window transfer on each such edge. bine's wrap-around edges
+/// break that order, so a bine layout may cross a boundary more than once.
+/// A chain layout strings each group along that order, so a domain leader
+/// that is not last in its own leader's group has two children: the first
+/// member of its own group, and its successor in the group above.
 ///
 /// Fan-out consumers (broadcast pulls, which overlap on the bus anyway)
 /// prefer the flat shape; fan-in work (reduce combines, serialized at every

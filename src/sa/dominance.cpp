@@ -34,6 +34,10 @@ constexpr int kTableNodes = 8;
 /// the intra-node tree's fan-in at this width (tasks_extra).
 constexpr int kTableTasks = 16;
 
+/// Children the kTasks IR's reduce root combines per chunk, whatever tree
+/// the row names: the IR has one fixed node tree.
+constexpr int kModelRootFanIn = 2;
+
 std::size_t ceil_div(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
 
 int chunks_for(CollKind op, Algo algo, std::size_t bytes,
@@ -319,27 +323,29 @@ double scale_extra(CollKind op, Algo algo, const AlgoCost& c, int chunks,
 }
 
 /// Children of the node root in the intra-node reduce tree of @p d at
-/// @p tasks local ranks. Both paths run the row's tree, as core/reduce.cpp
-/// does: the mapped path lays it over the cache domains (coll::topo_tree).
-int root_fan_in(const Decision& d, int tasks,
-                const machine::MachineParams& mp) {
-  coll::Tree t = d.mapped ? coll::topo_tree(mp.topo, tasks, 0, d.intranode)
-                          : coll::build_tree(d.intranode, tasks, 0);
+/// kTableTasks local ranks. Both paths run the row's tree, as
+/// core/reduce.cpp does: the mapped path lays it over the cache domains
+/// (coll::topo_tree).
+int root_fan_in(const Decision& d, const machine::MachineParams& mp) {
+  coll::Tree t = d.mapped
+                     ? coll::topo_tree(mp.topo, kTableTasks, 0, d.intranode)
+                     : coll::build_tree(d.intranode, kTableTasks, 0);
   return static_cast<int>(t.children[0].size());
 }
 
 /// The tasks-per-node counterpart of scale_extra: the reduce leader combines
 /// every child's chunk in turn, so at kTableTasks it combines
-/// root_fan_in(kTableTasks) chunks where the kTasks model combines
-/// root_fan_in(kTasks). Each extra child is one more pass over the message
-/// at the combine rate on the pipeline's bottleneck. Binomial and binary
-/// roots have 2 children at 4 tasks; at 16, binomial has 4 and binary 2.
-/// Laid over modern_smp's cache domains, the binomial root has 3 and the
-/// binary root 2 (on a single-domain node the layout is the plain tree).
+/// root_fan_in() chunks where the kTasks model combines kModelRootFanIn.
+/// Each child more (or fewer) is one pass over the message more (or fewer)
+/// at the combine rate on the pipeline's bottleneck. At 16 tasks the
+/// binomial root has 4 children, the binary root 2 and the chain root 1.
+/// Laid over modern_smp's cache domains, the binomial root has 3, the
+/// binary root 2 and the chain root 1 (on a single-domain node the layout
+/// is the plain tree).
 double tasks_extra(CollKind op, const Decision& d, std::size_t bytes,
                    const machine::MachineParams& mp) {
   if (op != CollKind::reduce) return 0.0;
-  int extra = root_fan_in(d, kTableTasks, mp) - root_fan_in(d, kTasks, mp);
+  int extra = root_fan_in(d, mp) - kModelRootFanIn;
   return extra * static_cast<double>(bytes) * 1e9 / mp.mem.reduce_bw_per_cpu;
 }
 

@@ -26,6 +26,14 @@ TEST_P(TreeProps, ValidSpanningTree) {
   t.validate();
   EXPECT_EQ(t.root, root);
   EXPECT_EQ(t.subtree_size(root), n);
+  if (kind != TreeKind::chain) return;
+  // A chain hangs virtual rank v off v - 1: at most one child per vertex.
+  for (const std::vector<int>& kids : t.children) EXPECT_LE(kids.size(), 1u);
+  for (int v = 1; v < n; ++v) {
+    EXPECT_EQ(t.parent[static_cast<std::size_t>((root + v) % n)],
+              (root + v - 1) % n)
+        << "v=" << v;
+  }
 }
 
 TEST_P(TreeProps, HeightBounds) {
@@ -51,6 +59,9 @@ TEST_P(TreeProps, HeightBounds) {
       // Bounded dissemination plus the flat straggler tier.
       EXPECT_LE(h, n == 1 ? 0 : 2 * util::log2_ceil(static_cast<unsigned>(n)) + 4);
       break;
+    case TreeKind::chain:
+      EXPECT_EQ(h, n - 1);
+      break;
   }
 }
 
@@ -63,8 +74,9 @@ std::string tree_param_name(const ::testing::TestParamInfo<TreeParam>& info) {
 /// Every kind x size x root with the root inside the tree.
 std::vector<TreeParam> tree_params() {
   std::vector<TreeParam> out;
-  for (TreeKind kind : {TreeKind::binomial, TreeKind::binary,
-                        TreeKind::fibonacci, TreeKind::flat, TreeKind::bine}) {
+  for (TreeKind kind :
+       {TreeKind::binomial, TreeKind::binary, TreeKind::fibonacci,
+        TreeKind::flat, TreeKind::bine, TreeKind::chain}) {
     for (int n : {1, 2, 3, 5, 8, 13, 16, 31, 32, 100, 256}) {
       for (int root : {0, 1, 7, 255}) {
         if (root < n) out.emplace_back(kind, n, root);
@@ -142,7 +154,7 @@ TEST(BineTree, SpansEveryCountAndRoot) {
 
 TEST(TreeKindNames, RoundTrip) {
   for (TreeKind k : {TreeKind::binomial, TreeKind::binary, TreeKind::fibonacci,
-                     TreeKind::flat, TreeKind::bine}) {
+                     TreeKind::flat, TreeKind::bine, TreeKind::chain}) {
     TreeKind out;
     ASSERT_TRUE(tree_kind_from_name(tree_kind_name(k), out));
     EXPECT_EQ(out, k);
@@ -275,7 +287,8 @@ TEST(TopoTree, SingleDomainBinomialMatchesBinomialTree) {
 // of its group), so a bine layout may cross a domain boundary twice and is
 // not held to the invariants below.
 constexpr TreeKind kOrderedKinds[] = {TreeKind::binomial, TreeKind::binary,
-                                      TreeKind::fibonacci, TreeKind::flat};
+                                      TreeKind::fibonacci, TreeKind::flat,
+                                      TreeKind::chain};
 
 TEST(TopoTree, EveryDomainBoundaryCrossedExactlyOnce) {
   machine::TopologyParams tp = two_socket();

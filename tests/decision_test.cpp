@@ -86,6 +86,8 @@ DecisionTable sample_table() {
   t.set(CollKind::allreduce, 1 << 20,
         {Algo::rhalving, true, TreeKind::fibonacci});
   t.set(CollKind::reduce, 4096, {Algo::pipeline, false, TreeKind::binomial});
+  t.set(CollKind::reduce, 1 << 18,
+        {Algo::staged, false, TreeKind::chain, TreeKind::chain});
   t.set(CollKind::gather, 0, {Algo::direct, true, TreeKind::binomial});
   // No call reads allgather rows, but older artifacts carry them.
   t.set(CollKind::allgather, 16384, {Algo::staged, true, TreeKind::binomial});

@@ -108,10 +108,11 @@ TEST(SaDominance, TasksPerNodeTermJudgesTheIntranodeTree) {
   // The 4-task model gives every reduce tree a root fan-in of 2, so on its
   // own it prices a binary row like a binomial one and both lose to the
   // mapped path at 512 KB. At the table's 16 tasks the binomial root
-  // combines 4 children per chunk and the binary root 2: the binary row
-  // stands, the binomial row is still dominated by the mapped one. A mapped
-  // row lays its own tree over the cache domains, so a mapped binary row
-  // has root fan-in 2 as well and stands too.
+  // combines 4 children per chunk, the binary root 2 and the chain root 1:
+  // the binary and chain rows stand, the binomial row is still dominated by
+  // the mapped one. A mapped row lays its own tree over the cache domains,
+  // so a mapped binary row has root fan-in 2 as well, a mapped chain row 1,
+  // and both stand too.
   machine::MachineParams mp = machine::MachineParams::modern_smp();
   SrmConfig cfg;
   auto row_at_512k = [&](bool mapped, TreeKind intranode) {
@@ -123,8 +124,12 @@ TEST(SaDominance, TasksPerNodeTermJudgesTheIntranodeTree) {
     return sa::check_table(t, cfg, mp).issues;
   };
   for (bool mapped : {false, true}) {
-    for (const sa::DominanceIssue& i : row_at_512k(mapped, TreeKind::binary)) {
-      ADD_FAILURE() << "mapped=" << mapped << ": " << sa::to_string(i);
+    for (TreeKind tree : {TreeKind::binary, TreeKind::chain}) {
+      for (const sa::DominanceIssue& i : row_at_512k(mapped, tree)) {
+        ADD_FAILURE() << "mapped=" << mapped << " "
+                      << coll::tree_kind_name(tree) << ": "
+                      << sa::to_string(i);
+      }
     }
   }
   std::vector<sa::DominanceIssue> binomial =

@@ -79,6 +79,10 @@ TEST(SrmConfig, FlatInternodeTree) {
   exercise(every_row_tree(coll::TreeKind::flat), 4, 2);
 }
 
+TEST(SrmConfig, ChainInternodeTree) {
+  exercise(every_row_tree(coll::TreeKind::chain), 5, 3);
+}
+
 /// The paper's table with every row's intra-node tree set to @p kind.
 SrmConfig every_row_intranode(coll::TreeKind kind) {
   SrmConfig cfg;
@@ -94,6 +98,10 @@ TEST(SrmConfig, BinaryIntranodeTree) {
 
 TEST(SrmConfig, FlatIntranodeTree) {
   exercise(every_row_intranode(coll::TreeKind::flat), 2, 16);
+}
+
+TEST(SrmConfig, ChainIntranodeTree) {
+  exercise(every_row_intranode(coll::TreeKind::chain), 3, 13);
 }
 
 TEST(SrmConfig, SingleBufferMode) {
@@ -191,8 +199,8 @@ TEST(SrmApi, AliasedReduceBuffersThrow) {
 
 TEST(SrmConfig, BinaryReduceRowIsExactAndFasterOnModernSmp) {
   // A 16-way binomial root combines 4 children per chunk and bounds the
-  // pipelined reduce; a binary root combines 2. Same one-row table, one
-  // column apart.
+  // pipelined reduce; a binary root combines 2, and every vertex of a chain
+  // 1. Same one-row table, one column apart.
   constexpr std::size_t kCount = 256 * 1024 / sizeof(double);
   constexpr int kNodes = 8, kPpn = 16, kRoot = 5;
   auto timed = [&](coll::TreeKind tree) {
@@ -230,7 +238,9 @@ TEST(SrmConfig, BinaryReduceRowIsExactAndFasterOnModernSmp) {
     });
     return cluster.engine().now();
   };
-  EXPECT_LT(timed(coll::TreeKind::binary), timed(coll::TreeKind::binomial));
+  double binary = timed(coll::TreeKind::binary);
+  EXPECT_LT(binary, timed(coll::TreeKind::binomial));
+  EXPECT_LT(timed(coll::TreeKind::chain), binary);
 }
 
 TEST(SrmConfig, SingleBufferIsSlowerForPipelinedSizes) {

@@ -74,7 +74,8 @@ std::string tree_suffix(coll::TreeKind intranode) {
 // single-copy cases run modern_smp (16-way nodes over 2 sockets x 2 L3
 // slices, so a node tree spans several cache domains) with the pipeline's
 // row and the reduce row mapped over binary inter-node trees, and also
-// reduce to roots on and off the node masters.
+// reduce to roots on and off the node masters. Their chain case then runs
+// both rows staged over chain trees between and within nodes.
 // ---------------------------------------------------------------------------
 
 using ZooAllreduceParam =
@@ -82,27 +83,25 @@ using ZooAllreduceParam =
 
 class ZooAllreduce : public ::testing::TestWithParam<ZooAllreduceParam> {};
 
-SrmConfig force_mapped_smp(coll::TreeKind intranode) {
+/// Single-copy on; the pipelined allreduce row and the reduce row both
+/// @p mapped, over @p internode and @p intranode trees.
+SrmConfig force_smp(bool mapped, coll::TreeKind internode,
+                    coll::TreeKind intranode) {
   SrmConfig cfg;
   cfg.single_copy = true;
   cfg.decisions.profile = "forced";
   cfg.decisions.set(coll::CollKind::allreduce, 0,
-                    {coll::Algo::pipeline, true, coll::TreeKind::binary,
-                     intranode});
+                    {coll::Algo::pipeline, mapped, internode, intranode});
   cfg.decisions.set(coll::CollKind::reduce, 0,
-                    {coll::Algo::staged, true, coll::TreeKind::binary,
-                     intranode});
+                    {coll::Algo::staged, mapped, internode, intranode});
   return cfg;
 }
 
-TEST_P(ZooAllreduce, MatchesSequentialReference) {
-  auto [algo, nodes, ppn, count, intranode, mapped_smp] = GetParam();
-  Fixture f(nodes, ppn,
-            mapped_smp ? force_mapped_smp(intranode)
-                       : force(algo, coll::Algo::staged, intranode),
-            mapped_smp ? machine::MachineParams::modern_smp()
-                       : machine::MachineParams::ibm_sp());
-  int n = nodes * ppn;
+/// Allreduce on @p f, then a reduce to each of @p roots; every result must
+/// match the sequential reference element for element.
+void expect_exact(Fixture& f, std::size_t count,
+                  const std::vector<int>& roots) {
+  const int n = f.cluster.topology().nranks();
   std::vector<std::vector<double>> send(static_cast<std::size_t>(n)),
       recv(static_cast<std::size_t>(n));
   for (int r = 0; r < n; ++r) {
@@ -111,7 +110,7 @@ TEST_P(ZooAllreduce, MatchesSequentialReference) {
     for (std::size_t i = 0; i < count; ++i) s[i] = contribution(r, i);
     recv[static_cast<std::size_t>(r)].assign(count, -1.0);
   }
-  f.cluster.run([&, count = count](TaskCtx& t) -> CoTask {
+  f.cluster.run([&](TaskCtx& t) -> CoTask {
     auto r = static_cast<std::size_t>(t.rank);
     co_await f.comm.allreduce(t, coll::of(send[r].data(), count),
                               coll::of(recv[r].data(), count),
@@ -127,12 +126,9 @@ TEST_P(ZooAllreduce, MatchesSequentialReference) {
       ASSERT_EQ(send[ri][i], contribution(r, i)) << "rank " << r;
     }
   }
-  if (!mapped_smp) return;
-  // The mapped reduce, rooted at the first master, a non-master on the
-  // second node, and the last rank: the root leads its node's tree.
-  for (int root : {0, ppn + ppn / 2 + 1, n - 1}) {
+  for (int root : roots) {
     std::vector<double> got(count, -1.0);
-    f.cluster.run([&, count = count, root](TaskCtx& t) -> CoTask {
+    f.cluster.run([&, root](TaskCtx& t) -> CoTask {
       auto r = static_cast<std::size_t>(t.rank);
       co_await f.comm.reduce(t, coll::of(send[r].data(), count),
                              coll::of(got.data(), count), coll::RedOp::sum,
@@ -140,6 +136,27 @@ TEST_P(ZooAllreduce, MatchesSequentialReference) {
     });
     ASSERT_EQ(got, want) << "root " << root;
   }
+}
+
+TEST_P(ZooAllreduce, MatchesSequentialReference) {
+  auto [algo, nodes, ppn, count, intranode, mapped_smp] = GetParam();
+  if (!mapped_smp) {
+    Fixture f(nodes, ppn, force(algo, coll::Algo::staged, intranode));
+    expect_exact(f, count, {});
+    return;
+  }
+  // The reduce, rooted at the first master, a non-master on the second
+  // node, and the last rank: the root leads its node's tree.
+  const std::vector<int> roots = {0, ppn + ppn / 2 + 1, nodes * ppn - 1};
+  const machine::MachineParams smp = machine::MachineParams::modern_smp();
+  Fixture f(nodes, ppn, force_smp(true, coll::TreeKind::binary, intranode),
+            smp);
+  expect_exact(f, count, roots);
+  if (intranode != coll::TreeKind::chain) return;
+  Fixture g(nodes, ppn,
+            force_smp(false, coll::TreeKind::chain, coll::TreeKind::chain),
+            smp);
+  expect_exact(g, count, roots);
 }
 
 /// The staged cross product, then the single-copy modern_smp cases.
@@ -156,7 +173,8 @@ std::vector<ZooAllreduceParam> zoo_allreduce_params() {
           // The node reduce of every allreduce algorithm runs the allreduce
           // row's intra-node tree.
           for (coll::TreeKind tree :
-               {coll::TreeKind::binomial, coll::TreeKind::binary}) {
+               {coll::TreeKind::binomial, coll::TreeKind::binary,
+                coll::TreeKind::chain}) {
             out.emplace_back(algo, nodes, ppn, count, tree, false);
           }
         }
@@ -166,7 +184,8 @@ std::vector<ZooAllreduceParam> zoo_allreduce_params() {
   for (auto [nodes, ppn] : {std::pair{3, 16}, std::pair{4, 8}}) {
     for (std::size_t count : counts) {
       for (coll::TreeKind tree :
-           {coll::TreeKind::binomial, coll::TreeKind::binary}) {
+           {coll::TreeKind::binomial, coll::TreeKind::binary,
+            coll::TreeKind::chain}) {
         out.emplace_back(coll::Algo::pipeline, nodes, ppn, count, tree, true);
       }
     }
