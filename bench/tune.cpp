@@ -18,13 +18,15 @@
 //
 // The builtin modern_smp() is a snapshot of this procedure. ibm_sp() is
 // not: it holds the paper's constants by hand. The SP sweep departs from
-// them: it maps bcast below 64 B, takes scatter_ag bcast from 32 KB, maps
-// reduce from 512 B, runs it over binary trees between and within nodes
-// from 64 KB and staged over chains between and within nodes from
-// 256 KB, hands allreduce above 16 KB to recursive halving (over a binary
-// intra-node tree from 64 KB), at 128 KB to the pipeline mapped over
-// binary trees between and within nodes and from 256 KB to the staged
-// pipeline over chains, and maps scatter only for node blocks below 2 KB.
+// them: it maps bcast below 64 B, runs the staged bcast at 16 KB in 8 KB
+// chunks where the paper's band uses 4 KB, takes scatter_ag bcast from
+// 32 KB, maps reduce from 512 B, runs it over binary trees between and
+// within nodes from 64 KB and staged over chains between and within nodes
+// from 256 KB, hands allreduce above 16 KB to recursive halving (over a
+// binary intra-node tree from 64 KB), at 128 KB to the pipeline mapped
+// over binary trees between and within nodes and from 256 KB to the
+// staged pipeline over chains, and maps scatter only for node blocks
+// below 2 KB.
 //
 // Usage:
 //   tune [--profile ibm_sp|modern_smp] [--out FILE] [--smoke] [--check]
@@ -59,7 +61,8 @@ namespace {
 
 /// A candidate's column label: the algorithm, then "+net-<tree>" for a
 /// non-binomial inter-node tree, "+<tree>" for a non-binomial intra-node
-/// reduce tree, and "+sc" for the mapped column ("staged+net-bine",
+/// reduce tree, "+c<bytes>" for a staged bcast chunk, and "+sc" for the
+/// mapped column ("staged+net-bine", "staged+c32K",
 /// "pipeline+net-binary+binary+sc").
 std::string label(const coll::Decision& d) {
   std::string s = coll::algo_name(d.algo);
@@ -69,6 +72,7 @@ std::string label(const coll::Decision& d) {
   if (d.intranode != coll::TreeKind::binomial) {
     s += std::string("+") + coll::tree_kind_name(d.intranode);
   }
+  if (d.chunk != 0) s += "+c" + util::human_bytes(d.chunk);
   if (d.mapped) s += "+sc";
   return s;
 }
@@ -77,8 +81,10 @@ std::string label(const coll::Decision& d) {
 /// candidate is the running winner every later one must displace.
 /// Candidates that a Communicator would sanitize into a different
 /// algorithm at this size (SrmConfig::sanitize: rd above the exchange
-/// slot, staged bcast above the shared buffer) are skipped rather than
-/// measured under a false label.
+/// slot, an unchunked staged bcast above the shared buffer) are skipped
+/// rather than measured under a false label. A chunked staged bcast runs
+/// every size; at or below its chunk it runs as the unchunked row, which
+/// precedes it and so keeps the tie.
 std::vector<coll::Decision> candidates(coll::CollKind op, std::size_t bytes) {
   using coll::Algo;
   const auto bin = coll::TreeKind::binomial;
@@ -88,9 +94,14 @@ std::vector<coll::Decision> candidates(coll::CollKind op, std::size_t bytes) {
   std::vector<coll::Decision> out;
   switch (op) {
     case coll::CollKind::bcast:
-      out = {{Algo::staged, false, bin},     {Algo::staged, false, bine},
-             {Algo::staged, true, bin},      {Algo::direct, false, bin},
-             {Algo::direct, true, bin},      {Algo::scatter_ag, false, bin}};
+      out = {{Algo::staged, false, bin}, {Algo::staged, false, bine},
+             {Algo::staged, true, bin}};
+      for (std::size_t chunk : {4, 8, 16, 32, 64}) {
+        out.push_back({Algo::staged, false, bin, bin, chunk * 1024});
+      }
+      out.insert(out.end(), {{Algo::direct, false, bin},
+                             {Algo::direct, true, bin},
+                             {Algo::scatter_ag, false, bin}});
       break;
     case coll::CollKind::reduce:
       out = {{Algo::staged, false, bin},

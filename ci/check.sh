@@ -165,7 +165,8 @@ run_sa() {
   # model when the tune stage already produced them (skipped in a bare
   # `ci/check.sh sa` run so the stage stays self-contained).
   local art
-  for art in "$dir/bench/tuned_ibm_sp.json" "$dir/bench/tuned_modern_smp.json"
+  for art in "$dir/bench/tuned_ibm_sp.json" "$dir/bench/tuned_modern_smp.json" \
+    "$dir/bench/tuned_modern_smp_full.json"
   do
     if [[ -f "$art" ]]; then
       "$dir/src/sa_verify" crosscheck "$art"

@@ -110,7 +110,7 @@ std::string DecisionTable::to_json() const {
          << "\", \"mapped\": " << (r.d.mapped ? "true" : "false")
          << ", \"internode\": \"" << tree_kind_name(r.d.internode)
          << "\", \"intranode\": \"" << tree_kind_name(r.d.intranode)
-         << "\"}";
+         << "\", \"chunk\": " << r.d.chunk << "}";
     }
     os << "\n    ]";
   }
@@ -235,6 +235,9 @@ DecisionTable DecisionTable::from_json(std::string_view text) {
               if (!tree_kind_from_name(
                       k, f == "internode" ? d.internode : d.intranode))
                 sc.die("unknown tree kind " + k);
+            } else if (f == "chunk") {
+              // Likewise a row without "chunk" runs unpipelined (0).
+              d.chunk = sc.number();
             } else {
               sc.die("unknown row field " + f);
             }
@@ -288,6 +291,8 @@ DecisionTable DecisionTable::ibm_sp() {
   // The paper's constants, verbatim (§2.4 + the single-copy crossover),
   // over its binomial trees between and within nodes (Fig. 1, Fig. 2):
   //   bcast: staged shared-buffer protocol up to 64 KB, direct beyond;
+  //     the staged protocol splits (8 KB, 32 KB] into 4 KB chunks and
+  //     sends every other size in one step;
   //   allreduce: recursive doubling up to 16 KB, pipelined reduce+bcast
   //     beyond; scatter and gather staged;
   //   mapped column: single-copy from 16 KB up (only effective when
@@ -297,8 +302,12 @@ DecisionTable DecisionTable::ibm_sp() {
   DecisionTable t;
   t.profile = "ibm_sp";
   auto bin = TreeKind::binomial;
+  const std::size_t pipe_chunk = 4 * 1024;
   t.set(CollKind::bcast, 0, {Algo::staged, false, bin});
-  t.set(CollKind::bcast, 16 * 1024, {Algo::staged, true, bin});
+  t.set(CollKind::bcast, 8 * 1024 + 1,
+        {Algo::staged, false, bin, bin, pipe_chunk});
+  t.set(CollKind::bcast, 16 * 1024, {Algo::staged, true, bin, bin, pipe_chunk});
+  t.set(CollKind::bcast, 32 * 1024 + 1, {Algo::staged, true, bin});
   t.set(CollKind::bcast, 64 * 1024 + 1, {Algo::direct, true, bin});
   t.set(CollKind::reduce, 0, {Algo::staged, false, bin});
   t.set(CollKind::reduce, 16 * 1024, {Algo::staged, true, bin});
@@ -317,14 +326,30 @@ DecisionTable DecisionTable::modern_smp() {
   // Tuner output for the hierarchical 2-socket profile, 8 nodes x 16 tasks
   // (bench/tune.cpp; regenerate with `tune --profile modern_smp`).
   // Differences from the paper's constants that the sweep measured:
-  //   * mapped bcast loses at every size (the fan-out cascade serializes on
-  //     cross-socket windows; flat staged pulls overlap on the bus —
-  //     DESIGN.md §14), so the mapped column stays false for bcast;
-  //   * the bcast staircase grows fine structure: direct already wins the
-  //     16-32 KB band (the staged pipeline-chunk regime), staged recovers
-  //     at exactly 64 KB (one full shared buffer, no chunking), a
-  //     scatter+allgather window covers 128-256 KB where splitting the
-  //     root link wins, then direct's user-buffer pipeline takes over;
+  //   * mapped bcast loses at every size and chunk (the fan-out cascade
+  //     serializes on cross-socket windows; flat staged pulls overlap on
+  //     the bus — DESIGN.md §14), so the mapped column stays false for
+  //     bcast;
+  //   * bcast runs the staged (landing-buffer) protocol at every size: in
+  //     one step up to 32 KB and in 32 KB chunks from 64 KB, with no
+  //     direct or scatter+allgather row. Off the root node the direct
+  //     protocol lands each chunk in the leader's user buffer, the leader
+  //     copies it into a Fig. 3 buffer, and 15 readers pull that copy dirty
+  //     from the leader's cache (x1.4 within an L3 slice, x1.82 across
+  //     slices, x3.08 across the socket). The staged readers pull the
+  //     landing buffer the NIC wrote, clean (x1.0, x1.3, x2.2), beside the
+  //     leader's own copy. The root node publishes alike under both, so
+  //     the gain shrinks toward 1 MB. Back-to-back / isolated us, the row
+  //     the sweep picked without chunk candidates -> this row:
+  //       16 KB direct 17.49 / 26.75 -> staged 12.18 / 19.98
+  //       32 KB direct 24.48 / 42.46 -> staged 20.03 / 30.63
+  //       64 KB staged 39.27 / 51.93 -> staged+c32K 37.92 / 46.91
+  //       128 KB scatter_ag 81.60 / 91.29 -> staged+c32K 75.83 / 80.23
+  //       256 KB scatter_ag 158.87 / 174.88 -> staged+c32K 147.26 / 151.66
+  //       512 KB direct 304.59 / 324.11 -> staged+c32K 290.12 / 294.52
+  //       1 MB direct 589.66 / 609.18 -> staged+c32K 575.83 / 580.23
+  //     and 12 KB, where the paper's 4 KB chunks ran, 21.93 -> 17.32
+  //     isolated in one step;
   //   * from 64 KB the reduce runs mapped over binary trees between and
   //     within nodes, at 128 KB mapped over a binary inter-node tree and a
   //     chain within nodes, and from 256 KB staged over chain trees between
@@ -364,10 +389,8 @@ DecisionTable DecisionTable::modern_smp() {
   t.profile = "modern_smp";
   auto bin = TreeKind::binomial;
   t.set(CollKind::bcast, 0, {Algo::staged, false, bin});
-  t.set(CollKind::bcast, 16 * 1024, {Algo::direct, false, bin});
-  t.set(CollKind::bcast, 64 * 1024, {Algo::staged, false, bin});
-  t.set(CollKind::bcast, 128 * 1024, {Algo::scatter_ag, false, bin});
-  t.set(CollKind::bcast, 512 * 1024, {Algo::direct, false, bin});
+  t.set(CollKind::bcast, 64 * 1024,
+        {Algo::staged, false, bin, bin, 32 * 1024});
   auto binary = TreeKind::binary;
   auto chain = TreeKind::chain;
   t.set(CollKind::reduce, 0, {Algo::staged, false, bin});

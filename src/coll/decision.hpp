@@ -7,8 +7,9 @@
 // Communications") shows those points must be measured per machine. A
 // DecisionTable is that measurement, persisted: per operation, a sorted list
 // of {min_bytes -> Decision} rows, where a Decision names the algorithm, the
-// mapped (single-copy) flag, and the inter-node and intra-node tree shapes.
-// Backends look up decide(op, bytes) once per call and route accordingly.
+// mapped (single-copy) flag, the inter-node and intra-node tree shapes, and
+// the staged broadcast's pipeline chunk. Backends look up decide(op, bytes)
+// once per call and route accordingly.
 //
 // Sources of a table, in precedence order (core/communicator.cpp); the
 // first one present is used verbatim:
@@ -19,12 +20,14 @@
 // A row can name an algorithm its buffers cannot carry at some size;
 // SrmConfig::sanitize is the one feasibility rule that reroutes it.
 //
-// The builtin ibm_sp() table re-expresses the paper's constants verbatim:
-// with a default SrmConfig on the SP profile, dispatch is byte-identical to
-// the pre-table code. The modern_smp() builtin is the tuner's output for the
-// hierarchical profile (bench/tune.cpp regenerates it).
+// The builtin ibm_sp() table re-expresses the paper's constants verbatim,
+// its §2.4 broadcast pipelining band included: with a default SrmConfig on
+// the SP profile, dispatch is byte-identical to the pre-table code. The
+// modern_smp() builtin is the tuner's output for the hierarchical profile
+// (bench/tune.cpp regenerates it).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <string>
@@ -54,8 +57,9 @@ const char* algo_name(Algo a);
 bool algo_from_name(std::string_view s, Algo& out);
 
 /// One dispatch outcome: which algorithm, whether the intra-node phases use
-/// the single-copy cross-mapped variants, the inter-node tree shape, and the
-/// tree of the intra-node reduce. Every call reads only its own op's row.
+/// the single-copy cross-mapped variants, the inter-node tree shape, the
+/// tree of the intra-node reduce, and the staged broadcast's chunk. Every
+/// call reads only its own op's row.
 /// `intranode` is read by every node reduce (reduce and every allreduce
 /// algorithm); a mapped node reduce lays it over the cache domains
 /// (coll::topo_tree). Either tree column takes any TreeKind: the chunk
@@ -63,14 +67,24 @@ bool algo_from_name(std::string_view s, Algo& out);
 /// busiest vertex, so a large row may name a chain, whose every vertex
 /// handles one child per chunk. `mapped` binds only under
 /// SrmConfig::single_copy, and only where the algorithm has a mapped
-/// variant (Communicator::decide).
+/// variant (Communicator::decide). `chunk` is read only by a staged bcast
+/// row: the step, in bytes, in which the message is pipelined over the two
+/// Fig. 3 buffers and the landing pairs (0: the whole message in one step).
+/// The paper's 4 KB chunks for (8, 32] KB (§2.4) are ibm_sp()'s rows.
 struct Decision {
   Algo algo = Algo::staged;
   bool mapped = false;
   TreeKind internode = TreeKind::binomial;
   TreeKind intranode = TreeKind::binomial;
+  std::size_t chunk = 0;
   bool operator==(const Decision&) const = default;
 };
+
+/// One step of a staged bcast row with @p chunk at @p bytes: the chunk, or
+/// the whole message when it is smaller or the row does not pipeline.
+inline std::size_t bcast_step(std::size_t chunk, std::size_t bytes) {
+  return chunk == 0 ? bytes : std::min(chunk, bytes);
+}
 
 /// The size a call of @p op with @p bytes per rank is looked up at, and so
 /// the size a tuned row is keyed by: the node block (@p tasks_per_node x

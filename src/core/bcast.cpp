@@ -1,13 +1,15 @@
 // SRM broadcast (paper §2.4, Fig. 4).
 //
-// Small protocol (<= 64 KB): the parent leader puts each chunk into one of
+// Small (staged) protocol: the parent leader puts each chunk into one of
 // the two shared-memory landing buffers the child keeps for that link,
 // guarded by per-buffer free-credit counters (LAPI_Waitcntr instead of
 // spinning, so the dispatcher polls). The SMP broadcast then reads straight
-// out of the landing buffer — no staging copy. Messages in the (8 KB, 32 KB]
-// band are split into 4 KB chunks and pipelined over the two buffers.
+// out of the landing buffer — no staging copy. The row's chunk sets the
+// step pipelined over the two buffers: the paper splits (8 KB, 32 KB] into
+// 4 KB chunks and sends up to 64 KB in one step (ibm_sp()'s rows); a
+// chunked row carries any size.
 //
-// Large protocol (> 64 KB): an address-exchange stage, then chunks are put
+// Large (direct) protocol: an address-exchange stage, then chunks are put
 // directly into the child leaders' *user* buffers — no intermediate buffer
 // at all — and each node publishes arrived chunks to its local tasks through
 // the Fig. 3 double buffers, overlapping the network with the SMP copies.
@@ -29,7 +31,7 @@ std::vector<int> bcast_children(const coll::Tree& tree, int node) {
 sim::CoTask Communicator::bcast_small(machine::TaskCtx& t, void* buf,
                                       std::size_t bytes,
                                       const coll::Embedding& emb,
-                                      bool mapped) {
+                                      bool mapped, std::size_t chunk) {
   obs::Span span(*t.obs, t.rank, "bcast.small");
   chk::StageScope stage(t.chk, "bcast.small");
   NodeState& ns = node_state(t);
@@ -40,12 +42,8 @@ sim::CoTask Communicator::bcast_small(machine::TaskCtx& t, void* buf,
   int parent = emb.internode.parent[static_cast<std::size_t>(my_node)];
   bool is_root_node = parent == -1;
 
-  // Chunk geometry (§2.4): pipeline band only.
-  std::size_t chunk = bytes;
-  if (bytes > cfg_.bcast_pipe_min && bytes <= cfg_.bcast_pipe_max) {
-    chunk = cfg_.bcast_pipe_chunk;
-  }
-  std::size_t nchunks = detail::chunk_count(bytes, chunk);
+  std::size_t step = coll::bcast_step(chunk, bytes);
+  std::size_t nchunks = detail::chunk_count(bytes, step);
 
   auto finish_bookkeeping = [&] {
     if (!is_root_node) rs.links[parent].bc_recv += nchunks;
@@ -62,7 +60,7 @@ sim::CoTask Communicator::bcast_small(machine::TaskCtx& t, void* buf,
   // Single-copy path (@p mapped): only the *root* node stages through the
   // shared buffer (elsewhere the data already lands in shared memory); a
   // mapped fan-out from the root's user buffer removes that staging copy.
-  // One window over the whole message — the pipeline-band chunking is a
+  // One window over the whole message — the row's chunking is a
   // staging-buffer artifact the mapped path doesn't need.
 
   if (t.rank != leader) {
@@ -74,8 +72,8 @@ sim::CoTask Communicator::bcast_small(machine::TaskCtx& t, void* buf,
       co_return;
     }
     for (std::size_t c = 0; c < nchunks; ++c) {
-      std::size_t off = c * chunk;
-      std::size_t len = std::min(chunk, bytes - off);
+      std::size_t off = c * step;
+      std::size_t len = std::min(step, bytes - off);
       const std::byte* shared_src = nullptr;
       if (!is_root_node) {
         std::size_t lslot = link_slot(rs.links[parent].bc_recv + c);
@@ -97,8 +95,8 @@ sim::CoTask Communicator::bcast_small(machine::TaskCtx& t, void* buf,
   std::uint64_t org_pending = 0;
 
   for (std::size_t c = 0; c < nchunks; ++c) {
-    std::size_t off = c * chunk;
-    std::size_t len = std::min(chunk, bytes - off);
+    std::size_t off = c * step;
+    std::size_t len = std::min(step, bytes - off);
 
     const std::byte* data;
     std::size_t in_slot = 0;

@@ -242,7 +242,7 @@ Communicator::Communicator(machine::Cluster& cluster, lapi::Fabric& fabric,
           ",\"profile\":" + json_str(table_.profile) + "}");
   cluster.obs().span_end(sid);
   SRM_CHECK(cfg_.reduce_chunk % 8 == 0);
-  SRM_CHECK(cfg_.bcast_pipe_chunk > 0 && cfg_.bcast_net_chunk > 0);
+  SRM_CHECK(cfg_.bcast_net_chunk > 0);
   // Only the per-rank scalar bookkeeping is eager; the per-node shared
   // structures wait for the first real op, per-link state for its link.
   ranks_.resize(static_cast<std::size_t>(cluster.topology().nranks()));
@@ -445,7 +445,7 @@ sim::CoTask Communicator::real_bcast(machine::TaskCtx& t, void* buf,
   if (manage) ep(t.rank).set_interrupts(false);
   switch (dec.algo) {
     case coll::Algo::staged:
-      co_await bcast_small(t, buf, bytes, emb, dec.mapped);
+      co_await bcast_small(t, buf, bytes, emb, dec.mapped, dec.chunk);
       break;
     case coll::Algo::scatter_ag:
       co_await bcast_scatter_ag(t, buf, bytes, emb);

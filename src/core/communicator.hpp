@@ -489,8 +489,12 @@ class Communicator final : public coll::Collectives {
   // No stage reads the table: each runs the Decision its op's entry
   // resolved. Allreduce has no root, so its algorithms embed with the
   // masters leading (root 0).
+  /// Staged broadcast (Fig. 4 left) in steps of @p chunk bytes
+  /// (coll::bcast_step; 0: the whole message in one step), each landing in
+  /// a child's shared-memory pair and published from there.
   sim::CoTask bcast_small(machine::TaskCtx& t, void* buf, std::size_t bytes,
-                          const coll::Embedding& emb, bool mapped);
+                          const coll::Embedding& emb, bool mapped,
+                          std::size_t chunk);
   /// Large-message broadcast (Fig. 4 right): address exchange, then chunks
   /// put directly into user buffers, pipelined down the tree, each chunk
   /// published locally through the Fig. 3 buffers (or, when @p mapped, one

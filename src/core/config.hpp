@@ -2,7 +2,8 @@
 // ablation switches, and the one feasibility rule that says which
 // decision-table rows those buffers can carry. The protocol switch points
 // themselves (staged/direct, rd/pipeline, mapped, inter-node and intra-node
-// trees) live in the decision table, not here.
+// trees) and the staged broadcast's pipelining band and chunk (§2.4) live
+// in the decision table, not here.
 #pragma once
 
 #include <algorithm>
@@ -22,16 +23,9 @@ struct SrmConfig {
   /// over both (tests, ablations and the tuner forcing a path).
   coll::DecisionTable decisions;
   /// Size of each of the two shared-memory broadcast buffers A/B (Fig. 3):
-  /// the largest message a staged broadcast moves in one step.
+  /// the largest step a staged broadcast moves (its row's chunk, or the
+  /// whole message when the row does not pipeline).
   std::size_t smp_buf_bytes = 64 * 1024;
-
-  /// Within the small protocol, messages in (pipe_min, pipe_max] are split
-  /// into pipe_chunk pieces and pipelined over the two buffers (§2.4:
-  /// "messages larger than 8 KB and smaller than 32 KB are split into 4 KB
-  /// chunks").
-  std::size_t bcast_pipe_min = 8 * 1024;
-  std::size_t bcast_pipe_max = 32 * 1024;
-  std::size_t bcast_pipe_chunk = 4 * 1024;
 
   /// Chunk size of the large-message broadcast / SMP publish pipeline.
   std::size_t bcast_net_chunk = 64 * 1024;
@@ -62,9 +56,9 @@ struct SrmConfig {
   /// on exit (§2.3). Turning this off leaves interrupts always enabled.
   bool manage_interrupts = true;
 
-  /// Largest message @p algo can carry for @p op with these buffers: a
-  /// staged bcast moves one Fig. 3 buffer per step; an rd allreduce moves
-  /// the whole vector through one exchange slot and publishes the result
+  /// Largest step @p algo can move for @p op with these buffers: a staged
+  /// bcast moves one Fig. 3 buffer per step; an rd allreduce moves the
+  /// whole vector through one exchange slot and publishes the result
   /// through one Fig. 3 buffer. Every other pairing is unbounded.
   std::size_t max_bytes(coll::CollKind op, coll::Algo algo) const {
     if (op == coll::CollKind::bcast && algo == coll::Algo::staged) {
@@ -79,23 +73,28 @@ struct SrmConfig {
   /// The feasibility rule of dispatch: the decision @p d a table row names
   /// for @p op at @p bytes, rerouted to the op's paper path (direct bcast,
   /// pipelined allreduce, staged everything else) when its algorithm does
-  /// not implement the op or cannot carry @p bytes (max_bytes). Dispatch,
-  /// the static analyzer and the tuners all ask this one function.
+  /// not implement the op or one step of it cannot carry its bytes
+  /// (max_bytes). A step is the whole message, except on a staged bcast
+  /// row with a chunk, which carries any size in chunk-sized steps.
+  /// Dispatch, the static analyzer and the tuners all ask this one
+  /// function.
   coll::Decision sanitize(coll::CollKind op, coll::Decision d,
                           std::size_t bytes) const {
     using coll::Algo;
     Algo paper = Algo::staged;
     bool implemented = d.algo == Algo::staged;
+    std::size_t step = bytes;
     if (op == coll::CollKind::bcast) {
       paper = Algo::direct;
       implemented = d.algo == Algo::staged || d.algo == Algo::direct ||
                     d.algo == Algo::scatter_ag;
+      if (d.algo == Algo::staged) step = coll::bcast_step(d.chunk, bytes);
     } else if (op == coll::CollKind::allreduce) {
       paper = Algo::pipeline;
       implemented = d.algo == Algo::rd || d.algo == Algo::pipeline ||
                     d.algo == Algo::ring || d.algo == Algo::rhalving;
     }
-    if (!implemented || bytes > max_bytes(op, d.algo)) d.algo = paper;
+    if (!implemented || step > max_bytes(op, d.algo)) d.algo = paper;
     return d;
   }
 };

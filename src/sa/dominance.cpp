@@ -40,21 +40,20 @@ constexpr int kModelRootFanIn = 2;
 
 std::size_t ceil_div(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
 
-int chunks_for(CollKind op, Algo algo, std::size_t bytes,
+int chunks_for(CollKind op, const Decision& d, std::size_t bytes,
                const SrmConfig& cfg) {
-  if (op == CollKind::bcast && algo == Algo::staged) {
-    // bcast_small pipelines only inside its [pipe_min, pipe_max] band.
-    if (bytes > cfg.bcast_pipe_min && bytes <= cfg.bcast_pipe_max) {
-      return static_cast<int>(ceil_div(bytes, cfg.bcast_pipe_chunk));
-    }
-    return 1;
+  if (op == CollKind::bcast && d.algo == Algo::staged) {
+    // bcast_small pipelines in the row's chunk (0: one step).
+    if (bytes == 0) return 1;
+    return static_cast<int>(
+        ceil_div(bytes, coll::bcast_step(d.chunk, bytes)));
   }
-  if (op == CollKind::bcast && algo == Algo::direct) {
+  if (op == CollKind::bcast && d.algo == Algo::direct) {
     return static_cast<int>(std::max<std::size_t>(
         1, ceil_div(bytes, cfg.bcast_net_chunk)));
   }
   if (op == CollKind::reduce ||
-      (op == CollKind::allreduce && algo == Algo::pipeline)) {
+      (op == CollKind::allreduce && d.algo == Algo::pipeline)) {
     return static_cast<int>(
         std::max<std::size_t>(1, ceil_div(bytes, cfg.reduce_chunk)));
   }
@@ -185,7 +184,7 @@ AlgoCost algo_cost(CollKind op, Decision d, std::size_t bytes,
 
   const double B = static_cast<double>(bytes);
   const double W = static_cast<double>(kTasks);
-  const int C = chunks_for(op, d.algo, bytes, cfg);
+  const int C = chunks_for(op, d, bytes, cfg);
   const double chunk_unit = B / (static_cast<double>(C) * W);
 
   Plan plan;
@@ -431,12 +430,12 @@ DominanceReport check_table(const coll::DecisionTable& t,
         bool buys_traffic = cc.bus_bytes < ac.bus_bytes * kBusSave;
         double cx = cc.ns +
                     scale_extra(op, chosen.algo, cc,
-                                chunks_for(op, chosen.algo, bytes, cfg),
+                                chunks_for(op, chosen, bytes, cfg),
                                 bytes, mp) +
                     tasks_extra(op, chosen, bytes, mp);
         double ax = ac.ns +
                     scale_extra(op, alt.algo, ac,
-                                chunks_for(op, alt.algo, bytes, cfg), bytes,
+                                chunks_for(op, alt, bytes, cfg), bytes,
                                 mp) +
                     tasks_extra(op, alt, bytes, mp);
         bool slower_at_n = cx > ax * kSlackRel + kSlackAbs;

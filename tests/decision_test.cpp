@@ -80,6 +80,8 @@ DecisionTable sample_table() {
   t.version = 1;
   t.profile = "unit_test";
   t.set(CollKind::bcast, 0, {Algo::staged, false, TreeKind::binomial});
+  t.set(CollKind::bcast, 8193,
+        {Algo::staged, true, TreeKind::binary, TreeKind::binomial, 4096});
   t.set(CollKind::bcast, 65537, {Algo::scatter_ag, true, TreeKind::bine});
   t.set(CollKind::allreduce, 0, {Algo::rd, false, TreeKind::flat});
   t.set(CollKind::allreduce, 16385, {Algo::ring, false, TreeKind::binary});
@@ -96,8 +98,10 @@ DecisionTable sample_table() {
 
 TEST(DecisionTable, JsonRoundTripIsExact) {
   DecisionTable t = sample_table();
+  EXPECT_NE(t.to_json().find(R"("chunk": 4096)"), std::string::npos);
   DecisionTable back = DecisionTable::from_json(t.to_json());
   EXPECT_EQ(back, t);
+  EXPECT_EQ(back.decide(CollKind::bcast, 16384).chunk, 4096u);
   // Idempotent: a second trip emits identical text.
   EXPECT_EQ(back.to_json(), t.to_json());
 }
@@ -128,8 +132,9 @@ TEST(DecisionTable, IntranodeColumnSurvivesJsonRoundTrip) {
 }
 
 TEST(DecisionTable, RowWithoutIntranodeLoadsBinomial) {
-  // An artifact written before the column existed still loads, as the
-  // paper's binomial intra-node tree.
+  // An artifact written before the intranode and chunk columns existed
+  // still loads, as the paper's binomial intra-node tree and a staged
+  // bcast step of the whole message.
   DecisionTable t = DecisionTable::from_json(
       R"({"version": 1, "profile": "old", "ops": {"reduce": [)"
       R"({"min_bytes": 0, "algo": "staged", "mapped": false,)"
@@ -137,6 +142,7 @@ TEST(DecisionTable, RowWithoutIntranodeLoadsBinomial) {
   Decision d = t.decide(CollKind::reduce, 4096);
   EXPECT_EQ(d.intranode, TreeKind::binomial);
   EXPECT_EQ(d.internode, TreeKind::binary);
+  EXPECT_EQ(d.chunk, 0u);
 }
 
 TEST(DecisionTable, FromJsonRejectsUnknownIntranodeTree) {
@@ -251,6 +257,26 @@ TEST(DecisionTable, IbmSpIsThePapersConstants) {
   }
 }
 
+TEST(DecisionTable, IbmSpBcastRowsAreThePapersBand) {
+  // The paper's §2.4 rule, as a reference: staged up to 64 KB, in 4 KB
+  // chunks inside (8, 32] KB and in one step outside it, direct beyond,
+  // mapped from 16 KB. The rows must dispatch every size the same.
+  const SrmConfig cfg;
+  const DecisionTable t = DecisionTable::ibm_sp();
+  for (std::size_t b = 1; b <= 128 * 1024; ++b) {
+    Decision d = cfg.sanitize(CollKind::bcast, t.decide(CollKind::bcast, b), b);
+    bool staged = b <= 64 * 1024;
+    std::size_t steps = 1;
+    if (b > 8 * 1024 && b <= 32 * 1024) steps = (b + 4095) / 4096;
+    ASSERT_EQ(d.algo, staged ? Algo::staged : Algo::direct) << b;
+    ASSERT_EQ(d.mapped, b >= 16 * 1024) << b;
+    if (staged) {
+      std::size_t step = coll::bcast_step(d.chunk, b);
+      ASSERT_EQ((b + step - 1) / step, steps) << b;
+    }
+  }
+}
+
 TEST(DecisionTable, BuiltinLookupByProfileName) {
   ASSERT_NE(DecisionTable::builtin("ibm_sp"), nullptr);
   EXPECT_EQ(*DecisionTable::builtin("ibm_sp"), DecisionTable::ibm_sp());
@@ -283,6 +309,35 @@ TEST(Feasibility, BufferCapsRerouteOnlyTheAlgorithm) {
             (Decision{Algo::pipeline, false, TreeKind::binary}));
   // Single-implementation ops always run their staged path.
   EXPECT_EQ(cfg.sanitize(CollKind::gather, rd, 8).algo, Algo::staged);
+}
+
+TEST(Feasibility, OneStagedBcastStepMustFitTheSharedBuffer) {
+  const SrmConfig cfg;  // 64 KB Fig. 3 buffers
+  const std::size_t mib = 1 << 20;
+  auto staged = [](std::size_t chunk) {
+    return Decision{Algo::staged, false, TreeKind::binomial,
+                    TreeKind::binomial, chunk};
+  };
+  // Unchunked: the step is the message.
+  EXPECT_EQ(cfg.sanitize(CollKind::bcast, staged(0), cfg.smp_buf_bytes).algo,
+            Algo::staged);
+  EXPECT_EQ(
+      cfg.sanitize(CollKind::bcast, staged(0), cfg.smp_buf_bytes + 1).algo,
+      Algo::direct);
+  // A chunk that fits carries any size, and keeps its column.
+  EXPECT_EQ(cfg.sanitize(CollKind::bcast, staged(32 * 1024), mib),
+            staged(32 * 1024));
+  EXPECT_EQ(cfg.sanitize(CollKind::bcast, staged(cfg.smp_buf_bytes), mib).algo,
+            Algo::staged);
+  // A chunk beyond the buffer reroutes once a step would fill it.
+  EXPECT_EQ(cfg.sanitize(CollKind::bcast, staged(128 * 1024), mib),
+            (Decision{Algo::direct, false, TreeKind::binomial,
+                      TreeKind::binomial, 128 * 1024}));
+  EXPECT_EQ(cfg.sanitize(CollKind::bcast, staged(128 * 1024), 32 * 1024).algo,
+            Algo::staged);
+  // Only a staged bcast reads the column: rd stays capped by its slot.
+  Decision rd{Algo::rd, false, TreeKind::binomial, TreeKind::binomial, 4096};
+  EXPECT_EQ(cfg.sanitize(CollKind::allreduce, rd, mib).algo, Algo::pipeline);
 }
 
 // ---------------------------------------------------------------------------

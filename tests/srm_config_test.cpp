@@ -25,7 +25,9 @@ ClusterConfig shape(int nodes, int ppn) {
   return c;
 }
 
-// Runs the full operation mix under a given config and checks data.
+// Runs the full operation mix under a given config and checks data. The
+// allgather broadcasts the gathered vector, so it runs the bcast row at
+// ranks x 5600 B (67200 B at the default 3x4, beyond one 64 KB buffer).
 void exercise(SrmConfig cfg, int nodes = 3, int ppn = 4) {
   Cluster cluster(shape(nodes, ppn));
   lapi::Fabric fabric(cluster);
@@ -52,6 +54,23 @@ void exercise(SrmConfig cfg, int nodes = 3, int ppn = 4) {
       double expect = n + n * (n - 1) / 2.0;
       for (std::size_t i = 0; i < count; ++i) {
         EXPECT_DOUBLE_EQ(out[i], expect) << "count " << count;
+      }
+    }
+    for (std::size_t count : {1ul, 700ul}) {
+      std::vector<double> mine(count),
+          all(count * static_cast<std::size_t>(n), -1.0);
+      for (std::size_t i = 0; i < count; ++i) {
+        mine[i] = static_cast<double>(t.rank * 1000 + i % 13);
+      }
+      co_await comm.allgather(t, coll::of(mine.data(), count),
+                              coll::of(all.data(), count));
+      for (std::size_t i = 0; i < all.size(); ++i) {
+        double expect = static_cast<double>(i / count * 1000 + i % count % 13);
+        if (all[i] != expect) {
+          ADD_FAILURE() << "allgather count " << count << " element " << i
+                        << ": " << all[i] << " != " << expect;
+          break;
+        }
       }
     }
     co_await comm.barrier(t);
@@ -122,27 +141,52 @@ TEST(SrmConfig, InterruptManagementOff) {
   exercise(cfg);
 }
 
-TEST(SrmConfig, TinyPipelineChunks) {
+/// The paper's table with its chunked bcast rows (the (8, 32] KB band)
+/// pipelined in @p chunk bytes instead of 4 KB (0: single-shot).
+SrmConfig band_chunk(std::size_t chunk) {
   SrmConfig cfg;
-  cfg.bcast_pipe_chunk = 1024;
-  exercise(cfg);
+  cfg.decisions = coll::DecisionTable::ibm_sp();
+  cfg.decisions.for_each_decision([chunk](coll::Decision& d) {
+    if (d.chunk != 0) d.chunk = chunk;
+  });
+  return cfg;
 }
 
+TEST(SrmConfig, TinyPipelineChunks) { exercise(band_chunk(1024)); }
+
 TEST(SrmConfig, PipeliningDisabled) {
-  SrmConfig cfg;
-  cfg.bcast_pipe_min = 0;
-  cfg.bcast_pipe_max = 0;  // empty band: single-shot up to 64 KB
-  exercise(cfg);
+  exercise(band_chunk(0));  // empty band: single-shot up to 64 KB
 }
 
 TEST(SrmConfig, EarlyLargeProtocolSwitch) {
-  // The paper's table with the bcast switch moved from 64 KB to 16 KB.
-  SrmConfig cfg;
-  cfg.decisions = coll::DecisionTable::ibm_sp();
-  cfg.decisions.set(coll::CollKind::bcast, 16 * 1024 + 1,
-                    {coll::Algo::direct, true, coll::TreeKind::binomial});
-  cfg.bcast_pipe_max = 8 * 1024;
+  // The paper's table with the bcast switch moved from 64 KB to 16 KB and
+  // no chunked rows: every bcast row above 16 KB runs direct.
+  SrmConfig cfg = band_chunk(0);
+  for (std::size_t b : {16 * 1024 + 1, 32 * 1024 + 1}) {
+    cfg.decisions.set(coll::CollKind::bcast, b,
+                      {coll::Algo::direct, true, coll::TreeKind::binomial});
+  }
   exercise(cfg);
+}
+
+TEST(SrmConfig, ChunkedStagedBcastCarriesEverySize) {
+  // One staged bcast row for every size: the landing-buffer protocol in
+  // chunk-sized steps, beyond the 64 KB shared buffer too, for the bcasts
+  // and the allgathers' bcast half.
+  for (std::size_t chunk : {4 * 1024, 32 * 1024}) {
+    SrmConfig cfg;
+    cfg.decisions.profile = "forced";
+    cfg.decisions.set(coll::CollKind::bcast, 0,
+                      {coll::Algo::staged, false, coll::TreeKind::binomial,
+                       coll::TreeKind::binomial, chunk});
+    EXPECT_EQ(cfg.sanitize(coll::CollKind::bcast,
+                           cfg.decisions.decide(coll::CollKind::bcast, 1 << 20),
+                           1 << 20)
+                  .algo,
+              coll::Algo::staged);
+    exercise(cfg, 3, 5);
+    exercise(cfg, 5, 3);
+  }
 }
 
 TEST(SrmConfig, SmallReduceChunks) {
@@ -241,6 +285,45 @@ TEST(SrmConfig, BinaryReduceRowIsExactAndFasterOnModernSmp) {
   double binary = timed(coll::TreeKind::binary);
   EXPECT_LT(binary, timed(coll::TreeKind::binomial));
   EXPECT_LT(timed(coll::TreeKind::chain), binary);
+}
+
+TEST(SrmConfig, ChunkedStagedBcastIsExactAndFasterOnModernSmp) {
+  // Off the root node the direct protocol lands each chunk in the leader's
+  // user buffer and restages it through the Fig. 3 buffers, where the
+  // local tasks read it dirty from the leader's cache; a chunked staged row
+  // publishes from the landing buffer the NIC wrote. One-row tables.
+  constexpr std::size_t kBytes = 256 * 1024;
+  constexpr int kNodes = 8, kPpn = 16, kRoot = 37;
+  auto timed = [&](coll::Decision d) {
+    SrmConfig cfg;
+    cfg.decisions.profile = "forced";
+    cfg.decisions.set(coll::CollKind::bcast, 0, d);
+    ClusterConfig cc = shape(kNodes, kPpn);
+    cc.params = machine::MachineParams::modern_smp();
+    Cluster cluster(cc);
+    lapi::Fabric fabric(cluster);
+    Communicator comm(cluster, fabric, cfg);
+    EXPECT_EQ(comm.decide(coll::CollKind::bcast, kBytes), d);
+    cluster.run([&](TaskCtx& t) -> CoTask {
+      std::vector<char> buf(kBytes, 0);
+      if (t.rank == kRoot) {
+        for (std::size_t i = 0; i < kBytes; ++i) {
+          buf[i] = static_cast<char>(i % 251);
+        }
+      }
+      co_await comm.bcast(t, coll::Buf::bytes(buf.data(), kBytes), kRoot);
+      for (std::size_t i = 0; i < kBytes; ++i) {
+        if (buf[i] != static_cast<char>(i % 251)) {
+          ADD_FAILURE() << "rank " << t.rank << " byte " << i;
+          break;
+        }
+      }
+    });
+    return cluster.engine().now();
+  };
+  const auto bin = coll::TreeKind::binomial;
+  EXPECT_LT(timed({coll::Algo::staged, false, bin, bin, 32 * 1024}),
+            timed({coll::Algo::direct, false, bin}));
 }
 
 TEST(SrmConfig, SingleBufferIsSlowerForPipelinedSizes) {
