@@ -20,40 +20,43 @@ Endpoint::Endpoint(machine::TaskCtx& ctx)
 
 void Endpoint::on_arrival(std::function<void()> process) {
   sim::Engine& eng = *ctx_->eng;
+  std::uint64_t seq = run_seq_ + arrivals_.size();
+  arrivals_.push_back(std::move(process));
   if (in_call_) {
-    eng.call_at(eng.now() + lp_->poll_dispatch, std::move(process));
+    dispatch_at(eng.now() + lp_->poll_dispatch, seq);
   } else if (interrupts_) {
     ++interrupts_taken_;
-    eng.call_at(eng.now() + lp_->interrupt_cost, std::move(process));
-  } else {
-    pending_.push_back(std::move(process));
+    dispatch_at(eng.now() + lp_->interrupt_cost, seq);
   }
 }
 
+void Endpoint::dispatch_at(sim::Time at, std::uint64_t seq) {
+  pending_seq_ = seq + 1;
+  ctx_->eng->call_at(at, [this, seq] {
+    while (!arrivals_.empty() && run_seq_ <= seq) {
+      std::function<void()> process = std::move(arrivals_.front());
+      arrivals_.pop_front();
+      ++run_seq_;
+      process();
+    }
+  });
+}
+
 void Endpoint::drain_pending() {
-  sim::Engine& eng = *ctx_->eng;
-  sim::Time t = eng.now();
-  while (!pending_.empty()) {
+  sim::Time t = ctx_->eng->now();
+  std::uint64_t end = run_seq_ + arrivals_.size();
+  while (pending_seq_ < end) {
     t += lp_->poll_dispatch;
-    eng.call_at(t, std::move(pending_.front()));
-    pending_.pop_front();
+    dispatch_at(t, pending_seq_);
   }
 }
 
 void Endpoint::set_interrupts(bool enabled) {
   interrupts_ = enabled;
-  if (enabled && !pending_.empty()) {
-    // Toggling the mode is itself a LAPI library call — a progress
-    // opportunity: everything queued while interrupts were off is handled
-    // by the dispatcher inline at polling cost, not via an interrupt.
-    sim::Engine& eng = *ctx_->eng;
-    sim::Time t = eng.now();
-    while (!pending_.empty()) {
-      t += lp_->poll_dispatch;
-      eng.call_at(t, std::move(pending_.front()));
-      pending_.pop_front();
-    }
-  }
+  // Toggling the mode is itself a LAPI library call — a progress
+  // opportunity: everything queued while interrupts were off is handled by
+  // the dispatcher inline at polling cost, not via an interrupt.
+  if (enabled) drain_pending();
 }
 
 sim::CoTask Endpoint::put(Endpoint& target, void* dst, const void* src,

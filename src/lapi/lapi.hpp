@@ -12,7 +12,10 @@
 //    inside a LAPI call, (b) after the interrupt cost if interrupts are
 //    enabled, or (c) not until the target's next LAPI call if interrupts are
 //    disabled — the exact hazard the paper manages around the shared-memory
-//    phases;
+//    phases. The dispatcher keeps arrival order: when a later arrival's
+//    dispatch comes due first (it landed inside a Waitcntr while an earlier
+//    one still waits out its interrupt), it runs every earlier arrival
+//    first, so a counter bump never overtakes an earlier deposit;
 //  * active messages (header handler runs at the target at process time).
 //
 // Data deposit is performed by the dispatcher at process time, which matches
@@ -127,7 +130,11 @@ class Endpoint {
 
   // Called by the network delivery event at the *target* endpoint.
   void on_arrival(std::function<void()> process);
-  // Run all queued arrivals serially, charging poll cost for each.
+  // At @p at, run every not-yet-run arrival up to number @p seq, oldest
+  // first.
+  void dispatch_at(sim::Time at, std::uint64_t seq);
+  // Schedule the arrivals still waiting for a LAPI call, one poll cost
+  // apart.
   void drain_pending();
 
   machine::TaskCtx* ctx_;
@@ -145,7 +152,12 @@ class Endpoint {
   int in_call_ = 0;
   bool interrupts_ = true;
   std::uint64_t interrupts_taken_ = 0;
-  std::deque<std::function<void()>> pending_;
+  // Arrivals not yet run, oldest first; the front is number run_seq_.
+  // Those from number pending_seq_ on have no dispatch event yet: they
+  // landed with interrupts off and wait for the next LAPI call.
+  std::deque<std::function<void()>> arrivals_;
+  std::uint64_t run_seq_ = 0;
+  std::uint64_t pending_seq_ = 0;
   sim::WaitQueue call_wq_;  // wakes pollers when new arrivals are processed
 };
 

@@ -182,6 +182,45 @@ TEST(Lapi, EnablingInterruptsFlushesPending) {
   EXPECT_EQ(f.fabric.ep(1).interrupts_taken(), 0u);
 }
 
+TEST(Lapi, DispatchKeepsArrivalOrderAcrossInterruptAndPoll) {
+  // The first put lands while the target computes with interrupts on, so
+  // its dispatch waits out the interrupt; the second lands after the target
+  // entered Waitcntr, so its dispatch comes due first. The dispatcher must
+  // still run the first before the second: when the counter releases, the
+  // first put's bytes are in place (the reduce's landing pairs count both
+  // slots on one counter and rely on exactly this).
+  ClusterConfig cfg = two_nodes();
+  cfg.params.lapi.interrupt_cost = sim::ms(1);
+  PutFixture f(cfg);
+  std::vector<double> first(64), second(8, 2.0);
+  std::iota(first.begin(), first.end(), 1.0);
+  std::vector<double> first_dst(64, -1.0), second_dst(8, -1.0);
+  Counter c(f.cluster.engine());
+  std::vector<double> seen_first;
+  Time released = 0;
+  f.cluster.run([&](TaskCtx& t) -> CoTask {
+    if (t.rank == 0) {
+      co_await f.fabric.ep(0).put(f.fabric.ep(1), first_dst.data(),
+                                  first.data(), first.size() * sizeof(double),
+                                  &c);
+      co_await t.delay(us(200));
+      co_await f.fabric.ep(0).put(f.fabric.ep(1), second_dst.data(),
+                                  second.data(),
+                                  second.size() * sizeof(double), &c);
+    } else {
+      co_await t.delay(us(100));  // the first put lands during this
+      co_await f.fabric.ep(1).wait_cntr(c, 1);
+      released = t.eng->now();
+      seen_first = first_dst;
+      co_await f.fabric.ep(1).wait_cntr(c, 1);
+    }
+  });
+  EXPECT_EQ(f.fabric.ep(1).interrupts_taken(), 1u);
+  EXPECT_LT(released, sim::ms(1));  // released by the polled second arrival
+  EXPECT_EQ(seen_first, first);
+  EXPECT_EQ(second_dst, second);
+}
+
 TEST(Lapi, PollingDeliveryIsCheaperThanInterrupt) {
   auto run = [](bool target_waits) {
     PutFixture f(two_nodes());
