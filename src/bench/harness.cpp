@@ -19,6 +19,46 @@ bool env_symbolic() {
   return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
 }
 
+/// The canned reductions' inputs and their check. Element i of rank r is
+/// (r % 7 + 1) * (i % 1021 + 1): small integers, so every summation order
+/// is exact, and element-dependent, so a chunk combined from the wrong
+/// slot shows as a wrong sum. Each rank compares its result with the
+/// sequential sum on the host, which charges no virtual time; the timed
+/// call throws after the run when any result was wrong.
+struct SumCheck {
+  static constexpr std::size_t kPeriod = 1021;
+  explicit SumCheck(int nranks) {
+    for (int r = 0; r < nranks; ++r) rank_weights += r % 7 + 1;
+  }
+  static std::vector<double> input(int rank, std::size_t count) {
+    std::vector<double> in(count);
+    const auto w = static_cast<double>(rank % 7 + 1);
+    for (std::size_t i = 0, e = 0; i < count; ++i) {
+      in[i] = w * static_cast<double>(e + 1);
+      if (++e == kPeriod) e = 0;
+    }
+    return in;
+  }
+  /// Compare @p out with elements [first, first + out.size()) of the sum.
+  void check(const std::vector<double>& out, std::size_t first) {
+    const auto w = static_cast<double>(rank_weights);
+    for (std::size_t i = 0, e = first % kPeriod; i < out.size(); ++i) {
+      if (out[i] != w * static_cast<double>(e + 1)) {
+        ++wrong;
+        return;
+      }
+      if (++e == kPeriod) e = 0;
+    }
+  }
+  void require(const char* op, std::size_t count) const {
+    SRM_CHECK_MSG(wrong == 0, op << " of " << count
+                                 << " doubles returned a wrong sum in "
+                                 << wrong << " rank call(s)");
+  }
+  long rank_weights = 0;
+  std::size_t wrong = 0;
+};
+
 }  // namespace
 
 const char* impl_name(Impl i) {
@@ -193,9 +233,10 @@ double Bench::time_bcast(std::size_t bytes, int iters) {
 
 double Bench::time_reduce(std::size_t count, int iters) {
   bool symbolic = symbolic_;
-  return timed_sig(
-      [count, symbolic](machine::TaskCtx& t,
-                        coll::Collectives& c) -> sim::CoTask {
+  SumCheck sums(cluster_->topology().nranks());
+  double lat = timed_sig(
+      [count, symbolic, &sums](machine::TaskCtx& t,
+                               coll::Collectives& c) -> sim::CoTask {
         if (symbolic) {
           coll::Payload in(1, count * sizeof(double)), out(in);
           in.fill_pattern(coll::Dtype::f64,
@@ -205,20 +246,25 @@ double Bench::time_reduce(std::size_t count, int iters) {
                             coll::Buf::symbolic(out, coll::Dtype::f64, count),
                             coll::RedOp::sum, 0);
         } else {
-          std::vector<double> in(count, 1.0 * t.rank), out(count, 0.0);
+          std::vector<double> in = SumCheck::input(t.rank, count),
+                              out(count, 0.0);
           co_await c.reduce(t, coll::of(in.data(), count),
                             coll::of(out.data(), count), coll::RedOp::sum, 0);
+          if (t.rank == 0) sums.check(out, 0);
         }
       },
       iters, 2,
       planed(sv::sig_reduce(coll::Dtype::f64, count, coll::RedOp::sum, 0)));
+  sums.require("reduce", count);
+  return lat;
 }
 
 double Bench::time_allreduce(std::size_t count, int iters) {
   bool symbolic = symbolic_;
-  return timed_sig(
-      [count, symbolic](machine::TaskCtx& t,
-                        coll::Collectives& c) -> sim::CoTask {
+  SumCheck sums(cluster_->topology().nranks());
+  double lat = timed_sig(
+      [count, symbolic, &sums](machine::TaskCtx& t,
+                               coll::Collectives& c) -> sim::CoTask {
         if (symbolic) {
           coll::Payload in(1, count * sizeof(double)), out(in);
           in.fill_pattern(coll::Dtype::f64,
@@ -228,14 +274,18 @@ double Bench::time_allreduce(std::size_t count, int iters) {
               coll::Buf::symbolic(out, coll::Dtype::f64, count),
               coll::RedOp::sum);
         } else {
-          std::vector<double> in(count, 1.0 * t.rank), out(count, 0.0);
+          std::vector<double> in = SumCheck::input(t.rank, count),
+                              out(count, 0.0);
           co_await c.allreduce(t, coll::of(in.data(), count),
                                coll::of(out.data(), count),
                                coll::RedOp::sum);
+          sums.check(out, 0);
         }
       },
       iters, 2,
       planed(sv::sig_allreduce(coll::Dtype::f64, count, coll::RedOp::sum)));
+  sums.require("allreduce", count);
+  return lat;
 }
 
 double Bench::time_barrier(int iters) {
@@ -322,9 +372,10 @@ double Bench::time_allgather(std::size_t bytes_per, int iters) {
 double Bench::time_reduce_scatter(std::size_t bytes_per, int iters) {
   std::size_t count = std::max<std::size_t>(bytes_per / sizeof(double), 1);
   bool symbolic = symbolic_;
-  return timed_sig(
-      [count, symbolic](machine::TaskCtx& t,
-                        coll::Collectives& c) -> sim::CoTask {
+  SumCheck sums(cluster_->topology().nranks());
+  double lat = timed_sig(
+      [count, symbolic, &sums](machine::TaskCtx& t,
+                               coll::Collectives& c) -> sim::CoTask {
         auto nranks = static_cast<std::size_t>(t.nranks());
         if (symbolic) {
           coll::Payload in(nranks, count * sizeof(double));
@@ -336,16 +387,19 @@ double Bench::time_reduce_scatter(std::size_t bytes_per, int iters) {
               coll::Buf::symbolic(out, coll::Dtype::f64, count),
               coll::RedOp::sum);
         } else {
-          std::vector<double> in(count * nranks, 1.0 * t.rank),
-              out(count, 0.0);
+          std::vector<double> in = SumCheck::input(t.rank, count * nranks),
+                              out(count, 0.0);
           co_await c.reduce_scatter(t, coll::of(in.data(), count),
                                     coll::of(out.data(), count),
                                     coll::RedOp::sum);
+          sums.check(out, count * static_cast<std::size_t>(t.rank));
         }
       },
       iters, 2,
       planed(sv::sig_reduce_scatter(coll::Dtype::f64, count,
                                     coll::RedOp::sum)));
+  sums.require("reduce_scatter", count);
+  return lat;
 }
 
 std::string Bench::stats_json(const std::string& bench) const {
