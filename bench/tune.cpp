@@ -9,24 +9,37 @@
 // sweep. Every call reads only its own op's row, so that is the path the
 // candidate takes when deployed, and the ops sweep independently.
 //
+// The pool: per op, the algorithms, trees and mapped variants below.
+// The staged bcast is also tried in 4-64 KiB chunks; the reduce and
+// pipelined-allreduce rows that win today's bands are also tried in 4 and
+// 8 KiB steps (a chunk below SrmConfig::reduce_chunk, "+c4K", "+c8K"). A
+// chunked candidate follows its unchunked row. At or below its chunk it
+// runs one step, exactly as that row, so the sweep skips the cell and
+// prints 0, as it does for a cell a Communicator would sanitize into
+// another algorithm.
+//
 // The isolated-call guard: candidates challenge the running winner in
 // pool order, and a challenger that wins the back-to-back average
 // displaces it only if one isolated call of it is no slower than one of
-// the winner's; the new winner carries its own isolated time forward.
-// Back-to-back calls overlap, and an average that wins by overlapping its
-// neighbours loses the isolated calls a workload makes.
+// the winner's, at the grid size and, where both run there, at the
+// band's midpoint (1.5x the grid size): a row serves every size up to
+// the next grid size. The new winner carries its own isolated times
+// forward. Back-to-back calls overlap, and an average that wins by
+// overlapping its neighbours loses the isolated calls a workload makes.
+// Without the midpoint, 8 KiB steps would win the 512 KB allreduce cell
+// and lose the 768 KB calls its row also serves.
 //
 // The builtin modern_smp() is a snapshot of this procedure. ibm_sp() is
 // not: it holds the paper's constants by hand. The SP sweep departs from
 // them: it maps bcast below 64 B, runs the staged bcast at 16 KB in 8 KB
 // chunks where the paper's band uses 4 KB, takes scatter_ag bcast from
-// 32 KB, maps reduce from 512 B, runs it over binary trees between and
-// within nodes from 64 KB and staged over chains between and within nodes
-// from 256 KB, hands allreduce above 16 KB to recursive halving (over a
-// binary intra-node tree from 64 KB), at 128 KB to the pipeline mapped
-// over binary trees between and within nodes and from 256 KB to the
-// staged pipeline over chains, and maps scatter only for node blocks
-// below 2 KB.
+// 32 KB, maps reduce from 512 B, runs it from 16 KB mapped over binary
+// trees between and within nodes in 4 KiB steps, from 64 KB staged over
+// chains between and within nodes in 4 KiB steps and from 512 KB in the
+// 16 KiB step, hands allreduce above 16 KB to the pipeline mapped over
+// binary trees in 4 KiB steps, from 128 KB to the staged pipeline over
+// chains in 4 KiB steps and from 512 KB in 8 KiB steps, and never maps
+// scatter.
 //
 // Usage:
 //   tune [--profile ibm_sp|modern_smp] [--out FILE] [--smoke] [--check]
@@ -59,11 +72,20 @@ using namespace srm::bench;
 
 namespace {
 
+/// Append @p d and its 4 KiB and 8 KiB chunked variants to @p pool.
+void with_chunks(std::vector<coll::Decision>& pool, coll::Decision d) {
+  pool.push_back(d);
+  for (std::size_t chunk : {4, 8}) {
+    d.chunk = chunk * 1024;
+    pool.push_back(d);
+  }
+}
+
 /// A candidate's column label: the algorithm, then "+net-<tree>" for a
 /// non-binomial inter-node tree, "+<tree>" for a non-binomial intra-node
-/// reduce tree, "+c<bytes>" for a staged bcast chunk, and "+sc" for the
-/// mapped column ("staged+net-bine", "staged+c32K",
-/// "pipeline+net-binary+binary+sc").
+/// reduce tree, "+c<bytes>" for a pipeline chunk, and "+sc" for the mapped
+/// column ("staged+net-bine", "staged+c32K",
+/// "pipeline+net-binary+chain+c8K+sc").
 std::string label(const coll::Decision& d) {
   std::string s = coll::algo_name(d.algo);
   if (d.internode != coll::TreeKind::binomial) {
@@ -77,15 +99,10 @@ std::string label(const coll::Decision& d) {
   return s;
 }
 
-/// The candidate pool per operation, in sweep order: the first feasible
-/// candidate is the running winner every later one must displace.
-/// Candidates that a Communicator would sanitize into a different
-/// algorithm at this size (SrmConfig::sanitize: rd above the exchange
-/// slot, an unchunked staged bcast above the shared buffer) are skipped
-/// rather than measured under a false label. A chunked staged bcast runs
-/// every size; at or below its chunk it runs as the unchunked row, which
-/// precedes it and so keeps the tie.
-std::vector<coll::Decision> candidates(coll::CollKind op, std::size_t bytes) {
+/// The candidate pool per operation, in sweep order: the first candidate
+/// timed at a size is the running winner every later one must displace.
+/// A chunked candidate follows its unchunked row.
+std::vector<coll::Decision> candidates(coll::CollKind op) {
   using coll::Algo;
   const auto bin = coll::TreeKind::binomial;
   const auto bine = coll::TreeKind::bine;
@@ -108,28 +125,34 @@ std::vector<coll::Decision> candidates(coll::CollKind op, std::size_t bytes) {
              {Algo::staged, false, bine},
              {Algo::staged, false, bin, binary},
              {Algo::staged, true, bin},
-             {Algo::staged, false, binary, binary},
-             {Algo::staged, true, binary, binary},
-             {Algo::staged, true, binary, chain},
-             {Algo::staged, false, chain, chain}};
+             {Algo::staged, false, binary, binary}};
+      for (const coll::Decision& d :
+           {coll::Decision{Algo::staged, true, binary, binary},
+            coll::Decision{Algo::staged, true, binary, chain},
+            coll::Decision{Algo::staged, false, chain, chain}}) {
+        with_chunks(out, d);
+      }
       break;
     case coll::CollKind::allreduce:
       // No rd+net-bine variant: recursive doubling is a butterfly, the
       // internode tree never enters its dispatch.
       out = {{Algo::rd, false, bin},
              {Algo::rd, false, bin, binary},
-             {Algo::pipeline, false, bin},
-             {Algo::pipeline, false, bin, binary},
-             {Algo::pipeline, true, bin},
-             {Algo::pipeline, true, bin, binary},
-             {Algo::pipeline, false, binary, binary},
-             {Algo::pipeline, true, binary, binary},
-             {Algo::pipeline, true, binary, chain},
-             {Algo::pipeline, false, chain, chain},
-             {Algo::ring, false, bin},
-             {Algo::ring, false, bin, binary},
-             {Algo::rhalving, false, bin},
-             {Algo::rhalving, false, bin, binary}};
+             {Algo::pipeline, false, bin}};
+      with_chunks(out, {Algo::pipeline, false, bin, binary});
+      out.insert(out.end(), {{Algo::pipeline, true, bin},
+                             {Algo::pipeline, true, bin, binary},
+                             {Algo::pipeline, false, binary, binary}});
+      for (const coll::Decision& d :
+           {coll::Decision{Algo::pipeline, true, binary, binary},
+            coll::Decision{Algo::pipeline, true, binary, chain},
+            coll::Decision{Algo::pipeline, false, chain, chain}}) {
+        with_chunks(out, d);
+      }
+      out.insert(out.end(), {{Algo::ring, false, bin},
+                             {Algo::ring, false, bin, binary},
+                             {Algo::rhalving, false, bin},
+                             {Algo::rhalving, false, bin, binary}});
       break;
     case coll::CollKind::scatter:
     case coll::CollKind::gather:
@@ -138,11 +161,18 @@ std::vector<coll::Decision> candidates(coll::CollKind op, std::size_t bytes) {
     default:
       break;
   }
-  const SrmConfig cfg;
-  std::erase_if(out, [&](const coll::Decision& d) {
-    return cfg.sanitize(op, d, bytes).algo != d.algo;
-  });
   return out;
+}
+
+/// Whether @p d runs as itself at @p bytes, and so is timed there. A
+/// candidate that a Communicator would sanitize into a different algorithm
+/// (SrmConfig::sanitize: rd above the exchange slot, an unchunked staged
+/// bcast above the shared buffer) would be measured under a false label. A
+/// chunked candidate at or below its chunk runs one step, exactly as its
+/// unchunked row, which precedes it in the pool and would keep the tie.
+bool timed_at(coll::CollKind op, const coll::Decision& d, std::size_t bytes) {
+  const SrmConfig cfg;
+  return cfg.sanitize(op, d, bytes) == d && (d.chunk == 0 || bytes > d.chunk);
 }
 
 struct Setup {
@@ -264,40 +294,60 @@ int main(int argc, char** argv) {
   };
   std::vector<Pick> picks;
   for (coll::CollKind op : swept_ops()) {
+    const std::vector<coll::Decision> pool = candidates(op);
     std::vector<std::string> cols;
-    for (const coll::Decision& d : candidates(op, 0)) cols.push_back(label(d));
+    for (const coll::Decision& d : pool) cols.push_back(label(d));
     std::vector<std::string> rows;
     std::vector<std::vector<double>> cells;
     std::vector<std::string> vetoed;
     std::vector<coll::DecisionTable::Row> op_rows;
     for (std::size_t size : sizes) {
-      std::vector<coll::Decision> cands = candidates(op, size);
+      std::vector<coll::Decision> cands;
       std::vector<double> line(cols.size(), 0.0);
       std::vector<double> avg;
-      for (const coll::Decision& d : cands) {
-        avg.push_back(measure(s, op, d, size, iters_for(size)));
-        const std::string col = label(d);
-        for (std::size_t k = 0; k < cols.size(); ++k) {
-          if (cols[k] == col) line[k] = avg.back();
-        }
+      for (std::size_t k = 0; k < pool.size(); ++k) {
+        if (!timed_at(op, pool[k], size)) continue;
+        cands.push_back(pool[k]);
+        avg.push_back(measure(s, op, pool[k], size, iters_for(size)));
+        line[k] = avg.back();
       }
-      auto isolated = [&](const coll::Decision& d) {
-        return measure(s, op, d, size, 1);
+      // The band's midpoint: a row serves every size up to the next grid
+      // size, not only the one it was timed at.
+      const std::size_t mid = size + size / 2;
+      struct Iso {
+        double at = -1.0, mid = -1.0;  // < 0: not timed yet
+      };
+      auto isolated = [&](const coll::Decision& d, std::size_t n,
+                          double& us) {
+        if (us < 0.0) us = measure(s, op, d, n, 1);
       };
       std::size_t win = 0;
-      double win_iso = -1.0;  // the running winner's isolated call
+      Iso win_iso;  // the running winner's isolated calls
       for (std::size_t k = 1; k < cands.size(); ++k) {
         if (!(avg[k] < avg[win])) continue;
-        if (win_iso < 0.0) win_iso = isolated(cands[win]);
-        double iso = isolated(cands[k]);
-        if (iso <= win_iso) {
+        Iso iso;
+        isolated(cands[win], size, win_iso.at);
+        isolated(cands[k], size, iso.at);
+        std::string veto;
+        if (iso.at > win_iso.at) {
+          veto = "isolated " + util::fmt_us(iso.at) + " > " +
+                 label(cands[win]) + " " + util::fmt_us(win_iso.at);
+        } else if (timed_at(op, cands[k], mid) &&
+                   timed_at(op, cands[win], mid)) {
+          isolated(cands[win], mid, win_iso.mid);
+          isolated(cands[k], mid, iso.mid);
+          if (iso.mid > win_iso.mid) {
+            veto = "isolated at " + util::human_bytes(mid) + " " +
+                   util::fmt_us(iso.mid) + " > " + label(cands[win]) + " " +
+                   util::fmt_us(win_iso.mid);
+          }
+        }
+        if (veto.empty()) {
           win = k;
           win_iso = iso;
         } else {
           vetoed.push_back(util::human_bytes(size) + " " + label(cands[k]) +
-                           " (isolated " + util::fmt_us(iso) + " > " +
-                           label(cands[win]) + " " + util::fmt_us(win_iso) +
-                           ")");
+                           " (" + veto + ")");
         }
       }
       const coll::Decision& winner = cands[win];

@@ -8,8 +8,9 @@
 // DecisionTable is that measurement, persisted: per operation, a sorted list
 // of {min_bytes -> Decision} rows, where a Decision names the algorithm, the
 // mapped (single-copy) flag, the inter-node and intra-node tree shapes, and
-// the staged broadcast's pipeline chunk. Backends look up decide(op, bytes)
-// once per call and route accordingly.
+// the pipeline chunk of the staged broadcast, the reduce and the pipelined
+// allreduce. Backends look up decide(op, bytes) once per call and route
+// accordingly.
 //
 // Sources of a table, in precedence order (core/communicator.cpp); the
 // first one present is used verbatim:
@@ -67,10 +68,15 @@ bool algo_from_name(std::string_view s, Algo& out);
 /// busiest vertex, so a large row may name a chain, whose every vertex
 /// handles one child per chunk. `mapped` binds only under
 /// SrmConfig::single_copy, and only where the algorithm has a mapped
-/// variant (Communicator::decide). `chunk` is read only by a staged bcast
-/// row: the step, in bytes, in which the message is pipelined over the two
-/// Fig. 3 buffers and the landing pairs (0: the whole message in one step).
-/// The paper's 4 KB chunks for (8, 32] KB (§2.4) are ibm_sp()'s rows.
+/// variant (Communicator::decide). `chunk` is the step, in bytes, of the
+/// row's pipeline. A staged bcast row pipelines the message over the two
+/// Fig. 3 buffers and the landing pairs in it (0: the whole message in one
+/// step; bcast_step); the paper's 4 KB chunks for (8, 32] KB (§2.4) are
+/// ibm_sp()'s rows. A reduce row (and so reduce_scatter's reduce) and a
+/// pipelined allreduce row, both halves alike, step through the reduce
+/// slots and landing zones in it (0: SrmConfig::reduce_chunk, the slot
+/// size; reduce_step). rd, ring and rhalving rows and every other op's rows
+/// leave it unread.
 struct Decision {
   Algo algo = Algo::staged;
   bool mapped = false;
@@ -84,6 +90,14 @@ struct Decision {
 /// the whole message when it is smaller or the row does not pipeline.
 inline std::size_t bcast_step(std::size_t chunk, std::size_t bytes) {
   return chunk == 0 ? bytes : std::min(chunk, bytes);
+}
+
+/// One step, in bytes, of a reduce or pipelined-allreduce row with
+/// @p chunk: the chunk, or @p reduce_chunk (SrmConfig's slot size) when the
+/// row does not set one. The protocols round it down to whole elements, at
+/// least one.
+inline std::size_t reduce_step(std::size_t chunk, std::size_t reduce_chunk) {
+  return chunk == 0 ? reduce_chunk : chunk;
 }
 
 /// The size a call of @p op with @p bytes per rank is looked up at, and so

@@ -35,7 +35,7 @@ sim::CoTask Communicator::allreduce_rd(machine::TaskCtx& t, const void* send,
   SRM_CHECK(bytes <= cfg_.reduce_chunk);
 
   if (!t.is_master()) {
-    co_await smp_reduce_participant(t, itree, send, count, d, op);
+    co_await smp_reduce_participant(t, itree, send, count, count, d, op);
     finish_reduce_bookkeeping(t, emb, nchunks);
     // Wait for the master to publish the global result (fill mode: the
     // master copies its recv buffer into the shared broadcast buffer).
@@ -137,8 +137,11 @@ sim::CoTask Communicator::allreduce_pipelined(machine::TaskCtx& t,
   chk::StageScope stage(t.chk, "allreduce.pipeline");
   // Reduce to rank 0 and broadcast from rank 0 run concurrently on every
   // task; at rank 0 the broadcast consumes chunks as the reduce completes
-  // them (Fig. 5's four-stage pipeline). Both halves run the allreduce row.
-  std::size_t bytes = count * coll::dtype_size(d);
+  // them (Fig. 5's four-stage pipeline). Both halves run the allreduce row
+  // and step alike: the gate bumps once per reduce chunk.
+  std::size_t esize = coll::dtype_size(d);
+  std::size_t bytes = count * esize;
+  std::size_t step = reduce_step_elems(dec, esize) * esize;
   coll::Embedding emb = coll::embed(*t.topo, 0, dec.internode);
 
   lapi::Counter chunk_done(*t.eng, "ar.chunk_done@" + std::to_string(t.rank));
@@ -147,8 +150,7 @@ sim::CoTask Communicator::allreduce_pipelined(machine::TaskCtx& t,
   auto reduce_done = detail::spawn_joined(
       *t.eng, reduce_impl(t, send, recv, count, d, op, /*root=*/0, dec, gate));
   auto bcast_done = detail::spawn_joined(
-      *t.eng,
-      bcast_large(t, recv, bytes, emb, cfg_.reduce_chunk, gate, dec.mapped));
+      *t.eng, bcast_large(t, recv, bytes, emb, step, gate, dec.mapped));
   co_await reduce_done->wait();
   co_await bcast_done->wait();
 }

@@ -393,13 +393,15 @@ class Communicator final : public coll::Collectives {
                                    const void* src, void* dst,
                                    std::size_t len);
 
-  /// Non-leader side of the pipelined SMP reduce (Fig. 2, chunked): leaves
-  /// copy their chunks into their shared slots, interior tasks combine their
-  /// own data with their children's slots into their own slot. @p tree is
-  /// the intranode tree over local ranks.
+  /// Non-leader side of the pipelined SMP reduce (Fig. 2, chunked in
+  /// @p chunk_elems elements): leaves copy their chunks into their shared
+  /// slots, interior tasks combine their own data with their children's
+  /// slots into their own slot. @p tree is the intranode tree over local
+  /// ranks.
   sim::CoTask smp_reduce_participant(machine::TaskCtx& t,
                                      const coll::Tree& tree, const void* send,
-                                     std::size_t count, coll::Dtype d,
+                                     std::size_t count,
+                                     std::size_t chunk_elems, coll::Dtype d,
                                      coll::RedOp op);
 
   /// Leader side of one SMP-reduce chunk: waits for the leader's children in
@@ -445,12 +447,14 @@ class Communicator final : public coll::Collectives {
   /// tree): leaves export their send buffers once and do no per-chunk work;
   /// interior vertices combine their own data, their leaf children's
   /// windows, and their interior children's sc_acc slots into their own
-  /// sc_acc slot, chunk by chunk. Zero copies — only combines.
+  /// sc_acc slot, chunk by chunk (@p chunk_elems elements). Zero copies —
+  /// only combines.
   sim::CoTask smp_reduce_participant_mapped(machine::TaskCtx& t,
                                             const coll::Tree& tree,
                                             const void* send,
-                                            std::size_t count, coll::Dtype d,
-                                            coll::RedOp op);
+                                            std::size_t count,
+                                            std::size_t chunk_elems,
+                                            coll::Dtype d, coll::RedOp op);
 
   /// Leader side of one mapped-reduce chunk: combine own data + children
   /// (leaf windows from @p wins, interior sc_acc slots) straight into
@@ -508,6 +512,13 @@ class Communicator final : public coll::Collectives {
                           std::size_t count, coll::Dtype d, coll::RedOp op,
                           int root, const coll::Decision& dec,
                           lapi::Counter* chunk_done);
+  /// Elements per step of the reduce pipeline row @p dec for elements of
+  /// @p esize bytes: coll::reduce_step in whole elements, at least one.
+  std::size_t reduce_step_elems(const coll::Decision& dec,
+                                std::size_t esize) const {
+    return std::max<std::size_t>(
+        1, coll::reduce_step(dec.chunk, cfg_.reduce_chunk) / esize);
+  }
   sim::CoTask allreduce_rd(machine::TaskCtx& t, const void* send, void* recv,
                            std::size_t count, coll::Dtype d, coll::RedOp op,
                            const coll::Decision& dec);

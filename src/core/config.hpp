@@ -2,8 +2,9 @@
 // ablation switches, and the one feasibility rule that says which
 // decision-table rows those buffers can carry. The protocol switch points
 // themselves (staged/direct, rd/pipeline, mapped, inter-node and intra-node
-// trees) and the staged broadcast's pipelining band and chunk (§2.4) live
-// in the decision table, not here.
+// trees) and the pipeline chunks (the staged broadcast's §2.4 band and
+// chunk, the reduce's and the pipelined allreduce's step) live in the
+// decision table, not here.
 #pragma once
 
 #include <algorithm>
@@ -30,9 +31,12 @@ struct SrmConfig {
   /// Chunk size of the large-message broadcast / SMP publish pipeline.
   std::size_t bcast_net_chunk = 64 * 1024;
 
-  /// Reduce pipeline chunk (intra-node slots and inter-node landing zones).
-  /// Also the size of each recursive-doubling allreduce exchange slot, and
-  /// the band of reduces that run with interrupts off (§2.3).
+  /// Size of each reduce pipeline slot (intra-node slots and inter-node
+  /// landing zones): the default step of a reduce or pipelined-allreduce
+  /// row whose chunk is 0, and the cap on any row's chunk (sanitize). Also
+  /// the step of the ring and recursive-halving allreduces, the size of
+  /// each recursive-doubling exchange slot, and the band of reduces that
+  /// run with interrupts off (§2.3).
   std::size_t reduce_chunk = 16 * 1024;
 
   /// Single-copy cross-mapped intra-node protocols (shm::Mapping): calls
@@ -75,9 +79,11 @@ struct SrmConfig {
   /// pipelined allreduce, staged everything else) when its algorithm does
   /// not implement the op or one step of it cannot carry its bytes
   /// (max_bytes). A step is the whole message, except on a staged bcast
-  /// row with a chunk, which carries any size in chunk-sized steps.
-  /// Dispatch, the static analyzer and the tuners all ask this one
-  /// function.
+  /// row with a chunk, which carries any size in chunk-sized steps. A
+  /// reduce or pipelined-allreduce row whose chunk exceeds one
+  /// reduce_chunk slot keeps its algorithm and falls back to chunk 0, the
+  /// paper's step. Dispatch, the static analyzer and the tuners all ask
+  /// this one function.
   coll::Decision sanitize(coll::CollKind op, coll::Decision d,
                           std::size_t bytes) const {
     using coll::Algo;
@@ -95,6 +101,10 @@ struct SrmConfig {
                     d.algo == Algo::ring || d.algo == Algo::rhalving;
     }
     if (!implemented || step > max_bytes(op, d.algo)) d.algo = paper;
+    bool reduce_pipeline = op == coll::CollKind::reduce ||
+                           (op == coll::CollKind::allreduce &&
+                            d.algo == Algo::pipeline);
+    if (reduce_pipeline && d.chunk > reduce_chunk) d.chunk = 0;
     return d;
   }
 };

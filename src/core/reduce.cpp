@@ -2,13 +2,15 @@
 // shared-memory combine (Fig. 2), the inter-node puts between node leaders,
 // and the operator execution.
 //
-// Per chunk, on every node: local tasks feed the shared-memory tree (smp.cpp;
-// binomial in the paper, the calling op's intra-node tree here); the leader
-// combines its own data, its local children's slots, and the landing zones
-// filled by its inter-node children's puts; non-root leaders then put the
-// node result to their parent's landing zone — two landing slots per child
-// with credit counters, two output slots guarded by the put origin counter,
-// so up to two chunks are in flight on every edge.
+// The step is the calling row's (coll::reduce_step: its chunk, or
+// SrmConfig::reduce_chunk, the slot size). Per chunk, on every node: local
+// tasks feed the shared-memory tree (smp.cpp; binomial in the paper, the
+// calling op's intra-node tree here); the leader combines its own data, its
+// local children's slots, and the landing zones filled by its inter-node
+// children's puts; non-root leaders then put the node result to their
+// parent's landing zone — two landing slots per child with credit
+// counters, two output slots guarded by the put origin counter, so up to
+// two chunks are in flight on every edge.
 #include <cstring>
 
 #include "core/communicator.hpp"
@@ -40,15 +42,19 @@ sim::CoTask Communicator::reduce_impl(machine::TaskCtx& t, const void* send,
           ? coll::topo_tree(t.P->topo, t.nlocal(), leader_local, dec.intranode)
           : coll::build_tree(dec.intranode, t.nlocal(), leader_local);
 
-  std::size_t chunk_elems = cfg_.reduce_chunk / esize;
+  // Every rank resolved the same row, so every rank steps alike and the
+  // slot and landing-pair sequences stay aligned.
+  std::size_t chunk_elems = reduce_step_elems(dec, esize);
   std::size_t nchunks = detail::chunk_count(count, chunk_elems);
 
   if (t.rank != leader) {
     if (dec.mapped) {
-      co_await smp_reduce_participant_mapped(t, itree, send, count, d, op);
+      co_await smp_reduce_participant_mapped(t, itree, send, count,
+                                             chunk_elems, d, op);
       finish_reduce_bookkeeping_mapped(t, emb, itree, nchunks);
     } else {
-      co_await smp_reduce_participant(t, itree, send, count, d, op);
+      co_await smp_reduce_participant(t, itree, send, count, chunk_elems, d,
+                                      op);
       finish_reduce_bookkeeping(t, emb, nchunks);
     }
     co_return;

@@ -109,7 +109,8 @@ void Communicator::detach_leaf_windows(machine::TaskCtx& t,
 
 sim::CoTask Communicator::smp_reduce_participant_mapped(
     machine::TaskCtx& t, const coll::Tree& tree, const void* send,
-    std::size_t count, coll::Dtype d, coll::RedOp op) {
+    std::size_t count, std::size_t chunk_elems, coll::Dtype d,
+    coll::RedOp op) {
   obs::Span span(*t.obs, t.rank, "smp.reduce_mapped");
   chk::StageScope stage(t.chk, "smp.reduce_mapped");
   NodeState& ns = node_state(t);
@@ -117,7 +118,6 @@ sim::CoTask Communicator::smp_reduce_participant_mapped(
   int me = t.local();
   SRM_CHECK(tree.parent[static_cast<std::size_t>(me)] != -1);
   std::size_t esize = coll::dtype_size(d);
-  std::size_t chunk_elems = cfg_.reduce_chunk / esize;
   std::size_t nchunks = detail::chunk_count(count, chunk_elems);
   const auto& kids = tree.children[static_cast<std::size_t>(me)];
 

@@ -214,6 +214,7 @@ sim::CoTask Communicator::smp_reduce_participant(machine::TaskCtx& t,
                                                  const coll::Tree& tree,
                                                  const void* send,
                                                  std::size_t count,
+                                                 std::size_t chunk_elems,
                                                  coll::Dtype d,
                                                  coll::RedOp op) {
   obs::Span span(*t.obs, t.rank, "smp.reduce");
@@ -223,7 +224,6 @@ sim::CoTask Communicator::smp_reduce_participant(machine::TaskCtx& t,
   int me = t.local();
   SRM_CHECK(tree.parent[static_cast<std::size_t>(me)] != -1);
   std::size_t esize = coll::dtype_size(d);
-  std::size_t chunk_elems = cfg_.reduce_chunk / esize;
   std::size_t nchunks = detail::chunk_count(count, chunk_elems);
   const auto& kids = tree.children[static_cast<std::size_t>(me)];
 

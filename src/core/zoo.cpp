@@ -49,7 +49,7 @@ sim::CoTask Communicator::zoo_node_reduce(machine::TaskCtx& t,
   int leader_local = tree.root;
 
   if (t.local() != leader_local) {
-    co_await smp_reduce_participant(t, tree, send, count, d, op);
+    co_await smp_reduce_participant(t, tree, send, count, chunk_elems, d, op);
   } else {
     for (std::size_t c = 0; c < nchunks; ++c) {
       std::size_t elem_off = c * chunk_elems;

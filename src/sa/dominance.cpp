@@ -54,8 +54,9 @@ int chunks_for(CollKind op, const Decision& d, std::size_t bytes,
   }
   if (op == CollKind::reduce ||
       (op == CollKind::allreduce && d.algo == Algo::pipeline)) {
-    return static_cast<int>(
-        std::max<std::size_t>(1, ceil_div(bytes, cfg.reduce_chunk)));
+    // reduce_impl steps in the row's chunk (0: one reduce_chunk slot).
+    return static_cast<int>(std::max<std::size_t>(
+        1, ceil_div(bytes, coll::reduce_step(d.chunk, cfg.reduce_chunk))));
   }
   return 1;
 }
@@ -184,7 +185,7 @@ AlgoCost algo_cost(CollKind op, Decision d, std::size_t bytes,
 
   const double B = static_cast<double>(bytes);
   const double W = static_cast<double>(kTasks);
-  const int C = chunks_for(op, d, bytes, cfg);
+  const int C = chunks_for(op, s, bytes, cfg);
   const double chunk_unit = B / (static_cast<double>(C) * W);
 
   Plan plan;

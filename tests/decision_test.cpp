@@ -131,6 +131,23 @@ TEST(DecisionTable, IntranodeColumnSurvivesJsonRoundTrip) {
   EXPECT_EQ(back.decide(CollKind::allreduce, 8).intranode, TreeKind::flat);
 }
 
+TEST(DecisionTable, ReducePipelineChunksSurviveJsonRoundTrip) {
+  DecisionTable t;
+  t.set(CollKind::reduce, 0, {Algo::staged, false, TreeKind::binomial});
+  t.set(CollKind::reduce, 32 * 1024,
+        {Algo::staged, true, TreeKind::binary, TreeKind::binary, 8192});
+  t.set(CollKind::allreduce, 0, {Algo::rd, false, TreeKind::binomial});
+  t.set(CollKind::allreduce, 16 * 1024,
+        {Algo::pipeline, false, TreeKind::binomial, TreeKind::binary, 4096});
+  std::string json = t.to_json();
+  DecisionTable back = DecisionTable::from_json(json);
+  EXPECT_EQ(back, t);
+  EXPECT_EQ(back.decide(CollKind::reduce, 1 << 20).chunk, 8192u);
+  EXPECT_EQ(back.decide(CollKind::reduce, 1024).chunk, 0u);
+  EXPECT_EQ(back.decide(CollKind::allreduce, 1 << 20).chunk, 4096u);
+  EXPECT_EQ(back.to_json(), json);
+}
+
 TEST(DecisionTable, RowWithoutIntranodeLoadsBinomial) {
   // An artifact written before the intranode and chunk columns existed
   // still loads, as the paper's binomial intra-node tree and a staged
@@ -335,9 +352,44 @@ TEST(Feasibility, OneStagedBcastStepMustFitTheSharedBuffer) {
                       TreeKind::binomial, 128 * 1024}));
   EXPECT_EQ(cfg.sanitize(CollKind::bcast, staged(128 * 1024), 32 * 1024).algo,
             Algo::staged);
-  // Only a staged bcast reads the column: rd stays capped by its slot.
+  // rd does not read the column: it stays capped by its slot.
   Decision rd{Algo::rd, false, TreeKind::binomial, TreeKind::binomial, 4096};
   EXPECT_EQ(cfg.sanitize(CollKind::allreduce, rd, mib).algo, Algo::pipeline);
+}
+
+TEST(Feasibility, OneReduceStepMustFitOneSlot) {
+  const SrmConfig cfg;  // 16 KB reduce slots
+  const std::size_t mib = 1 << 20;
+  auto row = [](Algo a, std::size_t chunk) {
+    return Decision{a, true, TreeKind::binary, TreeKind::chain, chunk};
+  };
+  // The step rule: the row's chunk, or one slot when it sets none.
+  EXPECT_EQ(coll::reduce_step(0, cfg.reduce_chunk), cfg.reduce_chunk);
+  EXPECT_EQ(coll::reduce_step(4096, cfg.reduce_chunk), 4096u);
+  // A chunk up to one slot is the step at any size, and keeps its columns.
+  for (std::size_t chunk : {std::size_t{3}, std::size_t{4096},
+                            cfg.reduce_chunk}) {
+    EXPECT_EQ(cfg.sanitize(CollKind::reduce, row(Algo::staged, chunk), mib),
+              row(Algo::staged, chunk));
+    EXPECT_EQ(
+        cfg.sanitize(CollKind::allreduce, row(Algo::pipeline, chunk), mib),
+        row(Algo::pipeline, chunk));
+  }
+  // Above one slot: chunk 0, the paper's step; the algorithm stays.
+  EXPECT_EQ(cfg.sanitize(CollKind::reduce,
+                         row(Algo::staged, cfg.reduce_chunk + 8), mib),
+            row(Algo::staged, 0));
+  EXPECT_EQ(cfg.sanitize(CollKind::allreduce,
+                         row(Algo::pipeline, 32 * 1024), 8),
+            row(Algo::pipeline, 0));
+  // rd, ring and rhalving ignore the column: no chunk reroutes or resets
+  // them.
+  for (Algo a : {Algo::ring, Algo::rhalving}) {
+    EXPECT_EQ(cfg.sanitize(CollKind::allreduce, row(a, 32 * 1024), mib),
+              row(a, 32 * 1024));
+  }
+  EXPECT_EQ(cfg.sanitize(CollKind::allreduce, row(Algo::rd, 32 * 1024), 8),
+            row(Algo::rd, 32 * 1024));
 }
 
 // ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@
 #include <string_view>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 #include "bench/harness.hpp"
 #include "coll/decision.hpp"
@@ -115,81 +116,110 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param));
     });
 
-/// A grid cell where sa's cheapest staged-bcast chunk is not the
-/// simulator's fastest (DESIGN.md §16). sa prices the 2x4 IR at every
-/// shape, so a deeper tree's longer pipeline fill, which favours smaller
-/// chunks, is invisible to it.
+/// A grid cell where sa's cheapest pipeline chunk is not the simulator's
+/// fastest (DESIGN.md §16). sa prices the 2x4 IR at every shape, so a
+/// deeper tree's longer pipeline fill, which favours smaller chunks, is
+/// invisible to it. On the binomial reduce and pipeline rows sa prices
+/// 8 KiB steps cheapest at 32 KiB (reduce) and 64 KiB (8x16 allreduce),
+/// where the simulator is fastest in 16 KiB steps.
 struct ChunkMiss {
+  CollKind op;
   const char* profile;
   int nodes, tasks;
   std::size_t bytes;
-  std::size_t sa_chunk, sim_chunk;  // 0: one step
+  std::size_t sa_chunk, sim_chunk;  // 0: the row's default step
 };
 constexpr ChunkMiss kChunkMisses[] = {
-    {"ibm_sp", 2, 4, 8 * 1024, 4 * 1024, 0},
-    {"ibm_sp", 8, 16, 16 * 1024, 8 * 1024, 4 * 1024},
-    {"ibm_sp", 8, 16, 32 * 1024, 16 * 1024, 8 * 1024},
-    {"ibm_sp", 8, 16, 64 * 1024, 16 * 1024, 8 * 1024},
+    {CollKind::bcast, "ibm_sp", 2, 4, 8 * 1024, 4 * 1024, 0},
+    {CollKind::bcast, "ibm_sp", 8, 16, 16 * 1024, 8 * 1024, 4 * 1024},
+    {CollKind::bcast, "ibm_sp", 8, 16, 32 * 1024, 16 * 1024, 8 * 1024},
+    {CollKind::bcast, "ibm_sp", 8, 16, 64 * 1024, 16 * 1024, 8 * 1024},
+    {CollKind::reduce, "modern_smp", 2, 4, 32 * 1024, 8 * 1024, 16 * 1024},
+    {CollKind::reduce, "modern_smp", 8, 16, 32 * 1024, 8 * 1024, 16 * 1024},
+    {CollKind::allreduce, "modern_smp", 8, 16, 64 * 1024, 8 * 1024,
+     16 * 1024},
 };
 
+/// sa's cheapest and the simulator's fastest of @p chunks on @p base's row
+/// for @p op at @p bytes, checked against kChunkMisses.
+void expect_same_chunk(CollKind op, coll::Decision base, std::size_t bytes,
+                       const std::vector<std::size_t>& chunks,
+                       const machine::MachineParams& mp, int nodes,
+                       int tasks) {
+  std::size_t sa_best = 0, sim_best = 0;
+  double sa_min = 0.0, sim_min = 0.0, sim_max = 0.0, sa_max = 0.0;
+  bool first = true;
+  for (std::size_t chunk : chunks) {
+    coll::Decision d = base;
+    d.chunk = chunk;
+    sa::AlgoCost c = sa::algo_cost(op, d, bytes, SrmConfig{}, mp);
+    ASSERT_TRUE(c.feasible);
+    double sim_us = simulated(op, d, bytes, mp, nodes, tasks);
+    if (first || c.ns < sa_min) {
+      sa_best = chunk;
+      sa_min = c.ns;
+    }
+    if (first || sim_us < sim_min) {
+      sim_best = chunk;
+      sim_min = sim_us;
+    }
+    sa_max = first ? c.ns : std::max(sa_max, c.ns);
+    sim_max = first ? sim_us : std::max(sim_max, sim_us);
+    first = false;
+  }
+  std::string cell = std::string(coll::coll_name(op)) + " " + mp.profile +
+                     " " + std::to_string(nodes) + "x" +
+                     std::to_string(tasks) + " " + std::to_string(bytes) +
+                     " B: sa " + std::to_string(sa_best) + " (" +
+                     std::to_string(sa_min / 1000.0) + " us), sim " +
+                     std::to_string(sim_best) + " (" +
+                     std::to_string(sim_min) + " us)";
+  // Both sides read the column: the chunks do not all cost the same.
+  EXPECT_GT(sa_max, sa_min) << cell;
+  EXPECT_GT(sim_max, sim_min) << cell;
+  const ChunkMiss* miss = nullptr;
+  for (const ChunkMiss& m : kChunkMisses) {
+    if (m.op == op && std::string_view(mp.profile) == m.profile &&
+        nodes == m.nodes && tasks == m.tasks && bytes == m.bytes) {
+      miss = &m;
+    }
+  }
+  if (miss == nullptr) {
+    EXPECT_EQ(sa_best, sim_best) << cell;
+  } else {
+    EXPECT_EQ(sa_best, miss->sa_chunk) << cell;
+    EXPECT_EQ(sim_best, miss->sim_chunk) << cell;
+  }
+}
+
 TEST(Model, RanksPipelineChunkChoices) {
-  // The tuning use case the paper's §5 names: the model picks the staged
-  // broadcast's chunk (the row's chunk column, 0 for one step). On a grid
-  // of sizes, profiles and shapes its cheapest chunk must be the
-  // simulator's fastest, except at the named misses above.
+  // The tuning use case the paper's §5 names: the model picks a row's
+  // pipeline chunk. On a grid of sizes, profiles and shapes its cheapest
+  // chunk must be the simulator's fastest, except at the named misses
+  // above. The staged broadcast's chunk (0: one step) on both profiles:
   for (const machine::MachineParams& mp : kProfiles) {
     for (auto [nodes, tasks] : {std::pair{2, 4}, std::pair{8, 16}}) {
       for (std::size_t bytes : {8 * 1024, 16 * 1024, 32 * 1024, 64 * 1024}) {
-        std::size_t sa_best = 0, sim_best = 0;
-        double sa_min = 0.0, sim_min = 0.0, sim_max = 0.0, sa_max = 0.0;
-        bool first = true;
+        std::vector<std::size_t> chunks;
         for (std::size_t kib : {0, 1, 2, 4, 8, 16, 32}) {
-          std::size_t chunk = kib * 1024;
-          if (chunk >= bytes) continue;
-          coll::Decision staged;
-          staged.chunk = chunk;
-          sa::AlgoCost c =
-              sa::algo_cost(CollKind::bcast, staged, bytes, SrmConfig{}, mp);
-          ASSERT_TRUE(c.feasible);
-          double sim_us =
-              simulated(CollKind::bcast, staged, bytes, mp, nodes, tasks);
-          if (first || c.ns < sa_min) {
-            sa_best = chunk;
-            sa_min = c.ns;
-          }
-          if (first || sim_us < sim_min) {
-            sim_best = chunk;
-            sim_min = sim_us;
-          }
-          sa_max = first ? c.ns : std::max(sa_max, c.ns);
-          sim_max = first ? sim_us : std::max(sim_max, sim_us);
-          first = false;
+          if (kib * 1024 < bytes) chunks.push_back(kib * 1024);
         }
-        std::string cell = std::string(mp.profile) + " " +
-                           std::to_string(nodes) + "x" +
-                           std::to_string(tasks) + " " +
-                           std::to_string(bytes) + " B: sa " +
-                           std::to_string(sa_best) + " (" +
-                           std::to_string(sa_min / 1000.0) + " us), sim " +
-                           std::to_string(sim_best) + " (" +
-                           std::to_string(sim_min) + " us)";
-        // Both sides read the column: the chunks do not all cost the same.
-        EXPECT_GT(sa_max, sa_min) << cell;
-        EXPECT_GT(sim_max, sim_min) << cell;
-        const ChunkMiss* miss = nullptr;
-        for (const ChunkMiss& m : kChunkMisses) {
-          if (std::string_view(mp.profile) == m.profile && nodes == m.nodes &&
-              tasks == m.tasks && bytes == m.bytes) {
-            miss = &m;
-          }
-        }
-        if (miss == nullptr) {
-          EXPECT_EQ(sa_best, sim_best) << cell;
-        } else {
-          EXPECT_EQ(sa_best, miss->sa_chunk) << cell;
-          EXPECT_EQ(sim_best, miss->sim_chunk) << cell;
-        }
+        expect_same_chunk(CollKind::bcast, {}, bytes, chunks, mp, nodes,
+                          tasks);
       }
+    }
+  }
+  // The reduce's and the pipelined allreduce's step, up to one
+  // reduce_chunk slot, on modern_smp:
+  const machine::MachineParams smp = machine::MachineParams::modern_smp();
+  const std::vector<std::size_t> steps = {4 * 1024, 8 * 1024, 16 * 1024};
+  for (auto [nodes, tasks] : {std::pair{2, 4}, std::pair{8, 16}}) {
+    for (std::size_t bytes :
+         {32 * 1024, 64 * 1024, 128 * 1024, 256 * 1024}) {
+      expect_same_chunk(CollKind::reduce, {coll::Algo::staged}, bytes, steps,
+                        smp, nodes, tasks);
+      expect_same_chunk(CollKind::allreduce, {coll::Algo::pipeline}, bytes,
+                        steps, smp, nodes, tasks);
     }
   }
 }
