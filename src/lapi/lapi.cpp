@@ -12,8 +12,6 @@ Endpoint::Endpoint(machine::TaskCtx& ctx)
       signal_ctr_(ctx.obs != nullptr
                       ? &ctx.obs->counter("lapi.signal", ctx.rank)
                       : nullptr),
-      am_ctr_(ctx.obs != nullptr ? &ctx.obs->counter("lapi.am", ctx.rank)
-                                 : nullptr),
       wait_ctr_(ctx.obs != nullptr ? &ctx.obs->counter("lapi.wait", ctx.rank)
                                    : nullptr),
       call_wq_(*ctx.eng) {}
@@ -61,7 +59,7 @@ void Endpoint::set_interrupts(bool enabled) {
 
 sim::CoTask Endpoint::put(Endpoint& target, void* dst, const void* src,
                           std::size_t bytes, Counter* tgt_cntr,
-                          Counter* org_cntr, Counter* cmpl_cntr) {
+                          Counter* org_cntr) {
   SRM_CHECK_MSG(ctx_->node() != target.ctx_->node(),
                 "LAPI put must cross nodes (use shared memory locally)");
   if (bytes > 0) {
@@ -85,7 +83,6 @@ sim::CoTask Endpoint::put(Endpoint& target, void* dst, const void* src,
     }
   }
 
-  Endpoint* origin = this;
   // LAPI semantics: the origin buffer is reusable once the message has left
   // the adapter (org_cntr). Model that faithfully by snapshotting the
   // payload at egress-complete time; the deposit at the target then reads
@@ -93,8 +90,7 @@ sim::CoTask Endpoint::put(Endpoint& target, void* dst, const void* src,
   // the org bump cannot corrupt the data in flight — while an overwrite
   // *before* the bump corrupts it exactly as real hardware would.
   auto staging = std::make_shared<std::vector<std::byte>>();
-  auto process = [dst, bytes, tgt_cntr, cmpl_cntr, origin, &target, staging,
-                  ck, msg] {
+  auto process = [dst, bytes, tgt_cntr, staging, ck, msg] {
     if (bytes > 0) {
       SRM_CHECK(dst != nullptr);
       SRM_CHECK(staging->size() == bytes);
@@ -106,18 +102,6 @@ sim::CoTask Endpoint::put(Endpoint& target, void* dst, const void* src,
     if (tgt_cntr != nullptr) {
       if (ck != nullptr) ck->join(tgt_cntr->sync_, *msg);
       tgt_cntr->bump();
-    }
-    if (cmpl_cntr != nullptr) {
-      // Internal ack back to the origin: pure latency, then origin-side
-      // dispatcher visibility rules.
-      sim::Engine& eng = *origin->ctx_->eng;
-      eng.call_at(eng.now() + origin->ctx_->P->net.latency,
-                  [origin, cmpl_cntr, ck, msg] {
-                    origin->on_arrival([cmpl_cntr, ck, msg] {
-                      if (ck != nullptr) ck->join(cmpl_cntr->sync_, *msg);
-                      cmpl_cntr->bump();
-                    });
-                  });
     }
   };
 
@@ -147,38 +131,6 @@ sim::CoTask Endpoint::put(Endpoint& target, void* dst, const void* src,
   }
 }
 
-sim::CoTask Endpoint::am(Endpoint& target, std::size_t bytes,
-                         std::function<void()> handler) {
-  SRM_CHECK(ctx_->node() != target.ctx_->node());
-  if (am_ctr_ != nullptr) am_ctr_->add(static_cast<double>(bytes));
-  co_await ctx_->delay(lp_->call_overhead + ctx_->P->net.o_send);
-  ctx_->cluster->network().inject(
-      ctx_->node(), target.ctx_->node(), static_cast<double>(bytes),
-      [&target, handler = std::move(handler)]() mutable {
-        target.on_arrival(std::move(handler));
-      });
-}
-
-sim::CoTask Endpoint::get(Endpoint& target, void* dst, const void* src,
-                          std::size_t bytes) {
-  Counter done(*ctx_->eng);
-  Endpoint* origin = this;
-  machine::Cluster* cluster = ctx_->cluster;
-  int tgt_node = target.ctx_->node();
-  int org_node = ctx_->node();
-  co_await am(target, 16, [=, &done] {
-    // Runs at the target: stream the data back.
-    cluster->network().inject(tgt_node, org_node, static_cast<double>(bytes),
-                              [=, &done] {
-                                origin->on_arrival([=, &done] {
-                                  if (bytes > 0) std::memcpy(dst, src, bytes);
-                                  done.bump();
-                                });
-                              });
-  });
-  co_await wait_cntr(done, 1);
-}
-
 sim::CoTask Endpoint::wait_cntr(Counter& c, std::uint64_t value) {
   co_await ctx_->delay(lp_->call_overhead);
   ++in_call_;
@@ -191,19 +143,6 @@ sim::CoTask Endpoint::wait_cntr(Counter& c, std::uint64_t value) {
            c.label_.empty() ? nullptr : c.label_.c_str());
   if (wait_ctr_ != nullptr)
     wait_ctr_->add(static_cast<double>(ctx_->eng->now() - blocked_from));
-  --in_call_;
-}
-
-sim::CoTask Endpoint::get_cntr(Counter& c, std::uint64_t& out) {
-  co_await ctx_->delay(lp_->call_overhead);
-  ++in_call_;
-  drain_pending();
-  // Give same-time scheduled arrivals a chance to land before reading.
-  co_await ctx_->delay(lp_->poll_dispatch);
-  out = c.value_;
-  // The probe observed whatever bumps have landed: acquire their clocks.
-  chk::acq(&ctx_->chk, c.sync_,
-           c.label_.empty() ? nullptr : c.label_.c_str());
   --in_call_;
 }
 

@@ -1,9 +1,8 @@
 // A LAPI-like one-sided communication layer (paper §2.3).
 //
 // Models the semantics SRM depends on:
-//  * nonblocking `put` with three counters — origin (source buffer reusable),
-//    target (data arrived at target), completion (origin learns the target
-//    deposit finished);
+//  * nonblocking `put` with two counters — origin (source buffer reusable)
+//    and target (data arrived at target);
 //  * `wait_cntr` with real LAPI semantics: block until the counter reaches
 //    `value`, then atomically subtract `value` (this is what makes the SRM
 //    two-buffer flow control clean);
@@ -15,8 +14,7 @@
 //    phases. The dispatcher keeps arrival order: when a later arrival's
 //    dispatch comes due first (it landed inside a Waitcntr while an earlier
 //    one still waits out its interrupt), it runs every earlier arrival
-//    first, so a counter bump never overtakes an earlier deposit;
-//  * active messages (header handler runs at the target at process time).
+//    first, so a counter bump never overtakes an earlier deposit.
 //
 // Data deposit is performed by the dispatcher at process time, which matches
 // the SP "Colony" adapter (no autonomous RDMA engine; LAPI moves data in the
@@ -85,37 +83,22 @@ class Endpoint {
   int rank() const noexcept { return ctx_->rank; }
 
   /// Nonblocking one-sided put of @p bytes from @p src (origin memory) to
-  /// @p dst (target memory). Any counter may be null.
+  /// @p dst (target memory). Either counter may be null.
   ///  - @p tgt_cntr lives at the *target* and bumps when data is deposited;
-  ///  - @p org_cntr lives at the origin and bumps when @p src is reusable;
-  ///  - @p cmpl_cntr lives at the origin and bumps when the target deposit
-  ///    completed (internal ack).
+  ///  - @p org_cntr lives at the origin and bumps when @p src is reusable.
   /// Suspends only for the origin-side call + injection overhead.
   sim::CoTask put(Endpoint& target, void* dst, const void* src,
                   std::size_t bytes, Counter* tgt_cntr,
-                  Counter* org_cntr = nullptr, Counter* cmpl_cntr = nullptr);
+                  Counter* org_cntr = nullptr);
 
   /// Zero-byte put used purely to bump a remote counter (SRM flow control).
   sim::CoTask put_signal(Endpoint& target, Counter& tgt_cntr) {
     return put(target, nullptr, nullptr, 0, &tgt_cntr);
   }
 
-  /// Active message: run @p handler at the target (dispatcher context) after
-  /// a @p bytes-sized message arrives and is processed.
-  sim::CoTask am(Endpoint& target, std::size_t bytes,
-                 std::function<void()> handler);
-
-  /// Blocking one-sided get (modelled as AM request + put back).
-  sim::CoTask get(Endpoint& target, void* dst, const void* src,
-                  std::size_t bytes);
-
   /// LAPI_Waitcntr: block until @p c >= @p value, then subtract @p value.
   /// While blocked the task polls, so arrivals are processed promptly.
   sim::CoTask wait_cntr(Counter& c, std::uint64_t value);
-
-  /// Nonblocking probe (LAPI_Getcntr): drains pending arrivals first (it is
-  /// a LAPI call, hence a progress opportunity), then reads the counter.
-  sim::CoTask get_cntr(Counter& c, std::uint64_t& out);
 
   /// Enable/disable interrupt-mode message reception (§2.3 "Management of
   /// LAPI Interrupts"). Enabling schedules processing of anything pending.
@@ -140,11 +123,10 @@ class Endpoint {
   machine::TaskCtx* ctx_;
   const machine::LapiParams* lp_;
   // Observability cells, resolved once per endpoint (keyed by origin rank):
-  // data puts / zero-byte signals / active messages (value = bytes) and
-  // Waitcntr stalls (value = virtual ns blocked).
+  // data puts (value = bytes) / zero-byte signals and Waitcntr stalls
+  // (value = virtual ns blocked).
   obs::Counter* put_ctr_;
   obs::Counter* signal_ctr_;
-  obs::Counter* am_ctr_;
   obs::Counter* wait_ctr_;
   // Depth, not bool: SRM's pipelined collectives overlap protocol phases on
   // the master task (Fig. 5), so one task may be parked in two Waitcntr

@@ -13,7 +13,6 @@
 //   mem.combine   per node   value = bytes combined by a reduction operator
 //   lapi.put      per origin rank   value = payload bytes (data puts only)
 //   lapi.signal   per origin rank   zero-byte counter-bump puts
-//   lapi.am       per origin rank   value = message bytes
 //   lapi.wait     per rank   value = virtual ns stalled inside Waitcntr
 //   net.msg       per source node   value = bytes injected into the fabric
 //   mpi.shm / mpi.eager / mpi.rndv   per sender rank   value = bytes
