@@ -296,6 +296,7 @@ ExploreResult explore(const ExploreOptions& opt) {
     machine::ClusterConfig cc;
     cc.nodes = opt.nodes;
     cc.tasks_per_node = opt.tasks_per_node;
+    cc.params = opt.params;
     if (opt.jitter) jitter_params(cc.params, seed);
 
     machine::Cluster cluster(cc);

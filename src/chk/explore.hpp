@@ -16,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include "machine/params.hpp"
+
 namespace srm::chk {
 
 /// Which coll::Collectives implementation a run drives.
@@ -27,6 +29,9 @@ struct ExploreOptions {
   ExploreBackend backend = ExploreBackend::srm;
   int nodes = 2;
   int tasks_per_node = 2;
+  /// The machine every run starts from (before jitter); its profile picks
+  /// the SRM backend's builtin decision table.
+  machine::MachineParams params = machine::MachineParams::ibm_sp();
   /// Number of seeded schedules to run (seed_base .. seed_base+schedules-1).
   int schedules = 16;
   std::uint64_t seed_base = 1;

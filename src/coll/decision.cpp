@@ -326,30 +326,31 @@ DecisionTable DecisionTable::modern_smp() {
   // Tuner output for the hierarchical 2-socket profile, 8 nodes x 16 tasks
   // (bench/tune.cpp; regenerate with `tune --profile modern_smp`).
   // Differences from the paper's constants that the sweep measured:
-  //   * mapped bcast loses at every size and chunk (the fan-out cascade
-  //     serializes on cross-socket windows; flat staged pulls overlap on
-  //     the bus — DESIGN.md §14), so the mapped column stays false for
-  //     bcast;
-  //   * bcast runs the staged (landing-buffer) protocol at every size: in
-  //     one step up to 32 KB and in 32 KB chunks from 64 KB, with no
-  //     direct or scatter+allgather row. Off the root node the direct
-  //     protocol lands each chunk in the leader's user buffer, the leader
-  //     copies it into a Fig. 3 buffer, and 15 readers pull that copy dirty
-  //     from the leader's cache (x1.4 within an L3 slice, x1.82 across
-  //     slices, x3.08 across the socket). The staged readers pull the
-  //     landing buffer the NIC wrote, clean (x1.0, x1.3, x2.2), beside the
-  //     leader's own copy. The root node publishes alike under both, so
-  //     the gain shrinks toward 1 MB. Back-to-back / isolated us, the row
-  //     the sweep picked without chunk candidates -> this row:
-  //       16 KB direct 17.49 / 26.75 -> staged 12.18 / 19.98
-  //       32 KB direct 24.48 / 42.46 -> staged 20.03 / 30.63
-  //       64 KB staged 39.27 / 51.93 -> staged+c32K 37.92 / 46.91
-  //       128 KB scatter_ag 81.60 / 91.29 -> staged+c32K 75.83 / 80.23
-  //       256 KB scatter_ag 158.87 / 174.88 -> staged+c32K 147.26 / 151.66
-  //       512 KB direct 304.59 / 324.11 -> staged+c32K 290.12 / 294.52
-  //       1 MB direct 589.66 / 609.18 -> staged+c32K 575.83 / 580.23
-  //     and 12 KB, where the paper's 4 KB chunks ran, 21.93 -> 17.32
-  //     isolated in one step;
+  //   * bcast publishes through the socket-aware Fig. 3 chunk: the 8
+  //     readers on the far socket each pull one slice of a chunk across
+  //     the socket (x2.2 from a landing buffer, x3.08 from the leader's
+  //     dirty bc_buf) and read the rest from their own socket. Mapped
+  //     bcast loses from 1 KB (the fan-out cascade serializes on
+  //     cross-socket windows; DESIGN.md §14), and below it the mapped row
+  //     only ties the isolated call (8 B: 9.51 us either way) and wins
+  //     the back-to-back average (5.12 against 5.18 us);
+  //   * bcast runs the staged (landing-buffer) protocol in one step from
+  //     1 KB to 32 KB and in 32 KB chunks at 64 KB, scatter+allgather at
+  //     128 KB, 64 KB chunks from 256 KB, and direct from 1 MB. Off the
+  //     root node the direct protocol lands each chunk in the leader's
+  //     user buffer and restages it through a Fig. 3 buffer, which the
+  //     readers pull dirty from the leader's cache; the staged readers
+  //     pull the landing buffer the NIC wrote, clean. The far socket's
+  //     split pays the cross-socket factor once per chunk either way,
+  //     which shrinks direct's restage penalty until its full-size
+  //     network chunks win at 1 MB. Back-to-back / isolated us, the row
+  //     before (staged in 32 KB chunks) -> this row:
+  //       128 KB 64.81 / 72.06 -> scatter_ag 62.15 / 68.14
+  //       256 KB 122.5 / 129.78 -> staged+c64K 113.4 / 124.71
+  //       512 KB 238.0 / 245.21 -> staged+c64K 215.5 / 226.88
+  //       1 MB 468.8 / 476.07 -> direct 399.2 / 418.51
+  //     (without the split: 80.23, 151.66, 294.52 and 580.23 us
+  //     isolated in 32 KB chunks);
   //   * the reduce pipelines run at the rate of their busiest combiner: a
   //     16-way binomial node root combines 4 children per chunk, and at 8
   //     nodes the binomial root leader 3 inter-node children; binary trees
@@ -397,9 +398,14 @@ DecisionTable DecisionTable::modern_smp() {
   DecisionTable t;
   t.profile = "modern_smp";
   auto bin = TreeKind::binomial;
-  t.set(CollKind::bcast, 0, {Algo::staged, false, bin});
+  t.set(CollKind::bcast, 0, {Algo::staged, true, bin});
+  t.set(CollKind::bcast, 1024, {Algo::staged, false, bin});
   t.set(CollKind::bcast, 64 * 1024,
         {Algo::staged, false, bin, bin, 32 * 1024});
+  t.set(CollKind::bcast, 128 * 1024, {Algo::scatter_ag, false, bin});
+  t.set(CollKind::bcast, 256 * 1024,
+        {Algo::staged, false, bin, bin, 64 * 1024});
+  t.set(CollKind::bcast, 1024 * 1024, {Algo::direct, false, bin});
   auto binary = TreeKind::binary;
   auto chain = TreeKind::chain;
   const std::size_t c4k = 4 * 1024, c8k = 8 * 1024;

@@ -57,6 +57,7 @@ Communicator::NodeState::NodeState(sim::Engine& eng,
                                    const std::string& prefix)
     : nlocal(topo.tasks_per_node()),
       eng_(&eng),
+      mp_(&mp),
       seg_(&seg),
       prefix_(prefix),
       smp_buf_bytes_(cfg.smp_buf_bytes),
@@ -189,6 +190,20 @@ Communicator::NodeState::Link& Communicator::NodeState::link(int peer) {
 Communicator::NodeState::Pair& Communicator::NodeState::bc_land(int peer) {
   return alloc(link(peer).bc_land, "bc_land" + std::to_string(peer) + "_",
                smp_buf_bytes_);
+}
+
+Communicator::NodeState::FarPair& Communicator::NodeState::bc_far(
+    int socket) {
+  FarPair& f = bc_far_[socket];
+  if (f.filled[0] == nullptr) {
+    std::string stem = "bc_far" + std::to_string(socket) + "_";
+    alloc(f.buf, stem, smp_buf_bytes_);
+    for (int s = 0; s < 2; ++s) {
+      f.filled[static_cast<std::size_t>(s)] = std::make_unique<shm::SharedFlag>(
+          *eng_, *mp_, 0, prefix_ + "/" + stem + "filled" + std::to_string(s));
+    }
+  }
+  return f;
 }
 
 Communicator::NodeState::Pair& Communicator::NodeState::red_land(int peer) {

@@ -178,6 +178,15 @@ class Communicator final : public coll::Collectives {
     // SMP broadcast (Fig. 3): two buffers + one READY flag per process each.
     Pair bc_buf;
     std::array<std::unique_ptr<shm::FlagArray>, 2> bc_ready;
+    // Socket-aware publish (smp_bcast_chunk): per socket whose readers
+    // split a chunk led from another socket, a staging pair on that socket
+    // and per slot the monotonic count of slices copied into it.
+    struct FarPair {
+      Pair buf;
+      std::array<std::unique_ptr<shm::SharedFlag>, 2> filled;  // [slot]
+    };
+    /// The far pair of @p socket, allocated on its first split chunk.
+    FarPair& bc_far(int socket);
 
     // SMP reduce pipeline: per local task, two chunk slots plus monotonic
     // publish counters. Consumption counters are per (local, slot): when the
@@ -310,11 +319,13 @@ class Communicator final : public coll::Collectives {
     Pair& alloc(Pair& p, const std::string& stem, std::size_t bytes);
 
     sim::Engine* eng_;
+    const machine::MemoryParams* mp_;
     shm::Segment* seg_;
     std::string prefix_;
     std::size_t smp_buf_bytes_;
     std::size_t reduce_chunk_;
     std::unordered_map<int, Link> links_;  // keyed by peer node
+    std::unordered_map<int, FarPair> bc_far_;  // keyed by socket
     Pair ar_fold_in_;
     Pair ar_fold_out_;
     Pair ga_stage_;
@@ -330,6 +341,9 @@ class Communicator final : public coll::Collectives {
   // define each slot cycle.
   struct RankState {
     std::uint64_t smp_bc_seq = 0;   // SMP bcast chunks processed (A/B parity)
+    // Per A/B slot, the slices copied into this rank's socket's far pair
+    // over every split chunk so far (the target of its filled counter).
+    std::array<std::uint64_t, 2> far_target{};
     std::uint64_t op_seq = 0;       // collective ops issued (RD slot parity)
     // Cumulative chunks my node sent to / received from one peer node
     // (that link's landing-slot parity), one pair per protocol. Advanced
@@ -375,7 +389,12 @@ class Communicator final : public coll::Collectives {
   /// Shared mode (@p shared_src set): the data already sits in shared memory
   /// (a LAPI put landed it there) and *everyone* — leader included — copies
   /// straight out of @p shared_src, with no staging copy. Advances the A/B
-  /// READY-flag parity either way.
+  /// READY-flag parity either way. Socket-aware: where TopologyParams make
+  /// it cheaper for its slowest reader, the k readers of a socket other
+  /// than the leader's each copy one slice of the chunk across the socket
+  /// into that socket's far pair (NodeState::bc_far), await every slice,
+  /// and copy the whole chunk out from there. A flat crossbar (every
+  /// factor 1.0, ibm_sp) never splits.
   sim::CoTask smp_bcast_chunk(machine::TaskCtx& t, int leader_local,
                               const void* src, void* dst, std::size_t len,
                               const std::byte* shared_src);

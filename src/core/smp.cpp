@@ -1,13 +1,73 @@
 // Shared-memory (intra-node) primitives of SRM (paper §2.2).
+#include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "core/communicator.hpp"
 #include "core/detail.hpp"
 
 namespace srm {
 
+namespace {
+
+/// The readers of one socket other than the chunk leader's: locals
+/// [first, first + k) of socket @p socket. @p split says whether they pull
+/// the chunk across the socket once, slice by slice, instead of each
+/// pulling all of it.
+struct FarGroup {
+  int socket = 0;
+  int first = 0;
+  int k = 0;
+  bool split = false;
+};
+
+/// The slice of a @p len-byte chunk that member @p j of a group of @p k
+/// copies across the socket: ceil(len / k) bytes, clipped to the chunk
+/// (possibly empty).
+std::pair<std::size_t, std::size_t> far_slice(std::size_t len, int k, int j) {
+  std::size_t piece = (len + static_cast<std::size_t>(k) - 1) /
+                      static_cast<std::size_t>(k);
+  std::size_t lo = std::min(piece * static_cast<std::size_t>(j), len);
+  return {lo, std::min(lo + piece, len)};
+}
+
+/// The far group of reader @p me for a chunk led by @p leader, read from a
+/// dirty (@p dirty: the leader's bc_buf) or memory-resident source. The
+/// group splits only when copy_factor gives its slowest reader fewer
+/// stream-bytes per chunk byte than the flat pull does: f/k for its slice
+/// plus the mean factor of reading every member's freshly written slice
+/// (its own at 1.0), against f. With every factor at 1.0 that is
+/// 1/k + 1 > 1, so a flat crossbar never splits.
+FarGroup far_group(const machine::TopologyParams& tp, int nlocal, int leader,
+                   int me, bool dirty) {
+  FarGroup g;
+  g.socket = tp.socket_of(me);
+  if (g.socket == tp.socket_of(leader)) return g;
+  int per_socket = tp.cores_per_l3 * tp.l3_per_socket;
+  g.first = g.socket * per_socket;
+  g.k = std::min(per_socket, nlocal - g.first);
+  double flat = 0.0;
+  double split = 0.0;
+  for (int j = g.first; j < g.first + g.k; ++j) {
+    double f = tp.copy_factor(leader, j, dirty);
+    double peers = 0.0;
+    for (int i = g.first; i < g.first + g.k; ++i) {
+      peers += tp.copy_factor(i, j, /*dirty=*/true);
+    }
+    flat = std::max(flat, f);
+    split = std::max(split, (f + peers) / g.k);
+  }
+  g.split = split < flat;
+  return g;
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
-// SMP broadcast: flat, two buffers, READY flags (Fig. 3)
+// SMP broadcast: flat, two buffers, READY flags (Fig. 3). On a multi-socket
+// node the readers of each far socket pull a chunk across the socket once,
+// a slice each, when that beats each of them pulling all of it (far_group);
+// the leader and the readers on its socket run the paper's protocol as is.
 // ---------------------------------------------------------------------------
 
 sim::CoTask Communicator::smp_bcast_chunk(machine::TaskCtx& t,
@@ -71,12 +131,51 @@ sim::CoTask Communicator::smp_bcast_chunk(machine::TaskCtx& t,
     co_await ready[t.local()].await_value(1, &t.chk);
     // The staging buffer is dirty in the leader's cache when the leader
     // filled it; a DMA-landed chunk (shared_src) is memory-resident.
-    co_await t.nd->mem.charge_copy_scaled(
-        static_cast<double>(len),
-        t.P->topo.copy_factor(leader_local, t.local(),
-                              /*dirty=*/shared_src == nullptr));
-    std::memcpy(dst, read_buf, len);
-    chk::note_read(t.chk, read_buf, len);
+    bool dirty = shared_src == nullptr;
+    FarGroup g =
+        far_group(t.P->topo, ns.nlocal, leader_local, t.local(), dirty);
+    if (!g.split) {
+      co_await t.nd->mem.charge_copy_scaled(
+          static_cast<double>(len),
+          t.P->topo.copy_factor(leader_local, t.local(), dirty));
+      std::memcpy(dst, read_buf, len);
+      chk::note_read(t.chk, read_buf, len);
+    } else {
+      // Socket-aware publish: copy this reader's slice across the socket
+      // into the group's far buffer, wait for every member's slice, then
+      // read the whole chunk on this socket.
+      NodeState::FarPair& far = ns.bc_far(g.socket);
+      std::byte* fbuf = far.buf[slot].data();
+      auto [lo, hi] = far_slice(len, g.k, t.local() - g.first);
+      if (lo < hi) {
+        co_await t.nd->mem.charge_copy_scaled(
+            static_cast<double>(hi - lo),
+            t.P->topo.copy_factor(leader_local, t.local(), dirty));
+        std::memcpy(fbuf + lo, read_buf + lo, hi - lo);
+        chk::note_read(t.chk, read_buf + lo, hi - lo);
+        chk::note_write(t.chk, fbuf + lo, hi - lo);
+      }
+      std::uint64_t& target = rs.far_target[slot];
+      target += static_cast<std::uint64_t>(g.k);
+      far.filled[slot]->add(1, &t.chk);
+      co_await far.filled[slot]->await_at_least(target, &t.chk);
+      // One copy, charged at the slice-length-weighted factor of the
+      // members that wrote the slices (its own slice at 1.0).
+      double weighted = 0.0;
+      for (int j = 0; j < g.k; ++j) {
+        auto [jl, jh] = far_slice(len, g.k, j);
+        weighted += static_cast<double>(jh - jl) *
+                    t.P->topo.copy_factor(g.first + j, t.local(),
+                                          /*dirty=*/true);
+      }
+      co_await t.nd->mem.charge_copy_scaled(
+          static_cast<double>(len),
+          len > 0 ? weighted / static_cast<double>(len) : 1.0);
+      std::memcpy(dst, fbuf, len);
+      chk::note_read(t.chk, fbuf, len);
+    }
+    // Clearing READY also releases the far buffer: the next leader of
+    // this slot awaits it before any reader refills a slice.
     ready[t.local()].set(0, &t.chk);
   }
 }

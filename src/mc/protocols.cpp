@@ -1,5 +1,6 @@
 #include "mc/protocols.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "util/check.hpp"
@@ -36,6 +37,46 @@ struct Builder {
   int bb(int n, int s) { return p.buf(id("bb" + num(n) + ".s" + num(s))); }
 
   // --- Fig. 3: SMP broadcast chunk, two buffers, per-consumer READY flags --
+  /// Consumer @p l of node @p n takes chunk @p c out of @p src once READY:
+  /// its own byte with @p slice (scatter), else the whole chunk. On a Shape
+  /// of more than one socket, the readers of each socket other than the
+  /// leader's (local 0) form a far group of k: reader j copies slice j of
+  /// @p src into the group's far buffer, bumps the slot's slice counter,
+  /// awaits all k slices (cumulative over the slot's chunks) and reads the
+  /// whole chunk there (smp_bcast_chunk's split).
+  void consume_chunk(int n, int c, int l, int src, bool slice) {
+    int s = c % 2;
+    int t = rk(n, l);
+    int per = (T() + sh.sockets - 1) / sh.sockets;
+    int g = l / per;
+    int first = g * per;
+    int k = std::min(per, T() - first);
+    p.await_eq(t, ready(n, s, l), 1);
+    if (slice) {
+      p.read(t, src, static_cast<std::uint64_t>(l),
+             static_cast<std::uint64_t>(l) + 1);
+    } else if (g == 0 || k < 2) {
+      p.read(t, src, 0, W());
+    } else {
+      std::string tag = num(n) + ".g" + num(g) + ".s" + num(s);
+      int far = p.buf(id("far" + tag));
+      int filled = p.var(id("farfill" + tag));
+      std::uint64_t piece = (W() + static_cast<std::uint64_t>(k) - 1) /
+                            static_cast<std::uint64_t>(k);
+      std::uint64_t lo =
+          std::min(piece * static_cast<std::uint64_t>(l - first), W());
+      std::uint64_t hi = std::min(lo + piece, W());
+      if (lo < hi) {
+        p.read(t, src, lo, hi);
+        p.write(t, far, lo, hi);
+      }
+      p.add(t, filled, 1);
+      p.await_ge(t, filled, static_cast<std::uint64_t>(k * (c / 2 + 1)));
+      p.read(t, far, 0, W());
+    }
+    p.set(t, ready(n, s, l), 0);
+  }
+
   /// Leader fills the shared buffer (optionally reading @p src first) and
   /// releases the consumers; consumers copy out and clear their flag.
   /// @p srcw: bytes of @p src covered (0: the default node width W()) —
@@ -50,17 +91,7 @@ struct Builder {
     p.write(ld, bb(n, s), 0, W());
     for (int l = 1; l < T(); ++l) p.set(ld, ready(n, s, l), 1);
     if (slice) p.read(ld, bb(n, s), 0, 1);  // leader copies its own slice
-    for (int l = 1; l < T(); ++l) {
-      int t = rk(n, l);
-      p.await_eq(t, ready(n, s, l), 1);
-      if (slice) {
-        p.read(t, bb(n, s), static_cast<std::uint64_t>(l),
-               static_cast<std::uint64_t>(l) + 1);
-      } else {
-        p.read(t, bb(n, s), 0, W());
-      }
-      p.set(t, ready(n, s, l), 0);
-    }
+    for (int l = 1; l < T(); ++l) consume_chunk(n, c, l, bb(n, s), slice);
   }
 
   /// Zero-copy variant: consumers (and the leader) read straight out of the
@@ -75,17 +106,7 @@ struct Builder {
     for (int l = 1; l < T(); ++l) p.await_eq(ld, ready(n, s, l), 0);
     for (int l = 1; l < T(); ++l) p.set(ld, ready(n, s, l), 1);
     p.read(ld, land, 0, slice ? 1 : W());
-    for (int l = 1; l < T(); ++l) {
-      int t = rk(n, l);
-      p.await_eq(t, ready(n, s, l), 1);
-      if (slice) {
-        p.read(t, land, static_cast<std::uint64_t>(l),
-               static_cast<std::uint64_t>(l) + 1);
-      } else {
-        p.read(t, land, 0, W());
-      }
-      p.set(t, ready(n, s, l), 0);
-    }
+    for (int l = 1; l < T(); ++l) consume_chunk(n, c, l, land, slice);
   }
 
   // --- barrier: flat SMP flags + recursive-doubling round counters --------
@@ -972,7 +993,8 @@ Mutant make_mutant(const std::string& name, Proto op, Shape sh, bool race,
 
 std::string Shape::to_string() const {
   return std::to_string(nodes) + "x" + std::to_string(tasks) + "c" +
-         std::to_string(chunks);
+         std::to_string(chunks) +
+         (sockets > 1 ? "s" + std::to_string(sockets) : "");
 }
 
 const char* proto_name(Proto p) {
@@ -1009,7 +1031,7 @@ const std::vector<Proto>& all_protos() {
 Program build(Proto op, const Shape& sh) {
   SRM_CHECK_MSG(sh.nodes == 1 || sh.nodes == 2,
                 "mc model supports 1 or 2 nodes, got " << sh.nodes);
-  SRM_CHECK_MSG(sh.tasks >= 1 && sh.chunks >= 1,
+  SRM_CHECK_MSG(sh.tasks >= 1 && sh.chunks >= 1 && sh.sockets >= 1,
                 "bad shape " << sh.to_string());
   Program p;
   p.name = std::string(proto_name(op)) + "@" + sh.to_string();
@@ -1215,6 +1237,14 @@ std::vector<Mutant> mutation_gauntlet() {
     Mutant m = make_mutant("sa_bcast.forward_before_arrival", Proto::sa_bcast,
                            Shape{2, 1, 1}, true, false);
     m.program.drop_op("r1.0", "waitdec scarr-1");
+    add(std::move(m));
+  }
+  // Socket-aware Fig. 3 publish: a far reader that reads its socket's far
+  // buffer without awaiting every member's slice races the slice copies.
+  {
+    Mutant m = make_mutant("bcast.drop_far_slice_wait", Proto::bcast,
+                           Shape{1, 4, 1, 2}, true, false);
+    m.program.drop_op("r0.3", "await farfill0.g1.s0>=2");
     add(std::move(m));
   }
   // Scatter+allgather bcast: a dropped scatter-arrival signal wedges the

@@ -35,12 +35,15 @@
 
 namespace srm::mc {
 
-/// A model configuration: nodes x tasks-per-node, pipeline depth in chunks.
+/// A model configuration: nodes x tasks-per-node, pipeline depth in chunks,
+/// and sockets per node (the tasks split into equal consecutive groups, so
+/// the Fig. 3 publish models a far group per socket beyond the leader's).
 struct Shape {
   int nodes = 1;
   int tasks = 2;
   int chunks = 1;
-  std::string to_string() const;  // "2x4c2"
+  int sockets = 1;
+  std::string to_string() const;  // "2x4c2", "1x4c1s2"
 };
 
 enum class Proto : std::uint8_t {

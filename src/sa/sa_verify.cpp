@@ -6,7 +6,7 @@
 //                                     and print the analytic crossovers
 //   sa_verify crosscheck FILE         dominance-check a tuner artifact
 //                                     (bench/tune --out) against its profile
-//   sa_verify gauntlet                classify the 26 mutation-gauntlet bugs
+//   sa_verify gauntlet                classify the 27 mutation-gauntlet bugs
 //                                     by the lint rules that catch them
 //   sa_verify all                     lint + dominance (both profiles) +
 //                                     gauntlet

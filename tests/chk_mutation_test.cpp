@@ -15,11 +15,12 @@
 // Every seeded bug here has an abstract twin in srm::mc's mutation gauntlet
 // (src/mc/protocols.cpp): reduce.publish_before_write,
 // reduce.drop_consumed_gate, barrier.drop_worker_signal, barrier.drop_release
-// and the Fig. 3 bcast mutants. tests/mc_protocols_test.cpp asserts the model
+// and the Fig. 3 bcast mutants, bcast.drop_far_slice_wait included. tests/mc_protocols_test.cpp asserts the model
 // checker catches those; this file asserts the concrete checker catches the
 // same handshake breaks, so each bug is flagged by both layers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -132,6 +133,83 @@ TEST(Fig3Mutation, BrokenHandshakeIsReported) {
          "must flag the unordered write/read pair";
   // The report names the shared buffer and both parties.
   EXPECT_NE(report.find("bc_buf"), std::string::npos) << report;
+}
+
+// ---------------------------------------------------------------------------
+// Socket-aware Fig. 3 publish: the consumers are the far group of one
+// socket. Each copies its slice of the leader's buffer into the group's far
+// buffer, bumps the shared slice counter, awaits every slice (the
+// cumulative target), and only then reads the whole far buffer. Dropping
+// that await lets a consumer read slices its peers are still writing.
+// ---------------------------------------------------------------------------
+
+struct FarFig3 : Fig3 {
+  std::span<std::byte> far;
+  shm::SharedFlag* filled;
+
+  FarFig3() {
+    far = seg.buffer("bc_far", kBuf);
+    filled = &seg.object<shm::SharedFlag>("filled", eng, mp, 0, "filled");
+  }
+};
+
+sim::CoTask far_consumer(FarFig3& f, int c, bool drop_slice_wait,
+                         std::vector<int>& sum) {
+  chk::TaskChk& me = f.tasks[static_cast<std::size_t>(c + 1)];
+  constexpr std::size_t kPiece = (kBuf + kConsumers - 1) / kConsumers;
+  std::size_t lo = std::min(kPiece * static_cast<std::size_t>(c), kBuf);
+  std::size_t hi = std::min(lo + kPiece, kBuf);
+  for (int round = 0; round < kRounds; ++round) {
+    co_await (*f.ready)[c].await_value(
+        static_cast<std::uint64_t>(2 * round + 1), &me);
+    chk::note_read(me, f.buf.data() + lo, hi - lo);
+    std::memcpy(f.far.data() + lo, f.buf.data() + lo, hi - lo);
+    chk::note_write(me, f.far.data() + lo, hi - lo);
+    co_await f.eng.sleep(sim::ns(400));
+    f.filled->add(1, &me);
+    if (!drop_slice_wait) {
+      co_await f.filled->await_at_least(
+          static_cast<std::uint64_t>(kConsumers * (round + 1)), &me);
+    }
+    chk::note_read(me, f.far.data(), kBuf);
+    sum[static_cast<std::size_t>(c)] += static_cast<int>(f.far[kBuf - 1]);
+    (*f.ready)[c].set(static_cast<std::uint64_t>(2 * round + 2), &me);
+  }
+}
+
+int run_far_fig3(bool drop_slice_wait, std::string* first_report) {
+  FarFig3 f;
+  std::vector<int> sum(kConsumers, 0);
+  f.eng.spawn(leader(f, /*broken=*/false));
+  for (int c = 0; c < kConsumers; ++c) {
+    f.eng.spawn(far_consumer(f, c, drop_slice_wait, sum));
+  }
+  f.eng.run();
+  if (!drop_slice_wait) {
+    // Every consumer saw every round's last slice: 1 + 2 + 3.
+    for (int v : sum) EXPECT_EQ(v, kRounds * (kRounds + 1) / 2);
+  }
+  if (first_report != nullptr && !f.chk.reports().empty()) {
+    *first_report = f.chk.reports()[0].to_string();
+  }
+  return static_cast<int>(f.chk.reports().size());
+}
+
+TEST(Fig3Mutation, FarGroupSplitIsClean) {
+  std::string report;
+  int races = run_far_fig3(/*drop_slice_wait=*/false, &report);
+  EXPECT_EQ(races, 0) << report;
+}
+
+TEST(Fig3Mutation, DroppedFarSliceWaitIsReported) {
+  // mc twin: bcast.drop_far_slice_wait.
+  if (!chk::kEnabled) GTEST_SKIP() << "built with SRM_CHK=OFF";
+  std::string report;
+  int races = run_far_fig3(/*drop_slice_wait=*/true, &report);
+  EXPECT_GT(races, 0)
+      << "a far reader read the far buffer before every slice landed — the "
+         "checker must flag the unordered slice write/read pair";
+  EXPECT_NE(report.find("bc_far"), std::string::npos) << report;
 }
 
 // ---------------------------------------------------------------------------

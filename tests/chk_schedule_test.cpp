@@ -47,6 +47,20 @@ TEST(ScheduleExplorer, Srm3x4Sixteen) {
   expect_clean(opt, true);
 }
 
+TEST(ScheduleExplorer, SrmTwoSocketModernSmpSixteen) {
+  // modern_smp sockets hold 8 tasks, so at 12 per node the 4 tasks of
+  // socket 1 form a far group that splits every Fig. 3 publish led from
+  // socket 0 (smp_bcast_chunk), under the profile's own decision table.
+  ExploreOptions opt;
+  opt.backend = ExploreBackend::srm;
+  opt.nodes = 2;
+  opt.tasks_per_node = 12;
+  opt.params = machine::MachineParams::modern_smp();
+  opt.schedules = 16;
+  opt.seed_base = 401;
+  expect_clean(opt, true);
+}
+
 TEST(ScheduleExplorer, SrmSingleNodeAndThinNodes) {
   // Pure-SMP path (1 node) and leaders-only path (1 task per node).
   ExploreOptions opt;

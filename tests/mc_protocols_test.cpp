@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mc/ir.hpp"
@@ -34,6 +35,36 @@ TEST(McProtocols, AllCollectivesVerifyCleanOnSmallConfigs) {
       EXPECT_GE(r.traces, 1u) << p.name;
     }
   }
+}
+
+TEST(McProtocols, FarGroupSplitVerifiesCleanOnTwoSocketShapes) {
+  // Two sockets of two tasks: readers 2 and 3 form the far group of every
+  // Fig. 3 publish and split each chunk into slices. Three chunks reuse
+  // slot 0, so the slice counter's cumulative target is exercised too.
+  std::vector<std::pair<Proto, Shape>> cases;
+  for (Proto op : all_protos()) {
+    cases.push_back({op, Shape{1, 4, 2, 2}});
+    cases.push_back({op, Shape{2, 4, 1, 2}});
+  }
+  cases.push_back({Proto::bcast, Shape{1, 4, 3, 2}});
+  for (const auto& [op, sh] : cases) {
+    Program p = build(op, sh);
+    Result r = check(p);
+    EXPECT_TRUE(r.ok()) << p.name << ": " << r.summary() << "\n"
+                        << (r.races.empty() ? "" : r.races[0].to_string());
+    EXPECT_FALSE(r.budget_exhausted) << p.name << ": " << r.summary();
+  }
+  Program bc = build(Proto::bcast, Shape{2, 4, 1, 2});
+  auto has_buf = [&bc](const std::string& n) {
+    for (const std::string& b : bc.buf_names) {
+      if (b == n) return true;
+    }
+    return false;
+  };
+  EXPECT_TRUE(has_buf("far0.g1.s0"));  // root node, filled from bb0.s0
+  EXPECT_TRUE(has_buf("far1.g1.s0"));  // child node, from the landing buffer
+  EXPECT_EQ(build(Proto::bcast, Shape{2, 4, 1}).buf_names.size() + 2,
+            bc.buf_names.size());
 }
 
 TEST(McProtocols, BuilderShapesAreWellFormed) {

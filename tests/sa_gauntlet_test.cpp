@@ -1,5 +1,5 @@
 // The gauntlet classification: which lint rule families catch each of the
-// 26 mutation-gauntlet bugs. Pinned exactly — a lint change that silently
+// 27 mutation-gauntlet bugs. Pinned exactly — a lint change that silently
 // loses (or gains) coverage on a known bug must show up here, and the
 // headline property is that NO mutant is dynamic-only: the static analyzer
 // catches every bug the model checker's gauntlet was built around.
@@ -60,6 +60,7 @@ TEST(SaGauntlet, ClassificationIsPinned) {
       {"sc_gather.publish_before_write", "R4,R5,R8"},
       {"ring_allreduce.drop_origin_wait", "R7,R8"},
       {"rh_allreduce.signal_before_deposit", "R8"},
+      {"bcast.drop_far_slice_wait", "R8"},
       {"sa_bcast.forward_before_arrival", "R8"},
       {"sa_bcast.drop_scatter_signal", "R2,R8"},
   };
