@@ -5,7 +5,7 @@
 //
 // Each candidate is forced as its op's only decision-table row, with
 // single-copy on, so the simulated call runs exactly the priced algorithm.
-// bytes is the decision-table key (sa/dominance.hpp): the node block for
+// bytes is what sa::algo_cost takes (sa/dominance.hpp): the node block for
 // scatter and gather, the per-rank block for allgather and reduce_scatter,
 // the message for the rest.
 #include <cstdio>

@@ -11,12 +11,16 @@
 //
 // The pool: per op, the algorithms, trees and mapped variants below.
 // The staged bcast is also tried in 4-64 KiB chunks; the reduce and
-// pipelined-allreduce rows that win today's bands are also tried in 4 and
-// 8 KiB steps (a chunk below SrmConfig::reduce_chunk, "+c4K", "+c8K"). A
+// pipelined-allreduce rows that win today's bands, and the root-free
+// reduce_scatter over each socket tree, are also tried in 4 and 8 KiB
+// steps (a chunk below SrmConfig::reduce_chunk, "+c4K", "+c8K"). A
 // chunked candidate follows its unchunked row. At or below its chunk it
 // runs one step, exactly as that row, so the sweep skips the cell and
 // prints 0, as it does for a cell a Communicator would sanitize into
-// another algorithm.
+// another algorithm. The staged reduce_scatter is a reduce and a scatter,
+// timed over the profile's builtin rows for those two ops; every rank of
+// a reduce_scatter holds the whole vector, so its sweep stops at 8 KiB
+// blocks.
 //
 // The midpoint rule: a row serves every size up to the next grid size, so
 // a candidate that SrmConfig::sanitize reroutes at the band's midpoint
@@ -47,8 +51,11 @@
 // 16 KiB step, hands allreduce to the pipeline from 16 KB (the paper's rd
 // band includes 16 KB), mapped over binary trees in 4 KiB steps, from
 // 128 KB to the staged pipeline over chains in 4 KiB steps and from 512 KB
-// in 8 KiB steps, and never maps scatter. The midpoint rule changes none of
-// these picks.
+// in 8 KiB steps, never maps scatter, and runs reduce_scatter root-free
+// from 16 B blocks: over binary trees (in 4 KiB steps at 512 B blocks),
+// from 1 KB blocks over chains in 8 KiB steps and from 4 KB in the 16 KiB
+// step (ibm_sp() has no reduce_scatter row, so it runs the reduce +
+// scatter composition). The midpoint rule changes none of these picks.
 //
 // Usage:
 //   tune [--profile ibm_sp|modern_smp] [--out FILE] [--smoke] [--check]
@@ -167,6 +174,14 @@ std::vector<coll::Decision> candidates(coll::CollKind op) {
     case coll::CollKind::gather:
       out = {{Algo::staged, false, bin}, {Algo::staged, true, bin}};
       break;
+    case coll::CollKind::reduce_scatter:
+      // The reduce + scatter composition first, then the root-free
+      // protocol over each domain tree; neither has a mapped variant.
+      out = {{Algo::staged, false, bin}};
+      for (coll::TreeKind tree : {bin, binary, chain}) {
+        with_chunks(out, {Algo::direct, false, bin, tree});
+      }
+      break;
     default:
       break;
   }
@@ -182,12 +197,14 @@ bool runs_as(coll::CollKind op, const coll::Decision& d, std::size_t bytes) {
   return cfg.sanitize(op, d, bytes) == d;
 }
 
-/// Whether @p d is timed at @p bytes. A rerouted candidate would be
-/// measured under a false label. A chunked candidate at or below its chunk
-/// runs one step, exactly as its unchunked row, which precedes it in the
-/// pool and would keep the tie.
-bool timed_at(coll::CollKind op, const coll::Decision& d, std::size_t bytes) {
-  return runs_as(op, d, bytes) && (d.chunk == 0 || bytes > d.chunk);
+/// Whether @p d is timed at @p bytes, looked up at @p key (coll::row_key).
+/// A rerouted candidate would be measured under a false label. A chunked
+/// candidate at or below its chunk runs one step, exactly as its unchunked
+/// row, which precedes it in the pool and would keep the tie; a
+/// reduce_scatter steps through its node segment, the key.
+bool timed_at(coll::CollKind op, const coll::Decision& d, std::size_t bytes,
+              std::size_t key) {
+  return runs_as(op, d, bytes) && (d.chunk == 0 || key > d.chunk);
 }
 
 struct Setup {
@@ -210,6 +227,8 @@ double run_op(Bench& b, coll::CollKind op, std::size_t bytes, int iters) {
       return b.time_scatter(bytes, iters);
     case coll::CollKind::gather:
       return b.time_gather(bytes, iters);
+    case coll::CollKind::reduce_scatter:
+      return b.time_reduce_scatter(bytes, iters);
     default:
       return 0.0;
   }
@@ -227,20 +246,40 @@ double measure_table(const Setup& s, const coll::DecisionTable& t,
   return run_op(b, op, bytes, iters);
 }
 
-/// Time one candidate as the only row of a one-row table.
+/// Time one candidate as the only row of its op. A reduce_scatter
+/// candidate also gets the profile's builtin reduce and scatter rows: the
+/// staged composition runs them when deployed, where a table without them
+/// would run the default binomial rows.
 double measure(const Setup& s, coll::CollKind op, const coll::Decision& d,
                std::size_t bytes, int iters) {
   coll::DecisionTable t;
+  if (op == coll::CollKind::reduce_scatter) {
+    const coll::DecisionTable* bt =
+        coll::DecisionTable::builtin(s.params.profile);
+    for (coll::CollKind inner :
+         {coll::CollKind::reduce, coll::CollKind::scatter}) {
+      for (const coll::DecisionTable::Row& r : bt->rows(inner)) {
+        t.set(inner, r.min_bytes, r.d);
+      }
+    }
+  }
   t.set(op, 0, d);
   return measure_table(s, t, op, bytes, iters);
 }
 
 const std::vector<coll::CollKind>& swept_ops() {
   static const std::vector<coll::CollKind> kOps = {
-      coll::CollKind::bcast, coll::CollKind::reduce,
+      coll::CollKind::bcast,   coll::CollKind::reduce,
       coll::CollKind::allreduce, coll::CollKind::scatter,
-      coll::CollKind::gather};
+      coll::CollKind::gather,  coll::CollKind::reduce_scatter};
   return kOps;
+}
+
+/// Whether @p op is swept at @p bytes per rank. Every rank of a
+/// reduce_scatter holds the whole vector (ranks x block), so its sweep
+/// stops at 8 KiB blocks: 1 MiB per rank at 8 x 16.
+bool swept_at(coll::CollKind op, std::size_t bytes) {
+  return op != coll::CollKind::reduce_scatter || bytes <= 8 * 1024;
 }
 
 }  // namespace
@@ -317,6 +356,7 @@ int main(int argc, char** argv) {
     std::vector<std::string> vetoed;
     std::vector<coll::DecisionTable::Row> op_rows;
     for (std::size_t size : sizes) {
+      if (!swept_at(op, size)) continue;
       // The band's midpoint: a row serves every size up to the next grid
       // size, not only the one it was timed at, so a candidate that
       // dispatch reroutes there is timed and printed but cannot win.
@@ -325,7 +365,9 @@ int main(int argc, char** argv) {
       std::vector<double> line(cols.size(), 0.0);
       std::vector<double> avg;
       for (std::size_t k = 0; k < pool.size(); ++k) {
-        if (!timed_at(op, pool[k], size)) continue;
+        if (!timed_at(op, pool[k], size, coll::row_key(op, size, s.tpn))) {
+          continue;
+        }
         line[k] = measure(s, op, pool[k], size, iters_for(size));
         if (!runs_as(op, pool[k], mid)) continue;
         cands.push_back(pool[k]);
@@ -419,6 +461,7 @@ int main(int argc, char** argv) {
   constexpr double kSlackUs = 0.05;  // absorb sub-ns rounding
   for (coll::CollKind op : swept_ops()) {
     for (std::size_t size : sizes) {
+      if (!swept_at(op, size)) continue;
       for (int iters : {iters_for(size), 1}) {
         if (iters == 1 && iters_for(size) == 1) continue;  // timed already
         double base = measure_table(s, {}, op, size, iters);

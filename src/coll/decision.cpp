@@ -54,7 +54,8 @@ bool coll_from_name(std::string_view s, CollKind& out) {
 }  // namespace
 
 std::size_t row_key(CollKind op, std::size_t bytes, int tasks_per_node) {
-  bool per_rank = op == CollKind::scatter || op == CollKind::gather;
+  bool per_rank = op == CollKind::scatter || op == CollKind::gather ||
+                  op == CollKind::reduce_scatter;
   return per_rank ? bytes * static_cast<std::size_t>(tasks_per_node) : bytes;
 }
 
@@ -329,13 +330,15 @@ DecisionTable DecisionTable::modern_smp() {
   //   * bcast publishes through the socket-aware Fig. 3 chunk: the 8
   //     readers on the far socket each pull one slice of a chunk across
   //     the socket (x2.2 from a landing buffer, x3.08 from the leader's
-  //     dirty bc_buf) and read the rest from their own socket. Mapped
-  //     bcast loses from 1 KB (the fan-out cascade serializes on
-  //     cross-socket windows; DESIGN.md §14), and below it the mapped row
-  //     only ties the isolated call (8 B: 9.51 us either way) and wins
-  //     the back-to-back average (5.12 against 5.18 us);
-  //   * bcast runs the staged (landing-buffer) protocol in one step from
-  //     1 KB to 32 KB and in 32 KB chunks at 64 KB, scatter+allgather at
+  //     dirty bc_buf) and read the rest from their own socket, once the
+  //     chunk is long enough for the split to pay its second copy
+  //     start-up and slice-counter round. Mapped bcast never wins: from
+  //     1 KB the fan-out cascade serializes on cross-socket windows
+  //     (DESIGN.md §14), and below it the unsplit staged row is faster in
+  //     both the isolated call (8 B: 9.34 against 9.51 us) and the
+  //     back-to-back average (5.02 against 5.04 us);
+  //   * bcast runs the staged (landing-buffer) protocol in one step up to
+  //     32 KB and in 32 KB chunks at 64 KB, scatter+allgather at
   //     128 KB, 64 KB chunks from 256 KB, and direct from 1 MB. Off the
   //     root node the direct protocol lands each chunk in the leader's
   //     user buffer and restages it through a Fig. 3 buffer, which the
@@ -392,14 +395,25 @@ DecisionTable DecisionTable::modern_smp() {
   //   * scatter and gather keep one staged row each. Mapped scatter lost
   //     the isolated call at every per-rank block once LAPI dispatch kept
   //     arrival order (32 B: 9.04 us mapped, 8.79 us staged); scatter and
-  //     gather rows are keyed on the node block (row_key).
-  // Barrier, allgather and reduce_scatter need no row (the last two are
-  // two calls each, each call on its own row).
+  //     gather rows are keyed on the node block (row_key);
+  //   * reduce_scatter runs the root-free protocol (core/reduce_scatter.cpp)
+  //     from 32 B blocks: each socket reduces every node's segment over its
+  //     own 8 locals and delivers it straight to the owners, where the
+  //     reduce + scatter composition funnels the whole vector through one
+  //     leader. Its rows are keyed on the node segment (row_key), which a
+  //     domain reduces and delivers per round: binary socket trees from
+  //     32 B blocks (512 B segments), chains from 256 B blocks, in 8 KiB
+  //     steps at 1 KB blocks and in the 16 KiB step from 2 KB blocks.
+  //     Only 8 and 16 B blocks keep the composition (8 B: 21.84 against
+  //     26.90 us back to back). Back to back, composition -> this row:
+  //     64 B 40.44 -> 28.23; 1 KB 218.0 -> 89.55; 4 KB 529.3 -> 254.4;
+  //     8 KB 901.3 -> 466.7 us.
+  // Barrier and allgather need no row (allgather is a gather and a
+  // broadcast, each call on its own row).
   DecisionTable t;
   t.profile = "modern_smp";
   auto bin = TreeKind::binomial;
-  t.set(CollKind::bcast, 0, {Algo::staged, true, bin});
-  t.set(CollKind::bcast, 1024, {Algo::staged, false, bin});
+  t.set(CollKind::bcast, 0, {Algo::staged, false, bin});
   t.set(CollKind::bcast, 64 * 1024,
         {Algo::staged, false, bin, bin, 32 * 1024});
   t.set(CollKind::bcast, 128 * 1024, {Algo::scatter_ag, false, bin});
@@ -431,6 +445,14 @@ DecisionTable DecisionTable::modern_smp() {
         {Algo::pipeline, false, chain, chain});
   t.set(CollKind::scatter, 0, {Algo::staged, false, bin});
   t.set(CollKind::gather, 0, {Algo::staged, false, bin});
+  t.set(CollKind::reduce_scatter, 0, {Algo::staged, false, bin});
+  t.set(CollKind::reduce_scatter, 512, {Algo::direct, false, bin, binary});
+  t.set(CollKind::reduce_scatter, 4 * 1024,
+        {Algo::direct, false, bin, chain});
+  t.set(CollKind::reduce_scatter, 16 * 1024,
+        {Algo::direct, false, bin, chain, c8k});
+  t.set(CollKind::reduce_scatter, 32 * 1024,
+        {Algo::direct, false, bin, chain});
   return t;
 }
 

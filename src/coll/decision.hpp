@@ -61,22 +61,25 @@ bool algo_from_name(std::string_view s, Algo& out);
 /// the single-copy cross-mapped variants, the inter-node tree shape, the
 /// tree of the intra-node reduce, and the staged broadcast's chunk. Every
 /// call reads only its own op's row.
-/// `intranode` is read by every node reduce (reduce and every allreduce
-/// algorithm); a mapped node reduce lays it over the cache domains
-/// (coll::topo_tree). Either tree column takes any TreeKind: the chunk
-/// pipelines of reduce and the pipelined allreduce run at the rate of their
-/// busiest vertex, so a large row may name a chain, whose every vertex
-/// handles one child per chunk. `mapped` binds only under
-/// SrmConfig::single_copy, and only where the algorithm has a mapped
-/// variant (Communicator::decide). `chunk` is the step, in bytes, of the
-/// row's pipeline. A staged bcast row pipelines the message over the two
-/// Fig. 3 buffers and the landing pairs in it (0: the whole message in one
-/// step; bcast_step); the paper's 4 KB chunks for (8, 32] KB (§2.4) are
-/// ibm_sp()'s rows. A reduce row (and so reduce_scatter's reduce) and a
-/// pipelined allreduce row, both halves alike, step through the reduce
-/// slots and landing zones in it (0: SrmConfig::reduce_chunk, the slot
-/// size; reduce_step). rd, ring and rhalving rows and every other op's rows
-/// leave it unread.
+/// `intranode` is read by every node reduce (reduce, every allreduce
+/// algorithm, and a direct reduce_scatter's per-socket domains); a mapped
+/// node reduce lays it over the cache domains (coll::topo_tree). Either
+/// tree column takes any TreeKind: the chunk pipelines of reduce and the
+/// pipelined allreduce run at the rate of their busiest vertex, so a large
+/// row may name a chain, whose every vertex handles one child per chunk.
+/// `mapped` binds only under SrmConfig::single_copy, and only where the
+/// algorithm has a mapped variant (Communicator::decide). `chunk` is the step,
+/// in bytes, of the row's pipeline. A staged bcast row pipelines the message
+/// over the two Fig. 3 buffers and the landing pairs in it (0: the whole
+/// message in one step; bcast_step); the paper's 4 KB chunks for (8, 32] KB
+/// (§2.4) are ibm_sp()'s rows. A reduce row (and so a staged reduce_scatter's
+/// reduce), a pipelined allreduce row, both halves alike, and a direct
+/// reduce_scatter row step through the reduce slots and landing zones in it (0:
+/// SrmConfig::reduce_chunk, the slot size; reduce_step). rd, ring and rhalving
+/// rows and every other op's rows leave it unread. A reduce_scatter row reads
+/// neither `internode` (its rounds visit every node in turn) nor `mapped` (it
+/// has no mapped variant); a staged one reads nothing, its reduce and scatter
+/// calls run their own rows.
 struct Decision {
   Algo algo = Algo::staged;
   bool mapped = false;
@@ -103,7 +106,8 @@ inline std::size_t reduce_step(std::size_t chunk, std::size_t reduce_chunk) {
 /// The size a call of @p op with @p bytes per rank is looked up at, and so
 /// the size a tuned row is keyed by: the node block (@p tasks_per_node x
 /// @p bytes) for scatter and gather, whose node leader moves the whole
-/// block, and @p bytes for every other op.
+/// block, and for reduce_scatter, whose node segment is what a domain
+/// reduces and delivers per round; @p bytes for every other op.
 std::size_t row_key(CollKind op, std::size_t bytes, int tasks_per_node);
 
 /// Per-op size-banded decisions. Rows are kept sorted ascending by

@@ -162,7 +162,6 @@ Communicator::NodeState::Link::Link(sim::Engine& eng,
   bc_addr_arrived = counter("bc_addr_arrived" + p);
   bc_large_arrived = counter("bc_large_arrived" + p);
   red_arrived = counter("red_arrived" + p);
-  ga_addr_arr = counter("ga_addr_arr" + p);
   ga_done = counter("ga_done" + p);
   zoo_addr_arr = counter("zoo_addr_arr" + p);
   zoo_got = counter("zoo_got" + p);
@@ -216,6 +215,17 @@ Communicator::NodeState::Pair& Communicator::NodeState::zoo_land(int peer) {
                reduce_chunk_);
 }
 
+Communicator::NodeState::Link::GaCell& Communicator::NodeState::ga_cell(
+    int peer, int root_local) {
+  Link::GaCell& c = link(peer).ga_cells[root_local];
+  if (c.arr == nullptr) {
+    c.arr = std::make_unique<lapi::Counter>(
+        *eng_, prefix_ + "/ga_addr_arr" + std::to_string(peer) + "_" +
+                   std::to_string(root_local));
+  }
+  return c;
+}
+
 Communicator::NodeState::Pair& Communicator::NodeState::ar_fold_in() {
   return alloc(ar_fold_in_, "ar_fold_in", reduce_chunk_);
 }
@@ -231,6 +241,39 @@ Communicator::NodeState::Pair& Communicator::NodeState::ga_stage() {
 Communicator::NodeState::Pair& Communicator::NodeState::sc_acc(int l) {
   return alloc(sc_acc_[static_cast<std::size_t>(l)],
                "sc_acc" + std::to_string(l) + "_", reduce_chunk_);
+}
+
+Communicator::NodeState::RsDomain& Communicator::NodeState::rs_dom(int dom) {
+  RsDomain& r = rs_dom_[dom];
+  if (r.landed[0] == nullptr) {
+    std::string stem = prefix_ + "/rs" + std::to_string(dom) + "_";
+    alloc(r.land, "rs" + std::to_string(dom) + "_land", reduce_chunk_);
+    for (std::size_t s = 0; s < 2; ++s) {
+      std::string slot = std::to_string(s);
+      r.landed[s] = std::make_unique<shm::SharedFlag>(*eng_, *mp_, 0,
+                                                      stem + "landed" + slot);
+      r.read[s] = std::make_unique<shm::SharedFlag>(*eng_, *mp_, 0,
+                                                    stem + "read" + slot);
+      r.own_read[s] = std::make_unique<shm::SharedFlag>(
+          *eng_, *mp_, 0, stem + "own_read" + slot);
+      for (int l = 0; l < nlocal; ++l) {
+        r.arrived[s].push_back(std::make_unique<lapi::Counter>(
+            *eng_, stem + "arrived" + slot + "_" + std::to_string(l)));
+      }
+    }
+  }
+  return r;
+}
+
+lapi::Counter& Communicator::NodeState::rs_credit(int dom, int dest,
+                                                  std::size_t slot) {
+  auto& c = rs_credit_[{dom, dest, slot}];
+  if (c == nullptr) {
+    c = std::make_unique<lapi::Counter>(
+        *eng_, prefix_ + "/rs" + std::to_string(dom) + "_credit" +
+                   std::to_string(dest) + "_" + std::to_string(slot));
+  }
+  return *c;
 }
 
 std::byte* Communicator::NodeState::rh_scratch(std::size_t bytes) {

@@ -31,17 +31,22 @@
 // the link, and its landing buffers when data first lands on it; the gather
 // staging, mapped-reduce accumulator, fold and scratch buffers appear when
 // an operation first needs them. So a node holds degree(master) landing
-// pairs (§2.3) rather than one per peer, whatever the mix of roots.
+// pairs (§2.3) rather than one per peer, whatever the mix of roots, plus
+// one pair per socket once a root-free reduce_scatter ran.
 //
 // Every operation embeds its communication tree with coll::embed (Fig. 1),
 // so at most one task per node (the "leader": the root on the root's node,
-// the master elsewhere) touches the network.
+// the master elsewhere) touches the network. The root-free reduce_scatter
+// is the exception: each socket's head puts, and the owners take the puts
+// (core/reduce_scatter.cpp).
 #pragma once
 
 #include <array>
 #include <cstddef>
+#include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -155,11 +160,21 @@ class Communicator final : public coll::Collectives {
   /// Allgather: every rank ends with all blocks (gather to 0 + broadcast).
   sim::CoTask real_allgather(machine::TaskCtx& t, const void* send,
                              void* recv, std::size_t bytes_per);
-  /// Reduce-scatter with equal blocks: element-wise reduce, then scatter of
-  /// the @p count_per_rank-element blocks.
+  /// Reduce-scatter with equal blocks of @p count_per_rank elements: the
+  /// root-free protocol on a `direct` row (reduce_scatter_direct), else an
+  /// element-wise reduce to rank 0 followed by a scatter of the blocks.
   sim::CoTask real_reduce_scatter(machine::TaskCtx& t, const void* send,
                                   void* recv, std::size_t count_per_rank,
                                   coll::Dtype d, coll::RedOp op);
+  /// Root-free reduce-scatter (core/reduce_scatter.cpp): every socket of a
+  /// node reduces every node's segment over its own locals (the row's
+  /// intra-node tree, the row's step), its head delivers each step straight
+  /// to the node that owns the segment, and each rank combines the partials
+  /// of its own block into @p recv.
+  sim::CoTask reduce_scatter_direct(machine::TaskCtx& t, const void* send,
+                                    void* recv, std::size_t count,
+                                    coll::Dtype d, coll::RedOp op,
+                                    const coll::Decision& dec);
 
   /// Build the per-node shared structures and per-rank SMP bookkeeping on
   /// the first real operation. Symbolic-only runs never pay this. Each node
@@ -234,11 +249,16 @@ class Communicator final : public coll::Collectives {
       Pair red_land;
       std::unique_ptr<lapi::Counter> red_arrived;
 
-      // Gather: the receive address announced by a root on the peer node
-      // (one cell per root node, so different roots never alias), and the
-      // root-side arrival counter for the peer's chunks.
-      void* ga_addr = nullptr;
-      std::unique_ptr<lapi::Counter> ga_addr_arr;
+      // Gather: per root task on the peer node, the receive address it
+      // announced and the announcement's arrival counter (first use), and
+      // the root-side arrival counter for the peer's chunks. Roots on one
+      // node are not ordered with each other: a later gather's root can
+      // announce before an earlier one's, so each has its own cell.
+      struct GaCell {
+        void* addr = nullptr;
+        std::unique_ptr<lapi::Counter> arr;
+      };
+      std::unordered_map<int, GaCell> ga_cells;  // keyed by root local
       std::unique_ptr<lapi::Counter> ga_done;
 
       // Algorithm zoo (core/zoo.cpp): the peer's announced user-buffer
@@ -262,6 +282,8 @@ class Communicator final : public coll::Collectives {
     Pair& bc_land(int peer);
     Pair& red_land(int peer);
     Pair& zoo_land(int peer);
+    /// The gather address cell of root local @p root_local on @p peer.
+    Link::GaCell& ga_cell(int peer, int root_local);
 
     // Reduce pipeline: one credit counter for sending to our own parent
     // (starts at 2); two node-result slots guarded by the put origin
@@ -313,6 +335,28 @@ class Communicator final : public coll::Collectives {
     std::unique_ptr<shm::FlagArray> sc_pub;
     std::array<std::unique_ptr<shm::FlagArray>, 2> sc_cons;  // [slot]
 
+    // ---- root-free reduce_scatter (core/reduce_scatter.cpp) ----
+    //
+    // Per reduction domain (socket) of the sending nodes: the pair the
+    // domain heads of other nodes land this node's segment in, one round's
+    // source at a time, with per slot the chunks landed, the owner reads
+    // of landed chunks, and the owner reads of this node's own head's
+    // red_slot chunks; and per slot and receiving local the LAPI arrival
+    // counter its puts bump.
+    struct RsDomain {
+      Pair land;
+      std::array<std::unique_ptr<shm::SharedFlag>, 2> landed;
+      std::array<std::unique_ptr<shm::SharedFlag>, 2> read;
+      std::array<std::unique_ptr<shm::SharedFlag>, 2> own_read;
+      std::array<std::vector<std::unique_ptr<lapi::Counter>>, 2> arrived;
+    };
+    /// The state of domain @p dom, allocated on its first use.
+    RsDomain& rs_dom(int dom);
+    /// The credits of domain @p dom's head for its puts into slot @p slot
+    /// of node @p dest's pair (first use): granted and returned by @p dest
+    /// only.
+    lapi::Counter& rs_credit(int dom, int dest, std::size_t slot);
+
    private:
     /// Allocate @p p as the segment buffers "<stem>0" and "<stem>1" of
     /// @p bytes each, unless it already is.
@@ -330,6 +374,10 @@ class Communicator final : public coll::Collectives {
     Pair ar_fold_out_;
     Pair ga_stage_;
     std::vector<Pair> sc_acc_;  // [local]
+    std::unordered_map<int, RsDomain> rs_dom_;  // keyed by domain
+    // Keyed by (domain, dest node, slot).
+    std::map<std::tuple<int, int, std::size_t>, std::unique_ptr<lapi::Counter>>
+        rs_credit_;
   };
 
   // ---- per-rank protocol sequence numbers ----
@@ -371,6 +419,16 @@ class Communicator final : public coll::Collectives {
     // sc_acc slots (parity + published/consumed baselines, the mapped twin
     // of smp_red_base).
     std::vector<std::uint64_t> sc_base;
+    // Root-free reduce_scatter, per reduction domain: the chunks landed in
+    // this node's pair of that domain (slot parity; every node's pair
+    // takes the same count per call), and per slot the owner reads its
+    // landed chunks and its head's red_slot chunks have been due so far.
+    struct RsSeq {
+      std::uint64_t landed = 0;
+      std::array<std::uint64_t, 2> reads{};
+      std::array<std::uint64_t, 2> own_reads{};
+    };
+    std::vector<RsSeq> rs_seq;
   };
 
   NodeState& node_state(const machine::TaskCtx& t) {
@@ -422,6 +480,13 @@ class Communicator final : public coll::Collectives {
                                      std::size_t count,
                                      std::size_t chunk_elems, coll::Dtype d,
                                      coll::RedOp op);
+  /// One chunk of smp_reduce_participant: op-local chunk @p c, @p elems
+  /// elements of the caller's own data at @p mine, combined with its
+  /// children's slots in @p tree into its own slot and published.
+  sim::CoTask smp_reduce_step(machine::TaskCtx& t, const coll::Tree& tree,
+                              const std::byte* mine, std::size_t c,
+                              std::size_t elems, coll::Dtype d,
+                              coll::RedOp op);
 
   /// Leader side of one SMP-reduce chunk: waits for the leader's children in
   /// @p tree and combines its own data with theirs straight into @p dst

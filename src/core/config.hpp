@@ -79,11 +79,12 @@ struct SrmConfig {
   /// pipelined allreduce, staged everything else) when its algorithm does
   /// not implement the op or one step of it cannot carry its bytes
   /// (max_bytes). A step is the whole message, except on a staged bcast
-  /// row with a chunk, which carries any size in chunk-sized steps. A
-  /// reduce or pipelined-allreduce row whose chunk exceeds one
-  /// reduce_chunk slot keeps its algorithm and falls back to chunk 0, the
-  /// paper's step. Dispatch, the static analyzer and the tuners all ask
-  /// this one function.
+  /// row with a chunk, which carries any size in chunk-sized steps.
+  /// reduce_scatter implements staged (reduce + scatter) and direct (the
+  /// root-free protocol). A reduce, pipelined-allreduce or direct
+  /// reduce_scatter row whose chunk exceeds one reduce_chunk slot keeps
+  /// its algorithm and falls back to chunk 0, the paper's step. Dispatch,
+  /// the static analyzer and the tuners all ask this one function.
   coll::Decision sanitize(coll::CollKind op, coll::Decision d,
                           std::size_t bytes) const {
     using coll::Algo;
@@ -99,11 +100,14 @@ struct SrmConfig {
       paper = Algo::pipeline;
       implemented = d.algo == Algo::rd || d.algo == Algo::pipeline ||
                     d.algo == Algo::ring || d.algo == Algo::rhalving;
+    } else if (op == coll::CollKind::reduce_scatter) {
+      implemented = d.algo == Algo::staged || d.algo == Algo::direct;
     }
     if (!implemented || step > max_bytes(op, d.algo)) d.algo = paper;
-    bool reduce_pipeline = op == coll::CollKind::reduce ||
-                           (op == coll::CollKind::allreduce &&
-                            d.algo == Algo::pipeline);
+    bool reduce_pipeline =
+        op == coll::CollKind::reduce ||
+        (op == coll::CollKind::allreduce && d.algo == Algo::pipeline) ||
+        (op == coll::CollKind::reduce_scatter && d.algo == Algo::direct);
     if (reduce_pipeline && d.chunk > reduce_chunk) d.chunk = 0;
     return d;
   }

@@ -16,7 +16,8 @@
 //
 //  * allgather  = gather to rank 0 + broadcast (the composition benefits
 //    from both optimized halves);
-//  * reduce_scatter = reduce to rank 0 + scatter.
+//  * reduce_scatter on a staged row = reduce to rank 0 + scatter. A direct
+//    row runs the root-free protocol of core/reduce_scatter.cpp instead.
 // Each call of a composition runs its own row at its own size.
 #include <cstring>
 #include <deque>
@@ -200,10 +201,10 @@ sim::CoTask Communicator::real_gather(machine::TaskCtx& t, const void* send,
     std::uint64_t org_pending = 0;
     for (int nd = 0; nd < t.nnodes(); ++nd) {
       if (nd == root_node) continue;
-      NodeState::Link& cl =
-          nodes_[static_cast<std::size_t>(nd)]->link(root_node);
-      co_await my_ep.put(ep(t.topo->master_of(nd)), &cl.ga_addr, &addr,
-                         sizeof(void*), cl.ga_addr_arr.get(), &org);
+      NodeState::Link::GaCell& cell =
+          nodes_[static_cast<std::size_t>(nd)]->ga_cell(root_node, t.local());
+      co_await my_ep.put(ep(t.topo->master_of(nd)), &cell.addr, &addr,
+                         sizeof(void*), cell.arr.get(), &org);
       ++org_pending;
     }
     if (org_pending > 0) co_await my_ep.wait_cntr(org, org_pending);
@@ -259,9 +260,10 @@ sim::CoTask Communicator::real_gather(machine::TaskCtx& t, const void* send,
   // contribution), so the expected count per chunk is exactly p.
   std::byte* root_dst = nullptr;  // leaders learn where chunks go
   if (is_leader && my_node != root_node) {
-    NodeState::Link& rl = ns.link(root_node);
-    co_await my_ep.wait_cntr(*rl.ga_addr_arr, 1);
-    root_dst = static_cast<std::byte*>(rl.ga_addr);
+    NodeState::Link::GaCell& cell =
+        ns.ga_cell(root_node, t.topo->local_of(root));
+    co_await my_ep.wait_cntr(*cell.arr, 1);
+    root_dst = static_cast<std::byte*>(cell.addr);
   }
 
   lapi::Counter out_org(*t.eng, "gather.out_org@" + std::to_string(t.rank));
@@ -356,13 +358,21 @@ sim::CoTask Communicator::real_reduce_scatter(machine::TaskCtx& t,
                                               coll::Dtype d, coll::RedOp op) {
   obs::Span span(*t.obs, t.rank, "srm.reduce_scatter");
   chk::StageScope stage(t.chk, "srm.reduce_scatter");
+  std::size_t esize = coll::dtype_size(d);
+  coll::Decision dec =
+      decide(t, coll::CollKind::reduce_scatter, count_per_rank * esize);
+  if (dec.algo == coll::Algo::direct) {
+    rank_state(t).op_seq++;
+    if (count_per_rank == 0) co_return;
+    co_await reduce_scatter_direct(t, send, recv, count_per_rank, d, op, dec);
+    co_return;
+  }
   std::size_t total = count_per_rank * static_cast<std::size_t>(t.nranks());
   std::vector<std::byte> tmp;
-  if (t.rank == 0) tmp.resize(total * coll::dtype_size(d));
+  if (t.rank == 0) tmp.resize(total * esize);
   co_await real_reduce(t, send, t.rank == 0 ? tmp.data() : recv, total, d, op,
                        0);
-  co_await real_scatter(t, tmp.data(), recv,
-                        count_per_rank * coll::dtype_size(d), 0);
+  co_await real_scatter(t, tmp.data(), recv, count_per_rank * esize, 0);
 }
 
 }  // namespace srm

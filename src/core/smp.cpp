@@ -31,15 +31,20 @@ std::pair<std::size_t, std::size_t> far_slice(std::size_t len, int k, int j) {
   return {lo, std::min(lo + piece, len)};
 }
 
-/// The far group of reader @p me for a chunk led by @p leader, read from a
-/// dirty (@p dirty: the leader's bc_buf) or memory-resident source. The
-/// group splits only when copy_factor gives its slowest reader fewer
-/// stream-bytes per chunk byte than the flat pull does: f/k for its slice
-/// plus the mean factor of reading every member's freshly written slice
-/// (its own at 1.0), against f. With every factor at 1.0 that is
-/// 1/k + 1 > 1, so a flat crossbar never splits.
-FarGroup far_group(const machine::TopologyParams& tp, int nlocal, int leader,
-                   int me, bool dirty) {
+/// The far group of reader @p me for a @p len-byte chunk led by @p leader,
+/// read from a dirty (@p dirty: the leader's bc_buf) or memory-resident
+/// source. The group splits only when copy_factor gives its slowest reader
+/// fewer stream-bytes per chunk byte than the flat pull does: f/k for its
+/// slice plus the mean factor of reading every member's freshly written
+/// slice (its own at 1.0), against f. With every factor at 1.0 that is
+/// 1/k + 1 > 1, so a flat crossbar never splits. The split also pays a
+/// second copy start-up and one round of the slice counter (the last
+/// member's store, seen one propagation later), so the chunk must be long
+/// enough for the stream time it saves that reader to cover them, at the
+/// stream's share of the bus while every local copies at once.
+FarGroup far_group(const machine::MachineParams& mp, int nlocal, int leader,
+                   int me, bool dirty, std::size_t len) {
+  const machine::TopologyParams& tp = mp.topo;
   FarGroup g;
   g.socket = tp.socket_of(me);
   if (g.socket == tp.socket_of(leader)) return g;
@@ -57,7 +62,11 @@ FarGroup far_group(const machine::TopologyParams& tp, int nlocal, int leader,
     flat = std::max(flat, f);
     split = std::max(split, (f + peers) / g.k);
   }
-  g.split = split < flat;
+  double rate = std::min(mp.mem.copy_bw_per_cpu,
+                         mp.mem.bus_bw_total / static_cast<double>(nlocal));
+  double saved_ns = static_cast<double>(len) * (flat - split) / rate * 1e9;
+  sim::Duration extra = mp.mem.copy_startup + mp.mem.flag_propagation;
+  g.split = split < flat && saved_ns > static_cast<double>(extra);
   return g;
 }
 
@@ -132,8 +141,8 @@ sim::CoTask Communicator::smp_bcast_chunk(machine::TaskCtx& t,
     // The staging buffer is dirty in the leader's cache when the leader
     // filled it; a DMA-landed chunk (shared_src) is memory-resident.
     bool dirty = shared_src == nullptr;
-    FarGroup g =
-        far_group(t.P->topo, ns.nlocal, leader_local, t.local(), dirty);
+    FarGroup g = far_group(*t.P, ns.nlocal, leader_local, t.local(), dirty,
+                           len);
     if (!g.split) {
       co_await t.nd->mem.charge_copy_scaled(
           static_cast<double>(len),
@@ -318,61 +327,66 @@ sim::CoTask Communicator::smp_reduce_participant(machine::TaskCtx& t,
                                                  coll::RedOp op) {
   obs::Span span(*t.obs, t.rank, "smp.reduce");
   chk::StageScope stage(t.chk, "smp.reduce");
+  SRM_CHECK(tree.parent[static_cast<std::size_t>(t.local())] != -1);
+  std::size_t esize = coll::dtype_size(d);
+  std::size_t nchunks = detail::chunk_count(count, chunk_elems);
+  for (std::size_t c = 0; c < nchunks; ++c) {
+    std::size_t off = c * chunk_elems;
+    co_await smp_reduce_step(
+        t, tree, static_cast<const std::byte*>(send) + off * esize, c,
+        std::min(chunk_elems, count - off), d, op);
+  }
+}
+
+sim::CoTask Communicator::smp_reduce_step(machine::TaskCtx& t,
+                                          const coll::Tree& tree,
+                                          const std::byte* mine,
+                                          std::size_t c, std::size_t elems,
+                                          coll::Dtype d, coll::RedOp op) {
   NodeState& ns = node_state(t);
   RankState& rs = rank_state(t);
   int me = t.local();
-  SRM_CHECK(tree.parent[static_cast<std::size_t>(me)] != -1);
   std::size_t esize = coll::dtype_size(d);
-  std::size_t nchunks = detail::chunk_count(count, chunk_elems);
   const auto& kids = tree.children[static_cast<std::size_t>(me)];
-
-  for (std::size_t c = 0; c < nchunks; ++c) {
-    std::size_t off = c * chunk_elems;
-    std::size_t elems = std::min(chunk_elems, count - off);
-    std::uint64_t abs = rs.smp_red_base[static_cast<std::size_t>(me)] + c;
-    // Slot reuse: chunk `abs` shares a slot with chunk `abs - 2`; wait until
-    // whoever was leading that operation consumed it (per-slot count).
-    if (abs >= 2) {
-      co_await (*ns.red_consumed[abs % 2])[me].await_at_least(abs / 2,
-                                                              &t.chk);
-    }
-    std::byte* slot = ns.red_slot[abs % 2][static_cast<std::size_t>(me)].data();
-    const std::byte* mine =
-        static_cast<const std::byte*>(send) + off * esize;
-    double bytes = static_cast<double>(elems * esize);
-
-    if (kids.empty()) {
-      // Leaf: the one memory copy of Fig. 2.
-      co_await t.nd->mem.charge_copy(bytes);
-      std::memcpy(slot, mine, elems * esize);
-      chk::note_write(t.chk, slot, elems * esize);
-    } else {
-      // Interior: fuse own data with the first child straight into the slot,
-      // then fold the remaining children in place.
-      bool first = true;
-      for (int kid : kids) {
-        std::uint64_t kid_abs =
-            rs.smp_red_base[static_cast<std::size_t>(kid)] + c;
-        co_await (*ns.red_published)[kid].await_at_least(kid_abs + 1,
-                                                         &t.chk);
-        const std::byte* kslot =
-            ns.red_slot[kid_abs % 2][static_cast<std::size_t>(kid)].data();
-        // The child just wrote its slot: a dirty pull across its distance.
-        co_await t.nd->mem.charge_combine_scaled(
-            bytes, t.P->topo.copy_factor(kid, me, /*dirty=*/true));
-        if (first) {
-          coll::combine_out(op, d, slot, mine, kslot, elems);
-          first = false;
-        } else {
-          coll::combine(op, d, slot, kslot, elems);
-        }
-        chk::note_read(t.chk, kslot, elems * esize);
-        chk::note_write(t.chk, slot, elems * esize);
-        (*ns.red_consumed[kid_abs % 2])[kid].add(1, &t.chk);
-      }
-    }
-    (*ns.red_published)[me].add(1, &t.chk);
+  std::uint64_t abs = rs.smp_red_base[static_cast<std::size_t>(me)] + c;
+  // Slot reuse: chunk `abs` shares a slot with chunk `abs - 2`; wait until
+  // whoever was leading that operation consumed it (per-slot count).
+  if (abs >= 2) {
+    co_await (*ns.red_consumed[abs % 2])[me].await_at_least(abs / 2, &t.chk);
   }
+  std::byte* slot = ns.red_slot[abs % 2][static_cast<std::size_t>(me)].data();
+  double bytes = static_cast<double>(elems * esize);
+
+  if (kids.empty()) {
+    // Leaf: the one memory copy of Fig. 2.
+    co_await t.nd->mem.charge_copy(bytes);
+    std::memcpy(slot, mine, elems * esize);
+    chk::note_write(t.chk, slot, elems * esize);
+  } else {
+    // Interior: fuse own data with the first child straight into the slot,
+    // then fold the remaining children in place.
+    bool first = true;
+    for (int kid : kids) {
+      std::uint64_t kid_abs =
+          rs.smp_red_base[static_cast<std::size_t>(kid)] + c;
+      co_await (*ns.red_published)[kid].await_at_least(kid_abs + 1, &t.chk);
+      const std::byte* kslot =
+          ns.red_slot[kid_abs % 2][static_cast<std::size_t>(kid)].data();
+      // The child just wrote its slot: a dirty pull across its distance.
+      co_await t.nd->mem.charge_combine_scaled(
+          bytes, t.P->topo.copy_factor(kid, me, /*dirty=*/true));
+      if (first) {
+        coll::combine_out(op, d, slot, mine, kslot, elems);
+        first = false;
+      } else {
+        coll::combine(op, d, slot, kslot, elems);
+      }
+      chk::note_read(t.chk, kslot, elems * esize);
+      chk::note_write(t.chk, slot, elems * esize);
+      (*ns.red_consumed[kid_abs % 2])[kid].add(1, &t.chk);
+    }
+  }
+  (*ns.red_published)[me].add(1, &t.chk);
 }
 
 sim::CoTask Communicator::smp_reduce_chunk_leader(

@@ -918,6 +918,177 @@ struct Builder {
     }
     return res;
   }
+
+  // --- root-free reduce_scatter (core/reduce_scatter.cpp) ------------------
+  /// Each socket (the tasks split as in consume_chunk) is a domain whose
+  /// head, its first local, combines its members' red_slot chunks (flat
+  /// fan-in) into its own slot for every step of every node's segment:
+  /// round 0 its own node's, round 1 (on two nodes) the peer's, which the
+  /// head puts into the peer's landing pair of its domain, one credit per
+  /// slot, granted by the peer's head and returned once read. Every owner
+  /// reads its byte of each domain's partial: the heads' slots in round 0,
+  /// the landing slots in round 1, where local 0 receives the put and
+  /// raises the landed count for the others. The thread r<n>.ret<g> stands
+  /// for whichever owner's read completes a slot's count and returns the
+  /// slot: the head's (cons) or the landing slot's credit. The model counts
+  /// each owner's reads on its own counter, which orders them before the
+  /// return exactly as the shared count does, without making every owner's
+  /// add a scheduling conflict. Only the round-0 chunks a head publishes
+  /// are awaited, so it publishes only those. Ranks run their chain step
+  /// s, then their owner work for step s - lag (1 for a head, 2 for a
+  /// member one level down).
+  void rs_direct() {
+    const int N = sh.nodes;
+    const int per = (T() + sh.sockets - 1) / sh.sockets;
+    const int D = (T() + per - 1) / per;
+    const int steps = N * C();
+    const int J = (N - 1) * C();  // landing chunks per pair
+    auto tag = [&](int n, int g) { return num(n) + ".g" + num(g); };
+    auto pub = [&](int n, int l) {
+      return p.var(id("rpub" + num(n) + "[" + num(l) + "]"));
+    };
+    auto cons = [&](int n, int s, int l) {
+      return p.var(id("rcons" + num(n) + ".s" + num(s) + "[" + num(l) + "]"));
+    };
+    auto slot = [&](int n, int s, int l) {
+      return p.buf(id("rslot" + num(n) + ".s" + num(s) + "[" + num(l) + "]"));
+    };
+    auto land = [&](int n, int g, int s) {
+      return p.buf(id("rland" + tag(n, g) + ".s" + num(s)));
+    };
+    auto var = [&](const std::string& stem, int n, int g, int s) {
+      return p.var(id(stem + tag(n, g) + ".s" + num(s)));
+    };
+    auto adp_g = [&](int n, int g) {
+      return p.thread("adp" + num(n) + "." + num(g));
+    };
+    auto nic_data = [&](int n, int g) {
+      return p.thread("nic" + num(n) + ".d" + num(g));
+    };
+    auto nic_cred = [&](int n, int g) {
+      return p.thread("nic" + num(n) + ".c" + num(g));
+    };
+    auto ret = [&](int n, int g) {
+      return p.thread("r" + num(n) + ".ret" + num(g));
+    };
+    auto oput = [&](int n, int g) { return p.chan(id("roput" + tag(n, g))); };
+    auto data = [&](int n, int g) { return p.chan(id("rdata" + tag(n, g))); };
+    // Credits for node n's puts of domain g into the peer's pair.
+    auto cred = [&](int n, int g) { return p.chan(id("rcred" + tag(n, g))); };
+
+    for (int n = 0; n < N; ++n) {
+      for (int l = 0; l < T(); ++l) {
+        int t = rk(n, l);
+        int g = l / per;
+        int h = g * per;
+        int last = std::min(T(), h + per);
+        bool head = l == h;
+        int lag = head ? 1 : 2;
+        std::vector<int> inflight;  // steps whose put may read the slot
+        if (head) {
+          for (int j = 0; j < std::min(J, 2); ++j) p.send(t, cred(1 - n, g));
+        }
+        auto chain = [&](int s) {
+          int sp = s % 2;
+          if (head) {
+            while (!inflight.empty() && inflight.front() + 2 <= s) {
+              p.wait_dec(t, p.var(id("rorg" + tag(n, g))), 1);
+              p.add(t, cons(n, inflight.front() % 2, h), 1);
+              inflight.erase(inflight.begin());
+            }
+          }
+          if (s >= 2) {
+            p.await_ge(t, cons(n, sp, l), static_cast<std::uint64_t>(s / 2));
+          }
+          if (!head) {
+            p.write(t, slot(n, sp, l), 0, W());
+            p.add(t, pub(n, l), 1);
+            return;
+          }
+          if (last == h + 1) p.write(t, slot(n, sp, h), 0, W());
+          for (int m = h + 1; m < last; ++m) {
+            p.await_ge(t, pub(n, m), static_cast<std::uint64_t>(s) + 1);
+            p.read(t, slot(n, sp, m), 0, W());
+            p.write(t, slot(n, sp, h), 0, W());
+            p.add(t, cons(n, sp, m), 1);
+          }
+          if (s < C()) {
+            p.add(t, pub(n, h), 1);
+            return;
+          }
+          int j = s - C();
+          p.wait_dec(t, var("rfree", n, g, j % 2), 1);
+          p.send(t, oput(n, g));
+          inflight.push_back(s);
+          int a = adp_g(n, g);
+          p.recv(a, oput(n, g));
+          p.read(a, slot(n, sp, h), 0, W());
+          p.add(a, p.var(id("rorg" + tag(n, g))), 1);
+          p.send(a, data(n, g));
+          int d = nic_data(1 - n, g);
+          p.recv(d, data(n, g));
+          p.write(d, land(1 - n, g, j % 2), 0, W());
+          p.add(d, var("rarr", 1 - n, g, j % 2), 1);
+        };
+        auto owner = [&](int s) {
+          auto lo = static_cast<std::uint64_t>(l);
+          for (int gg = 0; gg < D; ++gg) {
+            if (s < C()) {
+              int hh = gg * per;
+              p.await_ge(t, pub(n, hh), static_cast<std::uint64_t>(s) + 1);
+              p.read(t, slot(n, s % 2, hh), lo, lo + 1);
+              p.add(t, var("rown" + num(l) + "@", n, gg, s % 2), 1);
+              continue;
+            }
+            int j = s - C();
+            if (l == 0) {
+              p.wait_dec(t, var("rarr", n, gg, j % 2), 1);
+              p.add(t, var("rlanded", n, gg, j % 2), 1);
+            } else {
+              p.await_ge(t, var("rlanded", n, gg, j % 2),
+                         static_cast<std::uint64_t>(j / 2) + 1);
+            }
+            p.read(t, land(n, gg, j % 2), lo, lo + 1);
+            p.add(t, var("rread" + num(l) + "@", n, gg, j % 2), 1);
+          }
+        };
+        for (int s = 0; s < steps; ++s) {
+          chain(s);
+          if (s >= lag) owner(s - lag);
+        }
+        for (int s = std::max(0, steps - lag); s < steps; ++s) owner(s);
+        while (!inflight.empty()) {
+          p.wait_dec(t, p.var(id("rorg" + tag(n, g))), 1);
+          p.add(t, cons(n, inflight.front() % 2, h), 1);
+          inflight.erase(inflight.begin());
+        }
+      }
+      // The slot returns, in step order (a later step's reads complete
+      // only after every owner finished the earlier one's).
+      auto all_read = [&](int r, const std::string& stem, int g, int c) {
+        for (int l = 0; l < T(); ++l) {
+          p.await_ge(r, var(stem + num(l) + "@", n, g, c % 2),
+                     static_cast<std::uint64_t>(c / 2 + 1));
+        }
+      };
+      for (int g = 0; g < D; ++g) {
+        int r = ret(n, g);
+        for (int s = 0; s < C(); ++s) {
+          all_read(r, "rown", g, s);
+          p.add(r, cons(n, s % 2, g * per), 1);
+        }
+        for (int j = 0; j < J; ++j) {
+          all_read(r, "rread", g, j);
+          if (j + 2 < J) p.send(r, cred(1 - n, g));
+        }
+        for (int j = 0; j < J; ++j) {
+          int c = nic_cred(n, g);
+          p.recv(c, cred(n, g));
+          p.add(c, var("rfree", n, g, j % 2), 1);
+        }
+      }
+    }
+  }
 };
 
 void emit(Program& p, Proto op, const Shape& sh) {
@@ -973,6 +1144,9 @@ void emit(Program& p, Proto op, const Shape& sh) {
     case Proto::sa_bcast:
       Builder{p, sh, ""}.sa_bcast();
       break;
+    case Proto::rs_direct:
+      Builder{p, sh, ""}.rs_direct();
+      break;
   }
 }
 
@@ -1014,6 +1188,7 @@ const char* proto_name(Proto p) {
     case Proto::ring_allreduce: return "ring_allreduce";
     case Proto::rh_allreduce: return "rh_allreduce";
     case Proto::sa_bcast: return "sa_bcast";
+    case Proto::rs_direct: return "rs_direct";
   }
   return "?";
 }
@@ -1024,7 +1199,8 @@ const std::vector<Proto>& all_protos() {
       Proto::allreduce,      Proto::scatter,        Proto::gather,
       Proto::allgather,      Proto::reduce_scatter, Proto::sc_bcast,
       Proto::sc_reduce,      Proto::sc_scatter,     Proto::sc_gather,
-      Proto::ring_allreduce, Proto::rh_allreduce,   Proto::sa_bcast};
+      Proto::ring_allreduce, Proto::rh_allreduce,   Proto::sa_bcast,
+      Proto::rs_direct};
   return kAll;
 }
 
@@ -1245,6 +1421,15 @@ std::vector<Mutant> mutation_gauntlet() {
     Mutant m = make_mutant("bcast.drop_far_slice_wait", Proto::bcast,
                            Shape{1, 4, 1, 2}, true, false);
     m.program.drop_op("r0.3", "await farfill0.g1.s0>=2");
+    add(std::move(m));
+  }
+  // Root-free reduce_scatter: an owner that combines a landed partial
+  // without awaiting the receiver's landed count reads the landing slot
+  // while the NIC may still be depositing the last source's partial.
+  {
+    Mutant m = make_mutant("rs_direct.drop_landed_wait", Proto::rs_direct,
+                           Shape{2, 2, 1}, true, false);
+    m.program.drop_op("r0.1", "await rlanded0.g0.s0>=1");
     add(std::move(m));
   }
   // Scatter+allgather bcast: a dropped scatter-arrival signal wedges the

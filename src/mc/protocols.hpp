@@ -1,14 +1,15 @@
 // srm::mc — IR models of the SRM collectives (eight staged protocols, the
-// four single-copy cross-mapped variants, and the three algorithm-zoo
-// bandwidth protocols).
+// four single-copy cross-mapped variants, the three algorithm-zoo
+// bandwidth protocols, and the root-free reduce_scatter).
 //
 // build() emits the synchronization skeleton that src/core actually executes
 // (smp.cpp / bcast.cpp / reduce.cpp / barrier.cpp / gather_scatter.cpp /
-// allreduce.cpp), specialized to a small configuration: READY flag pairs,
-// published/consumed counters, LAPI credit counters, and one "nic<n>" thread
-// per node with inbound deposits — puts land in the target's dispatcher
-// asynchronously, so their buffer writes and counter bumps belong to that
-// thread, ordered per link by the channel FIFO.
+// allreduce.cpp / zoo.cpp / reduce_scatter.cpp), specialized to a small
+// configuration: READY flag pairs, published/consumed counters, LAPI credit
+// counters, and one "nic<n>" thread per node with inbound deposits — puts
+// land in the target's dispatcher asynchronously, so their buffer writes
+// and counter bumps belong to that thread, ordered per link by the channel
+// FIFO.
 //
 // Modeling conventions (kept deliberately structural):
 //   * rank threads are named "r<node>.<local>"; leaders are local 0 (and the
@@ -68,10 +69,13 @@ enum class Proto : std::uint8_t {
   ring_allreduce,
   rh_allreduce,
   sa_bcast,
+  // Root-free reduce_scatter (core/reduce_scatter.cpp): per-socket domain
+  // pipelines delivering every node's segment straight to its owners.
+  rs_direct,
 };
-inline constexpr int kProtoCount = 15;
+inline constexpr int kProtoCount = 16;
 const char* proto_name(Proto p);
-/// All fifteen, in a stable order.
+/// All sixteen, in a stable order.
 const std::vector<Proto>& all_protos();
 
 /// Build the synchronization skeleton of @p p on @p shape (nodes must be 1

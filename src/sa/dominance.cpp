@@ -58,11 +58,18 @@ int chunks_for(CollKind op, const Decision& d, std::size_t bytes,
     return static_cast<int>(std::max<std::size_t>(
         1, ceil_div(bytes, coll::reduce_step(d.chunk, cfg.reduce_chunk))));
   }
+  if (op == CollKind::reduce_scatter && d.algo == Algo::direct) {
+    // reduce_scatter_direct steps through the node segment (bytes is the
+    // per-rank block) in the row's chunk.
+    return static_cast<int>(std::max<std::size_t>(
+        1, ceil_div(bytes * kTasks,
+                    coll::reduce_step(d.chunk, cfg.reduce_chunk))));
+  }
   return 1;
 }
 
 /// The address-exchange direct broadcast (core/bcast.cpp bcast_large) has
-/// no entry among the fifteen protocol models, so the dominance pass
+/// no entry among the sixteen protocol models, so the dominance pass
 /// synthesizes its skeleton: the child announces its landing address, the
 /// root hands each chunk to its adapter (origin counter dorg), the put
 /// deposits in the child's dispatcher (arrival counter darr), and both
@@ -142,8 +149,8 @@ AlgoCost eval_model(const mc::Program& prog, const Plan& plan,
 }
 
 AlgoCost eval_proto(mc::Proto proto, int chunks, const Plan& plan,
-                    const machine::MachineParams& mp) {
-  mc::Shape sh{2, kTasks, chunks};
+                    const machine::MachineParams& mp, int sockets = 1) {
+  mc::Shape sh{2, kTasks, chunks, sockets};
   return eval_model(mc::build(proto, sh), plan, mp);
 }
 
@@ -167,9 +174,11 @@ std::vector<Decision> algo_menu(CollKind op) {
     case CollKind::scatter:
     case CollKind::gather:
       return {d(Algo::staged, false), d(Algo::staged, true)};
+    case CollKind::reduce_scatter:
+      return {d(Algo::staged, false), d(Algo::direct, false)};
     default:
-      // barrier / allgather / reduce_scatter have one implementation and no
-      // single-copy variant: their mapped column is never read.
+      // barrier and allgather have one implementation and no single-copy
+      // variant: their mapped column is never read.
       return {d(Algo::staged, false)};
   }
 }
@@ -267,6 +276,16 @@ AlgoCost algo_cost(CollKind op, Decision d, std::size_t bytes,
       out = eval_proto(mc::Proto::allgather, 1, plan, mp);
       break;
     case CollKind::reduce_scatter:
+      if (d.algo == Algo::direct) {
+        // Per step, a domain's partial spans the node segment's step
+        // (kTasks x B / C); every owner reads its model byte of it. Each
+        // socket of the profile is a domain.
+        plan.default_unit = B / static_cast<double>(C);
+        plan.accumulators = {"rslot"};
+        out = eval_proto(mc::Proto::rs_direct, C, plan, mp,
+                         std::min(mp.topo.sockets, kTasks));
+        break;
+      }
       plan.default_unit = B;
       plan.unit_overrides = {{"rd.", 2 * B}};
       plan.accumulators = {"res", "out"};
@@ -317,6 +336,13 @@ double scale_extra(CollKind op, Algo algo, const AlgoCost& c, int chunks,
       if (algo == Algo::rhalving) return band_extra + (2.0 * d - 2.0) * hop;
       // pipelined reduce+bcast: both trees pay the root link in full
       return 2.0 * (d - 1.0) * B * G + 2.0 * (d - 1.0) * hop / C;
+    case CollKind::reduce_scatter:
+      // The root-free protocol walks one round per node (the model: its
+      // own segment and one peer's), each a pass of the domain pipeline;
+      // the composition's reduce runs d levels deep (the model: one) and
+      // its scatter root puts to n - 1 nodes (the model: one).
+      if (algo == Algo::direct) return (n - 2.0) * c.ns / 2.0;
+      return (d - 1.0) * hop + (n - 2.0) * static_cast<double>(mp.net.o_send);
     default:
       return 0.0;  // single-root staged ops: menu entries share the scaling
   }
@@ -420,6 +446,11 @@ DominanceReport check_table(const coll::DecisionTable& t,
     auto op = static_cast<CollKind>(k);
     for (const auto& row : t.rows(op)) {
       std::size_t bytes = std::max<std::size_t>(row.min_bytes, 64);
+      // A reduce_scatter row is keyed on the node segment (coll::row_key);
+      // its cost takes the per-rank block.
+      if (op == CollKind::reduce_scatter) {
+        bytes = std::max<std::size_t>(row.min_bytes / kTableTasks, 8);
+      }
       Decision chosen = cfg.sanitize(op, row.d, bytes);
       AlgoCost cc = algo_cost(op, chosen, bytes, cfg, mp);
       if (!cc.feasible) continue;

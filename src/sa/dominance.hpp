@@ -11,7 +11,7 @@
 //
 // The cost of an algorithm at B bytes is the pass-(1) analysis of its IR
 // model on the canonical 2-node x 4-task shape, with a Plan scaling model
-// bytes to B. Two algorithms have no IR among the fifteen protocol models
+// bytes to B. Two algorithms have no IR among the sixteen protocol models
 // and are synthesized here: the direct (address-exchange) broadcast, and
 // the pipelined allreduce as the documented fill+drain composite
 // reduce(B) + one-chunk broadcast tail (core/allreduce.cpp overlaps the
@@ -105,9 +105,10 @@ std::vector<coll::Decision> algo_menu(coll::CollKind op);
 
 /// Evaluate one candidate at @p bytes. Infeasible candidates
 /// (SrmConfig::sanitize would reroute them) come back with feasible ==
-/// false. @p bytes is the decision-table key of the call: the node block
-/// (tasks per node x per-rank block) for scatter and gather, the per-rank
-/// block for allgather and reduce_scatter, and the message for the rest.
+/// false. @p bytes is the node block (tasks per node x per-rank block) for
+/// scatter and gather, as their rows are keyed; the per-rank block for
+/// allgather and reduce_scatter (a reduce_scatter row is keyed on the node
+/// segment, which check_table divides back); and the message for the rest.
 AlgoCost algo_cost(coll::CollKind op, coll::Decision d, std::size_t bytes,
                    const SrmConfig& cfg,
                    const machine::MachineParams& mp);

@@ -3,8 +3,10 @@
 // READY flags; consumers copy out and lower their flag; the leader waits
 // for all flags to drop before refilling), the Fig. 2 reduce tree
 // (children deposit partial results into staging slots guarded by
-// published/consumed counters), and the flat barrier (workers signal
-// per-worker flags, the master gathers them and raises a release flag) —
+// published/consumed counters), the flat barrier (workers signal
+// per-worker flags, the master gathers them and raises a release flag),
+// and the root-free reduce_scatter owner (combines each source's landed
+// partial once its landed count rises) —
 // and verify that srm::chk
 //   (a) stays silent on each correct protocol, and
 //   (b) flags each deliberately broken handshake: reordered publishes and
@@ -14,10 +16,11 @@
 //
 // Every seeded bug here has an abstract twin in srm::mc's mutation gauntlet
 // (src/mc/protocols.cpp): reduce.publish_before_write,
-// reduce.drop_consumed_gate, barrier.drop_worker_signal, barrier.drop_release
-// and the Fig. 3 bcast mutants, bcast.drop_far_slice_wait included. tests/mc_protocols_test.cpp asserts the model
-// checker catches those; this file asserts the concrete checker catches the
-// same handshake breaks, so each bug is flagged by both layers.
+// reduce.drop_consumed_gate, barrier.drop_worker_signal, barrier.drop_release,
+// rs_direct.drop_landed_wait and the Fig. 3 bcast mutants,
+// bcast.drop_far_slice_wait included. tests/mc_protocols_test.cpp asserts
+// the model checker catches those; this file asserts the concrete checker
+// catches the same handshake breaks, so each bug is flagged by both layers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -478,6 +481,94 @@ TEST(FlatBarrierMutation, DroppedReleaseDeadlocks) {
   EXPECT_TRUE(out.deadlocked)
       << "a master that never releases must wedge every worker";
   EXPECT_NE(out.detail.find("rel"), std::string::npos) << out.detail;
+}
+
+// ---------------------------------------------------------------------------
+// Root-free reduce_scatter owner (core/reduce_scatter.cpp): each source
+// domain's partial of the owner's block lands in that domain's slot, and
+// the slot's landed count rises once it is there; the owner awaits each
+// count before combining that partial. The last source lands late.
+// ---------------------------------------------------------------------------
+
+constexpr int kSources = 3;
+
+struct RsOwner {
+  sim::Engine eng;
+  machine::MemoryParams mp;
+  chk::Checker chk{eng, kSources + 1};
+  shm::Segment seg;
+  std::span<std::byte> land;  // kSources slots of kSlot bytes
+  shm::FlagArray* landed;
+  std::vector<chk::TaskChk> tasks;
+
+  RsOwner() {
+    chk.set_enabled(true);
+    seg.set_checker(&chk);
+    land = seg.buffer("rs_land", kSources * kSlot);
+    landed = &seg.object<shm::FlagArray>("landed", eng, mp, kSources, 0,
+                                         "landed");
+    for (int a = 0; a <= kSources; ++a) tasks.push_back({&chk, a});
+  }
+
+  std::byte* slot(int s) {
+    return land.data() + static_cast<std::size_t>(s) * kSlot;
+  }
+};
+
+sim::CoTask rs_source(RsOwner& f, int s) {
+  chk::TaskChk& me = f.tasks[static_cast<std::size_t>(s + 1)];
+  co_await f.eng.sleep(sim::ns(300) * static_cast<sim::Duration>(s + 1));
+  chk::note_write(me, f.slot(s), kSlot);
+  std::memset(f.slot(s), s + 1, kSlot);
+  (*f.landed)[s].set(1, &me);
+}
+
+/// @p drop_last_wait: the owner combines the last source's partial
+/// without awaiting its landed count (mc twin: rs_direct.drop_landed_wait).
+sim::CoTask rs_owner(RsOwner& f, bool drop_last_wait, int& sum) {
+  chk::TaskChk& me = f.tasks[0];
+  for (int s = 0; s < kSources; ++s) {
+    if (!(drop_last_wait && s == kSources - 1)) {
+      co_await (*f.landed)[s].await_value(1, &me);
+    }
+    chk::note_read(me, f.slot(s), kSlot);
+    sum += static_cast<int>(f.slot(s)[0]);
+    co_await f.eng.sleep(sim::ns(100));
+  }
+}
+
+int run_rs_owner(bool drop_last_wait, std::string* first_report) {
+  RsOwner f;
+  int sum = 0;
+  f.eng.spawn(rs_owner(f, drop_last_wait, sum));
+  for (int s = 0; s < kSources; ++s) f.eng.spawn(rs_source(f, s));
+  f.eng.run();
+  if (chk::kEnabled) {
+    EXPECT_GT(f.chk.accesses_checked(), 0u);
+  }
+  if (!drop_last_wait) {
+    EXPECT_EQ(sum, kSources * (kSources + 1) / 2);
+  }
+  if (first_report != nullptr && !f.chk.reports().empty()) {
+    *first_report = f.chk.reports()[0].to_string();
+  }
+  return static_cast<int>(f.chk.reports().size());
+}
+
+TEST(RsOwnerMutation, CorrectProtocolIsClean) {
+  std::string report;
+  int races = run_rs_owner(/*drop_last_wait=*/false, &report);
+  EXPECT_EQ(races, 0) << report;
+}
+
+TEST(RsOwnerMutation, DroppedLastPartialWaitIsReported) {
+  if (!chk::kEnabled) GTEST_SKIP() << "built with SRM_CHK=OFF";
+  std::string report;
+  int races = run_rs_owner(/*drop_last_wait=*/true, &report);
+  EXPECT_GT(races, 0)
+      << "the owner combined the last source's partial before it landed — "
+         "its read is unordered against the deposit";
+  EXPECT_NE(report.find("rs_land"), std::string::npos) << report;
 }
 
 }  // namespace

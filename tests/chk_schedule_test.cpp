@@ -9,6 +9,7 @@
 
 #include "chk/chk.hpp"
 #include "chk/explore.hpp"
+#include "coll/decision.hpp"
 
 namespace srm {
 namespace {
@@ -51,6 +52,13 @@ TEST(ScheduleExplorer, SrmTwoSocketModernSmpSixteen) {
   // modern_smp sockets hold 8 tasks, so at 12 per node the 4 tasks of
   // socket 1 form a far group that splits every Fig. 3 publish led from
   // socket 0 (smp_bcast_chunk), under the profile's own decision table.
+  // The sequence's reduce_scatter (200 doubles per rank, a 19200 B node
+  // segment) runs that table's root-free row over domains of 8 and 4.
+  coll::Decision rs = coll::DecisionTable::modern_smp().decide(
+      coll::CollKind::reduce_scatter,
+      coll::row_key(coll::CollKind::reduce_scatter, 200 * sizeof(double),
+                    12));
+  EXPECT_EQ(rs.algo, coll::Algo::direct);
   ExploreOptions opt;
   opt.backend = ExploreBackend::srm;
   opt.nodes = 2;

@@ -1,6 +1,6 @@
 // srm::sa pass (2): the lint rule catalog over the shipped protocol models.
 // The load-bearing property is the clean bill of health: every one of the
-// fifteen protocol IRs lints clean on every supported shape, so any
+// sixteen protocol IRs lints clean on every supported shape, so any
 // diagnostic on a user model is a real finding, not catalog noise.
 #include <gtest/gtest.h>
 

@@ -1,8 +1,9 @@
 // Deterministic operation-sequence fuzzing: long random mixes of all eight
-// collectives with random roots, sizes (straddling every protocol switch),
-// dtypes and operators, verified element-exactly against a sequential
-// reference. This is the strongest guard on the cross-operation slot/credit
-// state machines (landing parity, credit conservation, staging reuse).
+// collectives with random roots and sizes (straddling every protocol
+// switch), verified element-exactly against a sequential reference, on the
+// paper's machine and on the hierarchical profile with its builtin table.
+// This is the strongest guard on the cross-operation slot/credit state
+// machines (landing parity, credit conservation, staging reuse).
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -19,8 +20,16 @@ using machine::TaskCtx;
 using sim::CoTask;
 
 struct OpPlan {
-  enum Kind { bcast, reduce, allreduce, barrier, scatter, gather, allgather }
-      kind;
+  enum Kind {
+    bcast,
+    reduce,
+    allreduce,
+    barrier,
+    scatter,
+    gather,
+    allgather,
+    reduce_scatter
+  } kind;
   std::size_t count;  // elements (f64) or bytes for bcast
   int root;
 };
@@ -35,7 +44,7 @@ std::vector<OpPlan> make_plan(std::uint64_t seed, int nranks, int nops) {
   std::vector<OpPlan> plan;
   for (int i = 0; i < nops; ++i) {
     OpPlan op;
-    op.kind = static_cast<OpPlan::Kind>(rng.next_below(7));
+    op.kind = static_cast<OpPlan::Kind>(rng.next_below(8));
     op.root = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(nranks)));
     switch (op.kind) {
       case OpPlan::bcast:
@@ -48,6 +57,7 @@ std::vector<OpPlan> make_plan(std::uint64_t seed, int nranks, int nops) {
       case OpPlan::scatter:
       case OpPlan::gather:
       case OpPlan::allgather:
+      case OpPlan::reduce_scatter:
         op.count = blk_counts[rng.next_below(4)];
         break;
       case OpPlan::barrier:
@@ -63,13 +73,17 @@ double value(int rank, int op_index, std::size_t i) {
   return (rank % 13) + (op_index % 7) * 0.5 + static_cast<double>(i % 11);
 }
 
-void run_fuzz(std::uint64_t seed, int nodes, int ppn, int nops) {
+void run_fuzz(std::uint64_t seed, int nodes, int ppn, int nops,
+              const machine::MachineParams& params =
+                  machine::MachineParams::ibm_sp(),
+              SrmConfig cfg = {}) {
   ClusterConfig cc;
   cc.nodes = nodes;
   cc.tasks_per_node = ppn;
+  cc.params = params;
   Cluster cluster(cc);
   lapi::Fabric fabric(cluster);
-  Communicator comm(cluster, fabric);
+  Communicator comm(cluster, fabric, cfg);
   int n = nodes * ppn;
   auto plan = make_plan(seed, n, nops);
 
@@ -172,6 +186,28 @@ void run_fuzz(std::uint64_t seed, int nodes, int ppn, int nops) {
           }
           break;
         }
+        case OpPlan::reduce_scatter: {
+          // Element i of rank r's block sums value(q, k, r * count + i)
+          // over every rank q.
+          std::size_t total = op.count * static_cast<std::size_t>(n);
+          std::vector<double> in(total), out(op.count, -1.0);
+          for (std::size_t i = 0; i < total; ++i) in[i] = value(t.rank, k, i);
+          co_await comm.reduce_scatter(t, coll::of(in.data(), op.count),
+                                       coll::of(out.data(), op.count),
+                                       coll::RedOp::sum);
+          std::size_t base = static_cast<std::size_t>(t.rank) * op.count;
+          for (std::size_t i = 0; i < op.count; ++i) {
+            double expect = 0.0;
+            for (int r = 0; r < n; ++r) expect += value(r, k, base + i);
+            if (out[i] != expect) {
+              ADD_FAILURE() << "op " << k << " rank " << t.rank
+                            << " element " << i << ": " << out[i]
+                            << " != " << expect;
+              break;
+            }
+          }
+          break;
+        }
       }
     }
   });
@@ -189,6 +225,25 @@ TEST_P(SrmFuzz, RandomSequenceFatNodes) {
 
 TEST_P(SrmFuzz, RandomSequenceManyThinNodes) {
   run_fuzz(GetParam() ^ 0x1234, 7, 2, 18);
+}
+
+// The hierarchical profile with single-copy on and its builtin table: the
+// mapped, zoo and root-free reduce_scatter rows run between the others.
+// 3x12 splits each node into sockets of 8 and 4.
+SrmConfig single_copy() {
+  SrmConfig cfg;
+  cfg.single_copy = true;
+  return cfg;
+}
+
+TEST_P(SrmFuzz, RandomSequenceModernSmp2x16) {
+  run_fuzz(GetParam() ^ 0x2016, 2, 16, 18,
+           machine::MachineParams::modern_smp(), single_copy());
+}
+
+TEST_P(SrmFuzz, RandomSequenceModernSmp3x12) {
+  run_fuzz(GetParam() ^ 0x3012, 3, 12, 18,
+           machine::MachineParams::modern_smp(), single_copy());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SrmFuzz,

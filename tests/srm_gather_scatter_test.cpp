@@ -202,6 +202,130 @@ TEST(SrmGatherScatter, InterleavedWithOtherCollectives) {
   });
 }
 
+// ---- root-free reduce_scatter (Algo::direct) ----
+
+/// @p calls back-to-back reduce_scatters of @p count elements per rank
+/// under a table whose only reduce_scatter row is @p row, with the race
+/// checker on; every element must equal the sequential sum.
+void direct_reduce_scatter(const machine::MachineParams& params, int nodes,
+                           int ppn, std::size_t count, coll::Decision row,
+                           int calls = 2) {
+  ClusterConfig cc;
+  cc.nodes = nodes;
+  cc.tasks_per_node = ppn;
+  cc.params = params;
+  Cluster cluster(cc);
+  cluster.checker().set_enabled(true);
+  lapi::Fabric fabric(cluster);
+  SrmConfig cfg;
+  cfg.decisions.profile = "forced";
+  cfg.decisions.set(coll::CollKind::reduce_scatter, 0, row);
+  Communicator comm(cluster, fabric, cfg);
+  int n = nodes * ppn;
+  auto input = [](int rank, int call, std::size_t i) {
+    return rank * 3.0 + call * 0.5 + static_cast<double>(i % 17);
+  };
+  int wrong = 0;
+  cluster.run([&](TaskCtx& t) -> CoTask {
+    for (int call = 0; call < calls; ++call) {
+      std::size_t total = count * static_cast<std::size_t>(n);
+      std::vector<double> in(total), out(count, -1.0);
+      for (std::size_t i = 0; i < total; ++i) in[i] = input(t.rank, call, i);
+      co_await comm.reduce_scatter(t, coll::of(in.data(), count),
+                                   coll::of(out.data(), count),
+                                   coll::RedOp::sum);
+      std::size_t base = static_cast<std::size_t>(t.rank) * count;
+      for (std::size_t i = 0; i < count; ++i) {
+        double want = 0.0;
+        for (int r = 0; r < n; ++r) want += input(r, call, base + i);
+        if (out[i] != want) {
+          ++wrong;
+          ADD_FAILURE() << nodes << "x" << ppn << " count " << count
+                        << " call " << call << " rank " << t.rank
+                        << " element " << i << ": " << out[i]
+                        << " != " << want;
+          break;
+        }
+      }
+    }
+  });
+  EXPECT_EQ(wrong, 0);
+  for (const auto& r : cluster.checker().reports()) {
+    ADD_FAILURE() << r.to_string();
+  }
+}
+
+coll::Decision direct_row(coll::TreeKind tree, std::size_t chunk = 0) {
+  return {coll::Algo::direct, false, coll::TreeKind::binomial, tree, chunk};
+}
+
+TEST(SrmReduceScatterDirect, SumsOnEveryDomainSplit) {
+  // modern_smp sockets hold 8 tasks: 2x16 runs two domains of 8, 3x12
+  // domains of 8 and 4, 1x16 has no remote round and 5x1 no intra-node
+  // tree; ibm_sp 4x8 is one domain. Blocks of one element and odd counts;
+  // node segments shorter than one 16 KiB step and spanning several.
+  const auto smp = machine::MachineParams::modern_smp();
+  const auto sp = machine::MachineParams::ibm_sp();
+  for (coll::TreeKind tree :
+       {coll::TreeKind::chain, coll::TreeKind::binomial}) {
+    direct_reduce_scatter(smp, 2, 16, 1, direct_row(tree));
+    direct_reduce_scatter(smp, 2, 16, 333, direct_row(tree));
+    direct_reduce_scatter(smp, 3, 12, 7, direct_row(tree));
+    direct_reduce_scatter(smp, 3, 12, 1501, direct_row(tree));
+    direct_reduce_scatter(smp, 1, 16, 999, direct_row(tree));
+    direct_reduce_scatter(smp, 5, 1, 3001, direct_row(tree));
+    direct_reduce_scatter(sp, 4, 8, 1, direct_row(tree));
+    direct_reduce_scatter(sp, 4, 8, 777, direct_row(tree));
+  }
+}
+
+TEST(SrmReduceScatterDirect, SumsInSubSlotSteps) {
+  // A 4 KiB step splits an owner's block across steps and a step across
+  // owners; 8x16 at 65 elements per rank runs 17 steps per segment.
+  const auto smp = machine::MachineParams::modern_smp();
+  direct_reduce_scatter(smp, 8, 16, 65,
+                        direct_row(coll::TreeKind::chain, 4 * 1024));
+  direct_reduce_scatter(smp, 3, 12, 100,
+                        direct_row(coll::TreeKind::binary, 8 * 1024), 3);
+}
+
+TEST(SrmReduceScatterDirect, InterleavesWithTheOtherReduceSlots) {
+  // The domain pipeline shares the per-local red_slot counters with the
+  // reduce: alternate the two with the root off the first socket.
+  ClusterConfig cc;
+  cc.nodes = 2;
+  cc.tasks_per_node = 16;
+  cc.params = machine::MachineParams::modern_smp();
+  Cluster cluster(cc);
+  cluster.checker().set_enabled(true);
+  lapi::Fabric fabric(cluster);
+  SrmConfig cfg;
+  cfg.decisions.profile = "forced";
+  cfg.decisions.set(coll::CollKind::reduce_scatter, 0,
+                    direct_row(coll::TreeKind::chain));
+  Communicator comm(cluster, fabric, cfg);
+  const std::size_t per = 129;
+  cluster.run([&](TaskCtx& t) -> CoTask {
+    for (int round = 0; round < 3; ++round) {
+      std::vector<double> in(per * 32, 1.0 * (t.rank + round));
+      std::vector<double> out(per, -1.0), red(per * 32, -1.0);
+      co_await comm.reduce_scatter(t, coll::of(in.data(), per),
+                                   coll::of(out.data(), per),
+                                   coll::RedOp::sum);
+      double want = 32.0 * round + 31.0 * 32.0 / 2.0;
+      EXPECT_EQ(out[0], want) << "round " << round << " rank " << t.rank;
+      EXPECT_EQ(out[per - 1], want);
+      co_await comm.reduce(t, coll::of(in.data(), per * 32),
+                           coll::of(red.data(), per * 32), coll::RedOp::sum,
+                           9 + round);
+      if (t.rank == 9 + round) {
+        EXPECT_EQ(red[per * 31], want);
+      }
+    }
+  });
+  EXPECT_TRUE(cluster.checker().reports().empty());
+}
+
 // ---- mini-MPI counterparts ----
 
 TEST(MpiGatherScatter, LinearAlgorithmsCorrect) {
