@@ -74,12 +74,16 @@ bool algo_from_name(std::string_view s, Algo& out);
 /// message in one step; bcast_step); the paper's 4 KB chunks for (8, 32] KB
 /// (§2.4) are ibm_sp()'s rows. A reduce row (and so a staged reduce_scatter's
 /// reduce), a pipelined allreduce row, both halves alike, and a direct
-/// reduce_scatter row step through the reduce slots and landing zones in it (0:
-/// SrmConfig::reduce_chunk, the slot size; reduce_step). rd, ring and rhalving
-/// rows and every other op's rows leave it unread. A reduce_scatter row reads
-/// neither `internode` (its rounds visit every node in turn) nor `mapped` (it
-/// has no mapped variant); a staged one reads nothing, its reduce and scatter
-/// calls run their own rows.
+/// reduce_scatter or allreduce row step through the reduce slots and landing
+/// zones in it (0: SrmConfig::reduce_chunk, the slot size; reduce_step). rd,
+/// ring and rhalving rows and every other op's rows leave it unread. A
+/// reduce_scatter row reads neither `internode` (its rounds visit every node
+/// in turn) nor `mapped` (it has no mapped variant); a staged one reads
+/// nothing, its reduce and scatter calls run their own rows. A direct
+/// allreduce row drives both of its phases: `intranode` and `chunk` its
+/// reduce_scatter, `mapped` its allgather's node assembly. An allgather row
+/// reads only `algo` and, when direct, `mapped`; a staged one's gather and
+/// bcast calls run their own rows.
 struct Decision {
   Algo algo = Algo::staged;
   bool mapped = false;
@@ -105,8 +109,8 @@ inline std::size_t reduce_step(std::size_t chunk, std::size_t reduce_chunk) {
 
 /// The size a call of @p op with @p bytes per rank is looked up at, and so
 /// the size a tuned row is keyed by: the node block (@p tasks_per_node x
-/// @p bytes) for scatter and gather, whose node leader moves the whole
-/// block, and for reduce_scatter, whose node segment is what a domain
+/// @p bytes) for scatter, gather and allgather, whose node leader moves the
+/// whole block, and for reduce_scatter, whose node segment is what a domain
 /// reduces and delivers per round; @p bytes for every other op.
 std::size_t row_key(CollKind op, std::size_t bytes, int tasks_per_node);
 

@@ -12,6 +12,11 @@
 // rank 0 running *concurrently* with a broadcast from rank 0, coupled chunk
 // by chunk through a completion counter, so all four stages process
 // different chunks simultaneously.
+//
+// A direct row runs without a root: the root-free reduce_scatter of the
+// ranks' blocks (core/reduce_scatter.cpp), then the root-free allgather of
+// the reduced blocks (core/gather_scatter.cpp), as the hybrid allreduces
+// of the multi-core literature do.
 #include <cstring>
 
 #include "core/communicator.hpp"
@@ -153,6 +158,25 @@ sim::CoTask Communicator::allreduce_pipelined(machine::TaskCtx& t,
       *t.eng, bcast_large(t, recv, bytes, emb, step, gate, dec.mapped));
   co_await reduce_done->wait();
   co_await bcast_done->wait();
+}
+
+sim::CoTask Communicator::allreduce_direct(machine::TaskCtx& t,
+                                           const void* send, void* recv,
+                                           std::size_t count, coll::Dtype d,
+                                           coll::RedOp op,
+                                           const coll::Decision& dec) {
+  obs::Span span(*t.obs, t.rank, "allreduce.direct");
+  chk::StageScope stage(t.chk, "allreduce.direct");
+  // Each rank reduces its block of the vector straight into its place in
+  // recv, then the blocks are gathered in place: no rank handles more of
+  // the vector than its node's share. Equal steps keep a segment just
+  // over a step count from paying a short tail step.
+  std::size_t esize = coll::dtype_size(d);
+  Blocks blk{count, t.nranks()};
+  std::byte* mine = static_cast<std::byte*>(recv) + blk.lo(t.rank) * esize;
+  co_await reduce_scatter_direct(t, send, mine, blk, /*even=*/true, d, op,
+                                 dec);
+  co_await allgather_direct(t, mine, recv, blk, esize, dec.mapped);
 }
 
 }  // namespace srm

@@ -80,8 +80,9 @@ struct SrmConfig {
   /// not implement the op or one step of it cannot carry its bytes
   /// (max_bytes). A step is the whole message, except on a staged bcast
   /// row with a chunk, which carries any size in chunk-sized steps.
-  /// reduce_scatter implements staged (reduce + scatter) and direct (the
-  /// root-free protocol). A reduce, pipelined-allreduce or direct
+  /// reduce_scatter and allgather implement staged (reduce + scatter,
+  /// gather + bcast) and direct (the root-free protocols); allreduce also
+  /// implements direct. A reduce, pipelined or direct allreduce, or direct
   /// reduce_scatter row whose chunk exceeds one reduce_chunk slot keeps
   /// its algorithm and falls back to chunk 0, the paper's step. Dispatch,
   /// the static analyzer and the tuners all ask this one function.
@@ -99,14 +100,17 @@ struct SrmConfig {
     } else if (op == coll::CollKind::allreduce) {
       paper = Algo::pipeline;
       implemented = d.algo == Algo::rd || d.algo == Algo::pipeline ||
-                    d.algo == Algo::ring || d.algo == Algo::rhalving;
-    } else if (op == coll::CollKind::reduce_scatter) {
+                    d.algo == Algo::ring || d.algo == Algo::rhalving ||
+                    d.algo == Algo::direct;
+    } else if (op == coll::CollKind::reduce_scatter ||
+               op == coll::CollKind::allgather) {
       implemented = d.algo == Algo::staged || d.algo == Algo::direct;
     }
     if (!implemented || step > max_bytes(op, d.algo)) d.algo = paper;
     bool reduce_pipeline =
         op == coll::CollKind::reduce ||
-        (op == coll::CollKind::allreduce && d.algo == Algo::pipeline) ||
+        (op == coll::CollKind::allreduce &&
+         (d.algo == Algo::pipeline || d.algo == Algo::direct)) ||
         (op == coll::CollKind::reduce_scatter && d.algo == Algo::direct);
     if (reduce_pipeline && d.chunk > reduce_chunk) d.chunk = 0;
     return d;

@@ -14,8 +14,12 @@
 //    leader puts finished chunks straight into their final location in the
 //    root's buffer — no intermediate copies on the network path.
 //
-//  * allgather  = gather to rank 0 + broadcast (the composition benefits
-//    from both optimized halves);
+//  * allgather on a staged row = gather to rank 0 + broadcast (the
+//    composition benefits from both optimized halves). A direct row runs
+//    without a root: every leader assembles its node block with the
+//    gather's node assembly (gather_node), the leaders pass node blocks
+//    around the node ring (Communicator::Ring, core/zoo.cpp), and each
+//    block is published locally as it lands;
 //  * reduce_scatter on a staged row = reduce to rank 0 + scatter. A direct
 //    row runs the root-free protocol of core/reduce_scatter.cpp instead.
 // Each call of a composition runs its own row at its own size.
@@ -172,25 +176,21 @@ sim::CoTask Communicator::real_gather(machine::TaskCtx& t, const void* send,
   if (bytes_per == 0) co_return;
 
   NodeState& ns = node_state(t);
-  RankState& rs = rank_state(t);
   int root_node = t.topo->node_of(root);
   int my_node = t.node();
   int leader_local = my_node == root_node ? t.topo->local_of(root) : 0;
   bool is_leader = t.local() == leader_local;
 
   std::size_t block = bytes_per;
-  std::size_t node_block = block * static_cast<std::size_t>(t.nlocal());
-  std::size_t chunk = cfg_.smp_buf_bytes;
-  std::size_t nchunks = detail::chunk_count(node_block, chunk);
-  std::size_t my_lo = static_cast<std::size_t>(t.local()) * block;
-  std::size_t my_hi = my_lo + block;
+  int p = t.nlocal();
+  std::vector<std::size_t> off(static_cast<std::size_t>(p) + 1);
+  for (int l = 0; l <= p; ++l) {
+    off[static_cast<std::size_t>(l)] = static_cast<std::size_t>(l) * block;
+  }
+  std::size_t node_block = off.back();
+  std::size_t nchunks = detail::chunk_count(node_block, cfg_.smp_buf_bytes);
   std::size_t node_base =
       static_cast<std::size_t>(my_node) * node_block;  // in the root buffer
-
-  auto slot_of = [this](std::uint64_t a) {
-    return cfg_.use_two_buffers ? a % 2 : std::size_t{0};
-  };
-  int p = t.nlocal();
 
   lapi::Endpoint& my_ep = ep(t.rank);
 
@@ -210,33 +210,72 @@ sim::CoTask Communicator::real_gather(machine::TaskCtx& t, const void* send,
     if (org_pending > 0) co_await my_ep.wait_cntr(org, org_pending);
   }
 
-  // Single-copy path (root node only): instead of staging slices through
-  // ga_stage, every local exports a window over its send block and the root
-  // pulls each block straight into its final place in recv — N-1 copies
-  // where the staged assembly makes 2 per byte.
-  bool mapped =
-      decide(t, coll::CollKind::gather, block).mapped && my_node == root_node;
+  // Stage 1 (everyone): assemble the node block. The root node assembles
+  // it in place in recv, mapped when its row says so; every other leader
+  // learns where its chunks go and puts them there.
+  if (my_node == root_node) {
+    co_await gather_node(
+        t, send, static_cast<std::byte*>(recv) + node_base, off, leader_local,
+        decide(t, coll::CollKind::gather, block).mapped, -1);
+  } else {
+    std::byte* root_dst = nullptr;
+    if (is_leader) {
+      NodeState::Link::GaCell& cell =
+          ns.ga_cell(root_node, t.topo->local_of(root));
+      co_await my_ep.wait_cntr(*cell.arr, 1);
+      root_dst = static_cast<std::byte*>(cell.addr) + node_base;
+    }
+    co_await gather_node(t, send, root_dst, off, leader_local, false, root);
+  }
+
+  // Root: wait for every remote node's chunks to land.
+  if (t.rank == root) {
+    for (int nd = 0; nd < t.nnodes(); ++nd) {
+      if (nd == root_node) continue;
+      co_await my_ep.wait_cntr(*ns.link(nd).ga_done, nchunks);
+    }
+  }
+}
+
+sim::CoTask Communicator::gather_node(machine::TaskCtx& t, const void* send,
+                                      std::byte* dst,
+                                      const std::vector<std::size_t>& off,
+                                      int leader_local, bool mapped, int to) {
+  NodeState& ns = node_state(t);
+  RankState& rs = rank_state(t);
+  int p = t.nlocal();
+  bool is_leader = t.local() == leader_local;
+  auto mi = static_cast<std::size_t>(t.local());
+  std::size_t my_lo = off[mi];
+  std::size_t my_hi = off[mi + 1];
+
+  // Single-copy path: instead of staging slices through ga_stage, every
+  // local exports a window over its send block and the leader pulls each
+  // block straight into its final place in dst — N-1 copies where the
+  // staged assembly makes 2 per byte.
   if (mapped) {
     if (!is_leader) {
-      co_await ns.map->publish(t, const_cast<void*>(send), block);
+      co_await ns.map->publish(t, const_cast<void*>(send), my_hi - my_lo);
       co_await ns.map->retract(t, 1);
     } else {
-      std::byte* rp = static_cast<std::byte*>(recv) + node_base;
       for (int l = 0; l < p; ++l) {
         auto li = static_cast<std::size_t>(l);
-        std::size_t dst_off = static_cast<std::size_t>(l) * block;
+        std::size_t len = off[li + 1] - off[li];
         if (l == leader_local) {
-          co_await t.nd->mem.charge_copy(static_cast<double>(block));
-          std::memcpy(rp + dst_off, send, block);
+          // Already in place when the leader's block is part of dst.
+          if (dst + off[li] != send) {
+            co_await t.nd->mem.charge_copy(static_cast<double>(len));
+            std::memcpy(dst + off[li], send, len);
+          }
           continue;
         }
         shm::Mapping::Window w;
         co_await ns.map->attach(t, l, rs.map_gen[li] + 1, &w);
         co_await t.nd->mem.charge_copy_scaled(
-            static_cast<double>(block),
+            static_cast<double>(len),
             t.P->topo.copy_factor(l, t.local(), true));
-        std::memcpy(rp + dst_off, w.data, block);
-        chk::note_read(t.chk, w.data, block);
+        std::memcpy(dst + off[li], w.data, len);
+        chk::note_read(t.chk, w.data, len);
         ns.map->detach(t, l);
       }
     }
@@ -245,45 +284,37 @@ sim::CoTask Communicator::real_gather(machine::TaskCtx& t, const void* send,
     for (int l = 0; l < p; ++l) {
       if (l != leader_local) rs.map_gen[static_cast<std::size_t>(l)] += 1;
     }
-    // The root still has to wait for the remote nodes' puts below.
-    if (t.rank == root) {
-      for (int nd = 0; nd < t.nnodes(); ++nd) {
-        if (nd == root_node) continue;
-        co_await my_ep.wait_cntr(*ns.link(nd).ga_done, nchunks);
-      }
-    }
     co_return;
   }
 
-  // Stage 1 (everyone): assemble the node block in the shared staging pair.
+  // Staged: assemble the node block chunk-wise in the shared staging pair.
   // All p locals bump the filled counter for every chunk (with or without a
   // contribution), so the expected count per chunk is exactly p.
-  std::byte* root_dst = nullptr;  // leaders learn where chunks go
-  if (is_leader && my_node != root_node) {
-    NodeState::Link::GaCell& cell =
-        ns.ga_cell(root_node, t.topo->local_of(root));
-    co_await my_ep.wait_cntr(*cell.arr, 1);
-    root_dst = static_cast<std::byte*>(cell.addr);
-  }
-
+  std::size_t node_block = off.back();
+  std::size_t chunk = cfg_.smp_buf_bytes;
+  std::size_t nchunks = detail::chunk_count(node_block, chunk);
+  auto slot_of = [this](std::uint64_t a) {
+    return cfg_.use_two_buffers ? a % 2 : std::size_t{0};
+  };
+  lapi::Endpoint& my_ep = ep(t.rank);
   lapi::Counter out_org(*t.eng, "gather.out_org@" + std::to_string(t.rank));
   std::deque<std::size_t> inflight_slots;  // staging slots with a put in air
   for (std::size_t c = 0; c < nchunks; ++c) {
-    std::size_t off = c * chunk;
-    std::size_t len = std::min(chunk, node_block - off);
+    std::size_t off_c = c * chunk;
+    std::size_t len = std::min(chunk, node_block - off_c);
     std::uint64_t a = rs.ga_seq + c;  // lifetime chunk index on this node
     std::size_t slot = slot_of(a);
 
     // Writer side: wait until all previous occupants of this slot are gone.
     co_await ns.ga_freed[slot]->await_at_least(
         cfg_.use_two_buffers ? a / 2 : a, &t.chk);
-    std::size_t lo = std::max(my_lo, off);
-    std::size_t hi = std::min(my_hi, off + len);
+    std::size_t lo = std::max(my_lo, off_c);
+    std::size_t hi = std::min(my_hi, off_c + len);
     std::byte* staging = ns.ga_stage()[slot].data();
     if (lo < hi) {
       co_await t.nd->mem.charge_copy(static_cast<double>(hi - lo));
-      chk::note_write(t.chk, staging + (lo - off), hi - lo);
-      std::memcpy(staging + (lo - off),
+      chk::note_write(t.chk, staging + (lo - off_c), hi - lo);
+      std::memcpy(staging + (lo - off_c),
                   static_cast<const std::byte*>(send) + (lo - my_lo),
                   hi - lo);
     }
@@ -296,10 +327,10 @@ sim::CoTask Communicator::real_gather(machine::TaskCtx& t, const void* send,
         (cfg_.use_two_buffers ? a / 2 : a) * static_cast<std::uint64_t>(p);
     co_await ns.ga_filled[slot]->await_at_least(
         prior + static_cast<std::uint64_t>(p), &t.chk);
-    if (my_node == root_node) {
-      // The root copies straight into its receive buffer. The stage slices
-      // are dirty in p different caches; charge the stream at the average
-      // pull distance (exactly 1.0 on a single-domain topology).
+    if (to < 0) {
+      // The leader copies straight into dst. The stage slices are dirty
+      // in p different caches; charge the stream at the average pull
+      // distance (exactly 1.0 on a single-domain topology).
       double f = 0.0;
       for (int l = 0; l < p; ++l) {
         f += t.P->topo.copy_factor(l, t.local(), /*dirty=*/true);
@@ -307,13 +338,13 @@ sim::CoTask Communicator::real_gather(machine::TaskCtx& t, const void* send,
       co_await t.nd->mem.charge_copy_scaled(
           static_cast<double>(len), f / static_cast<double>(p));
       chk::note_read(t.chk, staging, len);
-      std::memcpy(static_cast<std::byte*>(recv) + node_base + off, staging,
-                  len);
+      std::memcpy(dst + off_c, staging, len);
       ns.ga_freed[slot]->add(1, &t.chk);
     } else {
-      NodeState& root_ns = *nodes_[static_cast<std::size_t>(root_node)];
-      co_await my_ep.put(ep(root), root_dst + node_base + off, staging, len,
-                         root_ns.link(my_node).ga_done.get(), &out_org);
+      NodeState& to_ns =
+          *nodes_[static_cast<std::size_t>(t.topo->node_of(to))];
+      co_await my_ep.put(ep(to), dst + off_c, staging, len,
+                         to_ns.link(t.node()).ga_done.get(), &out_org);
       inflight_slots.push_back(slot);
       // Keep at most two chunks in flight; origin-counter bumps arrive in
       // injection order, so the front of the queue is the slot that the
@@ -330,15 +361,6 @@ sim::CoTask Communicator::real_gather(machine::TaskCtx& t, const void* send,
     ns.ga_freed[inflight_slots.front()]->add(1, &t.chk);
     inflight_slots.pop_front();
   }
-
-  // Root: wait for every remote node's chunks to land.
-  if (t.rank == root) {
-    for (int nd = 0; nd < t.nnodes(); ++nd) {
-      if (nd == root_node) continue;
-      co_await my_ep.wait_cntr(*ns.link(nd).ga_done, nchunks);
-    }
-  }
-
   rs.ga_seq += nchunks;
 }
 
@@ -347,9 +369,64 @@ sim::CoTask Communicator::real_allgather(machine::TaskCtx& t,
                                          std::size_t bytes_per) {
   obs::Span span(*t.obs, t.rank, "srm.allgather");
   chk::StageScope stage(t.chk, "srm.allgather");
+  coll::Decision dec = decide(t, coll::CollKind::allgather, bytes_per);
+  if (dec.algo == coll::Algo::direct) {
+    rank_state(t).op_seq++;
+    if (bytes_per == 0) co_return;
+    co_await allgather_direct(
+        t, send, recv,
+        {bytes_per * static_cast<std::size_t>(t.nranks()), t.nranks()}, 1,
+        dec.mapped);
+    co_return;
+  }
   co_await real_gather(t, send, recv, bytes_per, 0);
   co_await real_bcast(t, recv,
                       bytes_per * static_cast<std::size_t>(t.nranks()), 0);
+}
+
+sim::CoTask Communicator::allgather_direct(machine::TaskCtx& t,
+                                           const void* send, void* recv,
+                                           const Blocks& blk,
+                                           std::size_t esize, bool mapped) {
+  obs::Span span(*t.obs, t.rank, "allgather.direct");
+  chk::StageScope stage(t.chk, "allgather.direct");
+  const int n = t.nnodes();
+  const int p = t.nlocal();
+  const int v = t.node();
+  // Node i's segment and, within this node's, local l's block, in bytes.
+  std::vector<std::size_t> lo(static_cast<std::size_t>(n) + 1);
+  std::vector<int> leader(static_cast<std::size_t>(n));
+  for (int i = 0; i <= n; ++i) {
+    lo[static_cast<std::size_t>(i)] = blk.lo(i * p) * esize;
+    if (i < n) leader[static_cast<std::size_t>(i)] = t.topo->master_of(i);
+  }
+  std::vector<std::size_t> off(static_cast<std::size_t>(p) + 1);
+  for (int l = 0; l <= p; ++l) {
+    off[static_cast<std::size_t>(l)] = blk.lo(v * p + l) * esize -
+                                       lo[static_cast<std::size_t>(v)];
+  }
+  auto* base = static_cast<std::byte*>(recv);
+  Ring ring(*this, t, base, std::move(lo), std::move(leader));
+  lapi::Endpoint& my_ep = ep(t.rank);
+  bool lead = ring.leads() && n > 1;
+
+  // The leader announces its buffer to the predecessor first, so the ring
+  // can start as soon as the predecessor has assembled its segment.
+  if (lead) {
+    my_ep.set_interrupts(false);
+    bool incoming = false;
+    for (int b = 0; b < n; ++b) {
+      if (b != v && ring.len(b) > 0) incoming = true;
+    }
+    if (incoming) co_await ring.announce((v + n - 1) % n);
+  }
+  co_await gather_node(t, send, base + ring.lo[static_cast<std::size_t>(v)],
+                       off, ring.leader_local, mapped, -1);
+  co_await ring.steps(1, true);
+  if (lead) {
+    co_await ring.drain();
+    my_ep.set_interrupts(true);
+  }
 }
 
 sim::CoTask Communicator::real_reduce_scatter(machine::TaskCtx& t,
@@ -364,7 +441,10 @@ sim::CoTask Communicator::real_reduce_scatter(machine::TaskCtx& t,
   if (dec.algo == coll::Algo::direct) {
     rank_state(t).op_seq++;
     if (count_per_rank == 0) co_return;
-    co_await reduce_scatter_direct(t, send, recv, count_per_rank, d, op, dec);
+    co_await reduce_scatter_direct(
+        t, send, recv,
+        {count_per_rank * static_cast<std::size_t>(t.nranks()), t.nranks()},
+        /*even=*/false, d, op, dec);
     co_return;
   }
   std::size_t total = count_per_rank * static_cast<std::size_t>(t.nranks());

@@ -39,6 +39,13 @@
 //    task does one thing at a time.
 //
 // Ranks that receive puts take them polled for the whole call (§2.3).
+//
+// The blocks may be ragged (Communicator::Blocks): the direct allreduce
+// runs this protocol over the ranks' shares of its vector, some empty
+// below one element per rank. Every segment runs the same step count, a
+// step of the allreduce carries whole blocks (or equal parts of one), and
+// a step without elements keeps one owner, local 0, so every counter
+// stays balanced.
 #include <algorithm>
 #include <cstring>
 #include <deque>
@@ -88,8 +95,8 @@ coll::Tree domain_tree(coll::TreeKind kind, int nlocal, int first, int size) {
 }  // namespace
 
 sim::CoTask Communicator::reduce_scatter_direct(
-    machine::TaskCtx& t, const void* send, void* recv, std::size_t count,
-    coll::Dtype d, coll::RedOp op, const coll::Decision& dec) {
+    machine::TaskCtx& t, const void* send, void* recv, const Blocks& blk,
+    bool even, coll::Dtype d, coll::RedOp op, const coll::Decision& dec) {
   obs::Span span(*t.obs, t.rank, "reduce_scatter.direct");
   chk::StageScope stage(t.chk, "reduce_scatter.direct");
   NodeState& ns = node_state(t);
@@ -109,19 +116,72 @@ sim::CoTask Communicator::reduce_scatter_direct(
     rs.rs_seq.resize(static_cast<std::size_t>(dom.count));
   }
 
-  // The node segment (every local's block) in steps of the row's step.
-  const std::size_t seg = count * static_cast<std::size_t>(p);
+  // Node w's segment (its locals' blocks), in elements. Every segment
+  // runs the same step count, so that global step s is the same round and
+  // step on every node.
+  auto seg_lo = [&](int w) { return blk.lo(w * p); };
+  auto seg_len = [&](int w) { return blk.lo((w + 1) * p) - seg_lo(w); };
   const std::size_t step = reduce_step_elems(dec, esize);
-  const std::size_t nsteps = (seg + step - 1) / step;
+  // With @p even, a step carries whole blocks, as many as fit in one step,
+  // or, when a block is longer than a step, an equal part of one block:
+  // every owner reads its block in one piece per round, or in equal
+  // pieces. Otherwise a step is the row's step, with a shorter tail.
+  std::size_t per_step = 0;  // whole blocks per step
+  std::size_t parts = 1;     // steps per block
+  std::size_t nsteps = 0;
+  if (!even) {
+    std::size_t longest = 0;
+    for (int w = 0; w < n; ++w) longest = std::max(longest, seg_len(w));
+    nsteps = (longest + step - 1) / step;
+  } else {
+    auto ranks = static_cast<std::size_t>(blk.nranks);
+    std::size_t widest =
+        std::max<std::size_t>(1, (blk.total + ranks - 1) / ranks);
+    if (widest <= step) {
+      per_step = step / widest;
+      nsteps = (static_cast<std::size_t>(p) + per_step - 1) / per_step;
+    } else {
+      parts = (widest + step - 1) / step;
+      nsteps = static_cast<std::size_t>(p) * parts;
+    }
+  }
   const std::size_t nchunks = static_cast<std::size_t>(n) * nsteps;
   const std::size_t landings = nchunks - nsteps;  // per pair per call
-  auto step_len = [&](std::size_t i) { return std::min(step, seg - i * step); };
-  auto first_owner = [&](std::size_t i) {
-    return static_cast<int>(i * step / count);
+  // Step i of node w's segment starts at step_lo(w, i) of the segment and
+  // ends where step i + 1 starts.
+  auto step_lo = [&](int w, std::size_t i) -> std::size_t {
+    if (!even) return std::min(seg_len(w), i * step);
+    auto l = static_cast<int>(per_step > 0 ? i * static_cast<std::size_t>(p) /
+                                                 nsteps
+                                           : i / parts);
+    if (l == p) return seg_len(w);
+    std::size_t lo = blk.lo(w * p + l) - seg_lo(w);
+    if (per_step > 0) return lo;
+    std::size_t len = blk.lo(w * p + l + 1) - blk.lo(w * p + l);
+    return lo + len * (i % parts) / parts;
   };
-  auto owners = [&](std::size_t i) {
-    return static_cast<std::uint64_t>((i * step + step_len(i) - 1) / count) -
-           static_cast<std::uint64_t>(first_owner(i)) + 1;
+  // The owners of step i of node w's segment: the locals whose nonempty
+  // blocks it overlaps, `first` the lowest. An empty step (its blocks all
+  // empty, below one element per rank) has the one owner local 0, which
+  // still lands, reads and returns it, so every counter stays balanced.
+  struct Owners {
+    int first = -1;
+    std::uint64_t count = 0;
+  };
+  auto owners = [&](int w, std::size_t i) {
+    std::size_t a = step_lo(w, i);
+    std::size_t b = step_lo(w, i + 1);
+    if (a == b) return Owners{0, 1};
+    Owners o;
+    for (int l = 0; l < p; ++l) {
+      std::size_t bl = blk.lo(w * p + l) - seg_lo(w);
+      std::size_t bh = blk.lo(w * p + l + 1) - seg_lo(w);
+      if (bl < bh && bl < b && bh > a) {
+        if (o.first < 0) o.first = l;
+        ++o.count;
+      }
+    }
+    return o;
   };
   // The source of landing chunk j of a pair: the node of its round.
   auto writer = [&](std::size_t j) {
@@ -169,8 +229,8 @@ sim::CoTask Communicator::reduce_scatter_direct(
     std::size_t k = s / nsteps;
     std::size_t i = s % nsteps;
     int dst = (v + static_cast<int>(k)) % n;
-    std::size_t off =
-        static_cast<std::size_t>(dst) * seg + i * step;  // elements
+    std::size_t off = seg_lo(dst) + step_lo(dst, i);  // elements
+    std::size_t len = step_lo(dst, i + 1) - step_lo(dst, i);
     if (is_head) {
       while (!inflight.empty() && inflight.front() + 2 <= s) {
         co_await drain_put();
@@ -178,12 +238,12 @@ sim::CoTask Communicator::reduce_scatter_direct(
     }
     co_await smp_reduce_step(t, tree,
                              static_cast<const std::byte*>(send) + off * esize,
-                             s, step_len(i), d, op);
+                             s, len, d, op);
     if (!is_head || k == 0) co_return;
     std::size_t j = s - nsteps;
     std::uint64_t lj =
         rs.rs_seq[static_cast<std::size_t>(my_dom)].landed + j;
-    int to = first_owner(i);
+    int to = owners(dst, i).first;
     NodeState::RsDomain& dd =
         nodes_[static_cast<std::size_t>(dst)]->rs_dom(my_dom);
     co_await my_ep.wait_cntr(ns.rs_credit(my_dom, dst, lj % 2), 1);
@@ -191,8 +251,7 @@ sim::CoTask Communicator::reduce_scatter_direct(
     co_await my_ep.put(
         ep(t.topo->rank_of(dst, to)), dd.land[lj % 2].data(),
         ns.red_slot[abs % 2][static_cast<std::size_t>(head)].data(),
-        step_len(i) * esize, dd.arrived[lj % 2][static_cast<std::size_t>(to)]
-                                 .get(),
+        len * esize, dd.arrived[lj % 2][static_cast<std::size_t>(to)].get(),
         &org);
     inflight.push_back(s);
   };
@@ -201,8 +260,8 @@ sim::CoTask Communicator::reduce_scatter_direct(
   // of its head's red_slot chunks (the call's round 0).
   std::vector<RankState::RsSeq> due(
       rs.rs_seq.begin(), rs.rs_seq.begin() + dom.count);
-  const std::size_t my_lo = static_cast<std::size_t>(me) * count;
-  const std::size_t my_hi = my_lo + count;
+  const std::size_t my_lo = blk.lo(v * p + me) - seg_lo(v);
+  const std::size_t my_hi = blk.lo(v * p + me + 1) - seg_lo(v);
   auto* out = static_cast<std::byte*>(recv);
 
   // The owner role of global step s: combine every domain's partial of my
@@ -211,23 +270,26 @@ sim::CoTask Communicator::reduce_scatter_direct(
   auto owner_step = [&](std::size_t s) -> sim::CoTask {
     std::size_t k = s / nsteps;
     std::size_t i = s % nsteps;
-    std::size_t lo = std::max(my_lo, i * step);
-    std::size_t hi = std::min(my_hi, i * step + step_len(i));
-    bool mine = lo < hi;
-    std::size_t len = mine ? (hi - lo) * esize : 0;
-    std::byte* dst = out + (lo - my_lo) * esize;
+    std::size_t first = step_lo(v, i);
+    std::size_t last = step_lo(v, i + 1);
+    Owners who = owners(v, i);
+    std::size_t lo = std::max(my_lo, first);
+    std::size_t hi = std::max(lo, std::min(my_hi, last));
+    bool mine = first == last ? me == who.first : lo < hi;
+    std::size_t len = (hi - lo) * esize;
+    std::byte* dst = len > 0 ? out + (lo - my_lo) * esize : out;
     for (int dd = 0; dd < dom.count; ++dd) {
       RankState::RsSeq& q = due[static_cast<std::size_t>(dd)];
       if (k == 0) {
         int h = dom.first(dd);
         std::uint64_t abs = head_abs(h, s);
         std::uint64_t& target = q.own_reads[abs % 2];
-        target += owners(i);
+        target += who.count;
         if (!mine) continue;
         co_await (*ns.red_published)[h].await_at_least(abs + 1, &t.chk);
         const std::byte* src =
             ns.red_slot[abs % 2][static_cast<std::size_t>(h)].data() +
-            (lo - i * step) * esize;
+            (lo - first) * esize;
         double f = t.P->topo.copy_factor(h, me, /*dirty=*/true);
         if (dd == 0) {
           co_await t.nd->mem.charge_copy_scaled(static_cast<double>(len), f);
@@ -250,17 +312,17 @@ sim::CoTask Communicator::reduce_scatter_direct(
       std::size_t j = s - nsteps;
       std::uint64_t lj = q.landed + j;
       std::uint64_t& target = q.reads[lj % 2];
-      target += owners(i);
+      target += who.count;
       if (!mine) continue;
       NodeState::RsDomain& md = ns.rs_dom(dd);
-      if (me == first_owner(i)) {
+      if (me == who.first) {
         co_await my_ep.wait_cntr(
             *md.arrived[lj % 2][static_cast<std::size_t>(me)], 1);
         md.landed[lj % 2]->add(1, &t.chk);
       } else {
         co_await md.landed[lj % 2]->await_at_least(lj / 2 + 1, &t.chk);
       }
-      const std::byte* src = md.land[lj % 2].data() + (lo - i * step) * esize;
+      const std::byte* src = md.land[lj % 2].data() + (lo - first) * esize;
       co_await t.nd->mem.charge_combine(static_cast<double>(len));
       chk::note_read(t.chk, src, len);
       chk::note_write(t.chk, dst, len);

@@ -79,15 +79,16 @@ struct Builder {
 
   /// Leader fills the shared buffer (optionally reading @p src first) and
   /// releases the consumers; consumers copy out and clear their flag.
-  /// @p srcw: bytes of @p src covered (0: the default node width W()) —
-  /// allgather's broadcast half reads the full gathered buffer.
+  /// @p srcw: bytes of @p src covered from @p srclo (0: the default node
+  /// width W()) — allgather's broadcast half reads the full gathered
+  /// buffer, the root-free allgather one node block of it.
   void smp_fill_chunk(int n, int c, int src, bool slice = false,
-                      std::uint64_t srcw = 0) {
+                      std::uint64_t srcw = 0, std::uint64_t srclo = 0) {
     int s = c % 2;
     if (T() == 1) return;  // no local fan-out
     int ld = rk(n, 0);
     for (int l = 1; l < T(); ++l) p.await_eq(ld, ready(n, s, l), 0);
-    if (src >= 0) p.read(ld, src, 0, srcw ? srcw : W());
+    if (src >= 0) p.read(ld, src, srclo, srclo + (srcw ? srcw : W()));
     p.write(ld, bb(n, s), 0, W());
     for (int l = 1; l < T(); ++l) p.set(ld, ready(n, s, l), 1);
     if (slice) p.read(ld, bb(n, s), 0, 1);  // leader copies its own slice
@@ -466,6 +467,84 @@ struct Builder {
     // The scatter landing slot is reusable only once the forward has left
     // the adapter.
     p.wait_dec(child, p.var(id("fworg")), 1);
+  }
+
+  // --- root-free allgather (core/gather_scatter.cpp allgather_direct) ----
+  /// Every leader assembles its node block in its own user buffer through
+  /// the gather staging pair (C chunks), then the leaders run the node ring
+  /// (core/zoo.cpp Ring): each announces its buffer to its predecessor
+  /// before assembling, forwards its own block by a direct put once its
+  /// successor's address arrived, and publishes every block through Fig. 3
+  /// in C chunks: its own once assembled, the peer's once the arrival
+  /// counter fired. Coarse: one NIC and one adapter per node; a leader's
+  /// buffer holds its own block at [0, W) and the peer's at [W, 2W).
+  void ag_direct() {
+    auto res = [&](int n) { return p.buf(id("agres" + num(n))); };
+    auto filled = [&](int n, int s) {
+      return p.var(id("agfilled" + num(n) + ".s" + num(s)));
+    };
+    auto freed = [&](int n, int s) {
+      return p.var(id("agfreed" + num(n) + ".s" + num(s)));
+    };
+    auto stage = [&](int n, int s) {
+      return p.buf(id("agstage" + num(n) + ".s" + num(s)));
+    };
+    bool ring = sh.nodes == 2;
+    if (ring) {
+      for (int n = 0; n < 2; ++n) {
+        p.send(rk(n, 0), p.chan(id("agaddr" + num(n))));
+        p.recv(nic(1 - n), p.chan(id("agaddr" + num(n))));
+        p.add(nic(1 - n), p.var(id("agaddrarr" + num(1 - n))), 1);
+      }
+    }
+    // Node assembly: every local writes its slice of each chunk; the leader
+    // copies the chunk into its buffer and frees the slot.
+    for (int c = 0; c < C(); ++c) {
+      int s = c % 2;
+      for (int n = 0; n < sh.nodes; ++n) {
+        for (int l = 0; l < T(); ++l) {
+          int t = rk(n, l);
+          p.await_ge(t, freed(n, s), static_cast<std::uint64_t>(c / 2));
+          p.write(t, stage(n, s), static_cast<std::uint64_t>(l),
+                  static_cast<std::uint64_t>(l) + 1);
+          p.add(t, filled(n, s), 1);
+        }
+        int ld = rk(n, 0);
+        p.await_ge(ld, filled(n, s),
+                   static_cast<std::uint64_t>(c / 2 + 1) *
+                       static_cast<std::uint64_t>(T()));
+        p.read(ld, stage(n, s), 0, W());
+        p.write(ld, res(n), 0, W());
+        p.add(ld, freed(n, s), 1);
+      }
+    }
+    // Ring step 0: forward the own block into the successor's buffer, then
+    // publish it.
+    for (int n = 0; ring && n < 2; ++n) {
+      int ld = rk(n, 0);
+      int a = adp(n);
+      p.wait_dec(ld, p.var(id("agaddrarr" + num(n))), 1);
+      p.send(ld, p.chan(id("agput" + num(n))));
+      p.recv(a, p.chan(id("agput" + num(n))));
+      p.read(a, res(n), 0, W());
+      p.add(a, p.var(id("agorg" + num(n))), 1);
+      p.send(a, p.chan(id("agdata" + num(n))));
+      p.recv(nic(1 - n), p.chan(id("agdata" + num(n))));
+      p.write(nic(1 - n), res(1 - n), W(), 2 * W());
+      p.add(nic(1 - n), p.var(id("aggot" + num(1 - n))), 1);
+    }
+    for (int n = 0; n < sh.nodes; ++n) {
+      for (int c = 0; c < C(); ++c) smp_fill_chunk(n, c, res(n), false, W());
+    }
+    // Ring step 1: the peer's block, once it arrived; then drain the put.
+    for (int n = 0; ring && n < 2; ++n) {
+      int ld = rk(n, 0);
+      p.wait_dec(ld, p.var(id("aggot" + num(n))), 1);
+      for (int c = 0; c < C(); ++c) {
+        smp_fill_chunk(n, C() + c, res(n), false, W(), W());
+      }
+      p.wait_dec(ld, p.var(id("agorg" + num(n))), 1);
+    }
   }
 
   // --- scatter: root puts node blocks into landing pairs, slices locally --
@@ -1147,6 +1226,9 @@ void emit(Program& p, Proto op, const Shape& sh) {
     case Proto::rs_direct:
       Builder{p, sh, ""}.rs_direct();
       break;
+    case Proto::ag_direct:
+      Builder{p, sh, ""}.ag_direct();
+      break;
   }
 }
 
@@ -1189,6 +1271,7 @@ const char* proto_name(Proto p) {
     case Proto::rh_allreduce: return "rh_allreduce";
     case Proto::sa_bcast: return "sa_bcast";
     case Proto::rs_direct: return "rs_direct";
+    case Proto::ag_direct: return "ag_direct";
   }
   return "?";
 }
@@ -1200,7 +1283,7 @@ const std::vector<Proto>& all_protos() {
       Proto::allgather,      Proto::reduce_scatter, Proto::sc_bcast,
       Proto::sc_reduce,      Proto::sc_scatter,     Proto::sc_gather,
       Proto::ring_allreduce, Proto::rh_allreduce,   Proto::sa_bcast,
-      Proto::rs_direct};
+      Proto::rs_direct,      Proto::ag_direct};
   return kAll;
 }
 
@@ -1430,6 +1513,14 @@ std::vector<Mutant> mutation_gauntlet() {
     Mutant m = make_mutant("rs_direct.drop_landed_wait", Proto::rs_direct,
                            Shape{2, 2, 1}, true, false);
     m.program.drop_op("r0.1", "await rlanded0.g0.s0>=1");
+    add(std::move(m));
+  }
+  // Root-free allgather: a leader that publishes the ring block before its
+  // arrival counter fires reads its buffer while the NIC deposits there.
+  {
+    Mutant m = make_mutant("ag_direct.publish_before_arrival",
+                           Proto::ag_direct, Shape{2, 2, 1}, true, false);
+    m.program.drop_op("r0.0", "waitdec aggot0-1");
     add(std::move(m));
   }
   // Scatter+allgather bcast: a dropped scatter-arrival signal wedges the

@@ -1,6 +1,6 @@
 // srm::mc — IR models of the SRM collectives (eight staged protocols, the
 // four single-copy cross-mapped variants, the three algorithm-zoo
-// bandwidth protocols, and the root-free reduce_scatter).
+// bandwidth protocols, and the root-free reduce_scatter and allgather).
 //
 // build() emits the synchronization skeleton that src/core actually executes
 // (smp.cpp / bcast.cpp / reduce.cpp / barrier.cpp / gather_scatter.cpp /
@@ -72,10 +72,13 @@ enum class Proto : std::uint8_t {
   // Root-free reduce_scatter (core/reduce_scatter.cpp): per-socket domain
   // pipelines delivering every node's segment straight to its owners.
   rs_direct,
+  // Root-free allgather (core/gather_scatter.cpp): node assembly at each
+  // leader, the leader ring, and the Fig. 3 publish of every node block.
+  ag_direct,
 };
-inline constexpr int kProtoCount = 16;
+inline constexpr int kProtoCount = 17;
 const char* proto_name(Proto p);
-/// All sixteen, in a stable order.
+/// All seventeen, in a stable order.
 const std::vector<Proto>& all_protos();
 
 /// Build the synchronization skeleton of @p p on @p shape (nodes must be 1

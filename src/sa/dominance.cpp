@@ -69,7 +69,7 @@ int chunks_for(CollKind op, const Decision& d, std::size_t bytes,
 }
 
 /// The address-exchange direct broadcast (core/bcast.cpp bcast_large) has
-/// no entry among the sixteen protocol models, so the dominance pass
+/// no entry among the seventeen protocol models, so the dominance pass
 /// synthesizes its skeleton: the child announces its landing address, the
 /// root hands each chunk to its adapter (origin counter dorg), the put
 /// deposits in the child's dispatcher (arrival counter darr), and both
@@ -169,16 +169,18 @@ std::vector<Decision> algo_menu(CollKind op) {
               d(Algo::direct, false), d(Algo::scatter_ag, false)};
     case CollKind::allreduce:
       return {d(Algo::rd, false), d(Algo::pipeline, false),
-              d(Algo::ring, false), d(Algo::rhalving, false)};
+              d(Algo::ring, false), d(Algo::rhalving, false),
+              d(Algo::direct, false)};
     case CollKind::reduce:
     case CollKind::scatter:
     case CollKind::gather:
       return {d(Algo::staged, false), d(Algo::staged, true)};
     case CollKind::reduce_scatter:
+    case CollKind::allgather:
       return {d(Algo::staged, false), d(Algo::direct, false)};
     default:
-      // barrier and allgather have one implementation and no single-copy
-      // variant: their mapped column is never read.
+      // barrier has one implementation and no single-copy variant: its
+      // mapped column is never read.
       return {d(Algo::staged, false)};
   }
 }
@@ -225,6 +227,20 @@ AlgoCost algo_cost(CollKind op, Decision d, std::size_t bytes,
         plan.default_unit = B / W;
         plan.accumulators = {"res", "out"};
         out = eval_proto(mc::Proto::allreduce, 1, plan, mp);
+      } else if (d.algo == Algo::direct) {
+        // The root-free reduce_scatter of the ranks' blocks, then the
+        // root-free allgather of them: 2 x kTasks blocks of B / 8 each.
+        std::size_t block = std::max<std::size_t>(bytes / (2 * kTasks), 1);
+        Decision rs = d;
+        rs.mapped = false;
+        AlgoCost a = algo_cost(CollKind::reduce_scatter, rs, block, cfg, mp);
+        Decision ag{Algo::direct, d.mapped};
+        AlgoCost b = algo_cost(CollKind::allgather, ag, block, cfg, mp);
+        out.feasible = a.feasible && b.feasible;
+        out.ns = a.ns + b.ns;
+        out.bus_bytes = a.bus_bytes + b.bus_bytes;
+        out.formula = a.formula;
+        out.formula.accumulate(b.formula);
       } else if (d.algo == Algo::ring || d.algo == Algo::rhalving) {
         plan.default_unit = B / W;
         plan.unit_overrides = {{"rsland", B / (2 * W)},
@@ -271,7 +287,12 @@ AlgoCost algo_cost(CollKind op, Decision d, std::size_t bytes,
     case CollKind::allgather:
       // The gather half stages T per-rank blocks of B (unit T*B/W = B); the
       // broadcast half moves the full gathered vector (2 nodes: 2*T*B).
+      // The root-free protocol moves node blocks (unit B) throughout.
       plan.default_unit = B;
+      if (d.algo == Algo::direct) {
+        out = eval_proto(mc::Proto::ag_direct, 1, plan, mp);
+        break;
+      }
       plan.unit_overrides = {{"bc.", 2 * B}};
       out = eval_proto(mc::Proto::allgather, 1, plan, mp);
       break;
@@ -332,7 +353,11 @@ double scale_extra(CollKind op, Algo algo, const AlgoCost& c, int chunks,
       return (d - 1.0) * B * G + (d - 1.0) * hop / C;
     case CollKind::allreduce:
       if (algo == Algo::rd) return (d - 1.0) * (B * G + hop);
-      if (algo == Algo::ring) return band_extra + (2.0 * (n - 1.0) - 2.0) * hop;
+      // The root-free allreduce moves the ring's link bytes in as many
+      // rounds: n - 1 reduce_scatter rounds and n - 1 ring steps.
+      if (algo == Algo::ring || algo == Algo::direct) {
+        return band_extra + (2.0 * (n - 1.0) - 2.0) * hop;
+      }
       if (algo == Algo::rhalving) return band_extra + (2.0 * d - 2.0) * hop;
       // pipelined reduce+bcast: both trees pay the root link in full
       return 2.0 * (d - 1.0) * B * G + 2.0 * (d - 1.0) * hop / C;
@@ -343,6 +368,13 @@ double scale_extra(CollKind op, Algo algo, const AlgoCost& c, int chunks,
       // its scatter root puts to n - 1 nodes (the model: one).
       if (algo == Algo::direct) return (n - 2.0) * c.ns / 2.0;
       return (d - 1.0) * hop + (n - 2.0) * static_cast<double>(mp.net.o_send);
+    case CollKind::allgather:
+      // The root-free ring forwards n - 1 node blocks over every link (the
+      // model: one); the composition's scaling is left to its staged ops.
+      if (algo == Algo::direct) {
+        return (n - 2.0) * (static_cast<double>(kTasks) * B * G + hop);
+      }
+      return 0.0;
     default:
       return 0.0;  // single-root staged ops: menu entries share the scaling
   }
@@ -376,10 +408,11 @@ double tasks_extra(CollKind op, const Decision& d, std::size_t bytes,
 }
 
 bool best_at(CollKind op, std::size_t bytes, const SrmConfig& cfg,
-             const machine::MachineParams& mp, Decision& best,
+             const machine::MachineParams& mp,
+             const std::vector<Decision>& menu, Decision& best,
              double& best_ns) {
   bool found = false;
-  for (const Decision& d : algo_menu(op)) {
+  for (const Decision& d : menu) {
     AlgoCost c = algo_cost(op, d, bytes, cfg, mp);
     if (!c.feasible) continue;
     if (!found || c.ns < best_ns) {
@@ -394,17 +427,19 @@ bool best_at(CollKind op, std::size_t bytes, const SrmConfig& cfg,
 }  // namespace
 
 std::vector<Crossover> crossovers(CollKind op, const SrmConfig& cfg,
-                                  const machine::MachineParams& mp) {
+                                  const machine::MachineParams& mp,
+                                  std::vector<Decision> menu) {
+  if (menu.empty()) menu = algo_menu(op);
   std::vector<Crossover> out;
   constexpr std::size_t kLo = 64, kHi = 4u * 1024 * 1024;
   Decision prev;
   double prev_ns = 0.0;
-  if (!best_at(op, kLo, cfg, mp, prev, prev_ns)) return out;
+  if (!best_at(op, kLo, cfg, mp, menu, prev, prev_ns)) return out;
   std::size_t prev_b = kLo;
   for (std::size_t b = kLo * 2; b <= kHi; b *= 2) {
     Decision cur;
     double cur_ns = 0.0;
-    if (!best_at(op, b, cfg, mp, cur, cur_ns)) break;
+    if (!best_at(op, b, cfg, mp, menu, cur, cur_ns)) break;
     if (!(cur == prev)) {
       Crossover x;
       x.op = op;
@@ -421,7 +456,7 @@ std::vector<Crossover> crossovers(CollKind op, const SrmConfig& cfg,
           std::size_t mid = lo + (hi - lo) / 2;
           Decision m;
           double m_ns = 0.0;
-          if (best_at(op, mid, cfg, mp, m, m_ns) && m == prev) {
+          if (best_at(op, mid, cfg, mp, menu, m, m_ns) && m == prev) {
             lo = mid;
           } else {
             hi = mid;
@@ -446,9 +481,9 @@ DominanceReport check_table(const coll::DecisionTable& t,
     auto op = static_cast<CollKind>(k);
     for (const auto& row : t.rows(op)) {
       std::size_t bytes = std::max<std::size_t>(row.min_bytes, 64);
-      // A reduce_scatter row is keyed on the node segment (coll::row_key);
-      // its cost takes the per-rank block.
-      if (op == CollKind::reduce_scatter) {
+      // A reduce_scatter or allgather row is keyed on the node segment
+      // (coll::row_key); its cost takes the per-rank block.
+      if (op == CollKind::reduce_scatter || op == CollKind::allgather) {
         bytes = std::max<std::size_t>(row.min_bytes / kTableTasks, 8);
       }
       Decision chosen = cfg.sanitize(op, row.d, bytes);

@@ -11,7 +11,7 @@
 //
 // The cost of an algorithm at B bytes is the pass-(1) analysis of its IR
 // model on the canonical 2-node x 4-task shape, with a Plan scaling model
-// bytes to B. Two algorithms have no IR among the sixteen protocol models
+// bytes to B. Two algorithms have no IR among the seventeen protocol models
 // and are synthesized here: the direct (address-exchange) broadcast, and
 // the pipelined allreduce as the documented fill+drain composite
 // reduce(B) + one-chunk broadcast tail (core/allreduce.cpp overlaps the
@@ -122,9 +122,12 @@ DominanceReport check_table(const coll::DecisionTable& t,
 /// Analytic switch points for one operation on a x2 grid from 64 B to 4 MB,
 /// feasibility caps reported exactly, cost intersections refined by
 /// bisection to the last byte count where the previous winner still wins.
+/// The candidates are @p menu, or the op's algo_menu() when it is empty
+/// (a subset asks where the paper's own protocols switch).
 std::vector<Crossover> crossovers(coll::CollKind op,
                                   const SrmConfig& cfg,
-                                  const machine::MachineParams& mp);
+                                  const machine::MachineParams& mp,
+                                  std::vector<coll::Decision> menu = {});
 
 std::string to_string(const DominanceIssue& i);
 std::string to_string(const Crossover& c);

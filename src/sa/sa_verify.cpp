@@ -1,12 +1,12 @@
 // sa_verify — command-line front end of the srm::sa static analyzer.
 //
-//   sa_verify lint                    lint all sixteen protocol models
+//   sa_verify lint                    lint all seventeen protocol models
 //   sa_verify cost [--profile P]      print critical-path formulas + costs
 //   sa_verify dominance [--profile P] prove the builtin table non-dominated
 //                                     and print the analytic crossovers
 //   sa_verify crosscheck FILE         dominance-check a tuner artifact
 //                                     (bench/tune --out) against its profile
-//   sa_verify gauntlet                classify the 28 mutation-gauntlet bugs
+//   sa_verify gauntlet                classify the 29 mutation-gauntlet bugs
 //                                     by the lint rules that catch them
 //   sa_verify all                     lint + dominance (both profiles) +
 //                                     gauntlet

@@ -6,7 +6,8 @@
 // published/consumed counters), the flat barrier (workers signal
 // per-worker flags, the master gathers them and raises a release flag),
 // and the root-free reduce_scatter owner (combines each source's landed
-// partial once its landed count rises) —
+// partial once its landed count rises), and the root-free allgather's
+// ring leader (publishes each node block once its arrival count rises) —
 // and verify that srm::chk
 //   (a) stays silent on each correct protocol, and
 //   (b) flags each deliberately broken handshake: reordered publishes and
@@ -17,7 +18,8 @@
 // Every seeded bug here has an abstract twin in srm::mc's mutation gauntlet
 // (src/mc/protocols.cpp): reduce.publish_before_write,
 // reduce.drop_consumed_gate, barrier.drop_worker_signal, barrier.drop_release,
-// rs_direct.drop_landed_wait and the Fig. 3 bcast mutants,
+// rs_direct.drop_landed_wait, ag_direct.publish_before_arrival and the
+// Fig. 3 bcast mutants,
 // bcast.drop_far_slice_wait included. tests/mc_protocols_test.cpp asserts
 // the model checker catches those; this file asserts the concrete checker
 // catches the same handshake breaks, so each bug is flagged by both layers.
@@ -569,6 +571,95 @@ TEST(RsOwnerMutation, DroppedLastPartialWaitIsReported) {
       << "the owner combined the last source's partial before it landed — "
          "its read is unordered against the deposit";
   EXPECT_NE(report.find("rs_land"), std::string::npos) << report;
+}
+
+// ---------------------------------------------------------------------------
+// Root-free allgather ring leader (core/zoo.cpp Ring): each put of the
+// predecessor deposits one node block in the leader's buffer and raises
+// the leader's arrival count; the leader awaits each arrival before it
+// publishes (reads) that block. The last block lands late.
+// ---------------------------------------------------------------------------
+
+constexpr int kRingBlocks = 3;
+
+struct RingLeader {
+  sim::Engine eng;
+  machine::MemoryParams mp;
+  chk::Checker chk{eng, 2};
+  shm::Segment seg;
+  std::span<std::byte> buf;  // kRingBlocks blocks of kSlot bytes
+  shm::SharedFlag* got;
+  std::vector<chk::TaskChk> tasks;
+
+  RingLeader() {
+    chk.set_enabled(true);
+    seg.set_checker(&chk);
+    buf = seg.buffer("ring_buf", kRingBlocks * kSlot);
+    got = &seg.object<shm::SharedFlag>("got", eng, mp, 0, "got");
+    for (int a = 0; a < 2; ++a) tasks.push_back({&chk, a});
+  }
+
+  std::byte* block(int b) {
+    return buf.data() + static_cast<std::size_t>(b) * kSlot;
+  }
+};
+
+sim::CoTask ring_pred(RingLeader& f) {
+  chk::TaskChk& me = f.tasks[1];
+  for (int b = 0; b < kRingBlocks; ++b) {
+    co_await f.eng.sleep(sim::ns(300));
+    chk::note_write(me, f.block(b), kSlot);
+    std::memset(f.block(b), b + 1, kSlot);
+    f.got->add(1, &me);
+  }
+}
+
+/// @p drop_last_wait: the leader publishes the last ring block before its
+/// arrival counter fires (mc twin: ag_direct.publish_before_arrival).
+sim::CoTask ring_leader(RingLeader& f, bool drop_last_wait, int& sum) {
+  chk::TaskChk& me = f.tasks[0];
+  for (int b = 0; b < kRingBlocks; ++b) {
+    if (!(drop_last_wait && b == kRingBlocks - 1)) {
+      co_await f.got->await_at_least(static_cast<std::uint64_t>(b) + 1, &me);
+    }
+    chk::note_read(me, f.block(b), kSlot);
+    sum += static_cast<int>(f.block(b)[0]);
+    co_await f.eng.sleep(sim::ns(100));
+  }
+}
+
+int run_ring_leader(bool drop_last_wait, std::string* first_report) {
+  RingLeader f;
+  int sum = 0;
+  f.eng.spawn(ring_leader(f, drop_last_wait, sum));
+  f.eng.spawn(ring_pred(f));
+  f.eng.run();
+  if (chk::kEnabled) {
+    EXPECT_GT(f.chk.accesses_checked(), 0u);
+  }
+  if (!drop_last_wait) {
+    EXPECT_EQ(sum, kRingBlocks * (kRingBlocks + 1) / 2);
+  }
+  if (first_report != nullptr && !f.chk.reports().empty()) {
+    *first_report = f.chk.reports()[0].to_string();
+  }
+  return static_cast<int>(f.chk.reports().size());
+}
+
+TEST(RingLeaderMutation, CorrectProtocolIsClean) {
+  std::string report;
+  int races = run_ring_leader(/*drop_last_wait=*/false, &report);
+  EXPECT_EQ(races, 0) << report;
+}
+
+TEST(RingLeaderMutation, PublishBeforeArrivalIsReported) {
+  if (!chk::kEnabled) GTEST_SKIP() << "built with SRM_CHK=OFF";
+  std::string report;
+  int races = run_ring_leader(/*drop_last_wait=*/true, &report);
+  EXPECT_GT(races, 0)
+      << "the leader published the last ring block before it arrived — its "
+         "read is unordered against the deposit";
+  EXPECT_NE(report.find("ring_buf"), std::string::npos) << report;
 }
 
 }  // namespace

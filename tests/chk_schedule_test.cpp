@@ -53,12 +53,21 @@ TEST(ScheduleExplorer, SrmTwoSocketModernSmpSixteen) {
   // socket 1 form a far group that splits every Fig. 3 publish led from
   // socket 0 (smp_bcast_chunk), under the profile's own decision table.
   // The sequence's reduce_scatter (200 doubles per rank, a 19200 B node
-  // segment) runs that table's root-free row over domains of 8 and 4.
-  coll::Decision rs = coll::DecisionTable::modern_smp().decide(
+  // segment) runs that table's root-free row over domains of 8 and 4, its
+  // 48 KB allreduce the root-free allreduce, and its allgather (1 KB per
+  // rank, a 12 KB node block) the root-free allgather.
+  const coll::DecisionTable& smp = coll::DecisionTable::modern_smp();
+  coll::Decision rs = smp.decide(
       coll::CollKind::reduce_scatter,
       coll::row_key(coll::CollKind::reduce_scatter, 200 * sizeof(double),
                     12));
   EXPECT_EQ(rs.algo, coll::Algo::direct);
+  EXPECT_EQ(smp.decide(coll::CollKind::allreduce, 6000 * sizeof(double)).algo,
+            coll::Algo::direct);
+  coll::Decision ag = smp.decide(
+      coll::CollKind::allgather,
+      coll::row_key(coll::CollKind::allgather, 128 * sizeof(double), 12));
+  EXPECT_EQ(ag.algo, coll::Algo::direct);
   ExploreOptions opt;
   opt.backend = ExploreBackend::srm;
   opt.nodes = 2;

@@ -246,6 +246,34 @@ TEST_P(SrmFuzz, RandomSequenceModernSmp3x12) {
            machine::MachineParams::modern_smp(), single_copy());
 }
 
+// Every allreduce and allgather on a root-free row, at counts that do not
+// split evenly over the ranks (ragged blocks, empty ones below one element
+// per rank), between the builtin table's other rows: allreduce over chain
+// socket trees in 4 KiB steps with staged node assembly, allgather with
+// mapped assembly.
+SrmConfig direct_rows() {
+  SrmConfig cfg = single_copy();
+  const coll::DecisionTable builtin = coll::DecisionTable::modern_smp();
+  cfg.decisions = builtin;
+  const coll::Decision ar{coll::Algo::direct, false, coll::TreeKind::binomial,
+                          coll::TreeKind::chain, 4 * 1024};
+  const coll::Decision ag{coll::Algo::direct, true};
+  for (coll::CollKind op :
+       {coll::CollKind::allreduce, coll::CollKind::allgather}) {
+    const coll::Decision& d = op == coll::CollKind::allreduce ? ar : ag;
+    cfg.decisions.set(op, 0, d);
+    for (const auto& r : builtin.rows(op)) {
+      cfg.decisions.set(op, r.min_bytes, d);
+    }
+  }
+  return cfg;
+}
+
+TEST_P(SrmFuzz, RandomSequenceDirectRows3x12) {
+  run_fuzz(GetParam() ^ 0xd312, 3, 12, 18,
+           machine::MachineParams::modern_smp(), direct_rows());
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, SrmFuzz,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u),
                          [](const auto& info) {

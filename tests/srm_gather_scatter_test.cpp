@@ -326,6 +326,163 @@ TEST(SrmReduceScatterDirect, InterleavesWithTheOtherReduceSlots) {
   EXPECT_TRUE(cluster.checker().reports().empty());
 }
 
+// ---- root-free allgather and allreduce (Algo::direct) ----
+
+/// A communicator on @p nodes x @p ppn of @p params whose only row of
+/// @p op is @p row, with the race checker and single-copy on (a mapped
+/// row binds).
+struct Forced {
+  Forced(const machine::MachineParams& params, int nodes, int ppn,
+         coll::CollKind op, coll::Decision row)
+      : cluster(cfg(params, nodes, ppn)),
+        fabric(cluster),
+        comm(cluster, fabric, srm_cfg(op, row)) {
+    cluster.checker().set_enabled(true);
+  }
+  static ClusterConfig cfg(const machine::MachineParams& params, int nodes,
+                           int ppn) {
+    ClusterConfig cc;
+    cc.nodes = nodes;
+    cc.tasks_per_node = ppn;
+    cc.params = params;
+    return cc;
+  }
+  static SrmConfig srm_cfg(coll::CollKind op, coll::Decision row) {
+    SrmConfig c;
+    c.single_copy = true;
+    c.decisions.profile = "forced";
+    c.decisions.set(op, 0, row);
+    return c;
+  }
+  void expect_no_races() {
+    for (const auto& r : cluster.checker().reports()) {
+      ADD_FAILURE() << r.to_string();
+    }
+  }
+  Cluster cluster;
+  lapi::Fabric fabric;
+  Communicator comm;
+};
+
+/// Two back-to-back allreduces of @p count doubles on a one-row table:
+/// every element on every rank must equal the sequential sum.
+void direct_allreduce(const machine::MachineParams& params, int nodes,
+                      int ppn, std::size_t count, coll::Decision row) {
+  Forced f(params, nodes, ppn, coll::CollKind::allreduce, row);
+  int n = nodes * ppn;
+  auto input = [](int rank, int call, std::size_t i) {
+    return rank * 2.0 + call * 0.25 + static_cast<double>(i % 13);
+  };
+  int wrong = 0;
+  f.cluster.run([&](TaskCtx& t) -> CoTask {
+    for (int call = 0; call < 2; ++call) {
+      std::vector<double> in(count), out(count, -1.0);
+      for (std::size_t i = 0; i < count; ++i) in[i] = input(t.rank, call, i);
+      co_await f.comm.allreduce(t, coll::of(in.data(), count),
+                                coll::of(out.data(), count),
+                                coll::RedOp::sum);
+      for (std::size_t i = 0; i < count; ++i) {
+        double want = 0.0;
+        for (int r = 0; r < n; ++r) want += input(r, call, i);
+        if (out[i] != want) {
+          ++wrong;
+          ADD_FAILURE() << nodes << "x" << ppn << " count " << count
+                        << " call " << call << " rank " << t.rank
+                        << " element " << i << ": " << out[i]
+                        << " != " << want;
+          break;
+        }
+      }
+    }
+  });
+  EXPECT_EQ(wrong, 0);
+  f.expect_no_races();
+}
+
+/// Two back-to-back allgathers of @p count doubles per rank on a one-row
+/// table: every rank must hold every block.
+void direct_allgather(const machine::MachineParams& params, int nodes,
+                      int ppn, std::size_t count, coll::Decision row) {
+  Forced f(params, nodes, ppn, coll::CollKind::allgather, row);
+  int n = nodes * ppn;
+  int wrong = 0;
+  f.cluster.run([&](TaskCtx& t) -> CoTask {
+    for (int call = 0; call < 2; ++call) {
+      std::vector<double> mine(count);
+      for (std::size_t i = 0; i < count; ++i) {
+        mine[i] = element(t.rank, i) + call;
+      }
+      std::vector<double> all(count * static_cast<std::size_t>(n), -1.0);
+      co_await f.comm.allgather(t, coll::of(mine.data(), count),
+                                coll::of(all.data(), count));
+      for (int r = 0; r < n && wrong == 0; ++r) {
+        for (std::size_t i = 0; i < count; ++i) {
+          if (all[static_cast<std::size_t>(r) * count + i] !=
+              element(r, i) + call) {
+            ++wrong;
+            ADD_FAILURE() << nodes << "x" << ppn << " count " << count
+                          << " call " << call << " holder " << t.rank
+                          << " block " << r << " element " << i;
+            break;
+          }
+        }
+      }
+    }
+  });
+  EXPECT_EQ(wrong, 0);
+  f.expect_no_races();
+}
+
+/// The shapes of the direct protocols' tests: modern_smp 8x16 (two
+/// sockets of 8), 2x16, 3x12 (domains of 8 and 4), 1x16 (no ring) and 5x1
+/// (no node assembly), and the one-socket ibm_sp 4x8.
+struct Shape {
+  machine::MachineParams params;
+  int nodes;
+  int ppn;
+};
+std::vector<Shape> direct_shapes() {
+  const auto smp = machine::MachineParams::modern_smp();
+  const auto sp = machine::MachineParams::ibm_sp();
+  return {{smp, 8, 16}, {smp, 2, 16}, {smp, 3, 12},
+          {smp, 1, 16}, {smp, 5, 1},  {sp, 4, 8}};
+}
+
+TEST(SrmAllreduceDirect, SumsOnEveryShapeAndRaggedCount) {
+  // Counts 1, P - 1, P, P + 1 (ragged blocks, some empty below P), a prime,
+  // and one whose longest segment spans several 4 KiB steps.
+  for (const Shape& sh : direct_shapes()) {
+    auto p = static_cast<std::size_t>(sh.nodes * sh.ppn);
+    for (std::size_t count :
+         {std::size_t{1}, p - 1, p, p + 1, std::size_t{1009}, p * 160 + 3}) {
+      direct_allreduce(sh.params, sh.nodes, sh.ppn, count,
+                       direct_row(coll::TreeKind::chain, 4 * 1024));
+    }
+  }
+}
+
+TEST(SrmAllreduceDirect, MappedAssemblyAndBinaryDomains) {
+  const auto smp = machine::MachineParams::modern_smp();
+  coll::Decision mapped = direct_row(coll::TreeKind::binary);
+  mapped.mapped = true;
+  direct_allreduce(smp, 2, 16, 31, mapped);
+  direct_allreduce(smp, 3, 12, 20011, mapped);
+  direct_allreduce(smp, 8, 16, 9001, direct_row(coll::TreeKind::binary));
+}
+
+TEST(SrmAllgatherDirect, DeliversOnEveryShape) {
+  // Node blocks under one Fig. 3 buffer, and one just over it (published
+  // in two equal steps).
+  coll::Decision staged{coll::Algo::direct, false};
+  coll::Decision mapped{coll::Algo::direct, true};
+  for (const Shape& sh : direct_shapes()) {
+    for (std::size_t count : {std::size_t{1}, std::size_t{513}}) {
+      direct_allgather(sh.params, sh.nodes, sh.ppn, count, staged);
+      direct_allgather(sh.params, sh.nodes, sh.ppn, count, mapped);
+    }
+  }
+}
+
 // ---- mini-MPI counterparts ----
 
 TEST(MpiGatherScatter, LinearAlgorithmsCorrect) {
