@@ -193,16 +193,19 @@ sim::CoTask Communicator::smp_publish_staged(machine::TaskCtx& t,
                                              int leader_local,
                                              const void* src, void* dst,
                                              std::size_t bytes) {
+  // Equal steps: a message just over one buffer would otherwise publish a
+  // full buffer and a short tail, each paying the step's flag round.
   bool leader = t.local() == leader_local;
-  std::size_t done = 0;
-  while (done < bytes) {
-    std::size_t sub = std::min(cfg_.smp_buf_bytes, bytes - done);
+  std::size_t buf = cfg_.smp_buf_bytes;
+  std::size_t nsteps = (bytes + buf - 1) / buf;
+  for (std::size_t i = 0; i < nsteps; ++i) {
+    std::size_t from = bytes * i / nsteps;
+    std::size_t to = bytes * (i + 1) / nsteps;
     const void* s =
-        leader ? static_cast<const std::byte*>(src) + done : nullptr;
+        leader ? static_cast<const std::byte*>(src) + from : nullptr;
     co_await smp_bcast_chunk(t, leader_local, s,
-                             static_cast<std::byte*>(dst) + done, sub,
+                             static_cast<std::byte*>(dst) + from, to - from,
                              nullptr);
-    done += sub;
   }
 }
 
