@@ -7,18 +7,21 @@ Two JSON shapes are understood:
 
 * bench-harness stats (``{"bench": ..., "virtual_time_us": ..., "events": ...,
   "net": {"messages": ..., "bytes": ...}}``) — the simulator is deterministic,
-  so these virtual metrics only move when the modelled protocol changes; any
-  drift past the band is a real behavioral regression, not noise.
+  so these virtual metrics only move when the modelled protocol changes.
+  They are compared exactly: any difference, faster or slower, fails the
+  gate, and every metric's delta is printed. A change that moves them on
+  purpose refreshes the baseline (rerun the bench and commit the new
+  BENCH_*.json).
 
 * google-benchmark output (``{"benchmarks": [...]}``) — wall-clock. Run both
   the baseline and the gated run with ``--benchmark_repetitions=N
   --benchmark_report_aggregates_only=true`` so medians are compared; raw
-  single-shot times are too noisy to gate on.
+  single-shot times are too noisy to gate on. A wall-clock metric regresses
+  when ``current > baseline * (1 + tol)``; improvements are reported but
+  never fail the gate.
 
-A metric regresses when ``current > baseline * (1 + tol)``. Improvements are
-reported but never fail the gate — refresh the baseline (rerun the bench and
-commit the new BENCH_*.json) to lock them in. Exit status: 0 clean, 1 on any
-regression, 2 on malformed input.
+Exit status: 0 clean, 1 on any regression or virtual-metric difference, 2 on
+malformed input.
 """
 
 import argparse
@@ -55,12 +58,13 @@ def gbench_metrics(doc):
 
 
 def metrics_of(path):
+    """The metrics of @path and whether they are deterministic (exact)."""
     with open(path) as f:
         doc = json.load(f)
     if "benchmarks" in doc:
-        return gbench_metrics(doc)
+        return gbench_metrics(doc), False
     if "virtual_time_us" in doc:
-        return harness_metrics(doc)
+        return harness_metrics(doc), True
     raise ValueError(f"{path}: neither bench-harness nor google-benchmark JSON")
 
 
@@ -69,12 +73,13 @@ def main():
     ap.add_argument("baseline")
     ap.add_argument("current")
     ap.add_argument("--tol", type=float, default=0.15,
-                    help="allowed fractional regression (default 0.15)")
+                    help="allowed fractional wall-clock regression "
+                         "(default 0.15; virtual metrics are exact)")
     args = ap.parse_args()
 
     try:
-        base = metrics_of(args.baseline)
-        cur = metrics_of(args.current)
+        base, exact = metrics_of(args.baseline)
+        cur, _ = metrics_of(args.current)
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as e:
         print(f"perf_gate: {e}", file=sys.stderr)
         return 2
@@ -89,20 +94,24 @@ def main():
         c = cur[name]
         delta = (c - b) / b if b else 0.0
         verdict = "ok"
-        if c > b * (1.0 + args.tol):
+        if exact:
+            if c != b:
+                verdict = "CHANGED (refresh the baseline if intended)"
+                failed.append(name)
+        elif c > b * (1.0 + args.tol):
             verdict = "REGRESSION"
             failed.append(name)
         elif c < b * (1.0 - args.tol):
             verdict = "improved (consider refreshing baseline)"
         print(f"  {name:40s} base={b:<14.6g} cur={c:<14.6g} "
-              f"{delta:+7.1%}  {verdict}")
+              f"{c - b:+14.6g} {delta:+8.3%}  {verdict}")
 
+    bound = "exactly equal to" if exact else f"within {args.tol:.0%} of"
     if failed:
-        print(f"perf_gate: {len(failed)} metric(s) regressed beyond "
-              f"{args.tol:.0%}: {', '.join(failed)}", file=sys.stderr)
+        print(f"perf_gate: {len(failed)} metric(s) not {bound} the "
+              f"baseline: {', '.join(failed)}", file=sys.stderr)
         return 1
-    print(f"perf_gate: all {len(base)} metrics within {args.tol:.0%} "
-          f"of {args.baseline}")
+    print(f"perf_gate: all {len(base)} metrics {bound} {args.baseline}")
     return 0
 
 
