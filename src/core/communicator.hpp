@@ -39,11 +39,13 @@
 // the master elsewhere) touches the network. The root-free reduce_scatter,
 // and so the first phase of the root-free allreduce, is the exception:
 // each socket's head puts, and the owners take the puts
-// (core/reduce_scatter.cpp).
+// (core/reduce_scatter.cpp); so is the mapped root-free allgather, whose
+// socket heads each run their own ring (allgather_sockets).
 #pragma once
 
 #include <array>
 #include <cstddef>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -196,13 +198,24 @@ class Communicator final : public coll::Collectives {
                                     const coll::Decision& dec);
   /// Root-free allgather (core/gather_scatter.cpp) of the blocks of @p blk,
   /// elements of @p esize bytes: @p send is this rank's block. Each node
-  /// leader assembles its node's segment in its own @p recv (gather_node,
-  /// through windows when @p mapped), the leaders circulate the segments
-  /// around the node ring (Ring), and every segment is published locally
-  /// as it lands. @p send may be this rank's block of @p recv.
+  /// leader assembles its node's segment in its own @p recv (gather_node),
+  /// the leaders circulate the segments around the node ring (Ring), and
+  /// every segment is published locally through Fig. 3 as it lands. With
+  /// @p mapped it runs allgather_sockets instead. @p send may be this
+  /// rank's block of @p recv.
   sim::CoTask allgather_direct(machine::TaskCtx& t, const void* send,
                                void* recv, const Blocks& blk,
                                std::size_t esize, bool mapped);
+  /// The mapped root-free allgather: every socket of a node is a publish
+  /// domain (detail::Domains) whose head assembles the node's segment in
+  /// its own @p recv from the locals' windows, runs a ring with the same
+  /// socket's heads on every node, and exports @p recv as one window for
+  /// the call; its socket's locals copy each segment straight out of it
+  /// once the head flagged it (NodeState::ag_ready). No segment crosses a
+  /// socket inside a node or is restaged.
+  sim::CoTask allgather_sockets(machine::TaskCtx& t, const void* send,
+                                void* recv, const Blocks& blk,
+                                std::size_t esize);
   /// Gather stage 1 (core/gather_scatter.cpp): assemble the node block at
   /// local @p leader_local, local l's @p send block at bytes
   /// [off[l], off[l + 1]) of it. With @p to < 0 the leader copies it into
@@ -310,6 +323,15 @@ class Communicator final : public coll::Collectives {
       Pair zoo_land;
       std::unique_ptr<lapi::Counter> zoo_arr;
       std::unique_ptr<lapi::Counter> zoo_free;  // starts at 2
+
+      // Socket rings (allgather_sockets), per domain: what zoo_addr,
+      // zoo_addr_arr and zoo_got are to the node ring.
+      struct RingCells {
+        void* addr = nullptr;
+        std::unique_ptr<lapi::Counter> addr_arr;
+        std::unique_ptr<lapi::Counter> got;
+      };
+      std::unordered_map<int, RingCells> sock_ring;  // keyed by domain
     };
 
     /// The record for the link to @p peer, created on first use by either
@@ -322,6 +344,8 @@ class Communicator final : public coll::Collectives {
     Pair& zoo_land(int peer);
     /// The gather address cell of root local @p root_local on @p peer.
     Link::GaCell& ga_cell(int peer, int root_local);
+    /// The socket ring cells of domain @p dom on the link to @p peer.
+    Link::RingCells& sock_ring(int peer, int dom);
 
     // Reduce pipeline: one credit counter for sending to our own parent
     // (starts at 2); two node-result slots guarded by the put origin
@@ -395,6 +419,11 @@ class Communicator final : public coll::Collectives {
     /// only.
     lapi::Counter& rs_credit(int dom, int dest, std::size_t slot);
 
+    // ---- mapped root-free allgather (allgather_sockets) ----
+    /// The monotonic count of node segments domain @p dom's head has
+    /// flagged ready in its window (first use).
+    shm::SharedFlag& ag_ready(int dom);
+
    private:
     /// Allocate @p p as the segment buffers "<stem>0" and "<stem>1" of
     /// @p bytes each, unless it already is.
@@ -416,6 +445,7 @@ class Communicator final : public coll::Collectives {
     // Keyed by (domain, dest node, slot).
     std::map<std::tuple<int, int, std::size_t>, std::unique_ptr<lapi::Counter>>
         rs_credit_;
+    std::unordered_map<int, std::unique_ptr<shm::SharedFlag>> ag_ready_;
   };
 
   // ---- per-rank protocol sequence numbers ----
@@ -467,6 +497,9 @@ class Communicator final : public coll::Collectives {
       std::array<std::uint64_t, 2> own_reads{};
     };
     std::vector<RsSeq> rs_seq;
+    // Mapped root-free allgather, per domain: the segments its head has
+    // flagged so far (the baseline of NodeState::ag_ready).
+    std::vector<std::uint64_t> ag_ready;
   };
 
   NodeState& node_state(const machine::TaskCtx& t) {
@@ -681,14 +714,15 @@ class Communicator final : public coll::Collectives {
   sim::CoTask bcast_scatter_ag(machine::TaskCtx& t, void* buf,
                                std::size_t bytes, const coll::Embedding& emb);
 
-  /// The leader ring of bcast_scatter_ag and allgather_direct: node i's
-  /// block is bytes [lo[i], lo[i + 1]) of every rank's @p base, and
-  /// leader[i] leads node i. A leader announces base to the nodes that put
-  /// into it and forwards blocks to its successor by direct puts over the
-  /// zoo link state; every block is published through the Fig. 3 buffers
-  /// (smp_publish_staged) as it is ready. Arrivals are attributed to
-  /// blocks by link order, so a leader keeps reception polled while it runs
-  /// the ring.
+  /// The leader ring of bcast_scatter_ag, allgather_direct and
+  /// allgather_sockets: node i's block is bytes [lo[i], lo[i + 1]) of every
+  /// rank's @p base, and leader[i] leads node i. A leader announces base to
+  /// the nodes that put into it and forwards blocks to its successor by
+  /// direct puts over the zoo link state (a socket ring, dom >= 0: over its
+  /// domain's Link::RingCells); every block is published as it is ready,
+  /// through the Fig. 3 buffers (smp_publish_staged) unless `publish` is
+  /// set. Arrivals are attributed to blocks by link order, so a leader
+  /// keeps reception polled while it runs the ring.
   struct Ring {
     Ring(Communicator& c_, machine::TaskCtx& t_, std::byte* base_,
          std::vector<std::size_t> lo_, std::vector<int> leader_);
@@ -708,6 +742,13 @@ class Communicator final : public coll::Collectives {
     sim::CoTask steps(int first_recv, bool send);
     /// Wait until the adapter has read every put of this leader.
     sim::CoTask drain();
+    /// The ring's cells at node @p at for its link with node @p peer.
+    struct Cells {
+      void** addr;
+      lapi::Counter* addr_arr;
+      lapi::Counter* got;
+    };
+    Cells cells(int at, int peer) const;
 
     Communicator& c;
     machine::TaskCtx& t;
@@ -717,6 +758,10 @@ class Communicator final : public coll::Collectives {
     int n;
     int v;
     int leader_local;
+    int dom = -1;  ///< socket ring of this domain; -1: the node ring
+    lapi::Counter* org;  ///< origin counter of the leader's puts
+    /// Publishes block b on every local (default: smp_publish_staged).
+    std::function<sim::CoTask(int)> publish;
     std::vector<void*> ann;  // announced-address cells, per peer
     std::byte* succ_addr = nullptr;
     std::uint64_t org_inflight = 0;

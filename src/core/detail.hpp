@@ -1,9 +1,11 @@
 // Internal helpers shared by the SRM protocol implementation files.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <memory>
 
+#include "machine/params.hpp"
 #include "sim/engine.hpp"
 #include "sim/task.hpp"
 #include "sim/trigger.hpp"
@@ -14,6 +16,26 @@ namespace srm::detail {
 inline std::size_t chunk_count(std::size_t bytes, std::size_t chunk) {
   return bytes == 0 ? 1 : (bytes + chunk - 1) / chunk;
 }
+
+/// The socket domains of a node of @p nlocal tasks: one per socket of
+/// TopologyParams, the last one taking any locals past the described
+/// sockets, so a single-socket node (every ibm_sp node) is one domain. Its
+/// first local is its head: the root-free reduce_scatter reduces each
+/// domain to it, and the mapped root-free allgather publishes from it.
+struct Domains {
+  int per = 1;    ///< locals per socket
+  int count = 1;  ///< domains on the node
+
+  Domains(const machine::TopologyParams& tp, int nlocal)
+      : per(std::max(1, tp.cores_per_l3 * tp.l3_per_socket)),
+        count(std::max(1, std::min(tp.sockets, (nlocal + per - 1) / per))) {}
+  int of(int local) const { return std::min(local / per, count - 1); }
+  int first(int dom) const { return dom * per; }
+  int size(int dom, int nlocal) const {
+    return dom + 1 == count ? nlocal - dom * per : per;
+  }
+  bool head(int local) const { return local == first(of(local)); }
+};
 
 inline sim::CoTask joined_body(sim::CoTask body,
                                std::shared_ptr<sim::Trigger> done) {

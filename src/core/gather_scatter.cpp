@@ -19,7 +19,9 @@
 //    without a root: every leader assembles its node block with the
 //    gather's node assembly (gather_node), the leaders pass node blocks
 //    around the node ring (Communicator::Ring, core/zoo.cpp), and each
-//    block is published locally as it lands;
+//    block is published locally through Fig. 3 as it lands. A mapped
+//    direct row gives every socket its own leader, ring and window
+//    (allgather_sockets);
 //  * reduce_scatter on a staged row = reduce to rank 0 + scatter. A direct
 //    row runs the root-free protocol of core/reduce_scatter.cpp instead.
 // Each call of a composition runs its own row at its own size.
@@ -389,6 +391,10 @@ sim::CoTask Communicator::allgather_direct(machine::TaskCtx& t,
                                            const Blocks& blk,
                                            std::size_t esize, bool mapped) {
   obs::Span span(*t.obs, t.rank, "allgather.direct");
+  if (mapped) {
+    co_await allgather_sockets(t, send, recv, blk, esize);
+    co_return;
+  }
   chk::StageScope stage(t.chk, "allgather.direct");
   const int n = t.nnodes();
   const int p = t.nlocal();
@@ -421,12 +427,160 @@ sim::CoTask Communicator::allgather_direct(machine::TaskCtx& t,
     if (incoming) co_await ring.announce((v + n - 1) % n);
   }
   co_await gather_node(t, send, base + ring.lo[static_cast<std::size_t>(v)],
-                       off, ring.leader_local, mapped, -1);
+                       off, ring.leader_local, false, -1);
   co_await ring.steps(1, true);
   if (lead) {
     co_await ring.drain();
     my_ep.set_interrupts(true);
   }
+}
+
+// The mapped root-free allgather. Per domain (socket) of a node:
+//
+//  * Windows. The head copies its own block into place and exports its
+//    whole recv as one window for the call; every other local with a
+//    nonempty block exports its send block. Each head pulls every block of
+//    its node into its recv: the other heads' blocks from their recv
+//    windows, the others from their send windows (dirty: their owners
+//    wrote them). The heads assemble the node's segment in parallel, so no
+//    byte of it is restaged.
+//  * Ring. The heads of domain d on every node form their own ring (its
+//    arrivals on the domain's Link::RingCells), so a segment lands from
+//    the network in every socket's head's recv and never crosses a socket
+//    inside a node.
+//  * Publish. The head adds one to its domain's ag_ready flag per segment
+//    it holds, in ring order; its socket's locals copy each flagged segment
+//    straight out of the head's window: landed segments clean (the NIC
+//    wrote them to memory), the node's own segment dirty, minus the
+//    reader's own block. A local retracts its send window before its first
+//    copy into recv, and a head retracts its window once its readers and
+//    the other heads have detached.
+sim::CoTask Communicator::allgather_sockets(machine::TaskCtx& t,
+                                            const void* send, void* recv,
+                                            const Blocks& blk,
+                                            std::size_t esize) {
+  chk::StageScope stage(t.chk, "allgather.sockets");
+  NodeState& ns = node_state(t);
+  RankState& rs = rank_state(t);
+  const int n = t.nnodes();
+  const int p = t.nlocal();
+  const int v = t.node();
+  const int me = t.local();
+  const detail::Domains dom(t.P->topo, p);
+  const int my_dom = dom.of(me);
+  const int head = dom.first(my_dom);
+  const bool is_head = me == head;
+  if (rs.ag_ready.size() < static_cast<std::size_t>(dom.count)) {
+    rs.ag_ready.resize(static_cast<std::size_t>(dom.count));
+  }
+  // Local l's block in recv, in bytes.
+  auto blo = [&](int l) { return blk.lo(v * p + l) * esize; };
+  auto bhi = [&](int l) { return blk.lo(v * p + l + 1) * esize; };
+  auto exports = [&](int l) { return dom.head(l) || bhi(l) > blo(l); };
+  std::vector<std::size_t> lo(static_cast<std::size_t>(n) + 1);
+  std::vector<int> leader(static_cast<std::size_t>(n));
+  for (int i = 0; i <= n; ++i) {
+    lo[static_cast<std::size_t>(i)] = blk.lo(i * p) * esize;
+    if (i < n) leader[static_cast<std::size_t>(i)] = t.topo->rank_of(i, head);
+  }
+  auto* base = static_cast<std::byte*>(recv);
+  const std::size_t my_lo = blo(me);
+  const std::size_t my_hi = bhi(me);
+  Ring ring(*this, t, base, std::move(lo), std::move(leader));
+  ring.dom = my_dom;
+  lapi::Counter org(*t.eng, "ag.org@" + std::to_string(t.rank));
+  ring.org = &org;
+  lapi::Endpoint& my_ep = ep(t.rank);
+  const bool lead = is_head && n > 1;
+  auto gen = [&](int l) { return rs.map_gen[static_cast<std::size_t>(l)] + 1; };
+  auto own_block = [&]() -> sim::CoTask {
+    if (my_hi > my_lo && base + my_lo != send) {
+      co_await t.nd->mem.charge_copy(static_cast<double>(my_hi - my_lo));
+      std::memcpy(base + my_lo, send, my_hi - my_lo);
+    }
+  };
+
+  std::uint64_t flagged = rs.ag_ready[static_cast<std::size_t>(my_dom)];
+  shm::SharedFlag& ready = ns.ag_ready(my_dom);
+  if (is_head) {
+    co_await own_block();
+    co_await ns.map->publish(t, base, blk.total * esize);
+    // The window is live before the predecessor learns where to put.
+    if (lead) {
+      my_ep.set_interrupts(false);
+      bool incoming = false;
+      for (int b = 0; b < n; ++b) {
+        if (b != v && ring.len(b) > 0) incoming = true;
+      }
+      if (incoming) co_await ring.announce((v + n - 1) % n);
+    }
+    for (int l = 0; l < p; ++l) {
+      if (l == me || bhi(l) == blo(l)) continue;
+      shm::Mapping::Window w;
+      co_await ns.map->attach(t, l, gen(l), &w);
+      const std::byte* src = dom.head(l) ? w.data + blo(l) : w.data;
+      co_await t.nd->mem.charge_copy_scaled(
+          static_cast<double>(bhi(l) - blo(l)),
+          t.P->topo.copy_factor(l, me, /*dirty=*/true));
+      std::memcpy(base + blo(l), src, bhi(l) - blo(l));
+      chk::note_read(t.chk, src, bhi(l) - blo(l));
+      ns.map->detach(t, l);
+    }
+    ring.publish = [&](int) -> sim::CoTask {
+      ready.add(1, &t.chk);
+      co_return;
+    };
+    co_await ring.steps(1, true);
+    if (lead) {
+      co_await ring.drain();
+      my_ep.set_interrupts(true);
+    }
+    int readers = dom.size(my_dom, p) - 1;
+    if (my_hi > my_lo) readers += dom.count - 1;
+    co_await ns.map->retract(t, readers);
+  } else {
+    if (my_hi > my_lo) {
+      co_await ns.map->publish(t, const_cast<void*>(send), my_hi - my_lo);
+      co_await ns.map->retract(t, dom.count);
+    }
+    co_await own_block();
+    shm::Mapping::Window w;
+    co_await ns.map->attach(t, head, gen(head), &w);
+    auto copy = [&](std::size_t from, std::size_t to,
+                    bool dirty) -> sim::CoTask {
+      if (to <= from) co_return;
+      co_await t.nd->mem.charge_copy_scaled(
+          static_cast<double>(to - from),
+          t.P->topo.copy_factor(head, me, dirty));
+      std::memcpy(base + from, w.data + from, to - from);
+      chk::note_read(t.chk, w.data + from, to - from);
+    };
+    std::uint64_t k = flagged;
+    ring.publish = [&](int b) -> sim::CoTask {
+      co_await ready.await_at_least(++k, &t.chk);
+      std::size_t from = ring.lo[static_cast<std::size_t>(b)];
+      std::size_t to = ring.lo[static_cast<std::size_t>(b) + 1];
+      if (b != v) {
+        co_await copy(from, to, /*dirty=*/false);
+      } else {
+        co_await copy(from, my_lo, /*dirty=*/true);
+        co_await copy(my_hi, to, /*dirty=*/true);
+      }
+    };
+    co_await ring.steps(1, true);
+    ns.map->detach(t, head);
+  }
+
+  // Bookkeeping, identical on every rank of the node: one export per
+  // window above, and per domain one flag per nonempty segment.
+  for (int l = 0; l < p; ++l) {
+    if (exports(l)) rs.map_gen[static_cast<std::size_t>(l)] += 1;
+  }
+  std::uint64_t segments = 0;
+  for (int b = 0; b < n; ++b) {
+    if (ring.len(b) > 0) ++segments;
+  }
+  for (std::uint64_t& f : rs.ag_ready) f += segments;
 }
 
 sim::CoTask Communicator::real_reduce_scatter(machine::TaskCtx& t,

@@ -52,27 +52,11 @@
 #include <vector>
 
 #include "core/communicator.hpp"
+#include "core/detail.hpp"
 
 namespace srm {
 
 namespace {
-
-/// The reduction domains of a node of @p nlocal tasks: one per socket of
-/// TopologyParams, the last one taking any locals past the described
-/// sockets, so a single-socket node (every ibm_sp node) is one domain.
-struct Domains {
-  int per = 1;    ///< locals per socket
-  int count = 1;  ///< domains on the node
-
-  Domains(const machine::TopologyParams& tp, int nlocal)
-      : per(std::max(1, tp.cores_per_l3 * tp.l3_per_socket)),
-        count(std::max(1, std::min(tp.sockets, (nlocal + per - 1) / per))) {}
-  int of(int local) const { return std::min(local / per, count - 1); }
-  int first(int dom) const { return dom * per; }
-  int size(int dom, int nlocal) const {
-    return dom + 1 == count ? nlocal - dom * per : per;
-  }
-};
 
 /// @p kind over the @p size locals from @p first, as a tree over all
 /// @p nlocal locals of the node (the others isolated).
@@ -106,7 +90,7 @@ sim::CoTask Communicator::reduce_scatter_direct(
   const int v = t.node();
   const int me = t.local();
   const std::size_t esize = coll::dtype_size(d);
-  const Domains dom(t.P->topo, p);
+  const detail::Domains dom(t.P->topo, p);
   const int my_dom = dom.of(me);
   const int head = dom.first(my_dom);
   const bool is_head = me == head;

@@ -554,15 +554,25 @@ Communicator::Ring::Ring(Communicator& c_, machine::TaskCtx& t_,
       n(t.nnodes()),
       v(t.node()),
       leader_local(t.topo->local_of(leader[static_cast<std::size_t>(v)])),
+      org(c.node_state(t).zoo_org.get()),
       ann(static_cast<std::size_t>(n), nullptr) {}
+
+Communicator::Ring::Cells Communicator::Ring::cells(int at, int peer) const {
+  NodeState& ns = *c.nodes_[static_cast<std::size_t>(at)];
+  if (dom < 0) {
+    NodeState::Link& l = ns.link(peer);
+    return {&l.zoo_addr, l.zoo_addr_arr.get(), l.zoo_got.get()};
+  }
+  NodeState::Link::RingCells& r = ns.sock_ring(peer, dom);
+  return {&r.addr, r.addr_arr.get(), r.got.get()};
+}
 
 sim::CoTask Communicator::Ring::announce(int peer) {
   auto pi = static_cast<std::size_t>(peer);
   ann[pi] = base;
-  NodeState::Link& pl = c.nodes_[pi]->link(v);
-  co_await c.ep(t.rank).put(c.ep(leader[pi]), &pl.zoo_addr, &ann[pi],
-                            sizeof(void*), pl.zoo_addr_arr.get(),
-                            c.node_state(t).zoo_org.get());
+  Cells pc = cells(peer, v);
+  co_await c.ep(t.rank).put(c.ep(leader[pi]), pc.addr, &ann[pi],
+                            sizeof(void*), pc.addr_arr, org);
   ++org_inflight;
 }
 
@@ -570,16 +580,14 @@ sim::CoTask Communicator::Ring::forward(int b) {
   int succ = (v + 1) % n;
   auto si = static_cast<std::size_t>(succ);
   auto bi = static_cast<std::size_t>(b);
-  NodeState& ns = c.node_state(t);
   lapi::Endpoint& my_ep = c.ep(t.rank);
   if (succ_addr == nullptr) {
-    NodeState::Link& sl = ns.link(succ);
-    co_await my_ep.wait_cntr(*sl.zoo_addr_arr, 1);
-    succ_addr = static_cast<std::byte*>(sl.zoo_addr);
+    Cells sc = cells(v, succ);
+    co_await my_ep.wait_cntr(*sc.addr_arr, 1);
+    succ_addr = static_cast<std::byte*>(*sc.addr);
   }
   co_await my_ep.put(c.ep(leader[si]), succ_addr + lo[bi], base + lo[bi],
-                     len(b), c.nodes_[si]->link(v).zoo_got.get(),
-                     ns.zoo_org.get());
+                     len(b), cells(succ, v).got, org);
   ++org_inflight;
 }
 
@@ -591,10 +599,13 @@ sim::CoTask Communicator::Ring::steps(int first_recv, bool send) {
     if (len(b) == 0) continue;
     if (leads_ring) {
       if (s >= first_recv) {
-        co_await c.ep(t.rank).wait_cntr(*c.node_state(t).link(pred).zoo_got,
-                                        1);
+        co_await c.ep(t.rank).wait_cntr(*cells(v, pred).got, 1);
       }
       if (send && s <= n - 2) co_await forward(b);
+    }
+    if (publish) {
+      co_await publish(b);
+      continue;
     }
     std::byte* at = base + lo[static_cast<std::size_t>(b)];
     co_await c.smp_publish_staged(t, leader_local, at, at, len(b));
@@ -603,7 +614,7 @@ sim::CoTask Communicator::Ring::steps(int first_recv, bool send) {
 
 sim::CoTask Communicator::Ring::drain() {
   if (org_inflight > 0) {
-    co_await c.ep(t.rank).wait_cntr(*c.node_state(t).zoo_org, org_inflight);
+    co_await c.ep(t.rank).wait_cntr(*org, org_inflight);
     org_inflight = 0;
   }
 }

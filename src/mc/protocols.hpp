@@ -1,6 +1,7 @@
 // srm::mc — IR models of the SRM collectives (eight staged protocols, the
 // four single-copy cross-mapped variants, the three algorithm-zoo
-// bandwidth protocols, and the root-free reduce_scatter and allgather).
+// bandwidth protocols, and the root-free reduce_scatter and allgather, the
+// latter also in its mapped socket-leader form).
 //
 // build() emits the synchronization skeleton that src/core actually executes
 // (smp.cpp / bcast.cpp / reduce.cpp / barrier.cpp / gather_scatter.cpp /
@@ -75,10 +76,14 @@ enum class Proto : std::uint8_t {
   // Root-free allgather (core/gather_scatter.cpp): node assembly at each
   // leader, the leader ring, and the Fig. 3 publish of every node block.
   ag_direct,
+  // Its mapped form (allgather_sockets): one head per socket assembles from
+  // the locals' windows, runs its socket's ring, and publishes its buffer
+  // as one window that its readers copy each flagged segment out of.
+  sc_allgather,
 };
-inline constexpr int kProtoCount = 17;
+inline constexpr int kProtoCount = 18;
 const char* proto_name(Proto p);
-/// All seventeen, in a stable order.
+/// All eighteen, in a stable order.
 const std::vector<Proto>& all_protos();
 
 /// Build the synchronization skeleton of @p p on @p shape (nodes must be 1

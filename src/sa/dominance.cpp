@@ -69,7 +69,7 @@ int chunks_for(CollKind op, const Decision& d, std::size_t bytes,
 }
 
 /// The address-exchange direct broadcast (core/bcast.cpp bcast_large) has
-/// no entry among the seventeen protocol models, so the dominance pass
+/// no entry among the eighteen protocol models, so the dominance pass
 /// synthesizes its skeleton: the child announces its landing address, the
 /// root hands each chunk to its adapter (origin counter dorg), the put
 /// deposits in the child's dispatcher (arrival counter darr), and both
@@ -287,8 +287,14 @@ AlgoCost algo_cost(CollKind op, Decision d, std::size_t bytes,
     case CollKind::allgather:
       // The gather half stages T per-rank blocks of B (unit T*B/W = B); the
       // broadcast half moves the full gathered vector (2 nodes: 2*T*B).
-      // The root-free protocol moves node blocks (unit B) throughout.
+      // The root-free protocol moves node blocks (unit B) throughout; its
+      // mapped form runs one ring and window per profile socket.
       plan.default_unit = B;
+      if (d.algo == Algo::direct && d.mapped) {
+        out = eval_proto(mc::Proto::sc_allgather, 1, plan, mp,
+                         std::min(mp.topo.sockets, kTasks));
+        break;
+      }
       if (d.algo == Algo::direct) {
         out = eval_proto(mc::Proto::ag_direct, 1, plan, mp);
         break;

@@ -18,8 +18,8 @@
 // Every seeded bug here has an abstract twin in srm::mc's mutation gauntlet
 // (src/mc/protocols.cpp): reduce.publish_before_write,
 // reduce.drop_consumed_gate, barrier.drop_worker_signal, barrier.drop_release,
-// rs_direct.drop_landed_wait, ag_direct.publish_before_arrival and the
-// Fig. 3 bcast mutants,
+// rs_direct.drop_landed_wait, ag_direct.publish_before_arrival,
+// sc_allgather.copy_before_ready and the Fig. 3 bcast mutants,
 // bcast.drop_far_slice_wait included. tests/mc_protocols_test.cpp asserts
 // the model checker catches those; this file asserts the concrete checker
 // catches the same handshake breaks, so each bug is flagged by both layers.
@@ -660,6 +660,106 @@ TEST(RingLeaderMutation, PublishBeforeArrivalIsReported) {
       << "the leader published the last ring block before it arrived — its "
          "read is unordered against the deposit";
   EXPECT_NE(report.find("ring_buf"), std::string::npos) << report;
+}
+
+// ---------------------------------------------------------------------------
+// Socket-leader window publish (core/gather_scatter.cpp allgather_sockets):
+// the predecessor's puts deposit node segments in the socket head's window,
+// the head awaits each arrival and raises its domain's ready count, and a
+// reader of its socket copies each segment once the count covers it. The
+// last segment lands late.
+// ---------------------------------------------------------------------------
+
+struct SocketWindow {
+  sim::Engine eng;
+  machine::MemoryParams mp;
+  chk::Checker chk{eng, 3};
+  shm::Segment seg;
+  std::span<std::byte> win;  // kRingBlocks segments of kSlot bytes
+  shm::SharedFlag* got;
+  shm::SharedFlag* ready;
+  std::vector<chk::TaskChk> tasks;  // 0 head, 1 reader, 2 predecessor
+
+  SocketWindow() {
+    chk.set_enabled(true);
+    seg.set_checker(&chk);
+    win = seg.buffer("head_win", kRingBlocks * kSlot);
+    got = &seg.object<shm::SharedFlag>("got", eng, mp, 0, "got");
+    ready = &seg.object<shm::SharedFlag>("ready", eng, mp, 0, "ready");
+    for (int a = 0; a < 3; ++a) tasks.push_back({&chk, a});
+  }
+
+  std::byte* segment(int b) {
+    return win.data() + static_cast<std::size_t>(b) * kSlot;
+  }
+};
+
+sim::CoTask window_pred(SocketWindow& f) {
+  chk::TaskChk& me = f.tasks[2];
+  for (int b = 0; b < kRingBlocks; ++b) {
+    co_await f.eng.sleep(sim::ns(300));
+    chk::note_write(me, f.segment(b), kSlot);
+    std::memset(f.segment(b), b + 1, kSlot);
+    f.got->add(1, &me);
+  }
+}
+
+sim::CoTask window_head(SocketWindow& f) {
+  chk::TaskChk& me = f.tasks[0];
+  for (int b = 0; b < kRingBlocks; ++b) {
+    co_await f.got->await_at_least(static_cast<std::uint64_t>(b) + 1, &me);
+    f.ready->add(1, &me);
+  }
+}
+
+/// @p drop_last_wait: the reader copies the last segment before its head
+/// flagged it (mc twin: sc_allgather.copy_before_ready).
+sim::CoTask window_reader(SocketWindow& f, bool drop_last_wait, int& sum) {
+  chk::TaskChk& me = f.tasks[1];
+  for (int b = 0; b < kRingBlocks; ++b) {
+    if (!(drop_last_wait && b == kRingBlocks - 1)) {
+      co_await f.ready->await_at_least(static_cast<std::uint64_t>(b) + 1,
+                                       &me);
+    }
+    chk::note_read(me, f.segment(b), kSlot);
+    sum += static_cast<int>(f.segment(b)[0]);
+    co_await f.eng.sleep(sim::ns(100));
+  }
+}
+
+int run_socket_window(bool drop_last_wait, std::string* first_report) {
+  SocketWindow f;
+  int sum = 0;
+  f.eng.spawn(window_reader(f, drop_last_wait, sum));
+  f.eng.spawn(window_head(f));
+  f.eng.spawn(window_pred(f));
+  f.eng.run();
+  if (chk::kEnabled) {
+    EXPECT_GT(f.chk.accesses_checked(), 0u);
+  }
+  if (!drop_last_wait) {
+    EXPECT_EQ(sum, kRingBlocks * (kRingBlocks + 1) / 2);
+  }
+  if (first_report != nullptr && !f.chk.reports().empty()) {
+    *first_report = f.chk.reports()[0].to_string();
+  }
+  return static_cast<int>(f.chk.reports().size());
+}
+
+TEST(SocketWindowMutation, CorrectProtocolIsClean) {
+  std::string report;
+  int races = run_socket_window(/*drop_last_wait=*/false, &report);
+  EXPECT_EQ(races, 0) << report;
+}
+
+TEST(SocketWindowMutation, CopyBeforeReadyIsReported) {
+  if (!chk::kEnabled) GTEST_SKIP() << "built with SRM_CHK=OFF";
+  std::string report;
+  int races = run_socket_window(/*drop_last_wait=*/true, &report);
+  EXPECT_GT(races, 0)
+      << "the reader copied the last segment before its head flagged it — "
+         "its read is unordered against the deposit";
+  EXPECT_NE(report.find("head_win"), std::string::npos) << report;
 }
 
 }  // namespace

@@ -116,6 +116,32 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param));
     });
 
+// The mapped root-free rows are not menu candidates (abl_model_validation
+// prints the menu), but the table runs them: the socket-leader allgather
+// (mc::Proto::sc_allgather, one ring and window per profile socket) and
+// the allreduce whose allgather half it is must sit in the same envelope.
+TEST(Model, SocketLeaderRowsWithinEnvelope) {
+  const SrmConfig cfg;
+  const coll::Decision ag{coll::Algo::direct, true};
+  const coll::Decision ar{coll::Algo::direct, true, coll::TreeKind::binomial,
+                          coll::TreeKind::chain};
+  for (const machine::MachineParams& mp : kProfiles) {
+    for (auto [op, d, bytes] :
+         {std::tuple{CollKind::allgather, ag, std::size_t{1024}},
+          std::tuple{CollKind::allgather, ag, std::size_t{64 * 1024}},
+          std::tuple{CollKind::allreduce, ar, std::size_t{1u << 20}}}) {
+      sa::AlgoCost c = sa::algo_cost(op, d, bytes, cfg, mp);
+      ASSERT_TRUE(c.feasible);
+      double ratio = c.ns / 1000.0 / simulated(op, d, bytes, mp);
+      std::string what = std::string(coll::coll_name(op)) + " " +
+                         std::to_string(bytes) + " " + mp.profile +
+                         " ratio " + std::to_string(ratio);
+      EXPECT_GT(ratio, kLo) << what;
+      EXPECT_LT(ratio, kHi) << what;
+    }
+  }
+}
+
 /// A grid cell where sa's cheapest pipeline chunk is not the simulator's
 /// fastest (DESIGN.md §16). sa prices the 2x4 IR at every shape, so a
 /// deeper tree's longer pipeline fill, which favours smaller chunks, is

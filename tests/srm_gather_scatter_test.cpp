@@ -450,13 +450,17 @@ std::vector<Shape> direct_shapes() {
 
 TEST(SrmAllreduceDirect, SumsOnEveryShapeAndRaggedCount) {
   // Counts 1, P - 1, P, P + 1 (ragged blocks, some empty below P), a prime,
-  // and one whose longest segment spans several 4 KiB steps.
+  // and one whose longest segment spans several 4 KiB steps; each with the
+  // node ring and, mapped, the socket leaders' rings (allgather_sockets).
+  coll::Decision mapped = direct_row(coll::TreeKind::chain, 4 * 1024);
+  mapped.mapped = true;
   for (const Shape& sh : direct_shapes()) {
     auto p = static_cast<std::size_t>(sh.nodes * sh.ppn);
     for (std::size_t count :
          {std::size_t{1}, p - 1, p, p + 1, std::size_t{1009}, p * 160 + 3}) {
       direct_allreduce(sh.params, sh.nodes, sh.ppn, count,
                        direct_row(coll::TreeKind::chain, 4 * 1024));
+      direct_allreduce(sh.params, sh.nodes, sh.ppn, count, mapped);
     }
   }
 }
@@ -472,12 +476,18 @@ TEST(SrmAllreduceDirect, MappedAssemblyAndBinaryDomains) {
 
 TEST(SrmAllgatherDirect, DeliversOnEveryShape) {
   // Node blocks under one Fig. 3 buffer, and one just over it (published
-  // in two equal steps).
+  // in two equal steps), on the node ring and, mapped, on the socket
+  // leaders' rings (allgather_sockets), which also take per-rank counts
+  // P - 1, P, P + 1 and a prime.
   coll::Decision staged{coll::Algo::direct, false};
   coll::Decision mapped{coll::Algo::direct, true};
   for (const Shape& sh : direct_shapes()) {
+    auto p = static_cast<std::size_t>(sh.nodes * sh.ppn);
     for (std::size_t count : {std::size_t{1}, std::size_t{513}}) {
       direct_allgather(sh.params, sh.nodes, sh.ppn, count, staged);
+      direct_allgather(sh.params, sh.nodes, sh.ppn, count, mapped);
+    }
+    for (std::size_t count : {p - 1, p, p + 1, std::size_t{1009}}) {
       direct_allgather(sh.params, sh.nodes, sh.ppn, count, mapped);
     }
   }
