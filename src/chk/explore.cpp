@@ -311,11 +311,14 @@ ExploreResult explore(const ExploreOptions& opt) {
     std::unique_ptr<minimpi::World> mpi_impl;
     coll::Collectives* coll = nullptr;
     switch (opt.backend) {
-      case ExploreBackend::srm:
+      case ExploreBackend::srm: {
         fabric = std::make_unique<lapi::Fabric>(cluster);
-        srm_impl = std::make_unique<Communicator>(cluster, *fabric);
+        SrmConfig cfg;
+        cfg.single_copy = opt.single_copy;
+        srm_impl = std::make_unique<Communicator>(cluster, *fabric, cfg);
         coll = srm_impl.get();
         break;
+      }
       case ExploreBackend::mpi_ibm:
         mpi_impl = std::make_unique<minimpi::World>(
             cluster, cluster.params().mpi_ibm, "ibm");
@@ -368,7 +371,8 @@ ExploreResult explore(const ExploreOptions& opt) {
 std::string summarize(const ExploreOptions& opt, const ExploreResult& r) {
   std::ostringstream os;
   os << "explore[" << backend_name(opt.backend) << " " << opt.nodes << "x"
-     << opt.tasks_per_node << "]: " << r.runs << " schedules, " << r.accesses
+     << opt.tasks_per_node << (opt.single_copy ? " single-copy" : "")
+     << "]: " << r.runs << " schedules, " << r.accesses
      << " accesses checked, " << r.sync_ops << " sync ops, "
      << r.payload_errors.size() << " payload errors, " << r.races.size()
      << " races, " << r.deadlocks.size() << " deadlocks";

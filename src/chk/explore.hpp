@@ -41,6 +41,10 @@ struct ExploreOptions {
   /// Run with the happens-before checker recording (SRM backend: shared
   /// segments + LAPI counters; mini-MPI: message clocks).
   bool enable_checker = true;
+  /// SRM backend: turn SrmConfig::single_copy on, so the decision table's
+  /// mapped rows run their window protocols under the perturbed schedules
+  /// (with it off, decide() runs every mapped row unmapped).
+  bool single_copy = false;
   /// Stop at the first failing seed instead of finishing the sweep — the
   /// reproducer mode. The failing seed and its synchronization trace are in
   /// the result either way.

@@ -392,16 +392,16 @@ DecisionTable DecisionTable::modern_smp() {
   //     where the pipelined row funnels the whole vector through rank 0
   //     twice. Isolated calls, the pipelined rows -> the root-free rows
   //     with the node ring: 16 KB 62.02 -> 54.83; 32 KB 93.08 -> 64.29;
-  //     64 KB 139.83 -> 90.08. From 128 KB the row is mapped: its
-  //     allgather half runs a ring per socket and publishes every segment
-  //     from the socket head's window (allgather_sockets). Isolated
-  //     calls, node ring -> socket rings: 128 KB 157.21 -> 144.49; 256 KB
-  //     268.13 -> 235.18; 512 KB 485.49 -> 409.74. Below 128 KB the
-  //     windows' publish and attach cost more than the copies they save
-  //     (64 KB: 94.35 against 90.08 us). From 1 MB the pipeline over
+  //     64 KB 139.83 -> 90.08. The rows are mapped: their allgather half
+  //     runs a ring per socket, every local of a socket assembles its
+  //     share of the node segment in the socket head's window, and every
+  //     segment is published from that window (allgather_sockets).
+  //     Isolated calls, node ring -> socket rings: 16 KB (binary) 54.83 ->
+  //     54.36; 32 KB 64.29 -> 62.98; 64 KB 90.08 -> 85.46; 128 KB 157.21
+  //     -> 132.52; 512 KB 485.49 -> 382.64. From 1 MB the pipeline over
   //     chains between and within nodes in 16 KiB steps keeps the band:
-  //     the mapped row wins the 1 MB call (770.1 against 970.3 us) and
-  //     its midpoint (1.5 MB: 1240.9 against 1383.5), but single-copy off
+  //     the mapped row wins the 1 MB call (718.8 against 970.3 us) and
+  //     its midpoint (1.5 MB: 1166.6 against 1383.5), but single-copy off
   //     runs it on the node ring, which loses that midpoint (1452.9), and
   //     the tuner's single-copy-off rule keeps a band from an algorithm
   //     whose unmapped form loses it. The 4 and 8 KiB steps take no cell:
@@ -411,23 +411,20 @@ DecisionTable DecisionTable::modern_smp() {
   //     trees (512 KB: 881.6 us pipeline+binary, 1127.9 us
   //     rhalving+binary); ring and bine only win off power-of-two node
   //     counts (see abl_tuner);
-  //   * allgather runs root-free (core/gather_scatter.cpp
-  //     allgather_direct) from 64 B blocks (1 KB node blocks, row_key):
-  //     each leader assembles its node block and the leaders pass node
-  //     blocks around the node ring, publishing each as it lands, where
-  //     the gather + bcast composition funnels the whole vector through
-  //     rank 0. Isolated calls, composition -> this row: 64 B 23.07 ->
-  //     21.91 (back to back 18.65 -> 21.55: the isolated-call challenge's
-  //     pick). From 1 KB blocks (16 KB node blocks) the row is mapped:
-  //     each socket's head assembles the node block from the locals'
-  //     windows, the heads of each socket run their own ring, and the
-  //     socket's locals copy every landed segment clean out of their
-  //     head's window, where the node ring restages it through a Fig. 3
-  //     buffer they read dirty, the far socket pulling it across.
-  //     Isolated calls, node ring -> socket rings: 1 KB 60.46 -> 47.99;
-  //     2 KB 116.83 -> 83.92; 4 KB 229.63 -> 157.97; 8 KB 445.83 ->
-  //     306.51. At 512 B the windows' handshakes still lose (36.38
-  //     against 32.27 us back to back);
+  //   * allgather runs root-free and mapped (core/gather_scatter.cpp
+  //     allgather_sockets) from 64 B blocks (1 KB node blocks, row_key):
+  //     every socket's locals assemble the node block in their head's
+  //     window in parallel, the heads of each socket run their own ring,
+  //     and the socket's locals copy every landed segment clean out of
+  //     their head's window, where the gather + bcast composition funnels
+  //     the whole vector through rank 0 and the node ring restages every
+  //     segment through a Fig. 3 buffer its readers pull dirty, the far
+  //     socket pulling it across. Back to back, composition -> node ring
+  //     -> this row: 64 B 18.65 -> 21.55 -> 21.51 (isolated 23.07 ->
+  //     21.91 -> 21.76: the isolated-call challenge's pick); 1 KB 75.26
+  //     -> 60.10 -> 35.86; 4 KB 257.1 -> 229.3 -> 127.3; 8 KB 485.6 ->
+  //     444.4 -> 251.9. Below 64 B the composition wins (32 B: 16.19
+  //     against 21.08 us back to back);
   //   * scatter and gather keep one staged row each. Mapped scatter lost
   //     the isolated call at every per-rank block once LAPI dispatch kept
   //     arrival order (32 B: 9.04 us mapped, 8.79 us staged); scatter and
@@ -438,12 +435,18 @@ DecisionTable DecisionTable::modern_smp() {
   //     reduce + scatter composition funnels the whole vector through one
   //     leader. Its rows are keyed on the node segment (row_key), which a
   //     domain reduces and delivers per round: binary socket trees from
-  //     32 B blocks (512 B segments), chains from 256 B blocks, in 8 KiB
-  //     steps at 1 KB blocks and in the 16 KiB step from 2 KB blocks.
-  //     Only 8 and 16 B blocks keep the composition (8 B: 21.84 against
-  //     26.90 us back to back). Back to back, composition -> this row:
-  //     64 B 40.44 -> 28.23; 1 KB 218.0 -> 89.55; 4 KB 529.3 -> 254.4;
-  //     8 KB 901.3 -> 466.7 us.
+  //     32 B blocks (512 B segments), chains in the 16 KiB step from 256 B
+  //     blocks. Only 8 and 16 B blocks keep the composition (8 B: 21.84
+  //     against 26.90 us back to back). Back to back, composition -> this
+  //     row: 64 B 40.44 -> 28.23; 1 KB 218.0 -> 96.55; 4 KB 529.3 ->
+  //     254.4; 8 KB 901.3 -> 466.7 us. A step carries whole blocks spread
+  //     evenly where that fits one reduce slot in the fixed step count,
+  //     which evens out the steps of a block that does not divide 16 KiB:
+  //     1.5 KB blocks run two steps of 12 KiB where the fixed step ran
+  //     16 and 8 KiB (isolated 133.42 -> 120.39 us). So from 1 KB blocks
+  //     8 KiB steps lose the band's midpoint (1.5 KB: 123.88 against
+  //     120.39 us) and keep no row, though they still win the 1 KB call
+  //     (90.94 against 96.85).
   // Barrier needs no row.
   DecisionTable t;
   t.profile = "modern_smp";
@@ -468,23 +471,17 @@ DecisionTable DecisionTable::modern_smp() {
         {Algo::staged, false, chain, chain, c8k});
   t.set(CollKind::reduce, 256 * 1024, {Algo::staged, false, chain, chain});
   t.set(CollKind::allreduce, 0, {Algo::rd, false, bin});
-  t.set(CollKind::allreduce, 16 * 1024, {Algo::direct, false, bin, binary});
-  t.set(CollKind::allreduce, 32 * 1024, {Algo::direct, false, bin, chain});
-  t.set(CollKind::allreduce, 128 * 1024, {Algo::direct, true, bin, chain});
+  t.set(CollKind::allreduce, 16 * 1024, {Algo::direct, true, bin, binary});
+  t.set(CollKind::allreduce, 32 * 1024, {Algo::direct, true, bin, chain});
   t.set(CollKind::allreduce, 1024 * 1024,
         {Algo::pipeline, false, chain, chain});
   t.set(CollKind::scatter, 0, {Algo::staged, false, bin});
   t.set(CollKind::gather, 0, {Algo::staged, false, bin});
   t.set(CollKind::allgather, 0, {Algo::staged, false, bin});
-  t.set(CollKind::allgather, 1024, {Algo::direct, false, bin});
-  t.set(CollKind::allgather, 16 * 1024, {Algo::direct, true, bin});
+  t.set(CollKind::allgather, 1024, {Algo::direct, true, bin});
   t.set(CollKind::reduce_scatter, 0, {Algo::staged, false, bin});
   t.set(CollKind::reduce_scatter, 512, {Algo::direct, false, bin, binary});
   t.set(CollKind::reduce_scatter, 4 * 1024,
-        {Algo::direct, false, bin, chain});
-  t.set(CollKind::reduce_scatter, 16 * 1024,
-        {Algo::direct, false, bin, chain, c8k});
-  t.set(CollKind::reduce_scatter, 32 * 1024,
         {Algo::direct, false, bin, chain});
   return t;
 }

@@ -277,13 +277,16 @@ Communicator::NodeState::sock_ring(int peer, int dom) {
   return r;
 }
 
-shm::SharedFlag& Communicator::NodeState::ag_ready(int dom) {
-  auto& f = ag_ready_[dom];
-  if (f == nullptr) {
-    f = std::make_unique<shm::SharedFlag>(
-        *eng_, *mp_, 0, prefix_ + "/ag" + std::to_string(dom) + "_ready");
+Communicator::NodeState::AgFlags& Communicator::NodeState::ag_flags(
+    int dom) {
+  AgFlags& f = ag_[dom];
+  if (f.ready == nullptr) {
+    std::string stem = prefix_ + "/ag" + std::to_string(dom) + "_";
+    f.ready = std::make_unique<shm::SharedFlag>(*eng_, *mp_, 0, stem + "ready");
+    f.assembled =
+        std::make_unique<shm::SharedFlag>(*eng_, *mp_, 0, stem + "assembled");
   }
-  return *f;
+  return f;
 }
 
 lapi::Counter& Communicator::NodeState::rs_credit(int dom, int dest,

@@ -189,9 +189,11 @@ class Communicator final : public coll::Collectives {
   /// intra-node tree, the row's step), its head delivers each step straight
   /// to the node that owns the segment, and each rank combines the partials
   /// of its own block of @p blk into @p recv. @p send holds the whole
-  /// vector. Every segment runs the same step count: with @p even a step
+  /// vector. Every segment runs the same step count. Aligned, a step
   /// carries whole blocks, as many as fit the row's step (or equal parts
-  /// of one longer block), else it is the row's step with a shorter tail.
+  /// of one longer block); fixed, it is the row's step with a shorter
+  /// tail. With @p even the layout is aligned, else aligned unless that
+  /// takes more steps than the fixed one.
   sim::CoTask reduce_scatter_direct(machine::TaskCtx& t, const void* send,
                                     void* recv, const Blocks& blk, bool even,
                                     coll::Dtype d, coll::RedOp op,
@@ -207,12 +209,14 @@ class Communicator final : public coll::Collectives {
                                void* recv, const Blocks& blk,
                                std::size_t esize, bool mapped);
   /// The mapped root-free allgather: every socket of a node is a publish
-  /// domain (detail::Domains) whose head assembles the node's segment in
-  /// its own @p recv from the locals' windows, runs a ring with the same
-  /// socket's heads on every node, and exports @p recv as one window for
-  /// the call; its socket's locals copy each segment straight out of it
-  /// once the head flagged it (NodeState::ag_ready). No segment crosses a
-  /// socket inside a node or is restaged.
+  /// domain (detail::Domains) whose head exports its own @p recv as one
+  /// window for the call. Every local of the domain writes its block and
+  /// its share of the other domains' blocks (pulled from their windows)
+  /// into that window in parallel and counts it (NodeState::ag_flags);
+  /// the head then runs a ring with the same socket's heads on every node,
+  /// and its socket's locals copy each segment straight out of its window
+  /// once the head flagged it (NodeState::ag_flags). No landed segment
+  /// crosses a socket inside a node or is restaged.
   sim::CoTask allgather_sockets(machine::TaskCtx& t, const void* send,
                                 void* recv, const Blocks& blk,
                                 std::size_t esize);
@@ -420,9 +424,15 @@ class Communicator final : public coll::Collectives {
     lapi::Counter& rs_credit(int dom, int dest, std::size_t slot);
 
     // ---- mapped root-free allgather (allgather_sockets) ----
-    /// The monotonic count of node segments domain @p dom's head has
-    /// flagged ready in its window (first use).
-    shm::SharedFlag& ag_ready(int dom);
+    /// Per domain, monotonic: the node segments its head has flagged ready
+    /// in its window, and the locals that have written their share of the
+    /// node's segment into that window.
+    struct AgFlags {
+      std::unique_ptr<shm::SharedFlag> ready;
+      std::unique_ptr<shm::SharedFlag> assembled;
+    };
+    /// Domain @p dom's flags (first use).
+    AgFlags& ag_flags(int dom);
 
    private:
     /// Allocate @p p as the segment buffers "<stem>0" and "<stem>1" of
@@ -445,7 +455,7 @@ class Communicator final : public coll::Collectives {
     // Keyed by (domain, dest node, slot).
     std::map<std::tuple<int, int, std::size_t>, std::unique_ptr<lapi::Counter>>
         rs_credit_;
-    std::unordered_map<int, std::unique_ptr<shm::SharedFlag>> ag_ready_;
+    std::unordered_map<int, AgFlags> ag_;  // keyed by domain
   };
 
   // ---- per-rank protocol sequence numbers ----
@@ -498,8 +508,13 @@ class Communicator final : public coll::Collectives {
     };
     std::vector<RsSeq> rs_seq;
     // Mapped root-free allgather, per domain: the segments its head has
-    // flagged so far (the baseline of NodeState::ag_ready).
-    std::vector<std::uint64_t> ag_ready;
+    // flagged so far and the assembly shares its other locals have
+    // counted (the baselines of NodeState::ag_flags).
+    struct AgSeq {
+      std::uint64_t ready = 0;
+      std::uint64_t assembled = 0;
+    };
+    std::vector<AgSeq> ag_seq;
   };
 
   NodeState& node_state(const machine::TaskCtx& t) {

@@ -25,6 +25,7 @@
 //  * reduce_scatter on a staged row = reduce to rank 0 + scatter. A direct
 //    row runs the root-free protocol of core/reduce_scatter.cpp instead.
 // Each call of a composition runs its own row at its own size.
+#include <algorithm>
 #include <cstring>
 #include <deque>
 
@@ -438,23 +439,29 @@ sim::CoTask Communicator::allgather_direct(machine::TaskCtx& t,
 // The mapped root-free allgather. Per domain (socket) of a node:
 //
 //  * Windows. The head copies its own block into place and exports its
-//    whole recv as one window for the call; every other local with a
-//    nonempty block exports its send block. Each head pulls every block of
-//    its node into its recv: the other heads' blocks from their recv
-//    windows, the others from their send windows (dirty: their owners
-//    wrote them). The heads assemble the node's segment in parallel, so no
-//    byte of it is restaged.
+//    whole recv as one window for the call. Every other local with a
+//    nonempty block exports its send block when the node has more than
+//    one domain: the other domains' locals pull it from there.
+//  * Assembly. Every local of the domain writes the node's segment into
+//    its head's window in parallel: its own block (its own data, the
+//    baseline stream) and its round-robin share of the other domains'
+//    blocks, pulled from their owners' windows (the other heads' recv
+//    windows, the others' send windows; dirty: their owners wrote them).
+//    Each local other than the head then adds one to its domain's
+//    assembled count (NodeState::AgFlags), which the head awaits before
+//    ring step 0. No byte of the segment is restaged.
 //  * Ring. The heads of domain d on every node form their own ring (its
 //    arrivals on the domain's Link::RingCells), so a segment lands from
 //    the network in every socket's head's recv and never crosses a socket
 //    inside a node.
-//  * Publish. The head adds one to its domain's ag_ready flag per segment
+//  * Publish. The head adds one to its domain's ready count per segment
 //    it holds, in ring order; its socket's locals copy each flagged segment
 //    straight out of the head's window: landed segments clean (the NIC
-//    wrote them to memory), the node's own segment dirty, minus the
-//    reader's own block. A local retracts its send window before its first
-//    copy into recv, and a head retracts its window once its readers and
-//    the other heads have detached.
+//    wrote them to memory), the node's own segment, minus the reader's own
+//    block, dirty from the locals that wrote it (smp_bcast_chunk's rule
+//    for the far buffer). A local retracts its send window before its
+//    first copy into recv, and a head retracts its window once its readers
+//    and the other domains' pullers of its block have detached.
 sim::CoTask Communicator::allgather_sockets(machine::TaskCtx& t,
                                             const void* send, void* recv,
                                             const Blocks& blk,
@@ -470,13 +477,29 @@ sim::CoTask Communicator::allgather_sockets(machine::TaskCtx& t,
   const int my_dom = dom.of(me);
   const int head = dom.first(my_dom);
   const bool is_head = me == head;
-  if (rs.ag_ready.size() < static_cast<std::size_t>(dom.count)) {
-    rs.ag_ready.resize(static_cast<std::size_t>(dom.count));
+  const int my_size = dom.size(my_dom, p);
+  if (rs.ag_seq.size() < static_cast<std::size_t>(dom.count)) {
+    rs.ag_seq.resize(static_cast<std::size_t>(dom.count));
   }
   // Local l's block in recv, in bytes.
   auto blo = [&](int l) { return blk.lo(v * p + l) * esize; };
   auto bhi = [&](int l) { return blk.lo(v * p + l + 1) * esize; };
-  auto exports = [&](int l) { return dom.head(l) || bhi(l) > blo(l); };
+  auto exports = [&](int l) {
+    return dom.head(l) || (dom.count > 1 && bhi(l) > blo(l));
+  };
+  // The local of this domain that writes local l's block into the head's
+  // window: l itself in its own domain; the other domains' nonempty
+  // blocks are dealt round-robin over this domain's locals.
+  std::vector<int> writer(static_cast<std::size_t>(p), -1);
+  for (int l = 0, k = 0; l < p; ++l) {
+    auto li = static_cast<std::size_t>(l);
+    if (dom.of(l) == my_dom) {
+      writer[li] = l;
+    } else if (bhi(l) > blo(l)) {
+      writer[li] = head + k++ % my_size;
+    }
+  }
+  auto writer_of = [&](int l) { return writer[static_cast<std::size_t>(l)]; };
   std::vector<std::size_t> lo(static_cast<std::size_t>(n) + 1);
   std::vector<int> leader(static_cast<std::size_t>(n));
   for (int i = 0; i <= n; ++i) {
@@ -499,9 +522,28 @@ sim::CoTask Communicator::allgather_sockets(machine::TaskCtx& t,
       std::memcpy(base + my_lo, send, my_hi - my_lo);
     }
   };
+  // This local's share: every other domain's block dealt to it, pulled
+  // from its owner's window into the head's window at @p win.
+  auto pull_share = [&](std::byte* win) -> sim::CoTask {
+    for (int l = 0; l < p; ++l) {
+      if (dom.of(l) == my_dom || writer_of(l) != me) continue;
+      shm::Mapping::Window w;
+      co_await ns.map->attach(t, l, gen(l), &w);
+      const std::byte* src = dom.head(l) ? w.data + blo(l) : w.data;
+      co_await t.nd->mem.charge_copy_scaled(
+          static_cast<double>(bhi(l) - blo(l)),
+          t.P->topo.copy_factor(l, me, /*dirty=*/true));
+      std::memcpy(win + blo(l), src, bhi(l) - blo(l));
+      chk::note_read(t.chk, src, bhi(l) - blo(l));
+      chk::note_write(t.chk, win + blo(l), bhi(l) - blo(l));
+      ns.map->detach(t, l);
+    }
+  };
 
-  std::uint64_t flagged = rs.ag_ready[static_cast<std::size_t>(my_dom)];
-  shm::SharedFlag& ready = ns.ag_ready(my_dom);
+  const RankState::AgSeq seq = rs.ag_seq[static_cast<std::size_t>(my_dom)];
+  NodeState::AgFlags& flags = ns.ag_flags(my_dom);
+  shm::SharedFlag& ready = *flags.ready;
+  shm::SharedFlag& shares = *flags.assembled;
   if (is_head) {
     co_await own_block();
     co_await ns.map->publish(t, base, blk.total * esize);
@@ -514,18 +556,9 @@ sim::CoTask Communicator::allgather_sockets(machine::TaskCtx& t,
       }
       if (incoming) co_await ring.announce((v + n - 1) % n);
     }
-    for (int l = 0; l < p; ++l) {
-      if (l == me || bhi(l) == blo(l)) continue;
-      shm::Mapping::Window w;
-      co_await ns.map->attach(t, l, gen(l), &w);
-      const std::byte* src = dom.head(l) ? w.data + blo(l) : w.data;
-      co_await t.nd->mem.charge_copy_scaled(
-          static_cast<double>(bhi(l) - blo(l)),
-          t.P->topo.copy_factor(l, me, /*dirty=*/true));
-      std::memcpy(base + blo(l), src, bhi(l) - blo(l));
-      chk::note_read(t.chk, src, bhi(l) - blo(l));
-      ns.map->detach(t, l);
-    }
+    co_await pull_share(base);
+    co_await shares.await_at_least(
+        seq.assembled + static_cast<std::uint64_t>(my_size - 1), &t.chk);
     ring.publish = [&](int) -> sim::CoTask {
       ready.add(1, &t.chk);
       co_return;
@@ -535,36 +568,57 @@ sim::CoTask Communicator::allgather_sockets(machine::TaskCtx& t,
       co_await ring.drain();
       my_ep.set_interrupts(true);
     }
-    int readers = dom.size(my_dom, p) - 1;
+    int readers = my_size - 1;
     if (my_hi > my_lo) readers += dom.count - 1;
     co_await ns.map->retract(t, readers);
   } else {
-    if (my_hi > my_lo) {
+    if (exports(me)) {
       co_await ns.map->publish(t, const_cast<void*>(send), my_hi - my_lo);
-      co_await ns.map->retract(t, dom.count);
     }
-    co_await own_block();
     shm::Mapping::Window w;
     co_await ns.map->attach(t, head, gen(head), &w);
+    if (my_hi > my_lo) {
+      co_await t.nd->mem.charge_copy(static_cast<double>(my_hi - my_lo));
+      std::memcpy(w.data + my_lo, send, my_hi - my_lo);
+      chk::note_write(t.chk, w.data + my_lo, my_hi - my_lo);
+    }
+    co_await pull_share(w.data);
+    shares.add(1, &t.chk);
+    if (exports(me)) co_await ns.map->retract(t, dom.count - 1);
+    co_await own_block();
+    // One copy of [from, to) out of the head's window. The node's own
+    // segment is charged at the block-length-weighted factor of the
+    // locals that wrote it; a landed one is clean at the head's distance.
     auto copy = [&](std::size_t from, std::size_t to,
-                    bool dirty) -> sim::CoTask {
+                    bool own) -> sim::CoTask {
       if (to <= from) co_return;
-      co_await t.nd->mem.charge_copy_scaled(
-          static_cast<double>(to - from),
-          t.P->topo.copy_factor(head, me, dirty));
+      double f = t.P->topo.copy_factor(head, me, /*dirty=*/false);
+      if (own) {
+        double weighted = 0.0;
+        for (int l = 0; l < p; ++l) {
+          std::size_t a = std::max(blo(l), from);
+          std::size_t b = std::min(bhi(l), to);
+          if (a >= b) continue;
+          weighted += static_cast<double>(b - a) *
+                      t.P->topo.copy_factor(writer_of(l), me, /*dirty=*/true);
+        }
+        f = weighted / static_cast<double>(to - from);
+      }
+      co_await t.nd->mem.charge_copy_scaled(static_cast<double>(to - from),
+                                            f);
       std::memcpy(base + from, w.data + from, to - from);
       chk::note_read(t.chk, w.data + from, to - from);
     };
-    std::uint64_t k = flagged;
+    std::uint64_t k = seq.ready;
     ring.publish = [&](int b) -> sim::CoTask {
       co_await ready.await_at_least(++k, &t.chk);
       std::size_t from = ring.lo[static_cast<std::size_t>(b)];
       std::size_t to = ring.lo[static_cast<std::size_t>(b) + 1];
       if (b != v) {
-        co_await copy(from, to, /*dirty=*/false);
+        co_await copy(from, to, /*own=*/false);
       } else {
-        co_await copy(from, my_lo, /*dirty=*/true);
-        co_await copy(my_hi, to, /*dirty=*/true);
+        co_await copy(from, my_lo, /*own=*/true);
+        co_await copy(my_hi, to, /*own=*/true);
       }
     };
     co_await ring.steps(1, true);
@@ -572,7 +626,8 @@ sim::CoTask Communicator::allgather_sockets(machine::TaskCtx& t,
   }
 
   // Bookkeeping, identical on every rank of the node: one export per
-  // window above, and per domain one flag per nonempty segment.
+  // window above, per domain one flag per nonempty segment and one
+  // assembly share per local other than its head.
   for (int l = 0; l < p; ++l) {
     if (exports(l)) rs.map_gen[static_cast<std::size_t>(l)] += 1;
   }
@@ -580,7 +635,11 @@ sim::CoTask Communicator::allgather_sockets(machine::TaskCtx& t,
   for (int b = 0; b < n; ++b) {
     if (ring.len(b) > 0) ++segments;
   }
-  for (std::uint64_t& f : rs.ag_ready) f += segments;
+  for (int d = 0; d < dom.count; ++d) {
+    RankState::AgSeq& s = rs.ag_seq[static_cast<std::size_t>(d)];
+    s.ready += segments;
+    s.assembled += static_cast<std::uint64_t>(dom.size(d, p) - 1);
+  }
 }
 
 sim::CoTask Communicator::real_reduce_scatter(machine::TaskCtx& t,

@@ -106,35 +106,49 @@ sim::CoTask Communicator::reduce_scatter_direct(
   auto seg_lo = [&](int w) { return blk.lo(w * p); };
   auto seg_len = [&](int w) { return blk.lo((w + 1) * p) - seg_lo(w); };
   const std::size_t step = reduce_step_elems(dec, esize);
-  // With @p even, a step carries whole blocks, as many as fit in one step,
-  // or, when a block is longer than a step, an equal part of one block:
-  // every owner reads its block in one piece per round, or in equal
-  // pieces. Otherwise a step is the row's step, with a shorter tail.
+  // Aligned, a step carries whole blocks spread evenly, or, when a block
+  // is longer than a step, an equal part of one block: every owner reads
+  // its block in one piece per round, or in equal pieces. Fixed, a step is
+  // the row's step, with a shorter tail, and a block that does not divide
+  // it straddles two steps. With @p even the aligned layout takes as many
+  // steps as whole blocks need at the row's step. Otherwise it takes the
+  // fixed layout's step count, and is used only where its fullest step
+  // fits one reduce slot (or each block splits into equal parts with that
+  // count); elsewhere the fixed layout is kept.
+  std::size_t longest = 0;
+  for (int w = 0; w < n; ++w) longest = std::max(longest, seg_len(w));
+  const std::size_t fixed_steps = (longest + step - 1) / step;
+  const auto locals = static_cast<std::size_t>(p);
   std::size_t per_step = 0;  // whole blocks per step
   std::size_t parts = 1;     // steps per block
   std::size_t nsteps = 0;
-  if (!even) {
-    std::size_t longest = 0;
-    for (int w = 0; w < n; ++w) longest = std::max(longest, seg_len(w));
-    nsteps = (longest + step - 1) / step;
+  auto ranks = static_cast<std::size_t>(blk.nranks);
+  std::size_t widest =
+      std::max<std::size_t>(1, (blk.total + ranks - 1) / ranks);
+  if (widest <= step) {
+    per_step = step / widest;
+    nsteps = (locals + per_step - 1) / per_step;
   } else {
-    auto ranks = static_cast<std::size_t>(blk.nranks);
-    std::size_t widest =
-        std::max<std::size_t>(1, (blk.total + ranks - 1) / ranks);
-    if (widest <= step) {
-      per_step = step / widest;
-      nsteps = (static_cast<std::size_t>(p) + per_step - 1) / per_step;
+    parts = (widest + step - 1) / step;
+    nsteps = locals * parts;
+  }
+  bool aligned = even;
+  if (!even && fixed_steps > 0) {
+    const std::size_t slot =
+        std::max<std::size_t>(1, cfg_.reduce_chunk / esize);
+    if (per_step > 0) {
+      aligned = (locals + fixed_steps - 1) / fixed_steps * widest <= slot;
     } else {
-      parts = (widest + step - 1) / step;
-      nsteps = static_cast<std::size_t>(p) * parts;
+      aligned = nsteps == fixed_steps;
     }
+    nsteps = fixed_steps;
   }
   const std::size_t nchunks = static_cast<std::size_t>(n) * nsteps;
   const std::size_t landings = nchunks - nsteps;  // per pair per call
   // Step i of node w's segment starts at step_lo(w, i) of the segment and
   // ends where step i + 1 starts.
   auto step_lo = [&](int w, std::size_t i) -> std::size_t {
-    if (!even) return std::min(seg_len(w), i * step);
+    if (!aligned) return std::min(seg_len(w), i * step);
     auto l = static_cast<int>(per_step > 0 ? i * static_cast<std::size_t>(p) /
                                                  nsteps
                                            : i / parts);

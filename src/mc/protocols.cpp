@@ -550,19 +550,23 @@ struct Builder {
   // --- mapped root-free allgather (core/gather_scatter.cpp
   //     allgather_sockets) ---------------------------------------------------
   /// Every socket's group of locals is a publish domain whose head (its
-  /// first local) holds the node's segment at [0, W) of its buffer, one
-  /// byte per local, and the peer node's at [W, 2W). Every local exports
-  /// its own byte as a window (a head's is the own-block part of its
-  /// buffer), and each head pulls every other byte of its node from those
-  /// windows. The heads of one socket on the two nodes run their own ring:
-  /// each announces its buffer, forwards its own segment once the
-  /// successor's address arrived, and adds one to its domain's ready count
+  /// first local) exports its buffer as a window: the node's segment at
+  /// [0, W), one byte per local, and the peer node's at [W, 2W). With more
+  /// than one group every other local exports its own byte as a window
+  /// too. Every local of a group assembles the node's segment in its
+  /// head's window in parallel: it writes its own byte, pulls its
+  /// round-robin share of the other groups' bytes from their owners'
+  /// windows (a head's byte from its buffer) and, unless it is the head,
+  /// adds one to its group's assembled count. The heads of one socket on
+  /// the two nodes run their own ring: each announces its buffer, awaits
+  /// its group's assembled count, forwards its own segment once the
+  /// successor's address arrived, and adds one to its group's ready count
   /// per segment it holds (the own one after the forward, the peer's once
   /// its arrival counter fired). Its readers retract their window, copy
   /// each segment out of the head's buffer once the ready count covers it
-  /// (the own one minus their own byte) and count their detach; the head
-  /// reuses its buffer once they all detached. One NIC and one adapter
-  /// thread per node and socket ring.
+  /// (the own one minus their own byte) and detach; the head reuses its
+  /// buffer once they and the other groups' pullers of its byte detached.
+  /// One NIC and one adapter thread per node and socket ring.
   void sc_allgather() {
     const int per = (T() + sh.sockets - 1) / sh.sockets;
     const int D = (T() + per - 1) / per;
@@ -570,14 +574,19 @@ struct Builder {
     const std::uint64_t w = W();
     auto grp = [&](int l) { return std::min(l / per, D - 1); };
     auto is_head = [&](int l) { return l == grp(l) * per; };
+    auto size = [&](int g) { return g + 1 == D ? T() - g * per : per; };
     auto tag = [&](int n, int g) { return num(n) + ".g" + num(g); };
     auto loc = [&](int n, int l) { return num(n) + "[" + num(l) + "]"; };
     auto res = [&](int n, int g) { return p.buf(id("sgres" + tag(n, g))); };
+    auto rpub = [&](int n, int g) { return p.var(id("sgrpub" + tag(n, g))); };
     auto rdone = [&](int n, int g) {
       return p.var(id("sgrdone" + tag(n, g)));
     };
     auto ready_count = [&](int n, int g) {
       return p.var(id("sgready" + tag(n, g)));
+    };
+    auto assembled = [&](int n, int g) {
+      return p.var(id("sgasm" + tag(n, g)));
     };
     auto win = [&](int n, int l) { return p.buf(id("sgwin" + loc(n, l))); };
     auto wpub = [&](int n, int l) { return p.var(id("sgwpub" + loc(n, l))); };
@@ -590,16 +599,27 @@ struct Builder {
     auto ring_adp = [&](int n, int g) {
       return p.thread("adp" + tag(n, g));
     };
-    auto size = [&](int g) { return g + 1 == D ? T() - g * per : per; };
+    // The local of group g that writes byte l into g's head's window: l in
+    // its own group; the other groups' bytes dealt round-robin.
+    auto writer = [&](int g, int l) {
+      if (grp(l) == g) return l;
+      int k = 0;
+      for (int o = 0; o < l; ++o) k += grp(o) != g ? 1 : 0;
+      return g * per + k % size(g);
+    };
     for (int n = 0; n < sh.nodes; ++n) {
       for (int l = 0; l < T(); ++l) {
         int t = rk(n, l);
-        p.window(win(n, l), wpub(n, l), wdone(n, l), t);
-        p.write(t, win(n, l), 0, 1);
-        p.set(t, wpub(n, l), 1);
+        auto b = static_cast<std::uint64_t>(l);
         if (is_head(l)) {
-          auto b = static_cast<std::uint64_t>(l);
-          p.write(t, res(n, grp(l)), b, b + 1);
+          int g = grp(l);
+          p.window(res(n, g), rpub(n, g), rdone(n, g), t);
+          p.write(t, res(n, g), b, b + 1);
+          p.set(t, rpub(n, g), 1);
+        } else if (D > 1) {
+          p.window(win(n, l), wpub(n, l), wdone(n, l), t);
+          p.write(t, win(n, l), 0, 1);
+          p.set(t, wpub(n, l), 1);
         }
       }
     }
@@ -611,17 +631,35 @@ struct Builder {
         p.add(ring_nic(1 - n, g), p.var(id("sgaddrarr" + tag(1 - n, g))), 1);
       }
     }
-    // Assembly: each head pulls every other local's byte.
+    // Assembly: every local writes its own byte and pulls its share into
+    // its head's window; the others count it, and the head awaits them.
     for (int n = 0; n < sh.nodes; ++n) {
-      for (int g = 0; g < D; ++g) {
-        int h = rk(n, g * per);
-        for (int l = 0; l < T(); ++l) {
-          if (l == g * per) continue;
+      for (int l = 0; l < T(); ++l) {
+        int t = rk(n, l);
+        int g = grp(l);
+        if (!is_head(l)) {
           auto b = static_cast<std::uint64_t>(l);
-          p.await_ge(h, wpub(n, l), 1);
-          p.read(h, win(n, l), 0, 1);
-          p.write(h, res(n, g), b, b + 1);
-          p.add(h, wdone(n, l), 1);
+          p.await_ge(t, rpub(n, g), 1);
+          p.write(t, res(n, g), b, b + 1);
+        }
+        for (int o = 0; o < T(); ++o) {
+          if (grp(o) == g || writer(g, o) != l) continue;
+          auto b = static_cast<std::uint64_t>(o);
+          if (is_head(o)) {
+            p.await_ge(t, rpub(n, grp(o)), 1);
+            p.read(t, res(n, grp(o)), b, b + 1);
+          } else {
+            p.await_ge(t, wpub(n, o), 1);
+            p.read(t, win(n, o), 0, 1);
+          }
+          p.write(t, res(n, g), b, b + 1);
+          p.add(t, is_head(o) ? rdone(n, grp(o)) : wdone(n, o), 1);
+        }
+        if (is_head(l)) {
+          p.await_ge(t, assembled(n, g),
+                     static_cast<std::uint64_t>(size(g) - 1));
+        } else {
+          p.add(t, assembled(n, g), 1);
         }
       }
     }
@@ -662,8 +700,10 @@ struct Builder {
         int t = rk(n, l);
         int g = grp(l);
         auto b = static_cast<std::uint64_t>(l);
-        p.await_ge(t, wdone(n, l), static_cast<std::uint64_t>(D));
-        p.write(t, win(n, l), 0, 1);  // retract: the byte is private again
+        if (D > 1) {
+          p.await_ge(t, wdone(n, l), static_cast<std::uint64_t>(D - 1));
+          p.write(t, win(n, l), 0, 1);  // retract: the byte is private again
+        }
         p.await_ge(t, ready_count(n, g), 1);
         p.read(t, res(n, g), 0, b);
         if (b + 1 < w) p.read(t, res(n, g), b + 1, w);
@@ -674,14 +714,13 @@ struct Builder {
         p.add(t, rdone(n, g), 1);
       }
     }
-    // Heads: retract the own window once the other heads read it, and
-    // reuse the buffer once the socket's readers detached.
+    // Heads: reuse the buffer once the socket's readers and the other
+    // groups' pullers of the head's byte detached.
     for (int n = 0; n < sh.nodes; ++n) {
       for (int g = 0; g < D; ++g) {
         int h = rk(n, g * per);
-        p.await_ge(h, wdone(n, g * per), static_cast<std::uint64_t>(D - 1));
-        p.write(h, win(n, g * per), 0, 1);
-        p.await_ge(h, rdone(n, g), static_cast<std::uint64_t>(size(g) - 1));
+        p.await_ge(h, rdone(n, g),
+                   static_cast<std::uint64_t>(size(g) - 1 + D - 1));
         p.write(h, res(n, g), 0, ring ? 2 * w : w);
       }
     }
@@ -1674,6 +1713,15 @@ std::vector<Mutant> mutation_gauntlet() {
     Mutant m = make_mutant("sc_allgather.copy_before_ready",
                            Proto::sc_allgather, Shape{2, 2, 1}, true, false);
     m.program.drop_op("r0.1", "await sgready0.g0>=2");
+    add(std::move(m));
+  }
+  // Mapped root-free allgather: a head that forwards its own segment
+  // before its group's assembled count covers every local's share lets
+  // the adapter read the window while a local still writes its block.
+  {
+    Mutant m = make_mutant("sc_allgather.forward_before_assembled",
+                           Proto::sc_allgather, Shape{2, 2, 1}, true, false);
+    m.program.drop_op("r0.0", "await sgasm0.g0>=1");
     add(std::move(m));
   }
   // Scatter+allgather bcast: a dropped scatter-arrival signal wedges the

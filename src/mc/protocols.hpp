@@ -76,9 +76,10 @@ enum class Proto : std::uint8_t {
   // Root-free allgather (core/gather_scatter.cpp): node assembly at each
   // leader, the leader ring, and the Fig. 3 publish of every node block.
   ag_direct,
-  // Its mapped form (allgather_sockets): one head per socket assembles from
-  // the locals' windows, runs its socket's ring, and publishes its buffer
-  // as one window that its readers copy each flagged segment out of.
+  // Its mapped form (allgather_sockets): every local of a socket writes its
+  // share of the node's segment into its head's window, the head runs its
+  // socket's ring once all shares are counted, and its readers copy each
+  // flagged segment out of that window.
   sc_allgather,
 };
 inline constexpr int kProtoCount = 18;

@@ -482,9 +482,30 @@ AnalyzeResult analyze(const mc::Program& p, const Plan& plan,
             // The window *is* the owner's user buffer: its writes model
             // production and retract-reuse, not a staging copy.
             bytes = 0.0;
-          } else if (op.kind == mc::OpKind::read) {
-            int src = tinfo[static_cast<std::size_t>(win.owner)].local;
-            bytes *= rates.topo.copy_factor(src, ti.local, /*dirty=*/true);
+          } else if (op.kind == mc::OpKind::read && op.b > op.a) {
+            // Each byte is pulled from where its last write left it:
+            // dirty from the rank that wrote it, clean from the owner's
+            // memory when a NIC deposited it, dirty from the owner when
+            // nobody wrote it.
+            int owner = tinfo[static_cast<std::size_t>(win.owner)].local;
+            const auto& rv = recs[static_cast<std::size_t>(op.obj)];
+            double f = 0.0;
+            for (std::uint64_t x = op.a; x < op.b; ++x) {
+              int src = owner;
+              bool dirty = true;
+              for (auto r = rv.rbegin(); r != rv.rend(); ++r) {
+                if (!r->write || x < r->lo || x >= r->hi) continue;
+                const ThreadInfo& wi = tinfo[static_cast<std::size_t>(r->tid)];
+                if (wi.kind == ThreadInfo::Kind::rank) {
+                  src = wi.local;
+                } else {
+                  dirty = false;
+                }
+                break;
+              }
+              f += rates.topo.copy_factor(src, ti.local, dirty);
+            }
+            bytes *= f / static_cast<double>(op.b - op.a);
           }
         }
         if (op.kind == mc::OpKind::write) {

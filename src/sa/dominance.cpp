@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "coll/tree.hpp"
+#include "core/detail.hpp"
 #include "mc/protocols.hpp"
 
 namespace srm::sa {
@@ -288,11 +289,13 @@ AlgoCost algo_cost(CollKind op, Decision d, std::size_t bytes,
       // The gather half stages T per-rank blocks of B (unit T*B/W = B); the
       // broadcast half moves the full gathered vector (2 nodes: 2*T*B).
       // The root-free protocol moves node blocks (unit B) throughout; its
-      // mapped form runs one ring and window per profile socket.
+      // mapped form runs one ring and window per socket domain that a node
+      // of the model's kTasks locals forms (detail::Domains, as the
+      // runtime lays them).
       plan.default_unit = B;
       if (d.algo == Algo::direct && d.mapped) {
         out = eval_proto(mc::Proto::sc_allgather, 1, plan, mp,
-                         std::min(mp.topo.sockets, kTasks));
+                         detail::Domains(mp.topo, kTasks).count);
         break;
       }
       if (d.algo == Algo::direct) {
@@ -397,17 +400,34 @@ int root_fan_in(const Decision& d, const machine::MachineParams& mp) {
   return static_cast<int>(t.children[0].size());
 }
 
-/// The tasks-per-node counterpart of scale_extra: the reduce leader combines
-/// every child's chunk in turn, so at kTableTasks it combines
-/// root_fan_in() chunks where the kTasks model combines kModelRootFanIn.
-/// Each child more (or fewer) is one pass over the message more (or fewer)
-/// at the combine rate on the pipeline's bottleneck. At 16 tasks the
-/// binomial root has 4 children, the binary root 2 and the chain root 1.
-/// Laid over modern_smp's cache domains, the binomial root has 3, the
-/// binary root 2 and the chain root 1 (on a single-domain node the layout
-/// is the plain tree).
-double tasks_extra(CollKind op, const Decision& d, std::size_t bytes,
-                   const machine::MachineParams& mp) {
+/// The tasks-per-node counterpart of scale_extra.
+///
+/// Reduce: the leader combines every child's chunk in turn, so at
+/// kTableTasks it combines root_fan_in() chunks where the kTasks model
+/// combines kModelRootFanIn. Each child more (or fewer) is one pass over
+/// the message more (or fewer) at the combine rate on the pipeline's
+/// bottleneck. At 16 tasks the binomial root has 4 children, the binary
+/// root 2 and the chain root 1. Laid over modern_smp's cache domains, the
+/// binomial root has 3, the binary root 2 and the chain root 1 (on a
+/// single-domain node the layout is the plain tree).
+///
+/// Root-free allgather: a node segment holds one block per local, so at
+/// kTableTasks every copy of it on the critical path (@p c's copy bytes)
+/// streams kTableTasks / kTasks times the bytes. The node ring's Fig. 3
+/// publish also stores one READY flag per reader, one flag_poll each
+/// (smp_bcast_chunk), before any reader copies, where a socket head adds
+/// one to its ready count whatever its readers.
+double tasks_extra(CollKind op, const Decision& d, const AlgoCost& c,
+                   std::size_t bytes, const machine::MachineParams& mp) {
+  if (op == CollKind::allgather && d.algo == Algo::direct) {
+    double grow = static_cast<double>(kTableTasks) / kTasks - 1.0;
+    double extra = grow * c.formula[Atom::copy_bytes] * 1e9 /
+                   mp.mem.copy_bw_per_cpu;
+    if (!d.mapped) {
+      extra += (kTableTasks - kTasks) * static_cast<double>(mp.mem.flag_poll);
+    }
+    return extra;
+  }
   if (op != CollKind::reduce) return 0.0;
   int extra = root_fan_in(d, mp) - kModelRootFanIn;
   return extra * static_cast<double>(bytes) * 1e9 / mp.mem.reduce_bw_per_cpu;
@@ -479,6 +499,15 @@ std::vector<Crossover> crossovers(CollKind op, const SrmConfig& cfg,
   return out;
 }
 
+double scaled_ns(CollKind op, const Decision& d, const AlgoCost& c,
+                 std::size_t bytes, const SrmConfig& cfg,
+                 const machine::MachineParams& mp) {
+  return c.ns +
+         scale_extra(op, d.algo, c, chunks_for(op, d, bytes, cfg), bytes,
+                     mp) +
+         tasks_extra(op, d, c, bytes, mp);
+}
+
 DominanceReport check_table(const coll::DecisionTable& t,
                             const SrmConfig& cfg,
                             const machine::MachineParams& mp) {
@@ -501,16 +530,8 @@ DominanceReport check_table(const coll::DecisionTable& t,
         if (!ac.feasible) continue;
         bool slower = cc.ns > ac.ns * kSlackRel + kSlackAbs;
         bool buys_traffic = cc.bus_bytes < ac.bus_bytes * kBusSave;
-        double cx = cc.ns +
-                    scale_extra(op, chosen.algo, cc,
-                                chunks_for(op, chosen, bytes, cfg),
-                                bytes, mp) +
-                    tasks_extra(op, chosen, bytes, mp);
-        double ax = ac.ns +
-                    scale_extra(op, alt.algo, ac,
-                                chunks_for(op, alt, bytes, cfg), bytes,
-                                mp) +
-                    tasks_extra(op, alt, bytes, mp);
+        double cx = scaled_ns(op, chosen, cc, bytes, cfg, mp);
+        double ax = scaled_ns(op, alt, ac, bytes, cfg, mp);
         bool slower_at_n = cx > ax * kSlackRel + kSlackAbs;
         if (slower && slower_at_n && !buys_traffic) {
           rep.issues.push_back(DominanceIssue{op, row.min_bytes, chosen, alt,

@@ -113,6 +113,14 @@ AlgoCost algo_cost(coll::CollKind op, coll::Decision d, std::size_t bytes,
                    const SrmConfig& cfg,
                    const machine::MachineParams& mp);
 
+/// @p c (algo_cost of @p d at @p bytes) extrapolated to the shape the
+/// builtin tables were tuned at, 8 nodes x 16 tasks: the 2 x 4 model's
+/// cost plus the closed-form node and task terms check_table() judges a
+/// row by at scale.
+double scaled_ns(coll::CollKind op, const coll::Decision& d,
+                 const AlgoCost& c, std::size_t bytes, const SrmConfig& cfg,
+                 const machine::MachineParams& mp);
+
 /// Prove every row of @p t non-dominated at its min_bytes and compute the
 /// analytic crossovers for bcast and allreduce.
 DominanceReport check_table(const coll::DecisionTable& t,

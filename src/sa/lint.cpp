@@ -187,9 +187,11 @@ struct Linter {
       auto wbuf = static_cast<std::size_t>(w.buf);
       auto pubv = static_cast<std::size_t>(w.pub_var);
       auto donev = static_cast<std::size_t>(w.done_var);
-      // (a) + (b): non-owner readers.
+      // (a) + (b): non-owner readers. An adapter thread reads a window
+      // only as the source of its owner's put, on the owner's behalf.
       for (std::size_t tid = 0; tid < p.threads.size(); ++tid) {
         if (static_cast<int>(tid) == w.owner) continue;
+        if (p.threads[tid].name.rfind("adp", 0) == 0) continue;
         const auto& ops = p.threads[tid].ops;
         bool attached = false;
         std::size_t last_read = 0;
@@ -325,10 +327,30 @@ struct Linter {
           }
         }
         if (!writes_some) continue;  // the deposits come from elsewhere
+        // A wait on another thread's deposit signal (a write of a consumed
+        // buffer, then a bump before its next blocking op) relays that
+        // deposit: a head flags the segment the network landed.
+        std::set<int> relayed;
+        for (std::size_t t2 = 0; t2 < p.threads.size(); ++t2) {
+          if (t2 == tid) continue;
+          bool wrote = false;
+          for (const Op& o : p.threads[t2].ops) {
+            if (mc::blocking(o.kind)) wrote = false;
+            if (o.kind == OpKind::write && consumed.count(o.obj)) wrote = true;
+            if (wrote && (o.kind == OpKind::add ||
+                          (o.kind == OpKind::set && o.a != 0))) {
+              relayed.insert(o.obj);
+            }
+          }
+        }
         std::uint64_t bumps = 0, writes = 0;
         for (std::size_t i = 0; i < ops.size(); ++i) {
           const Op& o = ops[i];
           if (o.kind == OpKind::write && consumed.count(o.obj)) ++writes;
+          if ((o.kind == OpKind::wait_dec || is_await(o.kind)) &&
+              relayed.count(o.obj)) {
+            ++writes;
+          }
           if ((o.kind == OpKind::add ||
                (o.kind == OpKind::set && o.a != 0)) &&
               o.obj == v) {

@@ -7,8 +7,9 @@
 // per-worker flags, the master gathers them and raises a release flag),
 // and the root-free reduce_scatter owner (combines each source's landed
 // partial once its landed count rises), and the root-free allgather's
-// ring leader (publishes each node block once its arrival count rises) —
-// and verify that srm::chk
+// ring leader (publishes each node block once its arrival count rises),
+// and the socket head that forwards its window once every local's share
+// of the node segment is counted — and verify that srm::chk
 //   (a) stays silent on each correct protocol, and
 //   (b) flags each deliberately broken handshake: reordered publishes and
 //       skipped gates as data races, dropped signals as engine deadlocks.
@@ -19,10 +20,11 @@
 // (src/mc/protocols.cpp): reduce.publish_before_write,
 // reduce.drop_consumed_gate, barrier.drop_worker_signal, barrier.drop_release,
 // rs_direct.drop_landed_wait, ag_direct.publish_before_arrival,
-// sc_allgather.copy_before_ready and the Fig. 3 bcast mutants,
-// bcast.drop_far_slice_wait included. tests/mc_protocols_test.cpp asserts
-// the model checker catches those; this file asserts the concrete checker
-// catches the same handshake breaks, so each bug is flagged by both layers.
+// sc_allgather.copy_before_ready, sc_allgather.forward_before_assembled and
+// the Fig. 3 bcast mutants, bcast.drop_far_slice_wait included.
+// tests/mc_protocols_test.cpp asserts the model checker catches those; this
+// file asserts the concrete checker catches the same handshake breaks, so
+// each bug is flagged by both layers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -759,6 +761,94 @@ TEST(SocketWindowMutation, CopyBeforeReadyIsReported) {
   EXPECT_GT(races, 0)
       << "the reader copied the last segment before its head flagged it — "
          "its read is unordered against the deposit";
+  EXPECT_NE(report.find("head_win"), std::string::npos) << report;
+}
+
+// ---------------------------------------------------------------------------
+// Socket-leader parallel assembly (core/gather_scatter.cpp
+// allgather_sockets): every local of a socket writes its block of the
+// node's segment into the head's window and raises the socket's assembled
+// count; the head awaits every local's share, then its put reads the whole
+// segment out of the window. The last local writes late.
+// ---------------------------------------------------------------------------
+
+constexpr int kAsmLocals = 3;
+
+struct SocketAssembly {
+  sim::Engine eng;
+  machine::MemoryParams mp;
+  chk::Checker chk{eng, kAsmLocals + 1};
+  shm::Segment seg;
+  std::span<std::byte> win;  // one kSlot block per local, the head's first
+  shm::SharedFlag* assembled;
+  std::vector<chk::TaskChk> tasks;  // 0 head, 1.. the other locals
+
+  SocketAssembly() {
+    chk.set_enabled(true);
+    seg.set_checker(&chk);
+    win = seg.buffer("head_win", (kAsmLocals + 1) * kSlot);
+    assembled =
+        &seg.object<shm::SharedFlag>("assembled", eng, mp, 0, "assembled");
+    for (int a = 0; a <= kAsmLocals; ++a) tasks.push_back({&chk, a});
+  }
+
+  std::byte* block(int l) {
+    return win.data() + static_cast<std::size_t>(l) * kSlot;
+  }
+};
+
+sim::CoTask assembly_local(SocketAssembly& f, int l) {
+  chk::TaskChk& me = f.tasks[static_cast<std::size_t>(l)];
+  co_await f.eng.sleep(sim::ns(100 * l));
+  chk::note_write(me, f.block(l), kSlot);
+  std::memset(f.block(l), l + 1, kSlot);
+  f.assembled->add(1, &me);
+}
+
+/// @p drop_wait: the head forwards before its locals' shares are counted
+/// (mc twin: sc_allgather.forward_before_assembled).
+sim::CoTask assembly_head(SocketAssembly& f, bool drop_wait, int& sum) {
+  chk::TaskChk& me = f.tasks[0];
+  chk::note_write(me, f.block(0), kSlot);
+  std::memset(f.block(0), 1, kSlot);
+  if (!drop_wait) co_await f.assembled->await_at_least(kAsmLocals, &me);
+  chk::note_read(me, f.win.data(), f.win.size());
+  for (int l = 0; l <= kAsmLocals; ++l) {
+    sum += static_cast<int>(f.block(l)[0]);
+  }
+}
+
+int run_socket_assembly(bool drop_wait, std::string* first_report) {
+  SocketAssembly f;
+  int sum = 0;
+  f.eng.spawn(assembly_head(f, drop_wait, sum));
+  for (int l = 1; l <= kAsmLocals; ++l) f.eng.spawn(assembly_local(f, l));
+  f.eng.run();
+  if (chk::kEnabled) {
+    EXPECT_GT(f.chk.accesses_checked(), 0u);
+  }
+  if (!drop_wait) {
+    EXPECT_EQ(sum, (kAsmLocals + 1) * (kAsmLocals + 2) / 2);
+  }
+  if (first_report != nullptr && !f.chk.reports().empty()) {
+    *first_report = f.chk.reports()[0].to_string();
+  }
+  return static_cast<int>(f.chk.reports().size());
+}
+
+TEST(SocketAssemblyMutation, CorrectProtocolIsClean) {
+  std::string report;
+  int races = run_socket_assembly(/*drop_wait=*/false, &report);
+  EXPECT_EQ(races, 0) << report;
+}
+
+TEST(SocketAssemblyMutation, ForwardBeforeAssembledIsReported) {
+  if (!chk::kEnabled) GTEST_SKIP() << "built with SRM_CHK=OFF";
+  std::string report;
+  int races = run_socket_assembly(/*drop_wait=*/true, &report);
+  EXPECT_GT(races, 0)
+      << "the head read its window before every local's share was counted "
+         "— its read is unordered against the locals' writes";
   EXPECT_NE(report.find("head_win"), std::string::npos) << report;
 }
 

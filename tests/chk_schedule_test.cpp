@@ -55,19 +55,26 @@ TEST(ScheduleExplorer, SrmTwoSocketModernSmpSixteen) {
   // The sequence's reduce_scatter (200 doubles per rank, a 19200 B node
   // segment) runs that table's root-free row over domains of 8 and 4, its
   // 48 KB allreduce the root-free allreduce, and its allgather (1 KB per
-  // rank, a 12 KB node block) the root-free allgather.
+  // rank, a 12 KB node block) the root-free allgather. Both of the latter
+  // rows are mapped: the plan runs once as single-copy off runs it (the
+  // node ring), and once with single-copy on, where the allgather and
+  // the allreduce's allgather half run the socket leaders' windows and
+  // rings (allgather_sockets).
   const coll::DecisionTable& smp = coll::DecisionTable::modern_smp();
   coll::Decision rs = smp.decide(
       coll::CollKind::reduce_scatter,
       coll::row_key(coll::CollKind::reduce_scatter, 200 * sizeof(double),
                     12));
   EXPECT_EQ(rs.algo, coll::Algo::direct);
-  EXPECT_EQ(smp.decide(coll::CollKind::allreduce, 6000 * sizeof(double)).algo,
-            coll::Algo::direct);
+  coll::Decision ar =
+      smp.decide(coll::CollKind::allreduce, 6000 * sizeof(double));
+  EXPECT_EQ(ar.algo, coll::Algo::direct);
+  EXPECT_TRUE(ar.mapped);
   coll::Decision ag = smp.decide(
       coll::CollKind::allgather,
       coll::row_key(coll::CollKind::allgather, 128 * sizeof(double), 12));
   EXPECT_EQ(ag.algo, coll::Algo::direct);
+  EXPECT_TRUE(ag.mapped);
   ExploreOptions opt;
   opt.backend = ExploreBackend::srm;
   opt.nodes = 2;
@@ -75,6 +82,8 @@ TEST(ScheduleExplorer, SrmTwoSocketModernSmpSixteen) {
   opt.params = machine::MachineParams::modern_smp();
   opt.schedules = 16;
   opt.seed_base = 401;
+  expect_clean(opt, true);
+  opt.single_copy = true;
   expect_clean(opt, true);
 }
 

@@ -142,6 +142,29 @@ TEST(Model, SocketLeaderRowsWithinEnvelope) {
   }
 }
 
+// sa ranks the two root-free allgather forms as the simulator does on the
+// 2x4 modern_smp grid: the socket-leader form (its readers pull landed
+// segments clean and the node's own segment from the locals that wrote it,
+// every local assembling its share in parallel) against the node ring.
+TEST(Model, RootFreeAllgatherFormsRankAsSimulated) {
+  const SrmConfig cfg;
+  const machine::MachineParams mp = machine::MachineParams::modern_smp();
+  const coll::Decision mapped{coll::Algo::direct, true};
+  const coll::Decision ring{coll::Algo::direct, false};
+  for (std::size_t bytes : {std::size_t{1024}, std::size_t{64 * 1024}}) {
+    double sa_mapped =
+        sa::algo_cost(CollKind::allgather, mapped, bytes, cfg, mp).ns / 1e3;
+    double sa_ring =
+        sa::algo_cost(CollKind::allgather, ring, bytes, cfg, mp).ns / 1e3;
+    double sim_mapped = simulated(CollKind::allgather, mapped, bytes, mp);
+    double sim_ring = simulated(CollKind::allgather, ring, bytes, mp);
+    EXPECT_EQ(sa_mapped < sa_ring, sim_mapped < sim_ring)
+        << bytes << " B blocks: sa " << sa_mapped << " mapped, " << sa_ring
+        << " ring; simulated " << sim_mapped << " mapped, " << sim_ring
+        << " ring";
+  }
+}
+
 /// A grid cell where sa's cheapest pipeline chunk is not the simulator's
 /// fastest (DESIGN.md §16). sa prices the 2x4 IR at every shape, so a
 /// deeper tree's longer pipeline fill, which favours smaller chunks, is

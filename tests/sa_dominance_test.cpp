@@ -3,6 +3,7 @@
 // protocol switch, 16 KB allreduce recursive-doubling cap).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -167,6 +168,40 @@ TEST(SaDominance, TasksPerNodeTermJudgesTheIntranodeTree) {
   EXPECT_EQ(binomial[0].min_bytes, 512u * 1024);
   EXPECT_FALSE(binomial[0].chosen.mapped);
   EXPECT_TRUE(binomial[0].better.mapped);
+}
+
+TEST(SaDominance, SocketLeaderRowsStandWithoutSlack) {
+  // modern_smp()'s mapped root-free rows (the socket leaders' allgather,
+  // and the allreduce whose allgather half it is) are priced no dearer
+  // than any menu candidate at their row keys, on the 2 x 4 model or at
+  // the 8 x 16 shape the table was tuned at, without check_table's slack.
+  const SrmConfig cfg;
+  const machine::MachineParams mp = machine::MachineParams::modern_smp();
+  const DecisionTable& t = DecisionTable::modern_smp();
+  int mapped_rows = 0;
+  for (CollKind op : {CollKind::allgather, CollKind::allreduce}) {
+    for (const auto& row : t.rows(op)) {
+      if (row.d.algo != Algo::direct || !row.d.mapped) continue;
+      ++mapped_rows;
+      std::size_t bytes = op == CollKind::allgather
+                              ? std::max<std::size_t>(row.min_bytes / 16, 8)
+                              : row.min_bytes;
+      sa::AlgoCost cc = sa::algo_cost(op, row.d, bytes, cfg, mp);
+      ASSERT_TRUE(cc.feasible);
+      double cx = sa::scaled_ns(op, row.d, cc, bytes, cfg, mp);
+      for (const Decision& alt : sa::algo_menu(op)) {
+        sa::AlgoCost ac = sa::algo_cost(op, alt, bytes, cfg, mp);
+        if (!ac.feasible) continue;
+        double ax = sa::scaled_ns(op, alt, ac, bytes, cfg, mp);
+        EXPECT_TRUE(cc.ns <= ac.ns || cx <= ax)
+            << coll::coll_name(op) << " row @" << row.min_bytes << " B: "
+            << cc.ns << " / " << cx << " ns against "
+            << coll::algo_name(alt.algo) << (alt.mapped ? "+mapped" : "")
+            << " " << ac.ns << " / " << ax << " ns (2 x 4 / 8 x 16)";
+      }
+    }
+  }
+  EXPECT_GT(mapped_rows, 0);
 }
 
 TEST(SaDominance, MenuCoversEveryBuiltinRow) {

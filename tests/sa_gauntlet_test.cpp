@@ -66,6 +66,7 @@ TEST(SaGauntlet, ClassificationIsPinned) {
       {"rs_direct.drop_landed_wait", "R8"},
       {"ag_direct.publish_before_arrival", "R8"},
       {"sc_allgather.copy_before_ready", "R8"},
+      {"sc_allgather.forward_before_assembled", "R8"},
   };
   const std::vector<mc::Mutant>& gauntlet = mc::mutation_gauntlet();
   ASSERT_EQ(gauntlet.size(), expected.size());

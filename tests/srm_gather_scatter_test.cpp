@@ -280,13 +280,25 @@ TEST(SrmReduceScatterDirect, SumsOnEveryDomainSplit) {
 }
 
 TEST(SrmReduceScatterDirect, SumsInSubSlotSteps) {
-  // A 4 KiB step splits an owner's block across steps and a step across
-  // owners; 8x16 at 65 elements per rank runs 17 steps per segment.
+  // Steps that carry whole blocks: 8x16 at 65 elements per rank runs 3
+  // steps of 5-6 blocks per segment in 4 KiB steps, 3x12 at 100 elements
+  // 2 steps of 6 in 8 KiB steps, and 2x16 at 192 elements 3 steps of 5-6
+  // blocks, up to 9216 B: past the 8 KiB row step, within one 16 KiB
+  // reduce slot. Steps that split an owner's block across steps and a
+  // step across owners, where the block-aligned layout does not fit: 3x12
+  // at 600 elements (4800 B blocks, longer than a 4 KiB step) runs 15
+  // fixed steps, and at 758 elements (6064 B blocks, three to a 16 KiB
+  // slot) 5 fixed 16 KiB steps.
   const auto smp = machine::MachineParams::modern_smp();
   direct_reduce_scatter(smp, 8, 16, 65,
                         direct_row(coll::TreeKind::chain, 4 * 1024));
   direct_reduce_scatter(smp, 3, 12, 100,
                         direct_row(coll::TreeKind::binary, 8 * 1024), 3);
+  direct_reduce_scatter(smp, 2, 16, 192,
+                        direct_row(coll::TreeKind::chain, 8 * 1024));
+  direct_reduce_scatter(smp, 3, 12, 600,
+                        direct_row(coll::TreeKind::chain, 4 * 1024));
+  direct_reduce_scatter(smp, 3, 12, 758, direct_row(coll::TreeKind::chain));
 }
 
 TEST(SrmReduceScatterDirect, InterleavesWithTheOtherReduceSlots) {
