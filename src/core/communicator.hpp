@@ -192,8 +192,10 @@ class Communicator final : public coll::Collectives {
   /// vector. Every segment runs the same step count. Aligned, a step
   /// carries whole blocks, as many as fit the row's step (or equal parts
   /// of one longer block); fixed, it is the row's step with a shorter
-  /// tail. With @p even the layout is aligned, else aligned unless that
-  /// takes more steps than the fixed one.
+  /// tail. With @p even the layout is aligned. Otherwise the call runs the
+  /// fixed layout's step count, aligned where whole blocks spread evenly
+  /// over it fill no step past one reduce slot (or every block splits
+  /// into that many equal parts), else fixed.
   sim::CoTask reduce_scatter_direct(machine::TaskCtx& t, const void* send,
                                     void* recv, const Blocks& blk, bool even,
                                     coll::Dtype d, coll::RedOp op,

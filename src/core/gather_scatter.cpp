@@ -516,10 +516,13 @@ sim::CoTask Communicator::allgather_sockets(machine::TaskCtx& t,
   lapi::Endpoint& my_ep = ep(t.rank);
   const bool lead = is_head && n > 1;
   auto gen = [&](int l) { return rs.map_gen[static_cast<std::size_t>(l)] + 1; };
-  auto own_block = [&]() -> sim::CoTask {
-    if (my_hi > my_lo && base + my_lo != send) {
+  // This rank's own block into its place in @p dst: its own recv, or its
+  // head's window, which records the write.
+  auto own_block = [&](std::byte* dst) -> sim::CoTask {
+    if (my_hi > my_lo && dst + my_lo != send) {
       co_await t.nd->mem.charge_copy(static_cast<double>(my_hi - my_lo));
-      std::memcpy(base + my_lo, send, my_hi - my_lo);
+      std::memcpy(dst + my_lo, send, my_hi - my_lo);
+      if (dst != base) chk::note_write(t.chk, dst + my_lo, my_hi - my_lo);
     }
   };
   // This local's share: every other domain's block dealt to it, pulled
@@ -545,7 +548,7 @@ sim::CoTask Communicator::allgather_sockets(machine::TaskCtx& t,
   shm::SharedFlag& ready = *flags.ready;
   shm::SharedFlag& shares = *flags.assembled;
   if (is_head) {
-    co_await own_block();
+    co_await own_block(base);
     co_await ns.map->publish(t, base, blk.total * esize);
     // The window is live before the predecessor learns where to put.
     if (lead) {
@@ -577,15 +580,11 @@ sim::CoTask Communicator::allgather_sockets(machine::TaskCtx& t,
     }
     shm::Mapping::Window w;
     co_await ns.map->attach(t, head, gen(head), &w);
-    if (my_hi > my_lo) {
-      co_await t.nd->mem.charge_copy(static_cast<double>(my_hi - my_lo));
-      std::memcpy(w.data + my_lo, send, my_hi - my_lo);
-      chk::note_write(t.chk, w.data + my_lo, my_hi - my_lo);
-    }
+    co_await own_block(w.data);
     co_await pull_share(w.data);
     shares.add(1, &t.chk);
     if (exports(me)) co_await ns.map->retract(t, dom.count - 1);
-    co_await own_block();
+    co_await own_block(base);
     // One copy of [from, to) out of the head's window. The node's own
     // segment is charged at the block-length-weighted factor of the
     // locals that wrote it; a landed one is clean at the head's distance.

@@ -133,7 +133,7 @@ sim::CoTask Communicator::reduce_scatter_direct(
     nsteps = locals * parts;
   }
   bool aligned = even;
-  if (!even && fixed_steps > 0) {
+  if (!even) {
     const std::size_t slot =
         std::max<std::size_t>(1, cfg_.reduce_chunk / esize);
     if (per_step > 0) {

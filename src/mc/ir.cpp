@@ -56,6 +56,10 @@ void Program::window(int b, int pub_var, int done_var, int owner_tid) {
   windows.push_back(Window{b, pub_var, done_var, owner_tid});
 }
 
+void Program::serves(int adapter_tid, int owner_tid) {
+  threads.at(static_cast<std::size_t>(adapter_tid)).serves = owner_tid;
+}
+
 void Program::push(int tid, Op op) {
   threads.at(static_cast<std::size_t>(tid)).ops.push_back(std::move(op));
 }
@@ -141,6 +145,11 @@ void Program::validate() const {
                                                << op.label << "'");
       }
     }
+  }
+  for (const Thread& t : threads) {
+    SRM_CHECK_MSG(t.serves >= -1 && t.serves < static_cast<int>(threads.size()),
+                  "program '" << name << "' thread '" << t.name
+                              << "': serves no thread");
   }
   for (const Window& w : windows) {
     SRM_CHECK_MSG(w.buf >= 0 && w.buf < static_cast<int>(buf_names.size()) &&

@@ -59,6 +59,9 @@ struct Op {
 struct Thread {
   std::string name;
   std::vector<Op> ops;
+  /// For an adapter thread: the thread whose puts it carries out, which
+  /// reads that thread's buffers on its behalf (-1: none).
+  int serves = -1;
 };
 
 /// A shm::Mapping window as the single-copy protocols model it: a shared
@@ -95,6 +98,9 @@ struct Program {
   /// + owning thread) for the introspection passes. validate() checks the
   /// indices.
   void window(int buf, int pub_var, int done_var, int owner_tid);
+  /// Record that adapter thread @p adapter_tid carries out the puts of
+  /// @p owner_tid (Thread::serves).
+  void serves(int adapter_tid, int owner_tid);
 
   // --- op emitters (labels are generated from the object names) ------------
   void set(int tid, int var, std::uint64_t v);

@@ -670,6 +670,7 @@ struct Builder {
         int h = rk(n, g * per);
         if (ring) {
           int a = ring_adp(n, g);
+          p.serves(a, h);
           int put = p.chan(id("sgput" + tag(n, g)));
           int data = p.chan(id("sgdata" + tag(n, g)));
           p.wait_dec(h, p.var(id("sgaddrarr" + tag(n, g))), 1);

@@ -155,6 +155,15 @@ AlgoCost eval_proto(mc::Proto proto, int chunks, const Plan& plan,
   return eval_model(mc::build(proto, sh), plan, mp);
 }
 
+/// The socket domains a node of the model's kTasks locals forms, as the
+/// runtime lays them (detail::Domains): the root-free reduce_scatter and
+/// the mapped root-free allgather, and so both halves of the root-free
+/// allreduce, are priced on the same node layout the simulated 2 x kTasks
+/// call runs.
+int model_domains(const machine::MachineParams& mp) {
+  return detail::Domains(mp.topo, kTasks).count;
+}
+
 }  // namespace
 
 std::vector<Decision> algo_menu(CollKind op) {
@@ -289,13 +298,11 @@ AlgoCost algo_cost(CollKind op, Decision d, std::size_t bytes,
       // The gather half stages T per-rank blocks of B (unit T*B/W = B); the
       // broadcast half moves the full gathered vector (2 nodes: 2*T*B).
       // The root-free protocol moves node blocks (unit B) throughout; its
-      // mapped form runs one ring and window per socket domain that a node
-      // of the model's kTasks locals forms (detail::Domains, as the
-      // runtime lays them).
+      // mapped form runs one ring and window per model domain.
       plan.default_unit = B;
       if (d.algo == Algo::direct && d.mapped) {
         out = eval_proto(mc::Proto::sc_allgather, 1, plan, mp,
-                         detail::Domains(mp.topo, kTasks).count);
+                         model_domains(mp));
         break;
       }
       if (d.algo == Algo::direct) {
@@ -308,12 +315,12 @@ AlgoCost algo_cost(CollKind op, Decision d, std::size_t bytes,
     case CollKind::reduce_scatter:
       if (d.algo == Algo::direct) {
         // Per step, a domain's partial spans the node segment's step
-        // (kTasks x B / C); every owner reads its model byte of it. Each
-        // socket of the profile is a domain.
+        // (kTasks x B / C); every owner reads its model byte of it. The
+        // node's domains are the model's.
         plan.default_unit = B / static_cast<double>(C);
         plan.accumulators = {"rslot"};
         out = eval_proto(mc::Proto::rs_direct, C, plan, mp,
-                         std::min(mp.topo.sockets, kTasks));
+                         model_domains(mp));
         break;
       }
       plan.default_unit = B;

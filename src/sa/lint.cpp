@@ -187,11 +187,11 @@ struct Linter {
       auto wbuf = static_cast<std::size_t>(w.buf);
       auto pubv = static_cast<std::size_t>(w.pub_var);
       auto donev = static_cast<std::size_t>(w.done_var);
-      // (a) + (b): non-owner readers. An adapter thread reads a window
-      // only as the source of its owner's put, on the owner's behalf.
+      // (a) + (b): non-owner readers. The owner's own adapter reads the
+      // window as the source of the owner's put, on the owner's behalf.
       for (std::size_t tid = 0; tid < p.threads.size(); ++tid) {
         if (static_cast<int>(tid) == w.owner) continue;
-        if (p.threads[tid].name.rfind("adp", 0) == 0) continue;
+        if (p.threads[tid].serves == w.owner) continue;
         const auto& ops = p.threads[tid].ops;
         bool attached = false;
         std::size_t last_read = 0;
@@ -327,30 +327,25 @@ struct Linter {
           }
         }
         if (!writes_some) continue;  // the deposits come from elsewhere
-        // A wait on another thread's deposit signal (a write of a consumed
-        // buffer, then a bump before its next blocking op) relays that
-        // deposit: a head flags the segment the network landed.
-        std::set<int> relayed;
+        // A NIC's arrival counter (its dispatcher writes a consumed buffer,
+        // then adds to the counter before its next blocking op) relays the
+        // deposits a Waitcntr on it consumes, one per unit: a head flags
+        // the segment the network landed in its buffer.
+        std::set<int> landed;
         for (std::size_t t2 = 0; t2 < p.threads.size(); ++t2) {
-          if (t2 == tid) continue;
+          if (t2 == tid || p.threads[t2].name.rfind("nic", 0) != 0) continue;
           bool wrote = false;
           for (const Op& o : p.threads[t2].ops) {
             if (mc::blocking(o.kind)) wrote = false;
             if (o.kind == OpKind::write && consumed.count(o.obj)) wrote = true;
-            if (wrote && (o.kind == OpKind::add ||
-                          (o.kind == OpKind::set && o.a != 0))) {
-              relayed.insert(o.obj);
-            }
+            if (wrote && o.kind == OpKind::add) landed.insert(o.obj);
           }
         }
         std::uint64_t bumps = 0, writes = 0;
         for (std::size_t i = 0; i < ops.size(); ++i) {
           const Op& o = ops[i];
           if (o.kind == OpKind::write && consumed.count(o.obj)) ++writes;
-          if ((o.kind == OpKind::wait_dec || is_await(o.kind)) &&
-              relayed.count(o.obj)) {
-            ++writes;
-          }
+          if (o.kind == OpKind::wait_dec && landed.count(o.obj)) writes += o.a;
           if ((o.kind == OpKind::add ||
                (o.kind == OpKind::set && o.a != 0)) &&
               o.obj == v) {

@@ -14,14 +14,17 @@
 //                         or a recv that must starve).
 //   R4 window-protocol    publish/attach/detach/retract discipline on the
 //                         registered shm::Mapping windows: (a) attach-check
-//                         before a non-owner read, (b) reader bumps the
-//                         detach counter after its last read, (c) owner
-//                         collects detaches before overwriting a published
-//                         window, (d) owner writes the window before
-//                         publishing it.
+//                         before a non-owner read (the owner's own adapter,
+//                         Thread::serves, reads on its behalf), (b) reader
+//                         bumps the detach counter after its last read,
+//                         (c) owner collects detaches before overwriting a
+//                         published window, (d) owner writes the window
+//                         before publishing it.
 //   R5 publish-order      the j-th bump of a flag/counter consumed before
 //                         buffer reads must be preceded by >= j writes of
-//                         the consumed buffers (signal-before-deposit).
+//                         the consumed buffers (signal-before-deposit); a
+//                         wait_dec of v on a NIC's arrival counter for them
+//                         counts as v writes (the network's deposits).
 //   R6 flag-reuse         two nonzero sets of the same flag by one thread
 //                         with no blocking read of the flag in between
 //                         (overwrites a generation the consumer may not

@@ -118,7 +118,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 // The mapped root-free rows are not menu candidates (abl_model_validation
 // prints the menu), but the table runs them: the socket-leader allgather
-// (mc::Proto::sc_allgather, one ring and window per profile socket) and
+// (mc::Proto::sc_allgather, one ring and window per socket domain of the
+// model's 4-task node, one on both profiles as on the simulated 2x4) and
 // the allreduce whose allgather half it is must sit in the same envelope.
 TEST(Model, SocketLeaderRowsWithinEnvelope) {
   const SrmConfig cfg;
@@ -143,9 +144,9 @@ TEST(Model, SocketLeaderRowsWithinEnvelope) {
 }
 
 // sa ranks the two root-free allgather forms as the simulator does on the
-// 2x4 modern_smp grid: the socket-leader form (its readers pull landed
-// segments clean and the node's own segment from the locals that wrote it,
-// every local assembling its share in parallel) against the node ring.
+// 2x4 modern_smp grid, one socket domain per node: the socket-leader form
+// (its readers pull landed segments clean and the node's own segment from
+// the locals that wrote it) against the node ring.
 TEST(Model, RootFreeAllgatherFormsRankAsSimulated) {
   const SrmConfig cfg;
   const machine::MachineParams mp = machine::MachineParams::modern_smp();
@@ -162,6 +163,28 @@ TEST(Model, RootFreeAllgatherFormsRankAsSimulated) {
         << bytes << " B blocks: sa " << sa_mapped << " mapped, " << sa_ring
         << " ring; simulated " << sim_mapped << " mapped, " << sim_ring
         << " ring";
+  }
+}
+
+// On a node whose four tasks span two sockets, sa and the simulator both
+// run the socket-leader allgather over two domains: the cross-socket pulls
+// of the assembly and two socket rings sharing the node's link. Its price
+// stays in the envelope there. (sa does not rank it against the node ring
+// on this shape as the simulator does: it prices the node ring's far-socket
+// readers flat, DESIGN.md §16.)
+TEST(Model, SocketLeaderAssemblyAcrossSocketsWithinEnvelope) {
+  const SrmConfig cfg;
+  machine::MachineParams mp = machine::MachineParams::modern_smp();
+  mp.topo.cores_per_l3 = 2;
+  mp.topo.l3_per_socket = 1;
+  const coll::Decision mapped{coll::Algo::direct, true};
+  for (std::size_t bytes : {std::size_t{1024}, std::size_t{64 * 1024}}) {
+    sa::AlgoCost c = sa::algo_cost(CollKind::allgather, mapped, bytes, cfg, mp);
+    ASSERT_TRUE(c.feasible);
+    double ratio = c.ns / 1000.0 /
+                   simulated(CollKind::allgather, mapped, bytes, mp);
+    EXPECT_GT(ratio, kLo) << bytes << " B blocks, ratio " << ratio;
+    EXPECT_LT(ratio, kHi) << bytes << " B blocks, ratio " << ratio;
   }
 }
 

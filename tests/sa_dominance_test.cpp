@@ -175,6 +175,9 @@ TEST(SaDominance, SocketLeaderRowsStandWithoutSlack) {
   // and the allreduce whose allgather half it is) are priced no dearer
   // than any menu candidate at their row keys, on the 2 x 4 model or at
   // the 8 x 16 shape the table was tuned at, without check_table's slack.
+  // The 8 x 16 price scales the model's one-domain node to 16 tasks; the
+  // second socket ring and the cross-socket pulls a 16-task node runs are
+  // not in it (DESIGN.md §16).
   const SrmConfig cfg;
   const machine::MachineParams mp = machine::MachineParams::modern_smp();
   const DecisionTable& t = DecisionTable::modern_smp();

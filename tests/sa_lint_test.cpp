@@ -4,6 +4,8 @@
 // diagnostic on a user model is a real finding, not catalog noise.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "mc/protocols.hpp"
@@ -60,6 +62,90 @@ TEST(SaLint, FiredRulesDeduplicatesToFamilies) {
 TEST(SaLint, CleanProgramFiresNothing) {
   mc::Program p = mc::build(mc::Proto::bcast, {2, 4, 2});
   EXPECT_TRUE(sa::fired_rules(sa::lint(p)).empty());
+}
+
+int count_rule(const std::vector<sa::Diag>& diags, const std::string& rule) {
+  return static_cast<int>(
+      std::count_if(diags.begin(), diags.end(),
+                    [&](const sa::Diag& d) { return d.rule == rule; }));
+}
+
+/// r0.0 exports its buffer as a window and hands a put of it to an
+/// adapter, which reads it without attaching: r0.0's own adapter when
+/// @p own, else r1.0's adapter on a put r1.0 asked for.
+mc::Program window_put(bool own) {
+  mc::Program p;
+  p.name = own ? "own_adapter_put" : "foreign_adapter_put";
+  int owner = p.thread("r0.0");
+  int other = p.thread("r1.0");
+  int adp0 = p.thread("adp0");
+  int adp1 = p.thread("adp1");
+  p.serves(adp0, owner);
+  p.serves(adp1, other);
+  int win = p.buf("win");
+  int pub = p.var("wpub");
+  int done = p.var("wdone");
+  int org = p.var("org");
+  int put = p.chan("put");
+  p.window(win, pub, done, owner);
+  p.write(owner, win, 0, 1);
+  p.set(owner, pub, 1);
+  int src = own ? owner : other;
+  int a = own ? adp0 : adp1;
+  p.send(src, put);
+  p.recv(a, put);
+  p.read(a, win, 0, 1);
+  p.add(a, org, 1);
+  p.wait_dec(src, org, 1);
+  p.validate();
+  return p;
+}
+
+TEST(SaLint, OwnAdapterReadsItsOwnersWindowUnattached) {
+  EXPECT_EQ(count_rule(sa::lint(window_put(true)), "R4"), 0);
+}
+
+TEST(SaLint, ForeignAdapterReadOfUnattachedWindowTripsR4) {
+  std::vector<sa::Diag> diags = sa::lint(window_put(false));
+  ASSERT_EQ(count_rule(diags, "R4"), 2);  // attach-before-read, no detach
+  for (const sa::Diag& d : diags) {
+    if (d.rule == "R4") {
+      EXPECT_EQ(d.thread, "adp1");
+    }
+  }
+}
+
+/// r0.0 flags buffer seg to its reader twice: once after writing it, once
+/// after a Waitcntr on the counter that @p depositor adds to once it wrote
+/// seg in turn.
+mc::Program relayed_flag(const std::string& depositor) {
+  mc::Program p;
+  p.name = "relayed_flag";
+  int head = p.thread("r0.0");
+  int reader = p.thread("r0.1");
+  int dep = p.thread(depositor);
+  int seg = p.buf("seg");
+  int ready = p.var("ready");
+  int got = p.var("got");
+  p.write(head, seg, 0, 1);
+  p.add(head, ready, 1);
+  p.write(dep, seg, 1, 2);
+  p.add(dep, got, 1);
+  p.wait_dec(head, got, 1);
+  p.add(head, ready, 1);
+  p.await_ge(reader, ready, 1);
+  p.read(reader, seg, 0, 1);
+  p.await_ge(reader, ready, 2);
+  p.read(reader, seg, 1, 2);
+  p.validate();
+  return p;
+}
+
+TEST(SaLint, OnlyANicDepositRelaysASignal) {
+  // The network's deposit, awaited on its arrival counter, stands for the
+  // second write; another rank's write does not.
+  EXPECT_EQ(count_rule(sa::lint(relayed_flag("nic0")), "R5"), 0);
+  EXPECT_EQ(count_rule(sa::lint(relayed_flag("r0.2")), "R5"), 1);
 }
 
 }  // namespace
