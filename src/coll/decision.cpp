@@ -387,18 +387,28 @@ DecisionTable DecisionTable::modern_smp() {
   //     994.6 in 8 KiB steps);
   //   * allreduce runs root-free (core/allreduce.cpp allreduce_direct)
   //     from 16 KB to 1 MB: the root-free reduce_scatter of the ranks'
-  //     blocks, each socket's domain over a binary tree at 16 KB and a
-  //     chain from 32 KB in the 16 KiB step, then the root-free allgather,
-  //     where the pipelined row funnels the whole vector through rank 0
-  //     twice. Isolated calls, the pipelined rows -> the root-free rows
-  //     with the node ring: 16 KB 62.02 -> 54.83; 32 KB 93.08 -> 64.29;
-  //     64 KB 139.83 -> 90.08. The rows are mapped: their allgather half
-  //     runs a ring per socket, every local of a socket assembles its
-  //     share of the node segment in the socket head's window, and every
-  //     segment is published from that window (allgather_sockets).
-  //     Isolated calls, node ring -> socket rings: 16 KB (binary) 54.83 ->
-  //     54.36; 32 KB 64.29 -> 62.98; 64 KB 90.08 -> 85.46; 128 KB 157.21
-  //     -> 132.52; 512 KB 485.49 -> 382.64. From 1 MB the pipeline over
+  //     blocks in the 16 KiB step, then the root-free allgather, where the
+  //     pipelined row funnels the whole vector through rank 0 twice.
+  //     Isolated calls, the pipelined rows -> the root-free rows with the
+  //     node ring: 16 KB 62.02 -> 54.83; 32 KB 93.08 -> 64.29; 64 KB
+  //     139.83 -> 90.08. The rows are mapped: their allgather half runs a
+  //     ring per socket, every local of a socket assembles its share of
+  //     the node segment in the socket head's window, and every segment
+  //     is published from that window (allgather_sockets). Isolated calls,
+  //     node ring -> socket rings: 16 KB (binary) 54.83 -> 54.36; 32 KB
+  //     64.29 -> 62.98; 64 KB 90.08 -> 85.46; 128 KB 157.21 -> 132.52;
+  //     512 KB 485.49 -> 382.64. Each landing source has a slot per remote
+  //     round, so a one-step segment never waits for a credit. The
+  //     reduce_scatter half chains each socket's locals at 16 KB and from
+  //     256 KB, and from 32 KB to 256 KB runs the share form (a mapped flat
+  //     row): every local reduces its share of each step out of its mates'
+  //     windows, with no chain to fill. Back to back, chain -> shares:
+  //     32 KB 57.83 -> 57.66; 64 KB 81.20 -> 73.58; 128 KB 129.4 -> 106.4;
+  //     256 KB 212.2 -> 195.2 (isolated 212.7 -> 195.9, but 292.4 -> 301.7
+  //     at the 384 KB midpoint); 512 KB 380.5 -> 384.5: every share step
+  //     waits for all 8 locals, which costs more than the chain's fill once
+  //     a segment runs many steps. At 16 KB the chain wins (47.16 against
+  //     50.09 us). From 1 MB the pipeline over
   //     chains between and within nodes in 16 KiB steps keeps the band:
   //     the mapped row wins the 1 MB call (718.8 against 970.3 us) and
   //     its midpoint (1.5 MB: 1166.6 against 1383.5), but single-copy off
@@ -430,23 +440,29 @@ DecisionTable DecisionTable::modern_smp() {
   //     arrival order (32 B: 9.04 us mapped, 8.79 us staged); scatter and
   //     gather rows are keyed on the node block (row_key);
   //   * reduce_scatter runs the root-free protocol (core/reduce_scatter.cpp)
-  //     from 32 B blocks: each socket reduces every node's segment over its
-  //     own 8 locals and delivers it straight to the owners, where the
+  //     at every block size: each socket reduces every node's segment over
+  //     its own 8 locals and delivers it straight to the owners, where the
   //     reduce + scatter composition funnels the whole vector through one
   //     leader. Its rows are keyed on the node segment (row_key), which a
-  //     domain reduces and delivers per round: binary socket trees from
-  //     32 B blocks (512 B segments), chains in the 16 KiB step from 256 B
-  //     blocks. Only 8 and 16 B blocks keep the composition (8 B: 21.84
-  //     against 26.90 us back to back). Back to back, composition -> this
-  //     row: 64 B 40.44 -> 28.23; 1 KB 218.0 -> 96.55; 4 KB 529.3 ->
-  //     254.4; 8 KB 901.3 -> 466.7 us. A step carries whole blocks spread
-  //     evenly where that fits one reduce slot in the fixed step count,
-  //     which evens out the steps of a block that does not divide 16 KiB:
-  //     1.5 KB blocks run two steps of 12 KiB where the fixed step ran
-  //     16 and 8 KiB (isolated 133.42 -> 120.39 us). So from 1 KB blocks
-  //     8 KiB steps lose the band's midpoint (1.5 KB: 123.88 against
-  //     120.39 us) and keep no row, though they still win the 1 KB call
-  //     (90.94 against 96.85).
+  //     domain reduces and delivers per round, in the 16 KiB step: chains
+  //     below 256 B blocks (4 KB segments) and from 4 KB blocks, and the
+  //     share form (a mapped flat row) from 256 B to 4 KB blocks. With a
+  //     landing slot per remote round the chain no longer stalls on
+  //     credits and wins the 8 and 16 B blocks the composition kept (8 B:
+  //     21.84 against 19.13 us back to back). Back to back, composition ->
+  //     chain -> shares: 64 B 40.44 -> 21.17 -> 25.16; 256 B 90.69 ->
+  //     33.50 -> 33.56 (isolated 33.80 -> 33.69: the isolated-call
+  //     challenge's pick); 1 KB 218.0 -> 93.58 -> 70.97; 2 KB 344.0 ->
+  //     146.8 -> 129.5; 4 KB 529.3 -> 253.6 -> 257.6; 8 KB 901.3 -> 462.1
+  //     -> 534.8 us: the shares skip the chain's 7-step fill, and from
+  //     4 KB blocks their every step waiting for all 8 locals costs more.
+  //     Without single-copy a flat row runs the chain. A step carries
+  //     whole blocks spread evenly where that fits one reduce slot in the
+  //     fixed step count, which evens out the steps of a block that does
+  //     not divide 16 KiB: 1.5 KB blocks run two steps of 12 KiB where the
+  //     fixed step ran 16 and 8 KiB (isolated, chain with a landing pair:
+  //     133.42 -> 120.39 us). The 4 and 8 KiB steps keep no row: from 1 KB
+  //     blocks they lose the band's midpoint or the isolated call.
   // Barrier needs no row.
   DecisionTable t;
   t.profile = "modern_smp";
@@ -470,18 +486,20 @@ DecisionTable DecisionTable::modern_smp() {
   t.set(CollKind::reduce, 128 * 1024,
         {Algo::staged, false, chain, chain, c8k});
   t.set(CollKind::reduce, 256 * 1024, {Algo::staged, false, chain, chain});
+  auto flat = TreeKind::flat;
   t.set(CollKind::allreduce, 0, {Algo::rd, false, bin});
-  t.set(CollKind::allreduce, 16 * 1024, {Algo::direct, true, bin, binary});
-  t.set(CollKind::allreduce, 32 * 1024, {Algo::direct, true, bin, chain});
+  t.set(CollKind::allreduce, 16 * 1024, {Algo::direct, true, bin, chain});
+  t.set(CollKind::allreduce, 32 * 1024, {Algo::direct, true, bin, flat});
+  t.set(CollKind::allreduce, 256 * 1024, {Algo::direct, true, bin, chain});
   t.set(CollKind::allreduce, 1024 * 1024,
         {Algo::pipeline, false, chain, chain});
   t.set(CollKind::scatter, 0, {Algo::staged, false, bin});
   t.set(CollKind::gather, 0, {Algo::staged, false, bin});
   t.set(CollKind::allgather, 0, {Algo::staged, false, bin});
   t.set(CollKind::allgather, 1024, {Algo::direct, true, bin});
-  t.set(CollKind::reduce_scatter, 0, {Algo::staged, false, bin});
-  t.set(CollKind::reduce_scatter, 512, {Algo::direct, false, bin, binary});
-  t.set(CollKind::reduce_scatter, 4 * 1024,
+  t.set(CollKind::reduce_scatter, 0, {Algo::direct, false, bin, chain});
+  t.set(CollKind::reduce_scatter, 4 * 1024, {Algo::direct, true, bin, flat});
+  t.set(CollKind::reduce_scatter, 64 * 1024,
         {Algo::direct, false, bin, chain});
   return t;
 }

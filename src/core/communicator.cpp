@@ -56,6 +56,7 @@ Communicator::NodeState::NodeState(sim::Engine& eng,
                                    const SrmConfig& cfg, shm::Segment& seg,
                                    const std::string& prefix)
     : nlocal(topo.tasks_per_node()),
+      rs_slots(detail::rs_slots(topo.nodes())),
       eng_(&eng),
       mp_(&mp),
       seg_(&seg),
@@ -245,21 +246,25 @@ Communicator::NodeState::Pair& Communicator::NodeState::sc_acc(int l) {
 
 Communicator::NodeState::RsDomain& Communicator::NodeState::rs_dom(int dom) {
   RsDomain& r = rs_dom_[dom];
-  if (r.landed[0] == nullptr) {
+  if (r.land.empty()) {
     std::string stem = prefix_ + "/rs" + std::to_string(dom) + "_";
-    alloc(r.land, "rs" + std::to_string(dom) + "_land", reduce_chunk_);
-    for (std::size_t s = 0; s < 2; ++s) {
+    auto flag = [&](const std::string& name) {
+      return std::make_unique<shm::SharedFlag>(*eng_, *mp_, 0, stem + name);
+    };
+    for (int s = 0; s < rs_slots; ++s) {
       std::string slot = std::to_string(s);
-      r.landed[s] = std::make_unique<shm::SharedFlag>(*eng_, *mp_, 0,
-                                                      stem + "landed" + slot);
-      r.read[s] = std::make_unique<shm::SharedFlag>(*eng_, *mp_, 0,
-                                                    stem + "read" + slot);
-      r.own_read[s] = std::make_unique<shm::SharedFlag>(
-          *eng_, *mp_, 0, stem + "own_read" + slot);
+      r.land.push_back(seg_->buffer(stem + "land" + slot, reduce_chunk_));
+      r.landed.push_back(flag("landed" + slot));
+      r.read.push_back(flag("read" + slot));
+      r.arrived.emplace_back();
       for (int l = 0; l < nlocal; ++l) {
-        r.arrived[s].push_back(std::make_unique<lapi::Counter>(
+        r.arrived.back().push_back(std::make_unique<lapi::Counter>(
             *eng_, stem + "arrived" + slot + "_" + std::to_string(l)));
       }
+    }
+    for (std::size_t s = 0; s < 2; ++s) {
+      r.own_read[s] = flag("own_read" + std::to_string(s));
+      r.shares[s] = flag("shares" + std::to_string(s));
     }
   }
   return r;
@@ -366,12 +371,15 @@ coll::Decision Communicator::decide(const machine::TaskCtx& t,
   coll::Decision d = decide(op, coll::row_key(op, bytes, t.nlocal()));
   // The algorithms with a mapped variant: staged and direct bcast, staged
   // reduce, both halves of the pipelined allreduce, and, on nodes of more
-  // than one task, scatter, gather and the direct allgather and allreduce
-  // (whose allgather then runs on the socket leaders' windows).
+  // than one task, scatter, gather, the direct allgather and allreduce
+  // (whose allgather then runs on the socket leaders' windows) and the
+  // direct reduce_scatter over a flat domain tree (its share form).
   bool rank_blocks =
       op == CollKind::scatter || op == CollKind::gather ||
       (op == CollKind::allgather && d.algo == Algo::direct) ||
-      (op == CollKind::allreduce && d.algo == Algo::direct);
+      (op == CollKind::allreduce && d.algo == Algo::direct) ||
+      (op == CollKind::reduce_scatter && d.algo == Algo::direct &&
+       d.intranode == coll::TreeKind::flat);
   bool variant = op == CollKind::reduce ||
                  (op == CollKind::bcast && d.algo != Algo::scatter_ag) ||
                  (op == CollKind::allreduce && d.algo == Algo::pipeline) ||

@@ -32,7 +32,7 @@
 // staging, mapped-reduce accumulator, fold and scratch buffers appear when
 // an operation first needs them. So a node holds degree(master) landing
 // pairs (§2.3) rather than one per peer, whatever the mix of roots, plus
-// one pair per socket once a root-free reduce_scatter ran.
+// rs_slots landing slots per socket once a root-free reduce_scatter ran.
 //
 // Every operation embeds its communication tree with coll::embed (Fig. 1),
 // so at most one task per node (the "leader": the root on the root's node,
@@ -60,6 +60,7 @@
 #include "coll/symbolic.hpp"
 #include "coll/tree.hpp"
 #include "core/config.hpp"
+#include "core/detail.hpp"
 #include "lapi/lapi.hpp"
 #include "machine/cluster.hpp"
 #include "shm/flag.hpp"
@@ -186,16 +187,17 @@ class Communicator final : public coll::Collectives {
   };
   /// Root-free reduce-scatter (core/reduce_scatter.cpp): every socket of a
   /// node reduces every node's segment over its own locals (the row's
-  /// intra-node tree, the row's step), its head delivers each step straight
-  /// to the node that owns the segment, and each rank combines the partials
-  /// of its own block of @p blk into @p recv. @p send holds the whole
-  /// vector. Every segment runs the same step count. Aligned, a step
-  /// carries whole blocks, as many as fit the row's step (or equal parts
-  /// of one longer block); fixed, it is the row's step with a shorter
-  /// tail. With @p even the layout is aligned. Otherwise the call runs the
-  /// fixed layout's step count, aligned where whole blocks spread evenly
-  /// over it fill no step past one reduce slot (or every block splits
-  /// into that many equal parts), else fixed.
+  /// intra-node tree, the row's step; on a mapped flat row every local
+  /// reduces its share of each step out of its mates' windows), its head
+  /// delivers each step straight to the node that owns the segment, and
+  /// each rank combines the partials of its own block of @p blk into
+  /// @p recv. @p send holds the whole vector. Every segment runs the same
+  /// step count. Aligned, a step carries whole blocks, as many as fit the
+  /// row's step (or equal parts of one longer block); fixed, it is the
+  /// row's step with a shorter tail. With @p even the layout is aligned.
+  /// Otherwise the call runs the fixed layout's step count, aligned where
+  /// whole blocks spread evenly over it fill no step past one reduce slot
+  /// (or every block splits into that many equal parts), else fixed.
   sim::CoTask reduce_scatter_direct(machine::TaskCtx& t, const void* send,
                                     void* recv, const Blocks& blk, bool even,
                                     coll::Dtype d, coll::RedOp op,
@@ -405,25 +407,29 @@ class Communicator final : public coll::Collectives {
 
     // ---- root-free reduce_scatter (core/reduce_scatter.cpp) ----
     //
-    // Per reduction domain (socket) of the sending nodes: the pair the
-    // domain heads of other nodes land this node's segment in, one round's
-    // source at a time, with per slot the chunks landed, the owner reads
-    // of landed chunks, and the owner reads of this node's own head's
-    // red_slot chunks; and per slot and receiving local the LAPI arrival
-    // counter its puts bump.
+    // Per reduction domain (socket) of the sending nodes: the rs_slots
+    // landing slots the domain heads of other nodes land this node's
+    // segment in, one round's source at a time, with per slot the chunks
+    // landed and the owner reads of landed chunks; per A/B slot of its
+    // head's red_slot the owner reads of this node's own chunks and, in
+    // the share form, the shares its locals wrote; and per landing slot
+    // and receiving local the LAPI arrival counter its puts bump.
     struct RsDomain {
-      Pair land;
-      std::array<std::unique_ptr<shm::SharedFlag>, 2> landed;
-      std::array<std::unique_ptr<shm::SharedFlag>, 2> read;
+      std::vector<std::span<std::byte>> land;
+      std::vector<std::unique_ptr<shm::SharedFlag>> landed;
+      std::vector<std::unique_ptr<shm::SharedFlag>> read;
+      std::vector<std::vector<std::unique_ptr<lapi::Counter>>> arrived;
       std::array<std::unique_ptr<shm::SharedFlag>, 2> own_read;
-      std::array<std::vector<std::unique_ptr<lapi::Counter>>, 2> arrived;
+      std::array<std::unique_ptr<shm::SharedFlag>, 2> shares;
     };
     /// The state of domain @p dom, allocated on its first use.
     RsDomain& rs_dom(int dom);
     /// The credits of domain @p dom's head for its puts into slot @p slot
-    /// of node @p dest's pair (first use): granted and returned by @p dest
-    /// only.
+    /// of node @p dest's landing slots (first use): granted and returned
+    /// by @p dest only.
     lapi::Counter& rs_credit(int dom, int dest, std::size_t slot);
+    /// Landing slots per source domain: detail::rs_slots(nodes).
+    int rs_slots;
 
     // ---- mapped root-free allgather (allgather_sockets) ----
     /// Per domain, monotonic: the node segments its head has flagged ready
@@ -500,13 +506,16 @@ class Communicator final : public coll::Collectives {
     // of smp_red_base).
     std::vector<std::uint64_t> sc_base;
     // Root-free reduce_scatter, per reduction domain: the chunks landed in
-    // this node's pair of that domain (slot parity; every node's pair
-    // takes the same count per call), and per slot the owner reads its
-    // landed chunks and its head's red_slot chunks have been due so far.
+    // this node's landing slots of that domain (the slot of chunk c is
+    // c % rs_slots; every node's slots take the same count per call), per
+    // landing slot the owner reads its landed chunks have been due so far,
+    // and per A/B slot of its head's red_slot the owner reads and the
+    // share-form shares its chunks have been due.
     struct RsSeq {
       std::uint64_t landed = 0;
-      std::array<std::uint64_t, 2> reads{};
+      std::array<std::uint64_t, detail::kRsSlotsMax> reads{};
       std::array<std::uint64_t, 2> own_reads{};
+      std::array<std::uint64_t, 2> shares{};
     };
     std::vector<RsSeq> rs_seq;
     // Mapped root-free allgather, per domain: the segments its head has

@@ -37,6 +37,16 @@ struct Domains {
   bool head(int local) const { return local == first(of(local)); }
 };
 
+/// Landing slots of the root-free reduce_scatter per source domain, at
+/// most: one per remote round of a call whose node segment is one step,
+/// so such a call never waits for a credit, bounded as nodes grow.
+inline constexpr int kRsSlotsMax = 8;
+/// The landing slots per source domain on @p nodes nodes: nodes - 1, at
+/// least the pair.
+inline int rs_slots(int nodes) {
+  return std::clamp(nodes - 1, 2, kRsSlotsMax);
+}
+
 inline sim::CoTask joined_body(sim::CoTask body,
                                std::shared_ptr<sim::Trigger> done) {
   co_await body;

@@ -40,12 +40,15 @@ namespace srm::mc {
 /// A model configuration: nodes x tasks-per-node, pipeline depth in chunks,
 /// and sockets per node (the tasks split into equal consecutive groups, so
 /// the Fig. 3 publish models a far group per socket beyond the leader's).
+/// `slots` is the root-free reduce_scatter's landing slots per source
+/// socket; 0 is the runtime's count at two nodes, the pair.
 struct Shape {
   int nodes = 1;
   int tasks = 2;
   int chunks = 1;
   int sockets = 1;
-  std::string to_string() const;  // "2x4c2", "1x4c1s2"
+  int slots = 0;
+  std::string to_string() const;  // "2x4c2", "1x4c1s2", "2x4c4k7"
 };
 
 enum class Proto : std::uint8_t {
@@ -81,10 +84,15 @@ enum class Proto : std::uint8_t {
   // socket's ring once all shares are counted, and its readers copy each
   // flagged segment out of that window.
   sc_allgather,
+  // The root-free reduce_scatter's share form (a mapped flat row): every
+  // local of a socket reduces its share of each step out of its mates'
+  // send windows into its head's slot and counts it per slot; the head
+  // publishes and puts once the slot's count is full.
+  sc_reduce_scatter,
 };
-inline constexpr int kProtoCount = 18;
+inline constexpr int kProtoCount = 19;
 const char* proto_name(Proto p);
-/// All eighteen, in a stable order.
+/// All nineteen, in a stable order.
 const std::vector<Proto>& all_protos();
 
 /// Build the synchronization skeleton of @p p on @p shape (nodes must be 1

@@ -463,6 +463,53 @@ struct Linter {
     }
   }
 
+  // --- R9: one count over several buffers -----------------------------------
+  // A counter that two or more threads bump, each bump right after writing
+  // a buffer, totals the deposits of every writer. When one writer's bumps
+  // follow writes to different buffers (the A/B slots), a total cannot say
+  // which buffer's deposits are complete: a fast writer's bump for one slot
+  // stands in for a slow writer's bump for the other. Each buffer needs its
+  // own counter.
+  void r9() {
+    for (std::size_t v = 0; v < p.var_names.size(); ++v) {
+      std::set<int> bumpers;
+      int mixed_tid = -1;
+      std::size_t mixed_idx = 0;
+      std::string first_buf, other_buf;
+      for (std::size_t tid = 0; tid < p.threads.size(); ++tid) {
+        const auto& ops = p.threads[tid].ops;
+        std::set<int> written;  // since the last blocking op or bump of v
+        int signalled = -1;     // the buffer this thread's bumps cover
+        for (std::size_t i = 0; i < ops.size(); ++i) {
+          const Op& o = ops[i];
+          if (mc::blocking(o.kind)) written.clear();
+          if (o.kind == OpKind::write) written.insert(o.obj);
+          if (o.kind != OpKind::add || o.obj != static_cast<int>(v)) continue;
+          if (written.size() == 1) {
+            bumpers.insert(static_cast<int>(tid));
+            int b = *written.begin();
+            if (signalled < 0) {
+              signalled = b;
+            } else if (b != signalled && mixed_tid < 0) {
+              mixed_tid = static_cast<int>(tid);
+              mixed_idx = i;
+              first_buf = p.buf_names[static_cast<std::size_t>(signalled)];
+              other_buf = p.buf_names[static_cast<std::size_t>(b)];
+            }
+          }
+          written.clear();
+        }
+      }
+      if (bumpers.size() < 2 || mixed_tid < 0) continue;
+      std::ostringstream m;
+      m << "'" << p.var_names[v] << "' totals the writes of "
+        << bumpers.size() << " threads, and this thread's bumps cover both '"
+        << first_buf << "' and '" << other_buf
+        << "': a total cannot tell which buffer's writes are complete";
+      diag("R9", mixed_tid, mixed_idx, m.str());
+    }
+  }
+
   // --- R8: canonical-execution residue --------------------------------------
   void r8() {
     AnalyzeResult res =
@@ -494,6 +541,7 @@ std::vector<Diag> lint(const mc::Program& p) {
   l.r6();
   l.r7();
   l.r8();
+  l.r9();
   return l.out;
 }
 

@@ -1,6 +1,6 @@
 // srm::sa — pass (2): flow-sensitive protocol lint over the mc IR.
 //
-// Eight rule families, each a structural check on one Program that needs no
+// Nine rule families, each a structural check on one Program that needs no
 // interleaving enumeration:
 //
 //   R1 await-unsat        an await guard no reachable value can satisfy
@@ -37,9 +37,17 @@
 //                         deadlock stall or a happens-before race on the
 //                         canonical schedule (sound — that schedule is a
 //                         real interleaving).
+//   R9 count-alias        a counter bumped by two or more threads, each
+//                         bump right after writing one buffer, where one
+//                         thread's bumps cover different buffers (the A/B
+//                         slots): the total cannot tell which buffer's
+//                         writes are complete. The canonical schedule runs
+//                         every writer at one pace, so R8 cannot see a
+//                         slow writer's bump stood in for by a fast one's.
 //
-// R1-R7 are purely structural; R8 is the only rule that "runs" the program,
-// and it runs exactly one deterministic schedule — still no model checking.
+// R1-R7 and R9 are purely structural; R8 is the only rule that "runs" the
+// program, and it runs exactly one deterministic schedule — still no model
+// checking.
 #pragma once
 
 #include <string>
@@ -51,7 +59,7 @@ namespace srm::sa {
 
 /// One diagnostic, anchored to a precise IR location.
 struct Diag {
-  std::string rule;     ///< "R1".."R8" (R8 variants "R8-race"/"R8-deadlock")
+  std::string rule;     ///< "R1".."R9" (R8 variants "R8-race"/"R8-deadlock")
   std::string thread;   ///< thread the diagnostic anchors to
   int op_index = -1;    ///< op index within that thread (-1: whole-thread)
   std::string label;    ///< label of the anchored op

@@ -23,9 +23,10 @@ const std::vector<Shape>& small_shapes() {
 
 TEST(McProtocols, AllCollectivesVerifyCleanOnSmallConfigs) {
   for (Proto op : all_protos()) {
-    // rs_direct's search outgrows the budget on these shapes; it verifies
-    // on its own below (RootFreeReduceScatterVerifiesClean).
-    if (op == Proto::rs_direct) continue;
+    // rs_direct's search, and its share form's, outgrows the budget on
+    // these shapes; both verify on their own below
+    // (RootFreeReduceScatterVerifiesClean).
+    if (op == Proto::rs_direct || op == Proto::sc_reduce_scatter) continue;
     for (const Shape& sh : small_shapes()) {
       // sc_allgather on 2x4c1 outgrows the budget (a head pulls three
       // windows while three readers each await two segments per node); it
@@ -52,7 +53,9 @@ TEST(McProtocols, FarGroupSplitVerifiesCleanOnTwoSocketShapes) {
   // slot 0, so the slice counter's cumulative target is exercised too.
   std::vector<std::pair<Proto, Shape>> cases;
   for (Proto op : all_protos()) {
-    if (op == Proto::rs_direct) continue;  // see below
+    if (op == Proto::rs_direct || op == Proto::sc_reduce_scatter) {
+      continue;  // see below
+    }
     cases.push_back({op, Shape{1, 4, 2, 2}});
     // ag_direct publishes two blocks per node, each split across the
     // sockets; at two nodes that outgrows the budget, so its two-socket
@@ -86,10 +89,19 @@ TEST(McProtocols, FarGroupSplitVerifiesCleanOnTwoSocketShapes) {
 TEST(McProtocols, RootFreeReduceScatterVerifiesClean) {
   // Two nodes with one socket (one domain of two) and with two sockets
   // (two single-task domains, each head also its pair's only writer), two
-  // steps per segment on thin nodes, and one node of two domains of two.
-  for (const Shape& sh : {Shape{2, 2, 1}, Shape{2, 2, 1, 2}, Shape{2, 1, 2},
-                          Shape{1, 4, 1, 2}}) {
-    Program p = build(Proto::rs_direct, sh);
+  // steps per segment on thin nodes, and one node of two domains of two;
+  // each in the chain form and the share form (sc_reduce_scatter), where
+  // a domain of one exports no window.
+  for (const auto& [proto, sh] :
+       {std::pair{Proto::rs_direct, Shape{2, 2, 1}},
+        std::pair{Proto::rs_direct, Shape{2, 2, 1, 2}},
+        std::pair{Proto::rs_direct, Shape{2, 1, 2}},
+        std::pair{Proto::rs_direct, Shape{1, 4, 1, 2}},
+        std::pair{Proto::sc_reduce_scatter, Shape{2, 2, 1}},
+        std::pair{Proto::sc_reduce_scatter, Shape{2, 2, 1, 2}},
+        std::pair{Proto::sc_reduce_scatter, Shape{2, 1, 2}},
+        std::pair{Proto::sc_reduce_scatter, Shape{1, 4, 1, 2}}}) {
+    Program p = build(proto, sh);
     Result r = check(p);
     EXPECT_TRUE(r.ok()) << p.name << ": " << r.summary() << "\n"
                         << (r.races.empty() ? "" : r.races[0].to_string())

@@ -143,6 +143,38 @@ TEST(Model, SocketLeaderRowsWithinEnvelope) {
   }
 }
 
+// The root-free reduce_scatter's share form (a mapped flat row,
+// mc::Proto::sc_reduce_scatter: every local streams its share of a step
+// out of its mates' windows) and the allreduce whose first half it is sit
+// in the same envelope, on both profiles, as does the chain form priced
+// with the landing slots of a kTableNodes-node call.
+TEST(Model, ShareFormRowsWithinEnvelope) {
+  const SrmConfig cfg;
+  const auto bin = coll::TreeKind::binomial;
+  const coll::Decision shares{coll::Algo::direct, true, bin,
+                              coll::TreeKind::flat};
+  const coll::Decision chain{coll::Algo::direct, false, bin,
+                             coll::TreeKind::chain};
+  for (const machine::MachineParams& mp : kProfiles) {
+    for (auto [op, d, bytes] :
+         {std::tuple{CollKind::reduce_scatter, shares, std::size_t{1024}},
+          std::tuple{CollKind::reduce_scatter, shares, std::size_t{8192}},
+          std::tuple{CollKind::reduce_scatter, chain, std::size_t{1024}},
+          std::tuple{CollKind::allreduce, shares, std::size_t{64 * 1024}},
+          std::tuple{CollKind::allreduce, shares, std::size_t{1u << 20}}}) {
+      sa::AlgoCost c = sa::algo_cost(op, d, bytes, cfg, mp);
+      ASSERT_TRUE(c.feasible);
+      double ratio = c.ns / 1000.0 / simulated(op, d, bytes, mp);
+      std::string what = std::string(coll::coll_name(op)) + " " +
+                         coll::tree_kind_name(d.intranode) + " " +
+                         std::to_string(bytes) + " " + mp.profile +
+                         " ratio " + std::to_string(ratio);
+      EXPECT_GT(ratio, kLo) << what;
+      EXPECT_LT(ratio, kHi) << what;
+    }
+  }
+}
+
 // sa ranks the two root-free allgather forms as the simulator does on the
 // 2x4 modern_smp grid, one socket domain per node: the socket-leader form
 // (its readers pull landed segments clean and the node's own segment from

@@ -1,5 +1,5 @@
 // The gauntlet classification: which lint rule families catch each of the
-// 30 mutation-gauntlet bugs. Pinned exactly — a lint change that silently
+// 32 mutation-gauntlet bugs. Pinned exactly — a lint change that silently
 // loses (or gains) coverage on a known bug must show up here, and the
 // headline property is that NO mutant is dynamic-only: the static analyzer
 // catches every bug the model checker's gauntlet was built around.
@@ -64,6 +64,7 @@ TEST(SaGauntlet, ClassificationIsPinned) {
       {"sa_bcast.forward_before_arrival", "R8"},
       {"sa_bcast.drop_scatter_signal", "R2,R8"},
       {"rs_direct.drop_landed_wait", "R8"},
+      {"sc_reduce_scatter.one_share_count", "R9"},
       {"ag_direct.publish_before_arrival", "R8"},
       {"sc_allgather.copy_before_ready", "R8"},
       {"sc_allgather.forward_before_assembled", "R8"},

@@ -74,15 +74,18 @@ double value(int rank, int op_index, std::size_t i) {
   return (rank % 13) + (op_index % 7) * 0.5 + static_cast<double>(i % 11);
 }
 
+/// With @p race_check the happens-before checker runs too, and each of
+/// its reports fails the test.
 void run_fuzz(std::uint64_t seed, int nodes, int ppn, int nops,
               const machine::MachineParams& params =
                   machine::MachineParams::ibm_sp(),
-              SrmConfig cfg = {}) {
+              SrmConfig cfg = {}, bool race_check = false) {
   ClusterConfig cc;
   cc.nodes = nodes;
   cc.tasks_per_node = ppn;
   cc.params = params;
   Cluster cluster(cc);
+  cluster.checker().set_enabled(race_check);
   lapi::Fabric fabric(cluster);
   Communicator comm(cluster, fabric, cfg);
   int n = nodes * ppn;
@@ -212,6 +215,9 @@ void run_fuzz(std::uint64_t seed, int nodes, int ppn, int nops,
       }
     }
   });
+  for (const auto& r : cluster.checker().reports()) {
+    ADD_FAILURE() << r.to_string();
+  }
 }
 
 class SrmFuzz : public ::testing::TestWithParam<std::uint64_t> {};
@@ -224,8 +230,12 @@ TEST_P(SrmFuzz, RandomSequenceFatNodes) {
   run_fuzz(GetParam() ^ 0xabcdef, 2, 16, 18);
 }
 
+// The race checker runs in the suites it finds clean. In the others it
+// reports Fig. 3 buffers written by a later op's leader unordered with an
+// earlier op's reader (CHANGES.md).
 TEST_P(SrmFuzz, RandomSequenceManyThinNodes) {
-  run_fuzz(GetParam() ^ 0x1234, 7, 2, 18);
+  run_fuzz(GetParam() ^ 0x1234, 7, 2, 18, machine::MachineParams::ibm_sp(),
+           {}, /*race_check=*/true);
 }
 
 // The hierarchical profile with single-copy on and its builtin table: the
@@ -244,33 +254,50 @@ TEST_P(SrmFuzz, RandomSequenceModernSmp2x16) {
 
 TEST_P(SrmFuzz, RandomSequenceModernSmp3x12) {
   run_fuzz(GetParam() ^ 0x3012, 3, 12, 18,
-           machine::MachineParams::modern_smp(), single_copy());
+           machine::MachineParams::modern_smp(), single_copy(),
+           /*race_check=*/true);
 }
 
-// Every allreduce and allgather on a root-free row, at counts that do not
-// split evenly over the ranks (ragged blocks, empty ones below one element
-// per rank), between the builtin table's other rows. The three low bits of
-// seed - 1 pick the allreduce row, so seeds 1-8 run each once: bit 0 maps
-// it (its allgather half on the socket rings, else the node ring), bit 1
-// lays its socket trees as binary trees (else chains), bit 2 steps in
-// 16 KiB (else 4 KiB). The allgather row runs the socket rings when those
-// bits have even parity, the node ring otherwise, so either allgather form
-// meets both allreduce forms. Seed 1 is an unmapped chain in 4 KiB steps
-// with a mapped allgather.
+// Every allreduce, allgather and reduce_scatter on a root-free row, at
+// counts that do not split evenly over the ranks (ragged blocks, empty ones
+// below one element per rank), between the builtin table's other rows.
+// The three low bits of seed - 1 pick the allreduce row, so seeds 1-8 run
+// each once: bit 0 maps it (its allgather half on the socket rings, else
+// the node ring), bit 1 lays its socket trees flat when mapped (its
+// reduce_scatter half in shares out of the locals' windows) and as binary
+// trees when not (else chains), bit 2 steps in 16 KiB (else 4 KiB). The
+// reduce_scatter row takes the same step, is mapped where the allreduce
+// row is not, and is flat where bit 1 is set: shares when mapped, else
+// the chain a flat row runs without windows. The allgather row runs the
+// socket rings when those bits have even parity, the node ring otherwise,
+// so either allgather form meets both allreduce forms. Seed 1 is an
+// unmapped chain in 4 KiB steps with a mapped allgather and a mapped
+// chain reduce_scatter.
 SrmConfig direct_rows(std::uint64_t seed) {
   const unsigned bits = static_cast<unsigned>(seed - 1) & 7u;
   SrmConfig cfg = single_copy();
   const coll::DecisionTable builtin = coll::DecisionTable::modern_smp();
   cfg.decisions = builtin;
+  const bool mapped = (bits & 1u) != 0;
+  const bool wide = (bits & 2u) != 0;
+  const std::size_t step = (bits & 4u) != 0 ? 0 : 4 * 1024;
+  const auto bin = coll::TreeKind::binomial;
+  const auto chain = coll::TreeKind::chain;
   const coll::Decision ar{
-      coll::Algo::direct, (bits & 1u) != 0, coll::TreeKind::binomial,
-      (bits & 2u) != 0 ? coll::TreeKind::binary : coll::TreeKind::chain,
-      (bits & 4u) != 0 ? std::size_t{0} : std::size_t{4 * 1024}};
+      coll::Algo::direct, mapped, bin,
+      wide ? (mapped ? coll::TreeKind::flat : coll::TreeKind::binary)
+           : chain,
+      step};
+  const coll::Decision rs{coll::Algo::direct, !mapped, bin,
+                          wide ? coll::TreeKind::flat : chain, step};
   const coll::Decision ag{coll::Algo::direct,
                           (std::popcount(bits) & 1) == 0};
   for (coll::CollKind op :
-       {coll::CollKind::allreduce, coll::CollKind::allgather}) {
-    const coll::Decision& d = op == coll::CollKind::allreduce ? ar : ag;
+       {coll::CollKind::allreduce, coll::CollKind::allgather,
+        coll::CollKind::reduce_scatter}) {
+    const coll::Decision& d = op == coll::CollKind::allreduce ? ar
+                              : op == coll::CollKind::allgather ? ag
+                                                                : rs;
     cfg.decisions.set(op, 0, d);
     for (const auto& r : builtin.rows(op)) {
       cfg.decisions.set(op, r.min_bytes, d);
@@ -281,7 +308,8 @@ SrmConfig direct_rows(std::uint64_t seed) {
 
 TEST_P(SrmFuzz, RandomSequenceDirectRows3x12) {
   run_fuzz(GetParam() ^ 0xd312, 3, 12, 18,
-           machine::MachineParams::modern_smp(), direct_rows(GetParam()));
+           machine::MachineParams::modern_smp(), direct_rows(GetParam()),
+           /*race_check=*/true);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SrmFuzz,
