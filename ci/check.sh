@@ -25,7 +25,7 @@
 #                    sweep, whose artifact must equal the builtin
 #                    modern_smp() table; also runnable alone via
 #                    `ci/check.sh tune`
-#   1e. sa         — static analyzer: all eighteen protocol models lint
+#   1e. sa         — static analyzer: all nineteen protocol models lint
 #                    clean, both builtin decision tables proven
 #                    dominance-free with their analytic crossovers printed,
 #                    the mutation gauntlet fully classified by lint rule,

@@ -11,7 +11,7 @@
 //
 // The cost of an algorithm at B bytes is the pass-(1) analysis of its IR
 // model on the canonical 2-node x 4-task shape, with a Plan scaling model
-// bytes to B. Two algorithms have no IR among the eighteen protocol models
+// bytes to B. Two algorithms have no IR among the nineteen protocol models
 // and are synthesized here: the direct (address-exchange) broadcast, and
 // the pipelined allreduce as the documented fill+drain composite
 // reduce(B) + one-chunk broadcast tail (core/allreduce.cpp overlaps the

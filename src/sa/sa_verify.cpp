@@ -1,6 +1,6 @@
 // sa_verify — command-line front end of the srm::sa static analyzer.
 //
-//   sa_verify lint                    lint all eighteen protocol models
+//   sa_verify lint                    lint all nineteen protocol models
 //   sa_verify cost [--profile P]      print critical-path formulas + costs
 //   sa_verify dominance [--profile P] prove the builtin table non-dominated
 //                                     and print the analytic crossovers
