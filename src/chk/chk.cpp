@@ -74,6 +74,18 @@ void Checker::register_region(const void* base, std::size_t bytes,
   regions_[base] = std::move(rg);
 }
 
+void Checker::unregister_region(const void* base) {
+  auto it = regions_.find(base);
+  if (it == regions_.end()) return;
+  // A deadlock dump may still name the region as an actor's last access.
+  for (ActorState& a : actors_) {
+    if (a.last_access.rg != &it->second) continue;
+    a.last_access.rg = nullptr;
+    a.last_access.retired = it->second.name;
+  }
+  regions_.erase(it);
+}
+
 void Checker::release(int actor, SyncVar& v, const char* what) {
   auto& a = actors_[static_cast<std::size_t>(actor)];
   join_into(v.vc, vc_of(actor));
@@ -261,8 +273,10 @@ std::string Checker::last_event(int actor) const {
   const auto& a = actors_[static_cast<std::size_t>(actor)];
   std::ostringstream os;
   bool any = false;
-  if (a.last_access.rg != nullptr) {
-    os << kind_name(a.last_access.k) << " '" << a.last_access.rg->name
+  if (a.last_access.rg != nullptr || !a.last_access.retired.empty()) {
+    os << kind_name(a.last_access.k) << " '"
+       << (a.last_access.rg != nullptr ? a.last_access.rg->name
+                                       : a.last_access.retired)
        << "' [" << a.last_access.lo << "," << a.last_access.hi << ") at t="
        << sim::to_us(a.last_access.t) << "us";
     any = true;

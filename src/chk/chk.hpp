@@ -127,7 +127,7 @@ class Checker : public sim::BlockedInfoSource {
   /// unregistered memory (private user buffers) are ignored.
   void register_region(const void* base, std::size_t bytes, std::string name);
   /// Stop tracking the region at @p base (its storage is about to be freed).
-  void unregister_region(const void* base) { regions_.erase(base); }
+  void unregister_region(const void* base);
 
   // --- happens-before edges -------------------------------------------------
   /// Writer side of a sync object: join the actor's clock into it, then tick.
@@ -194,6 +194,7 @@ class Checker : public sim::BlockedInfoSource {
   // Breadcrumbs for deadlock dumps; formatted lazily by last_event().
   struct LastAccess {
     const Region* rg = nullptr;
+    std::string retired;  // rg's name, once rg was unregistered
     std::size_t lo = 0, hi = 0;
     Access k = Access::read;
     sim::Time t = 0;

@@ -193,9 +193,9 @@ ReplayResult replay(const Program& p, const std::vector<int>& schedule,
   ReplayResult res;
   try {
     cx.eng.run();
-  } catch (const util::CheckError&) {
+  } catch (const util::CheckError& e) {
     res.deadlocked = true;
-    res.deadlock = cx.eng.describe_deadlock();
+    res.deadlock = e.what();
   }
   res.completed = cx.threads_done == p.threads.size();
   res.steps_pinned = cx.turn.next;

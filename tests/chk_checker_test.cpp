@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -297,6 +298,32 @@ TEST(Deadlock, DumpIncludesCheckerLastEvent) {
     EXPECT_NE(msg.find("never"), std::string::npos) << msg;
     EXPECT_NE(msg.find("task 1"), std::string::npos) << msg;
     EXPECT_NE(msg.find("land"), std::string::npos) << msg;
+  }
+}
+
+TEST(Deadlock, DumpNamesARegionUnregisteredAfterTheLastAccess) {
+  // A retracted window is unregistered right after its owner's last write
+  // to it; a later deadlock dump still names it.
+  if (!chk::kEnabled) GTEST_SKIP() << "built with SRM_CHK=OFF";
+  Engine eng;
+  Checker chk(eng, 2);
+  chk.set_enabled(true);
+  auto buf = std::make_unique<std::vector<std::byte>>(64);
+  chk.register_region(buf->data(), buf->size(), "retracted_window_of_1");
+  chk.access(1, buf->data(), 16, Access::write);
+  chk.unregister_region(buf->data());
+  buf.reset();
+  sim::WaitQueue wq(eng, "never");
+  eng.spawn(stuck_on(wq, 1));
+  try {
+    eng.run();
+    FAIL() << "expected deadlock";
+  } catch (const util::CheckError& e) {
+    std::string msg = e.what();
+    EXPECT_NE(msg.find("task 1 last chk event: write 'retracted_window_of_1' "
+                       "[0,16)"),
+              std::string::npos)
+        << msg;
   }
 }
 
