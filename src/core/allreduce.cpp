@@ -89,7 +89,7 @@ sim::CoTask Communicator::allreduce_rd(machine::TaskCtx& t, const void* send,
   }
 
   if (newv != -1) {
-    lapi::Counter org(*t.eng, "ar.rd_org@" + std::to_string(t.rank));
+    lapi::Counter org(*t.eng, {"ar.rd_org", t.rank});
     int round = 0;
     for (int mask = 1; mask < pof2; mask <<= 1, ++round) {
       obs::Span round_span(*t.obs, t.rank, "allreduce.rd.round");
@@ -122,7 +122,7 @@ sim::CoTask Communicator::allreduce_rd(machine::TaskCtx& t, const void* send,
       NodeState& part = node_state_of(v - 1);
       // The source is the user's recv buffer: drain the origin counter so
       // the buffer is reusable the moment the operation returns.
-      lapi::Counter fold_org(*t.eng, "ar.fold_org@" + std::to_string(t.rank));
+      lapi::Counter fold_org(*t.eng, {"ar.fold_org", t.rank});
       co_await my_ep.put(master_ep(v - 1), part.ar_fold_out()[parity].data(),
                          recv, bytes, part.ar_fold_out_arr.get(), &fold_org);
       co_await my_ep.wait_cntr(fold_org, 1);
@@ -149,7 +149,7 @@ sim::CoTask Communicator::allreduce_pipelined(machine::TaskCtx& t,
   std::size_t step = reduce_step_elems(dec, esize) * esize;
   coll::Embedding emb = coll::embed(*t.topo, 0, dec.internode);
 
-  lapi::Counter chunk_done(*t.eng, "ar.chunk_done@" + std::to_string(t.rank));
+  lapi::Counter chunk_done(*t.eng, {"ar.chunk_done", t.rank});
   lapi::Counter* gate = t.rank == 0 ? &chunk_done : nullptr;
 
   auto reduce_done = detail::spawn_joined(

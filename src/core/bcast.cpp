@@ -91,7 +91,7 @@ sim::CoTask Communicator::bcast_small(machine::TaskCtx& t, void* buf,
   lapi::Endpoint& my_ep = ep(t.rank);
   // Puts sourced from the user buffer must have left the adapter before the
   // operation returns (the caller may immediately reuse the buffer).
-  lapi::Counter org(*t.eng, "bcast.org@" + std::to_string(t.rank));
+  lapi::Counter org(*t.eng, {"bcast.org", t.rank});
   std::uint64_t org_pending = 0;
 
   for (std::size_t c = 0; c < nchunks; ++c) {
@@ -202,7 +202,7 @@ sim::CoTask Communicator::bcast_large(machine::TaskCtx& t, void* buf,
   auto kids = bcast_children(emb.internode, my_node);
   // Every put below is sourced from the user buffer (or this frame), so all
   // of them must have left the adapter before the operation returns.
-  lapi::Counter org(*t.eng, "bcast_large.org@" + std::to_string(t.rank));
+  lapi::Counter org(*t.eng, {"bcast_large.org", t.rank});
   std::uint64_t org_pending = 0;
 
   // Stage 1 (initialization): leaves announce their user-buffer address to

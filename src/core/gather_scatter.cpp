@@ -71,7 +71,7 @@ sim::CoTask Communicator::real_scatter(machine::TaskCtx& t, const void* send,
 
   if (t.rank == root) {
     lapi::Endpoint& my_ep = ep(t.rank);
-    lapi::Counter org(*t.eng, "scatter.org@" + std::to_string(t.rank));
+    lapi::Counter org(*t.eng, {"scatter.org", t.rank});
     std::uint64_t org_pending = 0;
     const std::byte* sp = static_cast<const std::byte*>(send);
     const std::byte* own_block =
@@ -200,7 +200,7 @@ sim::CoTask Communicator::real_gather(machine::TaskCtx& t, const void* send,
   // Stage 0 (root): announce the receive buffer to every other leader.
   if (t.rank == root) {
     void* addr = recv;
-    lapi::Counter org(*t.eng, "gather.addr_org@" + std::to_string(t.rank));
+    lapi::Counter org(*t.eng, {"gather.addr_org", t.rank});
     std::uint64_t org_pending = 0;
     for (int nd = 0; nd < t.nnodes(); ++nd) {
       if (nd == root_node) continue;
@@ -300,7 +300,7 @@ sim::CoTask Communicator::gather_node(machine::TaskCtx& t, const void* send,
     return cfg_.use_two_buffers ? a % 2 : std::size_t{0};
   };
   lapi::Endpoint& my_ep = ep(t.rank);
-  lapi::Counter out_org(*t.eng, "gather.out_org@" + std::to_string(t.rank));
+  lapi::Counter out_org(*t.eng, {"gather.out_org", t.rank});
   std::deque<std::size_t> inflight_slots;  // staging slots with a put in air
   for (std::size_t c = 0; c < nchunks; ++c) {
     std::size_t off_c = c * chunk;
@@ -466,6 +466,7 @@ sim::CoTask Communicator::allgather_sockets(machine::TaskCtx& t,
                                             const void* send, void* recv,
                                             const Blocks& blk,
                                             std::size_t esize) {
+  obs::Span span(*t.obs, t.rank, "smp.allgather_mapped");
   chk::StageScope stage(t.chk, "allgather.sockets");
   NodeState& ns = node_state(t);
   RankState& rs = rank_state(t);
@@ -511,7 +512,7 @@ sim::CoTask Communicator::allgather_sockets(machine::TaskCtx& t,
   const std::size_t my_hi = bhi(me);
   Ring ring(*this, t, base, std::move(lo), std::move(leader));
   ring.dom = my_dom;
-  lapi::Counter org(*t.eng, "ag.org@" + std::to_string(t.rank));
+  lapi::Counter org(*t.eng, {"ag.org", t.rank});
   ring.org = &org;
   lapi::Endpoint& my_ep = ep(t.rank);
   const bool lead = is_head && n > 1;

@@ -71,6 +71,7 @@
 #include <algorithm>
 #include <cstring>
 #include <deque>
+#include <optional>
 #include <vector>
 
 #include "core/communicator.hpp"
@@ -119,6 +120,8 @@ sim::CoTask Communicator::reduce_scatter_direct(
   const int my_size = dom.size(my_dom, p);
   // decide() keeps `mapped` on a flat row only where windows exist.
   const bool shares = dec.mapped && dec.intranode == coll::TreeKind::flat;
+  std::optional<obs::Span> mapped_span;
+  if (shares) mapped_span.emplace(*t.obs, t.rank, "smp.reduce_scatter_mapped");
   const coll::Tree tree = domain_tree(
       dec.intranode == coll::TreeKind::flat ? coll::TreeKind::chain
                                             : dec.intranode,
@@ -258,7 +261,7 @@ sim::CoTask Communicator::reduce_scatter_direct(
   };
 
   // Head: the red_slot chunks whose put may still be reading them.
-  lapi::Counter org(*t.eng, "rs.org@" + std::to_string(t.rank));
+  lapi::Counter org(*t.eng, {"rs.org", t.rank});
   std::deque<std::size_t> inflight;
   auto head_abs = [&](int h, std::size_t c) {
     return rs.smp_red_base[static_cast<std::size_t>(h)] + c;

@@ -139,8 +139,10 @@ sim::CoTask Endpoint::wait_cntr(Counter& c, std::uint64_t value) {
   co_await c.wq_.wait_until([&c, value] { return c.value_ >= value; },
                             ctx_->rank);
   c.value_ -= value;
-  chk::acq(&ctx_->chk, c.sync_,
-           c.label_.empty() ? nullptr : c.label_.c_str());
+  if (chk::on(ctx_->chk)) {
+    const std::string name = c.label().str();
+    chk::acq(&ctx_->chk, c.sync_, name.empty() ? nullptr : name.c_str());
+  }
   if (wait_ctr_ != nullptr)
     wait_ctr_->add(static_cast<double>(ctx_->eng->now() - blocked_from));
   --in_call_;

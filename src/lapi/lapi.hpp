@@ -41,16 +41,17 @@ class Endpoint;
 /// A LAPI counter: bumped by the dispatcher, waited on by the owning task.
 /// Carries a chk::SyncVar — put deliveries join their message clock into it,
 /// Waitcntr returns acquire from it — and an optional label used in race
-/// reports and deadlock dumps.
+/// reports and deadlock dumps. A counter made on every call takes a
+/// `{stem, rank}` label, which builds no string.
 class Counter {
  public:
-  explicit Counter(sim::Engine& eng, std::string label = {})
-      : label_(std::move(label)), wq_(eng, label_) {}
+  explicit Counter(sim::Engine& eng, sim::Label label = {})
+      : wq_(eng, std::move(label)) {}
   Counter(const Counter&) = delete;
   Counter& operator=(const Counter&) = delete;
 
   std::uint64_t value() const noexcept { return value_; }
-  const std::string& label() const noexcept { return label_; }
+  const sim::Label& label() const noexcept { return wq_.label(); }
   chk::SyncVar& sync() noexcept { return sync_; }
 
   /// Dispatcher-side bump (visibility rules already applied by Endpoint).
@@ -68,7 +69,6 @@ class Counter {
  private:
   friend class Endpoint;
   std::uint64_t value_ = 0;
-  std::string label_;
   chk::SyncVar sync_;
   sim::WaitQueue wq_;
 };

@@ -19,13 +19,18 @@
 // anonymous awaits read `visible_`; raw_get() exposes the committed value.
 // Visibility updates are sequence-stamped so that when the engine runs with
 // a randomized tie-break, two in-flight stores cannot apply out of order
-// and resurrect an overwritten value.
+// and resurrect an overwritten value. The values of stores not yet visible
+// wait in the flag, so a store's visibility event captures two words, which
+// std::function keeps in place: a store allocates only when more stores are
+// in flight than the flag ever held before. A wait allocates nothing
+// (sim::WaitQueue).
 //
 // Every mutation/observation optionally carries a chk::TaskChk: stores are
 // release operations on the flag's SyncVar and satisfied awaits are
 // acquires, giving srm::chk the happens-before edges of Fig. 3.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -48,8 +53,7 @@ class SharedFlag {
         prop_(p.flag_propagation),
         value_(initial),
         visible_(initial),
-        label_(std::move(label)),
-        wq_(eng, label_) {}
+        wq_(eng, std::move(label)) {}
 
   /// The value a spinning reader observes now (stores become visible one
   /// propagation delay after set()).
@@ -64,18 +68,10 @@ class SharedFlag {
   void set(std::uint64_t v, const chk::TaskChk* who = nullptr) {
     value_ = v;
     last_writer_ = who != nullptr ? who->actor : -1;
-    chk::rel(who, sync_, label_.empty() ? nullptr : label_.c_str());
+    chk::rel(who, sync_, chk_label());
+    inflight_.push_back(v);
     std::uint64_t s = ++store_seq_;
-    eng_->call_at(eng_->now() + prop_, [this, v, s] {
-      // Out-of-order application guard: with a randomized tie-break two
-      // same-instant visibility events may fire in either order; only the
-      // newest store may win.
-      if (s > applied_seq_) {
-        applied_seq_ = s;
-        visible_ = v;
-      }
-      wq_.notify();
-    });
+    eng_->call_at(eng_->now() + prop_, [this, s] { apply(s); });
   }
 
   /// Atomic add (models fetch-and-add on a shared line).
@@ -105,12 +101,27 @@ class SharedFlag {
     acquired(who);
   }
 
-  const std::string& label() const noexcept { return label_; }
+  const std::string& label() const noexcept { return wq_.label().text(); }
   chk::SyncVar& sync() noexcept { return sync_; }
 
  private:
-  void acquired(const chk::TaskChk* who) {
-    chk::acq(who, sync_, label_.empty() ? nullptr : label_.c_str());
+  const char* chk_label() const noexcept {
+    return label().empty() ? nullptr : label().c_str();
+  }
+  void acquired(const chk::TaskChk* who) { chk::acq(who, sync_, chk_label()); }
+
+  /// Store number @p s becomes visible to spinners.
+  void apply(std::uint64_t s) {
+    // Out-of-order application guard: with a randomized tie-break two
+    // same-instant visibility events may fire in either order; only the
+    // newest store may win.
+    if (s > applied_seq_) {
+      const auto n = static_cast<std::ptrdiff_t>(s - applied_seq_);
+      visible_ = inflight_[static_cast<std::size_t>(n - 1)];
+      inflight_.erase(inflight_.begin(), inflight_.begin() + n);
+      applied_seq_ = s;
+    }
+    wq_.notify();
   }
 
   /// What task @p a observes right now: its own last store immediately
@@ -126,7 +137,8 @@ class SharedFlag {
   int last_writer_ = -1;
   std::uint64_t store_seq_ = 0;
   std::uint64_t applied_seq_ = 0;
-  std::string label_;
+  // Values of stores applied_seq_ + 1 .. store_seq_, oldest first.
+  std::vector<std::uint64_t> inflight_;
   chk::SyncVar sync_;
   sim::WaitQueue wq_;
 };

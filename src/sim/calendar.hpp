@@ -14,7 +14,8 @@
 // bitwise identical to the reference heap's — bucket layout, resizes, and the
 // year-scan are pure implementation detail. Same-timestamp bursts (256K spawns
 // at t=0) land in one bucket and degrade gracefully to heap behaviour instead
-// of the O(n^2) bucket-scan the textbook linked-list calendar exhibits.
+// of the O(n^2) bucket-scan the textbook linked-list calendar exhibits; the
+// bucket a burst drained gives its capacity back (pop()).
 //
 // `After` is a priority_queue-style comparator: After(a, b) == true means `a`
 // fires after `b`. Ev must expose a `.t` time field consistent with it.
@@ -58,23 +59,14 @@ class CalendarQueue {
     if (size_ > kGrowFactor * buckets_.size()) rebuild(buckets_.size() * 2);
   }
 
-  /// Remove and return the least event under the `After` order.
-  Ev pop() {
-    SRM_CHECK_MSG(size_ > 0, "pop from empty calendar queue");
+  /// The least event under the `After` order, left in the queue. Moves the
+  /// scan pointer to its day, so the pop() that follows finds it at once.
+  const Ev& peek() {
+    SRM_CHECK_MSG(size_ > 0, "peek into empty calendar queue");
     std::size_t scanned = 0;
     for (;;) {
-      auto& b = buckets_[cur_];
-      if (!b.empty() && b.front().t < cur_due_) {
-        std::pop_heap(b.begin(), b.end(), after_);
-        Ev ev = std::move(b.back());
-        b.pop_back();
-        --size_;
-        if (size_ < buckets_.size() / kShrinkFactor &&
-            buckets_.size() > kMinBuckets) {
-          rebuild(buckets_.size() / 2);
-        }
-        return ev;
-      }
+      const auto& b = buckets_[cur_];
+      if (!b.empty() && b.front().t < cur_due_) return b.front();
       cur_ = (cur_ + 1) & (buckets_.size() - 1);
       cur_due_ += width_;
       if (++scanned >= buckets_.size()) {
@@ -86,13 +78,40 @@ class CalendarQueue {
     }
   }
 
+  /// Remove and return the least event under the `After` order.
+  Ev pop() {
+    peek();
+    auto& b = buckets_[cur_];
+    std::pop_heap(b.begin(), b.end(), after_);
+    Ev ev = std::move(b.back());
+    b.pop_back();
+    // A same-time burst fills one bucket; once it drains, the bucket gives
+    // its capacity back instead of holding it until the next rebuild.
+    if (b.empty() && b.capacity() > kKeptCapacity) std::vector<Ev>().swap(b);
+    --size_;
+    if (size_ < buckets_.size() / kShrinkFactor &&
+        buckets_.size() > kMinBuckets) {
+      rebuild(buckets_.size() / 2);
+    }
+    return ev;
+  }
+
   std::size_t bucket_count() const noexcept { return buckets_.size(); }
   Time bucket_width() const noexcept { return width_; }
+  /// Events the buckets have room for, all together.
+  std::size_t capacity() const noexcept {
+    std::size_t n = 0;
+    for (const auto& b : buckets_) n += b.capacity();
+    return n;
+  }
 
  private:
   static constexpr std::size_t kMinBuckets = 8;  // power of two
   static constexpr std::size_t kGrowFactor = 2;
   static constexpr std::size_t kShrinkFactor = 8;
+  // Events an emptied bucket may keep room for: enough for the few events
+  // a day holds in steady state, far below a 16K-event burst.
+  static constexpr std::size_t kKeptCapacity = 64;
 
   std::size_t index_of(Time t) const noexcept {
     return (t / width_) & (buckets_.size() - 1);

@@ -7,7 +7,7 @@ namespace srm::sim {
 Engine::EventId Engine::call_at(Time t, std::function<void()> fn) {
   SRM_CHECK_MSG(t >= now_, "event scheduled in the past");
   EventId id = next_id_++;
-  queue_.push(Ev{t, next_key(), id, {}, std::move(fn)});
+  schedule(Ev{t, next_key(), id, {}, std::move(fn)});
   return id;
 }
 
@@ -15,7 +15,7 @@ Engine::EventId Engine::resume_at(Time t, std::coroutine_handle<> h) {
   SRM_CHECK_MSG(t >= now_, "resume scheduled in the past");
   SRM_CHECK(h);
   EventId id = next_id_++;
-  queue_.push(Ev{t, next_key(), id, h, {}});
+  schedule(Ev{t, next_key(), id, h, {}});
   return id;
 }
 
@@ -33,25 +33,14 @@ void Engine::spawn(CoTask task) {
   resume_at(now_, h);
 }
 
-void Engine::add_blocked_source(BlockedInfoSource* src) {
-  SRM_CHECK(src != nullptr);
-  std::uint64_t id = next_source_id_++;
-  blocked_sources_.emplace(id, src);
-  blocked_source_ids_.emplace(src, id);
-}
-
-void Engine::remove_blocked_source(BlockedInfoSource* src) {
-  auto it = blocked_source_ids_.find(src);
-  if (it == blocked_source_ids_.end()) return;
-  blocked_sources_.erase(it->second);
-  blocked_source_ids_.erase(it);
-}
-
 std::string Engine::describe_deadlock() const {
   std::ostringstream os;
   os << "simulation deadlock: event queue empty but " << roots_.size()
      << " process(es) still suspended at t=" << to_us(now_) << "us";
-  for (const auto& [id, src] : blocked_sources_) src->describe_blocked(os);
+  for (const BlockedInfoSource* src = sources_head_; src != nullptr;
+       src = src->next_) {
+    src->describe_blocked(os);
+  }
   return os.str();
 }
 
@@ -63,6 +52,7 @@ void Engine::reap_finished() {
 void Engine::abandon() {
   // Drop the events first: they may resume frames destroyed below.
   while (!queue_.empty()) queue_.pop();
+  lane_.clear();
   cancelled_.clear();
   // Destroying a root frame destroys the frames it awaits. Their locals'
   // destructors still run against a live cluster here, where destroying
@@ -72,12 +62,9 @@ void Engine::abandon() {
 }
 
 void Engine::run() {
-  while (!queue_.empty()) {
-    Ev ev = queue_.pop();
-    if (auto it = cancelled_.find(ev.id); it != cancelled_.end()) {
-      cancelled_.erase(it);
-      continue;
-    }
+  while (!lane_.empty() || !queue_.empty()) {
+    Ev ev = next_event();
+    if (!cancelled_.empty() && cancelled_.erase(ev.id) > 0) continue;
     SRM_CHECK(ev.t >= now_);
     now_ = ev.t;
     ++processed_;

@@ -4,6 +4,8 @@
 // amortized O(1) push/pop where a binary heap pays O(log n), which matters
 // once a 256K-rank collective keeps a pending event per rank. Coroutine
 // frames come from a recycling pool (sim/pool.hpp) for the same reason.
+// Under the FIFO tie-break an event scheduled for the current instant skips
+// the calendar: it joins a FIFO lane that run() drains beside it (see Ev).
 //
 // Events are (time, tie-break, sequence) ordered. The default tie-break is
 // FIFO — two events at the same virtual time fire in the order they were
@@ -17,14 +19,16 @@
 // deadlock: if the queue drains while spawned processes are still suspended,
 // run() throws. Components that park coroutines (WaitQueue, Trigger, the
 // chk::Checker) can register as BlockedInfoSource so the deadlock error names
-// who is blocked on what instead of only counting suspended processes.
+// who is blocked on what instead of only counting suspended processes. The
+// sources form an intrusive list in registration order, so a wait-point a
+// protocol makes on every call registers and unregisters in O(1).
 #pragma once
 
 #include <coroutine>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <iosfwd>
-#include <map>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -41,10 +45,19 @@ namespace srm::sim {
 /// Consulted (in registration order) when the engine detects deadlock.
 class BlockedInfoSource {
  public:
+  BlockedInfoSource() = default;
+  BlockedInfoSource(const BlockedInfoSource&) = delete;
+  BlockedInfoSource& operator=(const BlockedInfoSource&) = delete;
   virtual ~BlockedInfoSource() = default;
   /// Append a description of currently blocked waiters; print nothing when
   /// nobody is blocked here.
   virtual void describe_blocked(std::ostream& os) const = 0;
+
+ private:
+  friend class Engine;
+  // Links of the engine's registration-order list.
+  BlockedInfoSource* prev_ = nullptr;
+  BlockedInfoSource* next_ = nullptr;
 };
 
 /// Ordering policy for events scheduled at the same virtual time.
@@ -97,8 +110,20 @@ class Engine {
 
   /// Register/unregister a source of blocked-waiter descriptions for the
   /// deadlock error message. Sources are reported in registration order.
-  void add_blocked_source(BlockedInfoSource* src);
-  void remove_blocked_source(BlockedInfoSource* src);
+  /// Removing a source that is not registered is a no-op.
+  void add_blocked_source(BlockedInfoSource* src) {
+    SRM_CHECK(src != nullptr);
+    src->prev_ = sources_tail_;
+    src->next_ = nullptr;
+    (sources_tail_ != nullptr ? sources_tail_->next_ : sources_head_) = src;
+    sources_tail_ = src;
+  }
+  void remove_blocked_source(BlockedInfoSource* src) noexcept {
+    if (src->prev_ == nullptr && sources_head_ != src) return;
+    (src->prev_ != nullptr ? src->prev_->next_ : sources_head_) = src->next_;
+    (src->next_ != nullptr ? src->next_->prev_ : sources_tail_) = src->prev_;
+    src->prev_ = src->next_ = nullptr;
+  }
 
   /// The deadlock description the engine would throw right now: the base
   /// message plus every registered source's describe_blocked output.
@@ -124,6 +149,14 @@ class Engine {
   SleepAwaiter sleep(Duration d) noexcept { return SleepAwaiter{this, d}; }
 
  private:
+  // Events run in (t, key, id) order. Under the FIFO tie-break an event
+  // scheduled for now() goes to lane_ instead of the calendar: the lane
+  // holds only events at now(), in id order, and each has a higher id than
+  // every calendar event due at now() (those were scheduled before now()
+  // began), so run() takes the lane's front unless the calendar's least
+  // event orders first, and the dequeue order is the calendar-only one.
+  // Under the random tie-break every event goes through the calendar with
+  // its random key, so same-time events still permute.
   struct Ev {
     Time t;
     std::uint64_t key;               // tie-break within equal t (0 in FIFO)
@@ -142,6 +175,24 @@ class Engine {
   std::uint64_t next_key() {
     return tiebreak_ == TieBreak::random ? tie_rng_.next() : 0;
   }
+  void schedule(Ev ev) {
+    if (ev.t == now_ && tiebreak_ == TieBreak::fifo) {
+      lane_.push_back(std::move(ev));
+    } else {
+      queue_.push(std::move(ev));
+    }
+  }
+  /// Remove and return the next event to run (the lane or the calendar
+  /// holds one).
+  Ev next_event() {
+    if (lane_.empty() ||
+        (!queue_.empty() && EvOrder{}(lane_.front(), queue_.peek()))) {
+      return queue_.pop();
+    }
+    Ev ev = std::move(lane_.front());
+    lane_.pop_front();
+    return ev;
+  }
 
   void reap_finished();
   /// Destroy every live process and drop every queued event.
@@ -153,14 +204,14 @@ class Engine {
   TieBreak tiebreak_ = TieBreak::fifo;
   util::SplitMix64 tie_rng_{0};
   CalendarQueue<Ev, EvOrder> queue_;
+  std::deque<Ev> lane_;
   std::unordered_set<EventId> cancelled_;
 
   // Blocked-info sources, reported in registration order. Declared before
   // roots_ so coroutine frames destroyed with the engine can still
   // unregister their wait-points.
-  std::uint64_t next_source_id_ = 1;
-  std::map<std::uint64_t, BlockedInfoSource*> blocked_sources_;
-  std::unordered_map<BlockedInfoSource*, std::uint64_t> blocked_source_ids_;
+  BlockedInfoSource* sources_head_ = nullptr;
+  BlockedInfoSource* sources_tail_ = nullptr;
 
   std::uint64_t next_root_ = 1;
   std::unordered_map<std::uint64_t, CoTask> roots_;

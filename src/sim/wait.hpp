@@ -9,90 +9,163 @@
 // Each WaitQueue registers with the engine as a BlockedInfoSource: on
 // deadlock the error message lists, per labelled wait-point, how many
 // coroutines are parked and (when the caller passed a rank) who they are.
+//
+// Waiting allocates nothing: the predicate stays in the waiting coroutine's
+// frame and the queue links the awaiter that lives there, in arrival order.
 #pragma once
 
 #include <coroutine>
-#include <functional>
+#include <cstddef>
 #include <ostream>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "sim/engine.hpp"
 #include "sim/task.hpp"
 
 namespace srm::sim {
 
-class WaitQueue : public BlockedInfoSource {
+/// A wait-point's name in deadlock dumps and race reports: a whole string,
+/// or a fixed stem and a rank printed as "<stem>@<rank>", so a counter a
+/// protocol makes on every call names itself without building a string.
+class Label {
  public:
-  explicit WaitQueue(Engine& eng, std::string label = {})
+  Label() = default;
+  Label(std::string text) : text_(std::move(text)) {}
+  Label(const char* text) : text_(text) {}
+  Label(const char* stem, int rank) : stem_(stem), rank_(rank) {}
+
+  bool empty() const noexcept { return stem_ == nullptr && text_.empty(); }
+  std::string str() const {
+    return stem_ != nullptr ? stem_ + ("@" + std::to_string(rank_)) : text_;
+  }
+  /// The whole-string form; empty for a stem label.
+  const std::string& text() const noexcept { return text_; }
+
+  friend std::ostream& operator<<(std::ostream& os, const Label& l) {
+    if (l.stem_ != nullptr) return os << l.stem_ << '@' << l.rank_;
+    return os << l.text_;
+  }
+
+ private:
+  std::string text_;
+  const char* stem_ = nullptr;
+  int rank_ = 0;
+};
+
+class WaitQueue : public BlockedInfoSource {
+  struct Waiter;
+
+ public:
+  explicit WaitQueue(Engine& eng, Label label = {})
       : eng_(&eng), label_(std::move(label)) {
     eng_->add_blocked_source(this);
   }
-  ~WaitQueue() override { eng_->remove_blocked_source(this); }
+  ~WaitQueue() override {
+    // Waiters still parked belong to frames not destroyed yet: let them go
+    // without touching this queue when they are.
+    for (Waiter* w = head_; w != nullptr; w = w->next) w->wq = nullptr;
+    eng_->remove_blocked_source(this);
+  }
   WaitQueue(const WaitQueue&) = delete;
   WaitQueue& operator=(const WaitQueue&) = delete;
 
   /// Suspend until @p pred returns true. Returns immediately (without
   /// yielding to the engine) when the predicate already holds. @p who is an
   /// optional task rank recorded for deadlock diagnostics.
-  CoTask wait_until(std::function<bool()> pred, int who = -1) {
-    while (!pred()) co_await WaitOnce{this, &pred, who};
+  template <class Pred>
+  CoTask wait_until(Pred pred, int who = -1) {
+    while (!pred()) co_await Waiter{this, &holds<Pred>, &pred, who};
   }
 
   /// Wake every waiter whose predicate currently holds.
   void notify() {
     // A resumed waiter may re-enter wait() synchronously only via the engine
-    // queue (resume is deferred to resume_at), so iterating is safe.
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < waiters_.size(); ++i) {
-      if ((*waiters_[i].pred)()) {
-        eng_->resume_at(eng_->now(), waiters_[i].h);
-      } else {
-        waiters_[kept++] = waiters_[i];
+    // queue (resume is deferred to resume_at), so walking the list is safe.
+    for (Waiter* w = head_; w != nullptr;) {
+      Waiter* next = w->next;
+      if (w->test(w->pred)) {
+        unlink(w);
+        eng_->resume_at(eng_->now(), w->h);
       }
+      w = next;
     }
-    waiters_.resize(kept);
   }
 
-  std::size_t waiting() const noexcept { return waiters_.size(); }
+  std::size_t waiting() const noexcept {
+    std::size_t n = 0;
+    for (const Waiter* w = head_; w != nullptr; w = w->next) ++n;
+    return n;
+  }
 
-  const std::string& label() const noexcept { return label_; }
-  void set_label(std::string label) { label_ = std::move(label); }
+  const Label& label() const noexcept { return label_; }
 
   void describe_blocked(std::ostream& os) const override {
-    if (waiters_.empty()) return;
-    os << "\n  wait-point '" << (label_.empty() ? "<unnamed>" : label_)
-       << "': " << waiters_.size() << " blocked";
+    if (head_ == nullptr) return;
+    os << "\n  wait-point '";
+    if (label_.empty()) {
+      os << "<unnamed>";
+    } else {
+      os << label_;
+    }
+    os << "': " << waiting() << " blocked";
     bool any = false;
-    for (const Waiter& w : waiters_) {
-      if (w.who < 0) continue;
-      os << (any ? ", " : " (task ") << w.who;
+    for (const Waiter* w = head_; w != nullptr; w = w->next) {
+      if (w->who < 0) continue;
+      os << (any ? ", " : " (task ") << w->who;
       any = true;
     }
     if (any) os << ")";
   }
 
  private:
+  template <class Pred>
+  static bool holds(const void* pred) {
+    return (*static_cast<const Pred*>(pred))();
+  }
+
+  // The awaiter of one wait: it lives in the waiting frame while that frame
+  // is parked, linked into its queue.
   struct Waiter {
-    std::coroutine_handle<> h;
-    const std::function<bool()>* pred;
-    int who;
-  };
-  struct WaitOnce {
     WaitQueue* wq;
-    const std::function<bool()>* pred;
+    bool (*test)(const void*);
+    const void* pred;
     int who;
+    std::coroutine_handle<> h{};
+    Waiter* prev = nullptr;
+    Waiter* next = nullptr;
+    bool linked = false;
+
     bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) {
-      wq->waiters_.push_back(Waiter{h, pred, who});
+    void await_suspend(std::coroutine_handle<> handle) noexcept {
+      h = handle;
+      wq->link(this);
     }
     void await_resume() const noexcept {}
+    // A frame destroyed while parked (the engine abandoning a run) leaves
+    // its queue.
+    ~Waiter() {
+      if (linked && wq != nullptr) wq->unlink(this);
+    }
   };
 
+  void link(Waiter* w) noexcept {
+    w->prev = tail_;
+    w->next = nullptr;
+    (tail_ != nullptr ? tail_->next : head_) = w;
+    tail_ = w;
+    w->linked = true;
+  }
+  void unlink(Waiter* w) noexcept {
+    (w->prev != nullptr ? w->prev->next : head_) = w->next;
+    (w->next != nullptr ? w->next->prev : tail_) = w->prev;
+    w->linked = false;
+  }
+
   Engine* eng_;
-  std::string label_;
-  std::vector<Waiter> waiters_;
+  Label label_;
+  Waiter* head_ = nullptr;
+  Waiter* tail_ = nullptr;
 };
 
 }  // namespace srm::sim

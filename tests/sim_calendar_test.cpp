@@ -134,6 +134,29 @@ TEST(CalendarQueue, GrowsAndShrinksWithLoad) {
   EXPECT_LT(cal.bucket_count(), 4096 / 2);
 }
 
+TEST(CalendarQueue, DrainedBurstGivesBackItsCapacity) {
+  // A same-time burst of 16,384 events fills one bucket. Once it has run,
+  // with later events still queued (so no shrink rebuilds the buckets), the
+  // buckets keep room for about what they still hold, not for the burst.
+  CalQueue cal;
+  std::uint64_t id = 0;
+  for (Time i = 0; i < 4096; ++i) {
+    cal.push(TestEv{1'000'000 + i * 1000, 0, id++});
+  }
+  const std::uint64_t first_of_burst = id;
+  for (int i = 0; i < 16384; ++i) cal.push(TestEv{500, 0, id++});
+  const std::size_t buckets = cal.bucket_count();
+  EXPECT_GE(cal.capacity(), 16384u + 4096u);
+  for (std::uint64_t k = first_of_burst; k < id; ++k) {
+    TestEv got = cal.pop();
+    ASSERT_EQ(got.t, 500u);
+    ASSERT_EQ(got.id, k);
+  }
+  ASSERT_EQ(cal.size(), 4096u);
+  ASSERT_EQ(cal.bucket_count(), buckets);
+  EXPECT_LE(cal.capacity(), 2 * cal.size());
+}
+
 // The engine's own determinism across the queue swap: a mixed workload of
 // sleeps, cancels, and same-time events must fire in schedule (FIFO) order.
 TEST(CalendarQueue, EngineFifoOrderPreserved) {

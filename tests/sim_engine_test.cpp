@@ -2,6 +2,7 @@
 // deadlock detection, triggers, and predicate waits.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -285,6 +286,9 @@ TEST(Engine, CancelledResumeDoesNotLeakIntoDeadlockCheck) {
 }
 
 TEST(Engine, RandomTieBreakPermutesSameTimestampEvents) {
+  // Events 0-15 are scheduled ahead for t = 5 us; events 16-31 are
+  // scheduled at 6 us for that same instant, by one event. The random
+  // tie-break permutes both kinds.
   auto order_with_seed = [](std::uint64_t seed, bool random) {
     Engine eng;
     if (random) eng.set_tiebreak(TieBreak::random, seed);
@@ -292,19 +296,77 @@ TEST(Engine, RandomTieBreakPermutesSameTimestampEvents) {
     for (int i = 0; i < 16; ++i) {
       eng.call_at(us(5), [&order, i] { order.push_back(i); });
     }
+    eng.call_at(us(6), [&eng, &order] {
+      for (int i = 16; i < 32; ++i) {
+        eng.call_at(eng.now(), [&order, i] { order.push_back(i); });
+      }
+    });
     eng.run();
     return order;
   };
   std::vector<int> fifo = order_with_seed(0, false);
-  for (int i = 0; i < 16; ++i) EXPECT_EQ(fifo[static_cast<size_t>(i)], i);
+  for (int i = 0; i < 32; ++i) EXPECT_EQ(fifo[static_cast<size_t>(i)], i);
   // Each seed is internally deterministic...
   EXPECT_EQ(order_with_seed(7, true), order_with_seed(7, true));
-  // ...and at least one of a handful of seeds deviates from FIFO order.
-  bool any_permuted = false;
-  for (std::uint64_t s = 1; s <= 8 && !any_permuted; ++s) {
-    any_permuted = order_with_seed(s, true) != fifo;
+  // ...and some of a handful of seeds deviate from FIFO order, among the
+  // events scheduled ahead and among those scheduled at now().
+  auto among = [](const std::vector<int>& o, int lo, int hi) {
+    std::vector<int> a;
+    for (int e : o) {
+      if (e >= lo && e < hi) a.push_back(e);
+    }
+    return a;
+  };
+  bool ahead_permuted = false, now_permuted = false;
+  for (std::uint64_t s = 1; s <= 8; ++s) {
+    std::vector<int> o = order_with_seed(s, true);
+    ahead_permuted = ahead_permuted || among(o, 0, 16) != among(fifo, 0, 16);
+    now_permuted = now_permuted || among(o, 16, 32) != among(fifo, 16, 32);
   }
-  EXPECT_TRUE(any_permuted);
+  EXPECT_TRUE(ahead_permuted);
+  EXPECT_TRUE(now_permuted);
+}
+
+TEST(Engine, EventAtNowRunsAfterEveryEventScheduledEarlierForThatInstant) {
+  // Under FIFO an event scheduled at now() joins the same-time lane; it must
+  // still run after each event the calendar holds for that instant, and
+  // before any later one.
+  Engine eng;
+  std::vector<int> order;
+  eng.call_at(us(5), [&] {
+    order.push_back(0);
+    eng.call_at(eng.now(), [&] {
+      order.push_back(3);
+      eng.call_at(eng.now(), [&] { order.push_back(5); });
+    });
+    eng.call_at(us(6), [&] { order.push_back(6); });
+  });
+  eng.call_at(us(5), [&] {
+    order.push_back(1);
+    eng.call_at(eng.now(), [&] { order.push_back(4); });
+  });
+  eng.call_at(us(5), [&] { order.push_back(2); });
+  eng.call_at(us(7), [&] { order.push_back(7); });
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(eng.events_processed(), 8u);
+}
+
+TEST(Engine, CancelAnEventScheduledAtNow) {
+  Engine eng;
+  std::vector<int> order;
+  eng.call_at(us(5), [&] {
+    order.push_back(0);
+    Engine::EventId victim =
+        eng.call_at(eng.now(), [&] { order.push_back(1); });
+    eng.call_at(eng.now(), [&] { order.push_back(2); });
+    eng.cancel(victim);
+  });
+  // Cancelled before the run starts: the lane holds it at t = 0.
+  Engine::EventId early = eng.call_at(0, [&] { order.push_back(-1); });
+  eng.cancel(early);
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 2}));
 }
 
 TEST(Engine, RandomTieBreakNeverReordersAcrossTimestamps) {
@@ -332,6 +394,48 @@ TEST(Engine, DeadlockMessageCountsProcessesAndTime) {
     EXPECT_NE(msg.find("2 process"), std::string::npos) << msg;
     EXPECT_NE(msg.find("the_missing_signal"), std::string::npos) << msg;
   }
+}
+
+CoTask park(WaitQueue& wq, int who) {
+  co_await wq.wait_until([] { return false; }, who);
+}
+
+TEST(Engine, DeadlockDumpListsWaitPointsInRegistrationOrder) {
+  // Wait-points unregistered out of order leave the survivors in the order
+  // they registered, and a late registration goes last.
+  Engine eng;
+  auto a = std::make_unique<WaitQueue>(eng, "wp_a");
+  auto b = std::make_unique<WaitQueue>(eng, "wp_b");
+  auto c = std::make_unique<WaitQueue>(eng, "wp_c");
+  auto d = std::make_unique<WaitQueue>(eng, Label{"wp_d", 7});
+  auto e = std::make_unique<WaitQueue>(eng, "wp_e");
+  c.reset();
+  a.reset();
+  e.reset();
+  WaitQueue f(eng, "wp_f");
+  eng.spawn(park(f, 3));
+  eng.spawn(park(*d, 2));
+  eng.spawn(park(*b, 1));
+  try {
+    eng.run();
+    FAIL() << "expected deadlock";
+  } catch (const util::CheckError& err) {
+    const std::string msg = err.what();
+    const std::size_t pb = msg.find("wait-point 'wp_b': 1 blocked (task 1)");
+    const std::size_t pd = msg.find("wait-point 'wp_d@7': 1 blocked (task 2)");
+    const std::size_t pf = msg.find("wait-point 'wp_f': 1 blocked (task 3)");
+    ASSERT_NE(pb, std::string::npos) << msg;
+    ASSERT_NE(pd, std::string::npos) << msg;
+    ASSERT_NE(pf, std::string::npos) << msg;
+    EXPECT_LT(pb, pd) << msg;
+    EXPECT_LT(pd, pf) << msg;
+    for (const char* gone : {"wp_a", "wp_c", "wp_e"}) {
+      EXPECT_EQ(msg.find(gone), std::string::npos) << msg;
+    }
+  }
+  // The run left no waiter behind in the surviving wait-points.
+  EXPECT_EQ(b->waiting(), 0u);
+  EXPECT_EQ(eng.describe_deadlock().find("wait-point"), std::string::npos);
 }
 
 // Two identical runs must be bitwise identical in event count and end time.

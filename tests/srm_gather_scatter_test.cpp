@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "core/communicator.hpp"
@@ -590,6 +592,70 @@ TEST(SrmAllgatherDirect, DeliversOnEveryShape) {
     for (std::size_t count : {p - 1, p, p + 1, std::size_t{1009}}) {
       direct_allgather(sh.params, sh.nodes, sh.ppn, count, mapped);
     }
+  }
+}
+
+/// Virtual end time of two back-to-back calls of @p op (an allgather of 64
+/// doubles per rank, or a reduce_scatter of 96) on modern_smp 2x16 under
+/// the one-row table @p row, traced or not; with @p spans, the number of
+/// spans of each name the traced run recorded.
+double two_calls_us(coll::CollKind op, coll::Decision row, bool traced,
+                    std::map<std::string, int>* spans = nullptr) {
+  Forced f(machine::MachineParams::modern_smp(), 2, 16, op, row);
+  f.cluster.obs().set_trace_enabled(traced);
+  const bool ag = op == coll::CollKind::allgather;
+  const std::size_t count = ag ? 64 : 96;
+  f.cluster.run([&](TaskCtx& t) -> CoTask {
+    for (int call = 0; call < 2; ++call) {
+      std::vector<double> in(ag ? count : count * 32, 1.0 + t.rank);
+      std::vector<double> out(ag ? count * 32 : count, -1.0);
+      if (ag) {
+        co_await f.comm.allgather(t, coll::of(in.data(), count),
+                                  coll::of(out.data(), count));
+      } else {
+        co_await f.comm.reduce_scatter(t, coll::of(in.data(), count),
+                                       coll::of(out.data(), count),
+                                       coll::RedOp::sum);
+      }
+    }
+  });
+  if (spans != nullptr) {
+    for (const obs::SpanRec& s : f.cluster.obs().spans()) ++(*spans)[s.name];
+  }
+  f.expect_no_races();
+  return sim::to_us(f.cluster.engine().now());
+}
+
+TEST(SrmMappedSpans, EachMappedStageOpensOneSpanPerCallAndRank) {
+  // perfbench's shm.mapped layer counts smp.*_mapped spans: the socket
+  // leaders' allgather and the reduce_scatter's share form each open one
+  // per call and rank, their unmapped forms none, and tracing moves no
+  // virtual time.
+  if (!obs::kEnabled) GTEST_SKIP() << "SRM_OBS=OFF";
+  struct Case {
+    coll::CollKind op;
+    coll::Decision mapped, staged;
+    const char* name;
+  };
+  for (const Case& c :
+       {Case{coll::CollKind::allgather, {coll::Algo::direct, true},
+             {coll::Algo::direct, false}, "smp.allgather_mapped"},
+        Case{coll::CollKind::reduce_scatter, shares_row(),
+             direct_row(coll::TreeKind::chain), "smp.reduce_scatter_mapped"}}) {
+    std::map<std::string, int> spans;
+    const double traced = two_calls_us(c.op, c.mapped, true, &spans);
+    EXPECT_EQ(spans[c.name], 2 * 32) << c.name;
+    EXPECT_EQ(traced, two_calls_us(c.op, c.mapped, false)) << c.name;
+    int mapped_spans = 0;
+    for (const auto& [name, k] : spans) {
+      if (name.rfind("smp.", 0) == 0 && name.ends_with("_mapped")) {
+        mapped_spans += k;
+      }
+    }
+    EXPECT_EQ(mapped_spans, 2 * 32) << c.name;
+    std::map<std::string, int> staged;
+    two_calls_us(c.op, c.staged, true, &staged);
+    EXPECT_EQ(staged.count(c.name), 0u) << c.name;
   }
 }
 
