@@ -125,7 +125,7 @@ class WaitQueue : public BlockedInfoSource {
   }
 
   // The awaiter of one wait: it lives in the waiting frame while that frame
-  // is parked, linked into its queue.
+  // is parked, linked into its queue; `wq` is null once it is out of it.
   struct Waiter {
     WaitQueue* wq;
     bool (*test)(const void*);
@@ -134,7 +134,6 @@ class WaitQueue : public BlockedInfoSource {
     std::coroutine_handle<> h{};
     Waiter* prev = nullptr;
     Waiter* next = nullptr;
-    bool linked = false;
 
     bool await_ready() const noexcept { return false; }
     void await_suspend(std::coroutine_handle<> handle) noexcept {
@@ -145,7 +144,7 @@ class WaitQueue : public BlockedInfoSource {
     // A frame destroyed while parked (the engine abandoning a run) leaves
     // its queue.
     ~Waiter() {
-      if (linked && wq != nullptr) wq->unlink(this);
+      if (wq != nullptr) wq->unlink(this);
     }
   };
 
@@ -154,12 +153,11 @@ class WaitQueue : public BlockedInfoSource {
     w->next = nullptr;
     (tail_ != nullptr ? tail_->next : head_) = w;
     tail_ = w;
-    w->linked = true;
   }
   void unlink(Waiter* w) noexcept {
     (w->prev != nullptr ? w->prev->next : head_) = w->next;
     (w->next != nullptr ? w->next->prev : tail_) = w->prev;
-    w->linked = false;
+    w->wq = nullptr;
   }
 
   Engine* eng_;
